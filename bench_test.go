@@ -588,9 +588,9 @@ func benchTenantMux(b *testing.B, tenants int, name string) {
 		b.StopTimer()
 		sys := core.NewSystem(core.Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: core.IRQAffinity()})
 		sys.Eng.RunUntil(sys.Eng.Now().Add(50 * sim.Millisecond))
-		// Warm each device's lazily-built FTL write structures here so
+		// Build each device's lazily-built FTL write structures here so
 		// the first background write inside the timed region doesn't
-		// charge the one-time per-device init to allocs/arrival.
+		// charge their one-time O(dies) allocations to allocs/arrival.
 		for _, d := range sys.SSDs {
 			d.Flash.Precondition(0)
 		}

@@ -557,9 +557,11 @@ func RunUsedStateStudy(o ExpOptions, fillFraction float64) (fob, used Distributi
 }
 
 // UsedStateGeom returns the geometry for the used-state study: small
-// enough that (a) preconditioning does not need gigabytes of mapping
-// state (full Table I devices would) and (b) a preconditioned device hits
-// garbage collection within a short measured run.
+// enough that (a) preconditioning does not need gigabytes of LBA mapping
+// (the host-slice map of a full Table I device would hold ~2×10⁸ entries;
+// the block table grows only with opened blocks and is not the limit)
+// and (b) a preconditioned device hits garbage collection within a
+// short measured run.
 func UsedStateGeom() nand.Geometry {
 	return nand.TinyGeometry()
 }

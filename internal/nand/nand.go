@@ -159,14 +159,38 @@ type Stats struct {
 	Erases       int64
 }
 
-type block struct {
-	die     int
-	valid   int
-	written int
-	// lbas[i] is the host slice stored at slice i, or -1.
-	lbas   []int64
-	erased bool
+// blockMeta is the FTL state of one opened block. lbas[i] is the host
+// slice stored at slice i, or -1 once invalidated; len(lbas) is the
+// block's write pointer, so an erased block has none.
+type blockMeta struct {
+	valid int
+	lbas  []int64
 }
+
+// dieFTL is one die's share of the block table, plus the write slot of
+// the host slices striped to that die.
+type dieFTL struct {
+	// blocks holds the die's opened blocks by rank: block bi lives on die
+	// bi % Dies() at rank bi / Dies(), and a die opens its ranks in order,
+	// so len(blocks) is the rank of its next never-opened block.
+	blocks []blockMeta
+	// open is the block this slot writes into, -1 if none. It sits on
+	// another die when this one had no free block left.
+	open int
+	// stage is the slot's first reverse-map chunk: a never-opened block
+	// fills it before it earns a full SlicesPerBlock map, so lightly
+	// written blocks stay small. nil when a full map is no larger.
+	stage []int64
+}
+
+// Block-table sizing. Each die's initial table capacity and each slot's
+// stage chunk are cut from one slab apiece when the write path is built,
+// so opening a die's first blocks allocates nothing; a Table I device
+// pays 8 KiB and 16 KiB for them instead of 245,632 block records.
+const (
+	slabBlocksPerDie = 8
+	stageSlices      = 64
+)
 
 // Device is one SSD's flash array plus FTL.
 type Device struct {
@@ -182,14 +206,15 @@ type Device struct {
 	// dies, so reset leaves it alone by contract (TestFormatFieldPolicy).
 	dieFree []sim.Time //afalint:sticky -- physical die occupancy survives Format
 
-	// The FTL write path is initialized lazily: a FOB device running the
-	// paper's read-only methodology never allocates its block table
-	// (64 Table-I devices would otherwise cost ~1 GB of bookkeeping).
-	initialized bool
-	mapping     map[int64]mapEntry // host slice → (block, slice)
-	blocks      []*block
-	freeList    []int
-	openBlock   []int // per-die currently open block, -1 if none
+	// The FTL write path is built lazily on first write, so a FOB device
+	// running the paper's read-only methodology allocates none of it.
+	// Once built it costs O(dies) plus the blocks actually opened.
+	mapping map[int64]mapEntry // host slice → (block, slice); nil until built
+	dies    []dieFTL
+	// recycled holds erased GC victims, oldest first.
+	recycled []int
+	// free counts never-opened plus recycled blocks.
+	free int
 	// Counters are preserved across Format by contract (see Format's
 	// doc and TestFormatFieldPolicy), so reset must not zero them.
 	stats Stats //afalint:sticky -- counters survive Format by contract
@@ -222,32 +247,45 @@ func NewDevice(eng *sim.Engine, g Geometry, tm Timing, seed uint64) *Device {
 }
 
 func (d *Device) reset() {
-	d.initialized = false
 	d.mapping = nil
-	d.blocks = nil
-	d.freeList = nil
-	d.openBlock = nil
+	d.dies = nil
+	d.recycled = nil
+	d.free = 0
 }
 
-// ensureInit builds the FTL write-path structures on first write.
+// ensureInit builds the FTL write-path structures on first write: every
+// block starts free and never opened, which takes no per-block state.
 func (d *Device) ensureInit() {
-	if d.initialized {
+	if d.dies != nil {
 		return
 	}
-	d.initialized = true
 	g := d.Geom
+	n := g.Dies()
 	d.mapping = make(map[int64]mapEntry)
-	d.blocks = make([]*block, g.Blocks())
-	d.freeList = make([]int, 0, g.Blocks())
-	for b := range d.blocks {
-		die := b % g.Dies() // stripe blocks across dies
-		d.blocks[b] = &block{die: die, erased: true}
-		d.freeList = append(d.freeList, b)
+	d.dies = make([]dieFTL, n)
+	d.free = g.Blocks()
+	slab := make([]blockMeta, n*slabBlocksPerDie)
+	var stages []int64
+	if g.SlicesPerBlock() > stageSlices {
+		stages = make([]int64, n*stageSlices)
 	}
-	d.openBlock = make([]int, g.Dies())
-	for i := range d.openBlock {
-		d.openBlock[i] = -1
+	for i := range d.dies {
+		// Full slice expressions: a die outgrowing its cut reallocates
+		// rather than spilling into its neighbour's.
+		lo, hi := i*slabBlocksPerDie, (i+1)*slabBlocksPerDie
+		d.dies[i] = dieFTL{blocks: slab[lo:lo:hi], open: -1}
+		if stages != nil {
+			lo, hi = i*stageSlices, (i+1)*stageSlices
+			d.dies[i].stage = stages[lo:hi:hi]
+		}
 	}
+}
+
+// block returns block bi's metadata. The pointer is valid only until the
+// next block is opened on its die, which may move that die's table.
+func (d *Device) block(bi int) *blockMeta {
+	n := d.Geom.Dies()
+	return &d.dies[bi%n].blocks[bi/n]
 }
 
 // Format returns the device to the FOB state (NVMe format, Section III-B).
@@ -310,7 +348,7 @@ func (d *Device) Read(lba int64) sim.Duration {
 	d.stats.HostReads++
 	die := d.dieOf(lba)
 	if e, ok := d.mapping[lba]; ok {
-		die = d.blocks[e.block].die
+		die = e.block % d.Geom.Dies()
 	} else {
 		d.stats.UnmappedRead++
 	}
@@ -333,12 +371,12 @@ func (d *Device) WriteWithGC(lba int64) (total, gc sim.Duration) {
 	d.stats.HostWrites++
 	start := d.eng.Now()
 	var gcDelay sim.Duration
-	startFree := len(d.freeList)
-	for passes := 0; len(d.freeList) <= d.GC.FreeBlockLow; passes++ {
+	startFree := d.free
+	for passes := 0; d.free <= d.GC.FreeBlockLow; passes++ {
 		// Safety valves: if repeated passes reclaim no block-level slack
 		// (every victim nearly fully valid), stop — the host keeps writing
 		// into the remaining free blocks rather than livelocking.
-		if passes >= 16 && len(d.freeList) <= startFree {
+		if passes >= 16 && d.free <= startFree {
 			break
 		}
 		if passes >= 64 {
@@ -350,57 +388,107 @@ func (d *Device) WriteWithGC(lba int64) (total, gc sim.Duration) {
 		}
 		gcDelay += sim.Duration(moved)
 	}
-	// Invalidate the previous copy.
-	if e, ok := d.mapping[lba]; ok {
-		blk := d.blocks[e.block]
-		blk.valid--
-		blk.lbas[e.slice] = -1
-	}
-	blkIdx, slice := d.allocSlice(lba)
-	die := d.blocks[blkIdx].die
+	die := d.place(lba) % d.Geom.Dies()
 	prog := d.Timing.ProgramPage / sim.Duration(d.Geom.SlicesPerPage())
 	xfer := sim.Duration(int64(d.Timing.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
 	done := d.occupyDie(die, gcDelay+prog+xfer)
-	d.mapping[lba] = mapEntry{block: blkIdx, slice: slice}
 	return done.Sub(start), gcDelay
 }
 
-// allocSlice appends lba to an open block, opening a fresh one as needed.
-func (d *Device) allocSlice(lba int64) (blkIdx, slice int) {
-	die := d.dieOf(lba)
-	bi := d.openBlock[die]
-	if bi < 0 || d.blocks[bi].written >= d.Geom.SlicesPerBlock() {
-		bi = d.popFree(die)
-		d.openBlock[die] = bi
+// place writes lba to a fresh slice, invalidating its previous copy, and
+// returns the block it landed in.
+func (d *Device) place(lba int64) int {
+	if e, ok := d.mapping[lba]; ok {
+		blk := d.block(e.block)
+		blk.valid--
+		blk.lbas[e.slice] = -1
 	}
-	blk := d.blocks[bi]
-	if blk.lbas == nil {
-		blk.lbas = make([]int64, d.Geom.SlicesPerBlock())
-		for i := range blk.lbas {
-			blk.lbas[i] = -1
-		}
-	}
-	s := blk.written
-	blk.lbas[s] = lba
-	blk.written++
-	blk.valid++
-	blk.erased = false
-	return bi, s
+	bi, s := d.allocSlice(lba)
+	d.mapping[lba] = mapEntry{block: bi, slice: s}
+	return bi
 }
 
-// popFree takes a free block, preferring the requested die.
+// allocSlice appends lba to its slot's open block, opening a fresh one as
+// needed.
+func (d *Device) allocSlice(lba int64) (blkIdx, slice int) {
+	die := d.dieOf(lba)
+	spb := d.Geom.SlicesPerBlock()
+	slot := &d.dies[die]
+	if slot.open < 0 || len(d.block(slot.open).lbas) >= spb {
+		slot.open = d.popFree(die)
+	}
+	blk := d.block(slot.open)
+	if blk.lbas == nil {
+		blk.lbas = slot.stage[:0] // never opened: start in the stage chunk
+	}
+	s := len(blk.lbas)
+	if s == cap(blk.lbas) {
+		// Outgrew the stage chunk (or had none): move to a full map and
+		// leave the chunk to the slot's next never-opened block.
+		full := make([]int64, s, spb)
+		copy(full, blk.lbas)
+		blk.lbas = full
+	}
+	blk.lbas = blk.lbas[:s+1]
+	blk.lbas[s] = lba
+	blk.valid++
+	return slot.open, s
+}
+
+// popFree opens a free block for die's write slot in the order one free
+// list of all blocks would give, never-opened blocks by index and then
+// recycled ones oldest first: the die's own next never-opened block, else
+// its oldest recycled one, else the lowest never-opened block on any die,
+// else the oldest recycled block anywhere.
 func (d *Device) popFree(die int) int {
-	for i, bi := range d.freeList {
-		if d.blocks[bi].die == die {
-			d.freeList = append(d.freeList[:i], d.freeList[i+1:]...)
-			return bi
+	if bi := d.nextUnopened(die); bi >= 0 {
+		return d.openUnopened(bi)
+	}
+	n := d.Geom.Dies()
+	for i, bi := range d.recycled {
+		if bi%n == die {
+			return d.takeRecycled(i)
 		}
 	}
-	if len(d.freeList) == 0 {
+	lowest := -1
+	for k := range d.dies {
+		if bi := d.nextUnopened(k); bi >= 0 && (lowest < 0 || bi < lowest) {
+			lowest = bi
+		}
+	}
+	if lowest >= 0 {
+		return d.openUnopened(lowest)
+	}
+	if len(d.recycled) == 0 {
 		panic("nand: out of free blocks (GC failed to reclaim)")
 	}
-	bi := d.freeList[0]
-	d.freeList = d.freeList[1:]
+	return d.takeRecycled(0)
+}
+
+// nextUnopened returns die's lowest never-opened block, or -1 if it has
+// opened them all.
+func (d *Device) nextUnopened(die int) int {
+	rank := len(d.dies[die].blocks)
+	if rank >= d.Geom.PlanesPerDie*d.Geom.BlocksPerPlan {
+		return -1
+	}
+	return rank*d.Geom.Dies() + die
+}
+
+// openUnopened opens never-opened block bi, the next rank of its die.
+func (d *Device) openUnopened(bi int) int {
+	die := &d.dies[bi%d.Geom.Dies()]
+	die.blocks = append(die.blocks, blockMeta{})
+	d.free--
+	return bi
+}
+
+// takeRecycled removes and returns the i-th recycled block.
+func (d *Device) takeRecycled(i int) int {
+	bi := d.recycled[i]
+	copy(d.recycled[i:], d.recycled[i+1:])
+	d.recycled = d.recycled[:len(d.recycled)-1]
+	d.free--
 	return bi
 }
 
@@ -408,27 +496,40 @@ func (d *Device) popFree(die int) int {
 // relocate its valid slices, erase it. It returns the simulated nanoseconds
 // the pass cost, or -1 when no victim exists.
 func (d *Device) collect() int64 {
+	n := d.Geom.Dies()
+	spb := d.Geom.SlicesPerBlock()
+	ranks := 0
+	for k := range d.dies {
+		ranks = max(ranks, len(d.dies[k].blocks))
+	}
+	// Never-opened blocks cannot be victims, so visiting the opened ones
+	// rank by rank, die by die, is global index order: ties go to the
+	// lowest index.
 	victim := -1
 	best := 1 << 30
-	for bi, blk := range d.blocks {
-		if blk.erased || blk.written < d.Geom.SlicesPerBlock() {
-			continue // only closed blocks are victims
-		}
-		if d.isOpen(bi) {
-			continue
-		}
-		if blk.valid < best {
-			best = blk.valid
-			victim = bi
+	for rank := 0; rank < ranks; rank++ {
+		for die := range d.dies {
+			blocks := d.dies[die].blocks
+			if rank >= len(blocks) {
+				continue
+			}
+			blk := &blocks[rank]
+			if len(blk.lbas) < spb || blk.valid >= best {
+				continue // only closed blocks are victims
+			}
+			if bi := rank*n + die; !d.isOpen(bi) {
+				best, victim = blk.valid, bi
+			}
 		}
 	}
 	if victim < 0 {
 		return -1
 	}
-	blk := d.blocks[victim]
 	var cost sim.Duration
 	d.stats.GCRuns++
-	for _, lba := range blk.lbas {
+	// Relocation may open a block on the victim's die and move its table,
+	// so the victim is looked up again for the erase below.
+	for _, lba := range d.block(victim).lbas {
 		if lba < 0 {
 			continue
 		}
@@ -439,20 +540,20 @@ func (d *Device) collect() int64 {
 		cost += d.Timing.ProgramPage / sim.Duration(d.Geom.SlicesPerPage())
 		d.stats.GCPageMoves++
 	}
-	// Erase the victim.
+	// Erase the victim; it keeps its map buffer for its next opening.
 	cost += d.Timing.EraseBlock
 	d.stats.Erases++
+	blk := d.block(victim)
 	blk.valid = 0
-	blk.written = 0
-	blk.erased = true
-	blk.lbas = nil
-	d.freeList = append(d.freeList, victim)
+	blk.lbas = blk.lbas[:0]
+	d.recycled = append(d.recycled, victim)
+	d.free++
 	return int64(cost)
 }
 
 func (d *Device) isOpen(bi int) bool {
-	for _, ob := range d.openBlock {
-		if ob == bi {
+	for k := range d.dies {
+		if d.dies[k].open == bi {
 			return true
 		}
 	}
@@ -461,20 +562,18 @@ func (d *Device) isOpen(bi int) bool {
 
 // Precondition sequentially fills fraction frac of the logical space,
 // leaving the device in a used (non-FOB) state for the GC extension study.
-// It advances no simulated time; only the mapping state changes.
+// It advances no simulated time; only the mapping state changes. frac
+// must lie in [0, 1].
 func (d *Device) Precondition(frac float64) {
+	if !(frac >= 0 && frac <= 1) {
+		panic(fmt.Sprintf("nand: Precondition fraction %v outside [0, 1]", frac))
+	}
 	d.ensureInit()
 	n := int64(float64(d.LogicalSlices()) * frac)
 	for lba := int64(0); lba < n; lba++ {
-		if len(d.freeList) <= d.GC.FreeBlockLow {
+		if d.free <= d.GC.FreeBlockLow {
 			d.collect()
 		}
-		if e, ok := d.mapping[lba]; ok {
-			blk := d.blocks[e.block]
-			blk.valid--
-			blk.lbas[e.slice] = -1
-		}
-		bi, s := d.allocSlice(lba)
-		d.mapping[lba] = mapEntry{block: bi, slice: s}
+		d.place(lba)
 	}
 }

@@ -1,7 +1,10 @@
 package nand
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -154,8 +157,8 @@ func TestFormatRestoresFOB(t *testing.T) {
 	}
 	// The device must be fully writable again: all blocks free.
 	d.Write(1)
-	if len(d.freeList) < d.Geom.Blocks()-1 {
-		t.Fatalf("free blocks after format+1 write = %d, want ≈%d", len(d.freeList), d.Geom.Blocks())
+	if d.free != d.Geom.Blocks()-1 {
+		t.Fatalf("free blocks after format+1 write = %d, want %d", d.free, d.Geom.Blocks()-1)
 	}
 }
 
@@ -166,7 +169,7 @@ func TestFOBReadAllocatesNoFTL(t *testing.T) {
 		d.Read(i * 131)
 		eng.RunUntil(eng.Now().Add(100 * sim.Microsecond))
 	}
-	if d.initialized {
+	if d.dies != nil {
 		t.Fatal("read-only FOB workload initialized the FTL write path")
 	}
 	if !d.FOB() {
@@ -184,7 +187,7 @@ func TestOverwriteInvalidatesOldCopy(t *testing.T) {
 	if e1 == e2 {
 		t.Fatal("overwrite did not relocate")
 	}
-	if d.blocks[e1.block].lbas[e1.slice] != -1 {
+	if d.block(e1.block).lbas[e1.slice] != -1 {
 		t.Fatal("old copy not invalidated")
 	}
 }
@@ -286,25 +289,7 @@ func TestPropertyMappingConsistent(t *testing.T) {
 			d.Write(int64(op % 64))
 			eng.RunUntil(eng.Now().Add(10 * sim.Microsecond))
 		}
-		for lba, e := range d.mapping {
-			blk := d.blocks[e.block]
-			if blk.lbas == nil || blk.lbas[e.slice] != lba {
-				return false
-			}
-		}
-		// Valid counters must equal the number of live slices per block.
-		for _, blk := range d.blocks {
-			live := 0
-			for _, l := range blk.lbas {
-				if l >= 0 {
-					live++
-				}
-			}
-			if live != blk.valid {
-				return false
-			}
-		}
-		return true
+		return checkFTL(d) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -331,11 +316,10 @@ func TestFormatFieldPolicy(t *testing.T) {
 		// Counters survive Format by documented contract.
 		"stats": "preserved",
 		// The FTL proper: back to FOB.
-		"initialized": "restored",
-		"mapping":     "restored",
-		"blocks":      "restored",
-		"freeList":    "restored",
-		"openBlock":   "restored",
+		"mapping":  "restored",
+		"dies":     "restored",
+		"recycled": "restored",
+		"free":     "restored",
 	}
 	dt := reflect.TypeOf(Device{})
 	for i := 0; i < dt.NumField(); i++ {
@@ -367,9 +351,9 @@ func TestFormatFieldPolicy(t *testing.T) {
 	d.Format()
 
 	// Restored fields: byte-for-byte the FOB state.
-	if d.initialized || d.mapping != nil || d.blocks != nil || d.freeList != nil || d.openBlock != nil {
-		t.Errorf("Format left FTL state behind: initialized=%v mapping=%d blocks=%d freeList=%d openBlock=%d",
-			d.initialized, len(d.mapping), len(d.blocks), len(d.freeList), len(d.openBlock))
+	if d.mapping != nil || d.dies != nil || d.recycled != nil || d.free != 0 {
+		t.Errorf("Format left FTL state behind: mapping=%d dies=%d recycled=%d free=%d",
+			len(d.mapping), len(d.dies), len(d.recycled), d.free)
 	}
 	// Preserved fields: untouched.
 	if d.stats != preStats {
@@ -383,5 +367,125 @@ func TestFormatFieldPolicy(t *testing.T) {
 	}
 	if d.eng != preEng || d.rnd != preRnd {
 		t.Error("Format rebound the engine or rng stream")
+	}
+}
+
+// checkFTL verifies the block table against the mapping: every mapped
+// LBA points at a live slice holding it, every live slice is mapped
+// there, and each opened block's valid count is its live-slice count.
+func checkFTL(d *Device) error {
+	for lba, e := range d.mapping {
+		if lbas := d.block(e.block).lbas; e.slice >= len(lbas) || lbas[e.slice] != lba {
+			return fmt.Errorf("lba %d maps to block %d slice %d, which does not hold it", lba, e.block, e.slice)
+		}
+	}
+	n := d.Geom.Dies()
+	for die := range d.dies {
+		for rank, blk := range d.dies[die].blocks {
+			bi := rank*n + die
+			if len(blk.lbas) > d.Geom.SlicesPerBlock() {
+				return fmt.Errorf("block %d holds %d slices, over %d", bi, len(blk.lbas), d.Geom.SlicesPerBlock())
+			}
+			live := 0
+			for s, lba := range blk.lbas {
+				if lba < 0 {
+					continue
+				}
+				live++
+				if e, ok := d.mapping[lba]; !ok || e != (mapEntry{block: bi, slice: s}) {
+					return fmt.Errorf("block %d slice %d holds lba %d, mapped to %+v", bi, s, lba, e)
+				}
+			}
+			if live != blk.valid {
+				return fmt.Errorf("block %d: valid = %d, live slices = %d", bi, blk.valid, live)
+			}
+		}
+	}
+	return nil
+}
+
+func TestPreconditionRejectsFractionOutsideUnit(t *testing.T) {
+	for _, tc := range []struct {
+		frac float64
+		ok   bool
+	}{
+		{0, true},
+		{0.5, true},
+		{1, true},
+		{-0.01, false},
+		{1.01, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		t.Run(fmt.Sprint(tc.frac), func(t *testing.T) {
+			d := NewDevice(sim.NewEngine(), TinyGeometry(), MLC3DTiming(), 1)
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Fatalf("Precondition(%v) panic = %v, want panic %v", tc.frac, r, !tc.ok)
+				}
+			}()
+			d.Precondition(tc.frac)
+		})
+	}
+}
+
+// The block table grows with the blocks opened, not the device: opening
+// one block per die on a Table I device (245,632 blocks) stays small.
+func TestFirstWritesAllocateOnlyOpenedBlocks(t *testing.T) {
+	eng := sim.NewEngine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := NewDevice(eng, TableIGeometry(), MLC3DTiming(), 1)
+	d.Precondition(0)
+	for die := 0; die < d.Geom.Dies(); die++ {
+		d.Write(int64(die))
+	}
+	runtime.ReadMemStats(&after)
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("device + one write per die: %d B in %d objects", bytes, objects)
+	if bytes >= 64<<10 || objects >= 200 {
+		t.Fatalf("device + one write per die allocated %d B in %d objects, want < 64 KiB and < 200", bytes, objects)
+	}
+	if err := checkFTL(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Regression: collect relocates the victim's slices before erasing it,
+// and a relocation may open a block on the victim's own die, growing
+// that die's table past its capacity and moving it. The erase must land
+// on the moved table, not on a stale copy.
+func TestCollectSurvivesBlockTableGrowth(t *testing.T) {
+	g := Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1, BlocksPerPlan: 16,
+		PagesPerBlock: 4, PageSize: 16 << 10, SliceSize: 4 << 10}
+	eng := sim.NewEngine()
+	d := NewDevice(eng, g, MLC3DTiming(), 1)
+	spb := int64(g.SlicesPerBlock())
+	for lba := int64(0); lba < spb; lba++ { // block 0 full
+		d.Write(lba)
+	}
+	for lba := int64(0); lba < spb; lba++ { // block 1 full: half of 0 rewritten
+		d.Write(lba % (spb / 2) * 2)
+	}
+	blocks := &d.dies[0].blocks
+	if len(*blocks) != 2 || d.dies[0].open != 1 {
+		t.Fatalf("setup: %d blocks opened, open block %d; want 2 and 1", len(*blocks), d.dies[0].open)
+	}
+	*blocks = (*blocks)[:2:2] // the next opening must move the table
+	if d.collect() < 0 {
+		t.Fatal("no victim")
+	}
+	if len(*blocks) != 3 {
+		t.Fatalf("relocation opened %d blocks, want block 2", len(*blocks)-2)
+	}
+	if v := (*blocks)[0]; v.valid != 0 || len(v.lbas) != 0 {
+		t.Fatalf("victim not erased in the live table: valid %d, %d slices", v.valid, len(v.lbas))
+	}
+	if len(d.recycled) != 1 || d.recycled[0] != 0 {
+		t.Fatalf("recycled = %v, want [0]", d.recycled)
+	}
+	if err := checkFTL(d); err != nil {
+		t.Fatal(err)
 	}
 }

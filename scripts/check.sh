@@ -39,6 +39,8 @@
 #                  including the tenant-owned passthrough queues and
 #                  the ULL fabric/device profile, through the real CLI
 #                  path.
+#   bench tests  — the benchmark module's own tests (bench/ is a
+#                  separate Go module, so ./... above skips it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,3 +53,4 @@ go test -race -shuffle=on ./...
 go test -race -count=1 -run 'TestParallelDeterminism|TestMap' ./internal/core/ ./internal/runner/
 go run ./cmd/afareport -ablate load -ssds 4 -runtime 40ms >/dev/null
 go run ./cmd/afareport -ablate iopath -ssds 4 -runtime 40ms >/dev/null
+(cd bench && go test ./...)
