@@ -238,23 +238,6 @@ func BenchmarkAblationFirmware(b *testing.B) {
 	b.ReportMetric(ds[2].Summary.Mean[6]/1e3, "incremental-max-µs")
 }
 
-// BenchmarkAblationPolling compares interrupt vs polling completion
-// (Section V's poll-vs-interrupt discussion).
-func BenchmarkAblationPolling(b *testing.B) {
-	o := benchOpts()
-	o.NumSSDs = 16
-	o.Runtime = 200 * sim.Millisecond
-	var intr, poll core.Distribution
-	for i := 0; i < b.N; i++ {
-		intr, poll = core.RunPollingAblation(o)
-	}
-	printTable(b, "abl-poll", func() {
-		core.WriteComparisonTable(os.Stdout, []core.Distribution{intr, poll})
-	})
-	b.ReportMetric(intr.Summary.Mean[0]/1e3, "interrupt-avg-µs")
-	b.ReportMetric(poll.Summary.Mean[0]/1e3, "polling-avg-µs")
-}
-
 // BenchmarkAblationUsedState runs the paper's stated future work: FOB vs
 // used (non-FOB) state with garbage collection in the foreground.
 func BenchmarkAblationUsedState(b *testing.B) {
@@ -385,7 +368,7 @@ func BenchmarkWritePath(b *testing.B) {
 	o := benchOpts()
 	o.NumSSDs = 16
 	o.Runtime = 300 * sim.Millisecond
-	var rs []core.WriteRun
+	var rs []core.RAIDRun
 	var row core.ParallelBenchRow
 	for i := 0; i < b.N; i++ {
 		serial := o

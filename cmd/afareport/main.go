@@ -12,7 +12,6 @@
 //	afareport -table 2        # Table II (setup matrix)
 //	afareport -headline       # the abstract's ×8 / ×400 claim
 //	afareport -ablate fw      # firmware variants (standard/nosmart/incremental)
-//	afareport -ablate poll    # interrupt vs polling completion
 //	afareport -ablate used    # FOB vs used (non-FOB) state, the future-work study
 //	afareport -ablate future  # §VI prototypes: auto-isolating scheduler, affine balancer
 //	afareport -ablate coalesce# NVMe interrupt coalescing vs the interrupt storm
@@ -23,8 +22,6 @@
 //	afareport -ablate load    # open-loop offered-load ladder: the load-vs-tail knee, with/without QoS admission
 //	afareport -ablate iopath  # low-latency I/O path: {irq, coalesced, polling, passthrough} × {flash, ull}
 //	afareport -all            # everything
-//
-// -ablation is accepted as an alias for -ablate.
 //
 // -runtime scales fidelity: the default 2 s is quick; pass 120s for the
 // paper's full-length runs (no time compression of rare events).
@@ -45,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -61,8 +59,7 @@ func main() {
 		fig      = flag.String("fig", "", "figure number to regenerate (6-14)")
 		table    = flag.Int("table", 0, "table number to regenerate (1 or 2)")
 		headline = flag.Bool("headline", false, "check the abstract's ×8/×400 claim")
-		ablate   = flag.String("ablate", "", "ablation: fw | poll | used | future | coalesce | tail | pts | faults | recovery | writes | hedging | load | iopath")
-		ablation = flag.String("ablation", "", "alias for -ablate")
+		ablate   = flag.String("ablate", "", "ablation: "+strings.Join(ablationNames(), " | "))
 		all      = flag.Bool("all", false, "regenerate everything")
 		runtime  = flag.Duration("runtime", 2*time.Second, "simulated runtime per FIO instance (paper: 120s)")
 		seed     = flag.Uint64("seed", 2018, "experiment seed")
@@ -73,13 +70,6 @@ func main() {
 		seeds    = flag.Int("seeds", 1, "seed-sweep width for single-config figures 6-9 and 11 (seed, seed+1, ...; appends a pooled row)")
 	)
 	flag.Parse()
-	if *ablate == "" {
-		*ablate = *ablation
-	}
-	if *seeds < 1 {
-		fmt.Fprintf(os.Stderr, "-seeds must be >= 1, got %d\n", *seeds)
-		os.Exit(2)
-	}
 
 	o := core.ExpOptions{
 		Runtime:  sim.Duration(runtime.Nanoseconds()),
@@ -87,6 +77,11 @@ func main() {
 		NumSSDs:  *ssds,
 		SoloRuns: *solo,
 		Parallel: *parallel,
+	}
+	selected, err := resolve(o, *seeds, *all, *ablate)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	outputFormat = *format
 	sweepSeeds = *seeds
@@ -103,7 +98,7 @@ func main() {
 		runTable(1)
 		runTable(2)
 		runHeadline(o)
-		for _, a := range []string{"fw", "poll", "used", "future", "coalesce", "tail", "pts", "faults", "recovery", "writes", "hedging", "load", "iopath"} {
+		for _, a := range selected {
 			runAblation(a, o)
 		}
 		return
@@ -127,14 +122,47 @@ func main() {
 		runHeadline(o)
 		ran = true
 	}
-	if *ablate != "" {
-		runAblation(*ablate, o)
+	for _, a := range selected {
+		runAblation(a, o)
 		ran = true
 	}
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// resolve rejects option values the simulator would otherwise panic on
+// deep inside a run, and maps -all / -ablate to registry entries: every
+// entry for -all, the named one for -ablate, none otherwise.
+func resolve(o core.ExpOptions, seeds int, all bool, name string) ([]ablation, error) {
+	switch {
+	case seeds < 1:
+		return nil, fmt.Errorf("-seeds must be >= 1, got %d", seeds)
+	case o.NumSSDs < 1:
+		return nil, fmt.Errorf("-ssds must be >= 1, got %d", o.NumSSDs)
+	case o.Runtime <= 0:
+		return nil, fmt.Errorf("-runtime must be > 0, got %v", time.Duration(o.Runtime))
+	}
+	var selected []ablation
+	if all {
+		selected = ablations
+	} else if name != "" {
+		for _, a := range ablations {
+			if a.name == name {
+				selected = []ablation{a}
+			}
+		}
+		if selected == nil {
+			return nil, fmt.Errorf("unknown ablation %q (have %s)", name, strings.Join(ablationNames(), ", "))
+		}
+	}
+	for _, a := range selected {
+		if o.NumSSDs < a.minSSDs {
+			return nil, fmt.Errorf("ablation %q needs -ssds >= %d, got %d", a.name, a.minSSDs, o.NumSSDs)
+		}
+	}
+	return selected, nil
 }
 
 // outputFormat selects text/json/csv rendering for figure data.
@@ -279,96 +307,128 @@ func runHeadline(o core.ExpOptions) {
 	wallBanner(t0)
 }
 
-func runAblation(kind string, o core.ExpOptions) {
+// ablation is one -ablate entry.
+type ablation struct {
+	name   string
+	banner string
+	run    func(w io.Writer, o core.ExpOptions)
+	// sweep, when set, is the entry's single-distribution form: with
+	// -seeds N the report appends its N-seed sweep and pooled merge under
+	// caption.
+	sweep   func(core.ExpOptions) core.Distribution
+	caption string
+	// minSSDs is the smallest fleet the entry runs on.
+	minSSDs int
+}
+
+// raidSSDs is the smallest fleet the RAID entries run on: the data
+// stripe plus its parity member.
+const raidSSDs = core.FaultStripeWidth + 1
+
+// ablations is the ordered registry of -ablate entries: -all runs them
+// in this order, and the -ablate help and the unknown-ablation error
+// list their names.
+var ablations = []ablation{
+	{name: "fw", banner: "Ablation: firmware housekeeping variants (tuned kernel)",
+		run: report(core.RunFirmwareAblation, core.WriteComparisonTable)},
+	{name: "used", banner: "Extension: FOB vs used (non-FOB) state, random writes",
+		run: func(w io.Writer, o core.ExpOptions) {
+			fob, used := core.RunUsedStateStudy(o, 0.9)
+			core.WriteComparisonTable(w, []core.Distribution{fob, used})
+		}},
+	{name: "future", banner: "Section VI prototypes: how much manual tuning do better algorithms recover?",
+		run: report(core.RunFutureWorkAblation, core.WriteComparisonTable)},
+	{name: "coalesce", banner: "Extension: NVMe interrupt coalescing (QD8)", run: writeCoalescing},
+	{name: "tail", banner: "Section I motivation: striped-client tail amplification vs stripe width",
+		run: writeTailAtScale},
+	{name: "pts", banner: "SNIA PTS-E latency test: purge → rounds → steady state", run: writePTS},
+	{name: "faults", banner: "Extension: degraded mode — clean vs faulted vs faulted+tolerant stripe",
+		run: report(core.RunFaultAblation, core.WriteFaultAblation), minSSDs: raidSSDs},
+	{name: "recovery", banner: "Extension: drive drop-out and recovery under the tolerance stack",
+		run: report(core.RunRecoverySeries, core.WriteRecoverySeries), minSSDs: raidSSDs},
+	{name: "writes", banner: "Extension: RMW write path — clean / degraded / +rebuild / +tolerance",
+		run: report(core.RunWriteAblation, core.WriteWriteAblation), minSSDs: raidSSDs,
+		sweep: core.RunWriteLadder, caption: "tolerant-arm write ladder"},
+	{name: "hedging", banner: "Extension: hedging policy — static quantile vs per-drive adaptive vs adaptive+budgets",
+		run: report(core.RunHedgingAblation, core.WriteHedgingAblation), minSSDs: raidSSDs,
+		sweep: core.RunHedgeLadder, caption: "adaptive+budgets read ladder"},
+	{name: "load", banner: "Extension: open-loop offered-load ladder — the load-vs-tail knee, with/without QoS admission",
+		run:   report(core.RunLoadAblation, core.WriteLoadAblation),
+		sweep: core.RunLoadLadder, caption: "admission-arm per-class ladders at 110% load"},
+	{name: "iopath", banner: "Extension: low-latency I/O path — {irq, coalesced, polling, passthrough} × {flash, ull}",
+		run: report(core.RunIOPathAblation, core.WriteIOPathAblation),
+		// The grid's transient-error probe sits on SSD 1.
+		minSSDs: 2,
+		sweep:   core.RunIOPathLadder, caption: "ull passthrough per-SSD ladders"},
+}
+
+// report pairs an experiment with its renderer as a registry run func.
+func report[R any](run func(core.ExpOptions) R, write func(io.Writer, R)) func(io.Writer, core.ExpOptions) {
+	return func(w io.Writer, o core.ExpOptions) { write(w, run(o)) }
+}
+
+// ablationNames lists the registry's names in order.
+func ablationNames() []string {
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
+	}
+	return names
+}
+
+// runAblation prints one entry's report, plus its seed sweep when
+// -seeds asks for one.
+func runAblation(a ablation, o core.ExpOptions) {
 	t0 := time.Now() //afalint:allow wallclock -- wall-clock cost banner, not simulated time
-	switch kind {
-	case "fw":
-		banner("Ablation: firmware housekeeping variants (tuned kernel)")
-		core.WriteComparisonTable(os.Stdout, core.RunFirmwareAblation(o))
-	case "poll":
-		banner("Ablation: interrupt vs polling completion (tuned kernel)")
-		intr, poll := core.RunPollingAblation(o)
-		core.WriteComparisonTable(os.Stdout, []core.Distribution{intr, poll})
-	case "used":
-		banner("Extension: FOB vs used (non-FOB) state, random writes")
-		fob, used := core.RunUsedStateStudy(o, 0.9)
-		core.WriteComparisonTable(os.Stdout, []core.Distribution{fob, used})
-	case "future":
-		banner("Section VI prototypes: how much manual tuning do better algorithms recover?")
-		core.WriteComparisonTable(os.Stdout, core.RunFutureWorkAblation(o))
-	case "tail":
-		banner("Section I motivation: striped-client tail amplification vs stripe width")
-		for _, cfg := range []core.Config{core.Default(), core.ExpFirmware()} {
-			widths := []int{1, 4, 16}
-			if o.NumSSDs >= 32 {
-				widths = append(widths, 32)
-			}
-			fmt.Printf("-- %s --\n", cfg.Name)
-			for _, r := range core.RunTailAtScale(cfg, widths, o) {
-				fmt.Printf("width %2d: avg %8.1fµs  p99 %8.1fµs  max %8.1fµs  (p99 ×%.2f a single SSD)\n",
-					r.Width, r.Client.Avg/1e3, float64(r.Client.P[0])/1e3,
-					float64(r.Client.Max)/1e3, r.Amplification)
-			}
-		}
-	case "pts":
-		banner("SNIA PTS-E latency test: purge → rounds → steady state")
-		rep := core.RunPTSLatencyTest(core.ExpFirmware(), o, 200*sim.Millisecond, 25)
-		for i, r := range rep.Rounds {
-			fmt.Printf("round %2d: fleet avg %.2fµs\n", i+1, r.AvgLatencyNs/1e3)
-		}
-		if rep.Result.Steady {
-			fmt.Printf("steady state at round %d (excursion %.1f%%, slope %.1f%%)\n",
-				rep.Result.SteadyAt, rep.Result.Excursion*100, rep.Result.Slope*100)
-		} else {
-			fmt.Println("steady state NOT reached")
-		}
-	case "coalesce":
-		banner("Extension: NVMe interrupt coalescing (QD8)")
-		off, on := core.RunCoalescingAblation(o)
-		core.WriteComparisonTable(os.Stdout, []core.Distribution{off.Dist, on.Dist})
-		fmt.Printf("interrupts/IO: %.2f → %.2f\n",
-			float64(off.Interrupts)/float64(off.IOs), float64(on.Interrupts)/float64(on.IOs))
-	case "faults":
-		banner("Extension: degraded mode — clean vs faulted vs faulted+tolerant stripe")
-		core.WriteFaultAblation(os.Stdout, core.RunFaultAblation(o))
-	case "recovery":
-		banner("Extension: drive drop-out and recovery under the tolerance stack")
-		core.WriteRecoverySeries(os.Stdout, core.RunRecoverySeries(o))
-	case "writes":
-		banner("Extension: RMW write path — clean / degraded / +rebuild / +tolerance")
-		core.WriteWriteAblation(os.Stdout, core.RunWriteAblation(o))
-		if sweepSeeds > 1 {
-			fmt.Printf("\ntolerant-arm write ladder, %d-seed sweep (pooled last):\n", sweepSeeds)
-			sweep := core.RunSeedSweep(o, sweepSeeds, core.RunWriteLadder)
-			core.WriteComparisonTable(os.Stdout, append(sweep, core.MergeSweep("pooled", sweep)))
-		}
-	case "hedging":
-		banner("Extension: hedging policy — static quantile vs per-drive adaptive vs adaptive+budgets")
-		core.WriteHedgingAblation(os.Stdout, core.RunHedgingAblation(o))
-		if sweepSeeds > 1 {
-			fmt.Printf("\nadaptive+budgets read ladder, %d-seed sweep (pooled last):\n", sweepSeeds)
-			sweep := core.RunSeedSweep(o, sweepSeeds, core.RunHedgeLadder)
-			core.WriteComparisonTable(os.Stdout, append(sweep, core.MergeSweep("pooled", sweep)))
-		}
-	case "load":
-		banner("Extension: open-loop offered-load ladder — the load-vs-tail knee, with/without QoS admission")
-		core.WriteLoadAblation(os.Stdout, core.RunLoadAblation(o))
-		if sweepSeeds > 1 {
-			fmt.Printf("\nadmission-arm per-class ladders at 110%% load, %d-seed sweep (pooled last):\n", sweepSeeds)
-			sweep := core.RunSeedSweep(o, sweepSeeds, core.RunLoadLadder)
-			core.WriteComparisonTable(os.Stdout, append(sweep, core.MergeSweep("pooled", sweep)))
-		}
-	case "iopath":
-		banner("Extension: low-latency I/O path — {irq, coalesced, polling, passthrough} × {flash, ull}")
-		core.WriteIOPathAblation(os.Stdout, core.RunIOPathAblation(o))
-		if sweepSeeds > 1 {
-			fmt.Printf("\null passthrough per-SSD ladders, %d-seed sweep (pooled last):\n", sweepSeeds)
-			sweep := core.RunSeedSweep(o, sweepSeeds, core.RunIOPathLadder)
-			core.WriteComparisonTable(os.Stdout, append(sweep, core.MergeSweep("pooled", sweep)))
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown ablation %q (have fw, poll, used, future, coalesce, tail, pts, faults, recovery, writes, hedging, load, iopath)\n", kind)
-		os.Exit(2)
+	banner(a.banner)
+	a.run(os.Stdout, o)
+	if sweepSeeds > 1 && a.sweep != nil {
+		fmt.Printf("\n%s, %d-seed sweep (pooled last):\n", a.caption, sweepSeeds)
+		sweep := core.RunSeedSweep(o, sweepSeeds, a.sweep)
+		core.WriteComparisonTable(os.Stdout, append(sweep, core.MergeSweep("pooled", sweep)))
 	}
 	wallBanner(t0)
+}
+
+// writeCoalescing reports the QD8 coalescing comparison and the cut in
+// interrupts per I/O it buys.
+func writeCoalescing(w io.Writer, o core.ExpOptions) {
+	off, on := core.RunCoalescingAblation(o)
+	core.WriteComparisonTable(w, []core.Distribution{off.Dist, on.Dist})
+	fmt.Fprintf(w, "interrupts/IO: %.2f → %.2f\n",
+		float64(off.Interrupts)/float64(off.IOs), float64(on.Interrupts)/float64(on.IOs))
+}
+
+// writeTailAtScale reports striped-client tail amplification at the
+// stripe widths from {1, 4, 16, 32} that fit the fleet.
+func writeTailAtScale(w io.Writer, o core.ExpOptions) {
+	var widths []int
+	for _, width := range []int{1, 4, 16, 32} {
+		if width <= o.NumSSDs {
+			widths = append(widths, width)
+		}
+	}
+	for _, cfg := range []core.Config{core.Default(), core.ExpFirmware()} {
+		fmt.Fprintf(w, "-- %s --\n", cfg.Name)
+		for _, r := range core.RunTailAtScale(cfg, widths, o) {
+			fmt.Fprintf(w, "width %2d: avg %8.1fµs  p99 %8.1fµs  max %8.1fµs  (p99 ×%.2f a single SSD)\n",
+				r.Width, r.Client.Avg/1e3, float64(r.Client.P[0])/1e3,
+				float64(r.Client.Max)/1e3, r.Amplification)
+		}
+	}
+}
+
+// writePTS reports the PTS-E latency test's rounds and steady-state
+// verdict.
+func writePTS(w io.Writer, o core.ExpOptions) {
+	rep := core.RunPTSLatencyTest(core.ExpFirmware(), o, 200*sim.Millisecond, 25)
+	for i, r := range rep.Rounds {
+		fmt.Fprintf(w, "round %2d: fleet avg %.2fµs\n", i+1, r.AvgLatencyNs/1e3)
+	}
+	if rep.Result.Steady {
+		fmt.Fprintf(w, "steady state at round %d (excursion %.1f%%, slope %.1f%%)\n",
+			rep.Result.SteadyAt, rep.Result.Excursion*100, rep.Result.Slope*100)
+	} else {
+		fmt.Fprintln(w, "steady state NOT reached")
+	}
 }

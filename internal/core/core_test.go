@@ -201,7 +201,12 @@ func TestRunFig12ReturnsFourConfigs(t *testing.T) {
 	if len(ds) != 4 {
 		t.Fatalf("got %d configs", len(ds))
 	}
-	want := []string{"default", "chrt", "isolcpus", "irq"}
+	want := []string{"default", "chrt", "isolcpus", "irq", "expfw"}
+	for i, cfg := range append(AllKernelConfigs(), ExpFirmware()) {
+		if cfg.Name != want[i] {
+			t.Fatalf("config %d is named %s, want %s", i, cfg.Name, want[i])
+		}
+	}
 	for i, d := range ds {
 		if d.Config != want[i] {
 			t.Fatalf("config[%d] = %s, want %s", i, d.Config, want[i])
@@ -265,17 +270,6 @@ func TestRunHeadlineImprovement(t *testing.T) {
 	}
 	if h.StdImprovement() < 10 {
 		t.Fatalf("σ(max) improvement ×%.1f, want ≥10 (paper ×400)", h.StdImprovement())
-	}
-}
-
-func TestPollingAblation(t *testing.T) {
-	o := testOpts()
-	o.Runtime = 150 * sim.Millisecond
-	o.NumSSDs = 8
-	intr, poll := RunPollingAblation(o)
-	if poll.Summary.Mean[0] >= intr.Summary.Mean[0] {
-		t.Fatalf("polling avg %.0f not better than interrupt %.0f",
-			poll.Summary.Mean[0], intr.Summary.Mean[0])
 	}
 }
 

@@ -325,18 +325,6 @@ func RunFutureWorkAblation(o ExpOptions) []Distribution {
 	})
 }
 
-// RunPollingAblation compares interrupt vs polling completion under the
-// tuned kernel (the Section V discussion). Both arms run in parallel.
-func RunPollingAblation(o ExpOptions) (interrupt, polling Distribution) {
-	o = o.withDefaults()
-	intr := ExpFirmware()
-	poll := ExpFirmware()
-	poll.Name = "polling"
-	poll.Mode = kernel.CompletePolling
-	ds := runDistributions(o, []Config{intr, poll})
-	return ds[0], ds[1]
-}
-
 // PTSRound is one measurement round of the PTS-E latency test.
 type PTSRound struct {
 	AvgLatencyNs float64

@@ -13,16 +13,10 @@ import (
 	"io"
 
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/raid"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// FaultStripeWidth is the data-stripe width the fault experiments use;
-// the parity member is SSD FaultStripeWidth.
-const FaultStripeWidth = 8
 
 // DemoFaultPlan builds the representative misbehaving-fleet schedule the
 // ablation imposes on the data stripe: one firmware-stalling controller,
@@ -42,23 +36,6 @@ func DemoFaultPlan(horizon sim.Duration) fault.Plan {
 	}}
 }
 
-// FaultRun is one arm of the degraded-mode ablation.
-type FaultRun struct {
-	Name   string
-	Ladder stats.Ladder
-	// Client-level counters (see raid.Result).
-	Requests      int64
-	Failed        int64
-	SubIOErrors   int64
-	DegradedReads int64
-	HedgedReads   int64
-	HedgeWins     int64
-	// IOStats is the kernel tolerance machinery's activity.
-	IOStats kernel.IOStats
-	// Trace is the run's failure trace (empty for the clean arm).
-	Trace string
-}
-
 // RunFaultAblation measures the client-visible striped-read ladder in
 // three arms: a clean fleet, the same fleet under DemoFaultPlan with no
 // host tolerance (errors fail requests, stalls are waited out), and the
@@ -66,69 +43,14 @@ type FaultRun struct {
 // RAID degraded reads, hedged reads at the observed p99). The headline:
 // tolerant worst-case latency sits far below the untolerant faulted
 // maximum, because the hedge routes around a stalled controller instead
-// of waiting for it.
-func RunFaultAblation(o ExpOptions) []FaultRun {
-	o = o.withDefaults()
-	if o.NumSSDs <= FaultStripeWidth {
-		panic(fmt.Sprintf("core: fault ablation needs > %d SSDs", FaultStripeWidth))
-	}
-
-	run := func(name string, cfg Config, plan *fault.Plan, tol *raid.Tolerance) FaultRun {
-		opt := Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg,
-			Geom: o.Geom, FaultPlan: plan}
-		sys := NewSystem(opt)
-		stripe := make([]int, FaultStripeWidth)
-		for i := range stripe {
-			stripe[i] = i
-		}
-		cpu := sys.Host.WorkloadCPUs()[0]
-		res := raid.Run(sys.Eng, sys.Kernel, []raid.ClientSpec{{
-			Name: name, Stripe: stripe, CPU: cpu, Runtime: o.Runtime,
-			Class: cfg.FIOClass, RTPrio: cfg.FIORTPrio, Tol: tol, Seed: o.Seed,
-		}})[0]
-		out := FaultRun{
-			Name:          name,
-			Ladder:        res.Ladder,
-			Requests:      res.Requests,
-			Failed:        res.FailedRequests,
-			SubIOErrors:   res.SubIOErrors,
-			DegradedReads: res.DegradedReads,
-			HedgedReads:   res.HedgedReads,
-			HedgeWins:     res.HedgeWins,
-			IOStats:       sys.Kernel.IOStats(),
-		}
-		if sys.Faults != nil {
-			out.Trace = sys.Faults.TraceString()
-		}
-		return out
-	}
-
-	// The three arms are independent boots and fan out in parallel. Each
-	// arm builds its own plan and tolerance inside its job — DemoFaultPlan
-	// is a pure function of the horizon — so no fault-schedule state is
-	// shared across workers.
-	type faultArm struct {
-		name     string
-		cfg      Config
-		faulted  bool
-		tolerant bool
-	}
-	arms := []faultArm{
+// of waiting for it. The three arms are independent boots and fan out in
+// parallel.
+func RunFaultAblation(o ExpOptions) []RAIDRun {
+	return runRAIDArms(o, []raidArm{
 		{name: "clean", cfg: IRQAffinity()},
-		{name: "faulted", cfg: IRQAffinity(), faulted: true},
-		{name: "tolerant", cfg: FaultTolerance(), faulted: true, tolerant: true},
-	}
-	return runner.Map(o.runnerOpts(), arms, func(_ int, a faultArm) FaultRun {
-		var plan *fault.Plan
-		if a.faulted {
-			p := DemoFaultPlan(o.Runtime)
-			plan = &p
-		}
-		var tol *raid.Tolerance
-		if a.tolerant {
-			tol = raid.DefaultTolerance(FaultStripeWidth)
-		}
-		return run(a.name, a.cfg, plan, tol)
+		{name: "faulted", cfg: IRQAffinity(), plan: DemoFaultPlan},
+		{name: "tolerant", cfg: FaultTolerance(), plan: DemoFaultPlan,
+			tol: raid.DefaultTolerance(FaultStripeWidth)},
 	})
 }
 
@@ -136,18 +58,12 @@ func RunFaultAblation(o ExpOptions) []FaultRun {
 // striped-request latency across a run in which one stripe member goes
 // offline and later returns.
 type RecoveryResult struct {
+	// RAIDRun holds the whole run's client result and tolerance counters.
+	RAIDRun
 	// Buckets holds the per-window latency summaries.
 	Buckets []stats.TimeBucket
 	// DropAt/RecoverAt are the imposed outage bounds.
 	DropAt, RecoverAt sim.Time
-	// Counters for the whole run.
-	Requests      int64
-	Failed        int64
-	DegradedReads int64
-	HedgedReads   int64
-	HedgeWins     int64
-	IOStats       kernel.IOStats
-	Trace         string
 }
 
 // RunRecoverySeries drops stripe member 0 a quarter of the way into the
@@ -158,79 +74,41 @@ type RecoveryResult struct {
 // than a hang — and a return to baseline after recovery.
 func RunRecoverySeries(o ExpOptions) RecoveryResult {
 	o = o.withDefaults()
-	if o.NumSSDs <= FaultStripeWidth {
-		panic(fmt.Sprintf("core: recovery series needs > %d SSDs", FaultStripeWidth))
-	}
 	dropAt := sim.Time(0).Add(o.Runtime / 4)
 	recoverAt := sim.Time(0).Add(3 * o.Runtime / 4)
-	plan := fault.Plan{Profiles: []fault.Profile{
-		{SSD: 0, DropAt: dropAt, RecoverAt: recoverAt},
-	}}
-
-	cfg := FaultTolerance()
-	sys := NewSystem(Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg,
-		Geom: o.Geom, FaultPlan: &plan})
-	stripe := make([]int, FaultStripeWidth)
-	for i := range stripe {
-		stripe[i] = i
-	}
-	cpu := sys.Host.WorkloadCPUs()[0]
-	res := raid.Run(sys.Eng, sys.Kernel, []raid.ClientSpec{{
-		Name: "recovery", Stripe: stripe, CPU: cpu, Runtime: o.Runtime,
-		Class: cfg.FIOClass, RTPrio: cfg.FIORTPrio,
-		Tol:    raid.DefaultTolerance(FaultStripeWidth),
-		LatLog: true, Seed: o.Seed,
-	}})[0]
-
-	horizon := int64(sys.Eng.Now())
+	run, end := runRAIDArm(o, raidArm{
+		name: "recovery",
+		cfg:  FaultTolerance(),
+		plan: func(sim.Duration) fault.Plan {
+			return fault.Plan{Profiles: []fault.Profile{
+				{SSD: 0, DropAt: dropAt, RecoverAt: recoverAt},
+			}}
+		},
+		client: raid.ClientSpec{LatLog: true},
+		tol:    raid.DefaultTolerance(FaultStripeWidth),
+	})
 	return RecoveryResult{
-		Buckets:       stats.Bucketize(res.Log.Samples(), horizon, 48, 500_000),
-		DropAt:        dropAt,
-		RecoverAt:     recoverAt,
-		Requests:      res.Requests,
-		Failed:        res.FailedRequests,
-		DegradedReads: res.DegradedReads,
-		HedgedReads:   res.HedgedReads,
-		HedgeWins:     res.HedgeWins,
-		IOStats:       sys.Kernel.IOStats(),
-		Trace:         sys.Faults.TraceString(),
+		RAIDRun:   run,
+		Buckets:   stats.Bucketize(run.Log.Samples(), int64(end), 48, 500_000),
+		DropAt:    dropAt,
+		RecoverAt: recoverAt,
 	}
 }
 
 // WriteFaultAblation renders the three-arm comparison: the ladders side
 // by side, then the tolerance counters.
-func WriteFaultAblation(w io.Writer, runs []FaultRun) {
-	fmt.Fprintf(w, "%-10s", "lat(µs)")
-	for _, r := range runs {
-		fmt.Fprintf(w, " %12s", r.Name)
-	}
-	fmt.Fprintln(w)
-	for i := 0; i < stats.NumRungs; i++ {
-		fmt.Fprintf(w, "%-10s", stats.LadderLabels[i])
-		for _, r := range runs {
-			fmt.Fprintf(w, " %12.1f", r.Ladder.Rung(i)/1e3)
-		}
-		fmt.Fprintln(w)
-	}
-
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-16s %10s %10s %10s\n", "counter", runs[0].Name, runs[1].Name, runs[2].Name)
-	row := func(label string, f func(FaultRun) int64) {
-		fmt.Fprintf(w, "%-16s", label)
-		for _, r := range runs {
-			fmt.Fprintf(w, " %10d", f(r))
-		}
-		fmt.Fprintln(w)
-	}
-	row("requests", func(r FaultRun) int64 { return r.Requests })
-	row("failed", func(r FaultRun) int64 { return r.Failed })
-	row("sub-I/O errors", func(r FaultRun) int64 { return r.SubIOErrors })
-	row("degraded reads", func(r FaultRun) int64 { return r.DegradedReads })
-	row("hedged reads", func(r FaultRun) int64 { return r.HedgedReads })
-	row("hedge wins", func(r FaultRun) int64 { return r.HedgeWins })
-	row("kern timeouts", func(r FaultRun) int64 { return r.IOStats.Timeouts })
-	row("kern retries", func(r FaultRun) int64 { return r.IOStats.Retries })
-	row("kern exhausted", func(r FaultRun) int64 { return r.IOStats.Exhausted })
+func WriteFaultAblation(w io.Writer, runs []RAIDRun) {
+	writeRAIDTable(w, runs, 12, 16, 10, []raidCounter{
+		{"requests", func(r RAIDRun) int64 { return r.Requests }},
+		{"failed", func(r RAIDRun) int64 { return r.FailedRequests }},
+		{"sub-I/O errors", func(r RAIDRun) int64 { return r.SubIOErrors }},
+		{"degraded reads", func(r RAIDRun) int64 { return r.DegradedReads }},
+		{"hedged reads", func(r RAIDRun) int64 { return r.HedgedReads }},
+		{"hedge wins", func(r RAIDRun) int64 { return r.HedgeWins }},
+		{"kern timeouts", func(r RAIDRun) int64 { return r.IOStats.Timeouts }},
+		{"kern retries", func(r RAIDRun) int64 { return r.IOStats.Retries }},
+		{"kern exhausted", func(r RAIDRun) int64 { return r.IOStats.Exhausted }},
+	})
 }
 
 // WriteRecoverySeries renders the outage time series: max latency per
@@ -239,7 +117,7 @@ func WriteRecoverySeries(w io.Writer, r RecoveryResult) {
 	fmt.Fprintf(w, "drive drop at t=%.3fs, recovery at t=%.3fs\n",
 		float64(r.DropAt)/1e9, float64(r.RecoverAt)/1e9)
 	fmt.Fprintf(w, "requests=%d failed=%d degraded=%d hedged=%d hedge-wins=%d\n",
-		r.Requests, r.Failed, r.DegradedReads, r.HedgedReads, r.HedgeWins)
+		r.Requests, r.FailedRequests, r.DegradedReads, r.HedgedReads, r.HedgeWins)
 	fmt.Fprintf(w, "kernel: timeouts=%d retries=%d exhausted=%d late=%d\n",
 		r.IOStats.Timeouts, r.IOStats.Retries, r.IOStats.Exhausted, r.IOStats.LateCompletions)
 	fmt.Fprintf(w, "\n%12s %8s %12s %12s\n", "window", "reqs", "mean(µs)", "max(µs)")

@@ -15,12 +15,8 @@ import (
 	"io"
 
 	"repro/internal/fault"
-	"repro/internal/health"
-	"repro/internal/kernel"
 	"repro/internal/raid"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // DemoHedgePlan builds the hedging-ablation fault schedule on the
@@ -60,77 +56,16 @@ func DemoHedgePlan(horizon sim.Duration) fault.Plan {
 	}}
 }
 
-// HedgeRun is one arm of the hedging-policy ablation.
-type HedgeRun struct {
-	Name   string
-	Ladder stats.Ladder
-	// Client-level counters (see raid.Result).
-	Requests         int64
-	Failed           int64
-	SubIOErrors      int64
-	DegradedReads    int64
-	HedgedReads      int64
-	HedgeWins        int64
-	HedgesSuppressed int64
-	LateSubIOs       int64
-	// IOStats is the kernel tolerance machinery's activity; the budgets
-	// arm additionally populates RetryBudgetExhausted/ShedToReconstruct/
-	// OverloadEntered.
-	IOStats kernel.IOStats
-	// Drives are end-of-run health-tracker snapshots for the stripe
-	// members and parity (nil for the static arm, which runs untracked).
-	Drives []health.DriveHealth
-	// Trace is the run's failure trace.
-	Trace string
-}
-
-// hedgeClientSpec is the common foreground striped-read workload of
-// every arm: QD-4 full-stripe reads with parity tolerance armed.
-func hedgeClientSpec(name string, cfg Config, o ExpOptions, tol *raid.Tolerance) raid.ClientSpec {
-	stripe := make([]int, FaultStripeWidth)
-	for i := range stripe {
-		stripe[i] = i
-	}
-	return raid.ClientSpec{
-		Name: name, Stripe: stripe, Runtime: o.Runtime, QD: 4,
-		Class: cfg.FIOClass, RTPrio: cfg.FIORTPrio, Tol: tol, Seed: o.Seed,
-	}
-}
-
-// runHedgeArm boots one system under DemoHedgePlan, runs the striped
-// client with the arm's tolerance, and races the rebuild stream from the
-// replacement instant — the same competing-rebuild setting as the write
-// ablation, so the arms differ only in hedging policy.
-func runHedgeArm(name string, cfg Config, o ExpOptions, tol *raid.Tolerance) HedgeRun {
-	plan := DemoHedgePlan(o.Runtime)
-	sys := NewSystem(Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg,
-		Geom: o.Geom, FaultPlan: &plan})
-	cpus := sys.Host.WorkloadCPUs()
-	spec := hedgeClientSpec(name, cfg, o, tol)
-	spec.CPU = cpus[0]
-	rb := raid.NewRebuilder(sys.Eng, sys.Kernel, writeRebuildSpec(o, cpus[len(cpus)-1]))
-	rb.Start(nil)
-	res := raid.Run(sys.Eng, sys.Kernel, []raid.ClientSpec{spec})[0]
-	out := HedgeRun{
-		Name:             name,
-		Ladder:           res.Ladder,
-		Requests:         res.Requests,
-		Failed:           res.FailedRequests,
-		SubIOErrors:      res.SubIOErrors,
-		DegradedReads:    res.DegradedReads,
-		HedgedReads:      res.HedgedReads,
-		HedgeWins:        res.HedgeWins,
-		HedgesSuppressed: res.HedgesSuppressed,
-		LateSubIOs:       res.LateSubIOs,
-		IOStats:          sys.Kernel.IOStats(),
-		Trace:            sys.Faults.TraceString(),
-	}
-	if h := sys.Kernel.Health(); h != nil {
-		for ssd := 0; ssd <= FaultStripeWidth; ssd++ {
-			out.Drives = append(out.Drives, h.Snapshot(ssd))
-		}
-	}
-	return out
+// hedgeArm is one arm of the hedging ablation: QD-4 full-stripe reads
+// under DemoHedgePlan with parity tolerance armed, racing the rebuild
+// stream from the replacement instant — the same competing-rebuild
+// setting as the write ablation, so the arms differ only in hedging
+// policy (cfg and adaptive).
+func hedgeArm(name string, cfg Config, adaptive bool) raidArm {
+	tol := raid.DefaultTolerance(FaultStripeWidth)
+	tol.Adaptive = adaptive
+	return raidArm{name: name, cfg: cfg, plan: DemoHedgePlan, client: raid.ClientSpec{QD: 4},
+		rebuild: true, tol: tol}
 }
 
 // RunHedgingAblation measures the client-visible striped-read ladder
@@ -146,31 +81,13 @@ func runHedgeArm(name string, cfg Config, o ExpOptions, tol *raid.Tolerance) Hed
 // The headline: the adaptive arms cut the upper rungs (the outage and
 // the storms are hedged at the floor instead of the slow bin's tail)
 // while firing fewer hedges overall (the slow bin is hedged at its own
-// baseline, not raced constantly).
-func RunHedgingAblation(o ExpOptions) []HedgeRun {
-	o = o.withDefaults()
-	if o.NumSSDs <= FaultStripeWidth {
-		panic(fmt.Sprintf("core: hedging ablation needs > %d SSDs", FaultStripeWidth))
-	}
-
-	// Three independent boots fanned out in parallel; each arm builds its
-	// own plan and tolerance inside its job (DemoHedgePlan is a pure
-	// function of the horizon), so no fault-schedule state crosses
-	// workers.
-	type hedgeArm struct {
-		name     string
-		cfg      Config
-		adaptive bool
-	}
-	arms := []hedgeArm{
-		{name: "static", cfg: FaultTolerance()},
-		{name: "adaptive", cfg: AdaptiveTolerance(), adaptive: true},
-		{name: "adaptive+budgets", cfg: AdaptiveBudgets(), adaptive: true},
-	}
-	return runner.Map(o.runnerOpts(), arms, func(_ int, a hedgeArm) HedgeRun {
-		tol := raid.DefaultTolerance(FaultStripeWidth)
-		tol.Adaptive = a.adaptive
-		return runHedgeArm(a.name, a.cfg, o, tol)
+// baseline, not raced constantly). The three arms are independent boots
+// fanned out in parallel.
+func RunHedgingAblation(o ExpOptions) []RAIDRun {
+	return runRAIDArms(o, []raidArm{
+		hedgeArm("static", FaultTolerance(), false),
+		hedgeArm("adaptive", AdaptiveTolerance(), true),
+		hedgeArm("adaptive+budgets", AdaptiveBudgets(), true),
 	})
 }
 
@@ -179,62 +96,29 @@ func RunHedgingAblation(o ExpOptions) []HedgeRun {
 // hedging with budgets at one seed, returning the read ladder for
 // RunSeedSweep pooling (n seeds read as one n-client fleet).
 func RunHedgeLadder(o ExpOptions) Distribution {
-	o = o.withDefaults()
-	if o.NumSSDs <= FaultStripeWidth {
-		panic(fmt.Sprintf("core: hedge ladder needs > %d SSDs", FaultStripeWidth))
-	}
-	tol := raid.DefaultTolerance(FaultStripeWidth)
-	tol.Adaptive = true
-	res := runHedgeArm("hedge-ladder", AdaptiveBudgets(), o, tol)
-	ladders := []stats.Ladder{res.Ladder}
-	return Distribution{Config: "hedging-adaptive-budgets", Ladders: ladders,
-		Summary: stats.Summarize(ladders)}
+	return raidLadder(o, "hedging-adaptive-budgets", hedgeArm("hedge-ladder", AdaptiveBudgets(), true))
 }
 
 // WriteHedgingAblation renders the three-arm comparison: the ladders
 // side by side, the hedging and kernel counters, then the end-of-run
 // health-tracker view of the fleet for the arms that ran one.
-func WriteHedgingAblation(w io.Writer, runs []HedgeRun) {
-	fmt.Fprintf(w, "%-10s", "lat(µs)")
-	for _, r := range runs {
-		fmt.Fprintf(w, " %16s", r.Name)
-	}
-	fmt.Fprintln(w)
-	for i := 0; i < stats.NumRungs; i++ {
-		fmt.Fprintf(w, "%-10s", stats.LadderLabels[i])
-		for _, r := range runs {
-			fmt.Fprintf(w, " %16.1f", r.Ladder.Rung(i)/1e3)
-		}
-		fmt.Fprintln(w)
-	}
-
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-18s", "counter")
-	for _, r := range runs {
-		fmt.Fprintf(w, " %16s", r.Name)
-	}
-	fmt.Fprintln(w)
-	row := func(label string, f func(HedgeRun) int64) {
-		fmt.Fprintf(w, "%-18s", label)
-		for _, r := range runs {
-			fmt.Fprintf(w, " %16d", f(r))
-		}
-		fmt.Fprintln(w)
-	}
-	row("requests", func(r HedgeRun) int64 { return r.Requests })
-	row("failed", func(r HedgeRun) int64 { return r.Failed })
-	row("sub-I/O errors", func(r HedgeRun) int64 { return r.SubIOErrors })
-	row("degraded reads", func(r HedgeRun) int64 { return r.DegradedReads })
-	row("hedged reads", func(r HedgeRun) int64 { return r.HedgedReads })
-	row("hedge wins", func(r HedgeRun) int64 { return r.HedgeWins })
-	row("hedges suppressed", func(r HedgeRun) int64 { return r.HedgesSuppressed })
-	row("late sub-I/Os", func(r HedgeRun) int64 { return r.LateSubIOs })
-	row("kern timeouts", func(r HedgeRun) int64 { return r.IOStats.Timeouts })
-	row("kern retries", func(r HedgeRun) int64 { return r.IOStats.Retries })
-	row("kern exhausted", func(r HedgeRun) int64 { return r.IOStats.Exhausted })
-	row("budget exhausted", func(r HedgeRun) int64 { return r.IOStats.RetryBudgetExhausted })
-	row("shed to reconst", func(r HedgeRun) int64 { return r.IOStats.ShedToReconstruct })
-	row("overload entries", func(r HedgeRun) int64 { return r.IOStats.OverloadEntered })
+func WriteHedgingAblation(w io.Writer, runs []RAIDRun) {
+	writeRAIDTable(w, runs, 16, 18, 16, []raidCounter{
+		{"requests", func(r RAIDRun) int64 { return r.Requests }},
+		{"failed", func(r RAIDRun) int64 { return r.FailedRequests }},
+		{"sub-I/O errors", func(r RAIDRun) int64 { return r.SubIOErrors }},
+		{"degraded reads", func(r RAIDRun) int64 { return r.DegradedReads }},
+		{"hedged reads", func(r RAIDRun) int64 { return r.HedgedReads }},
+		{"hedge wins", func(r RAIDRun) int64 { return r.HedgeWins }},
+		{"hedges suppressed", func(r RAIDRun) int64 { return r.HedgesSuppressed }},
+		{"late sub-I/Os", func(r RAIDRun) int64 { return r.LateSubIOs }},
+		{"kern timeouts", func(r RAIDRun) int64 { return r.IOStats.Timeouts }},
+		{"kern retries", func(r RAIDRun) int64 { return r.IOStats.Retries }},
+		{"kern exhausted", func(r RAIDRun) int64 { return r.IOStats.Exhausted }},
+		{"budget exhausted", func(r RAIDRun) int64 { return r.IOStats.RetryBudgetExhausted }},
+		{"shed to reconst", func(r RAIDRun) int64 { return r.IOStats.ShedToReconstruct }},
+		{"overload entries", func(r RAIDRun) int64 { return r.IOStats.OverloadEntered }},
+	})
 
 	for _, r := range runs {
 		if r.Drives == nil {

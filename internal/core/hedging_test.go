@@ -25,8 +25,8 @@ func TestHedgingAblationShape(t *testing.T) {
 		if r.Requests == 0 {
 			t.Errorf("%s served no requests", r.Name)
 		}
-		if r.Failed != 0 {
-			t.Errorf("%s failed %d requests under full tolerance", r.Name, r.Failed)
+		if r.FailedRequests != 0 {
+			t.Errorf("%s failed %d requests under full tolerance", r.Name, r.FailedRequests)
 		}
 		if !strings.Contains(r.Trace, "drop") || !strings.Contains(r.Trace, "storm-start") {
 			t.Errorf("%s trace missing imposed faults:\n%s", r.Name, r.Trace)
@@ -37,7 +37,7 @@ func TestHedgingAblationShape(t *testing.T) {
 	if static.Drives != nil {
 		t.Errorf("static arm carries %d health snapshots, want none", len(static.Drives))
 	}
-	for _, r := range []HedgeRun{adaptive, budgets} {
+	for _, r := range []RAIDRun{adaptive, budgets} {
 		if len(r.Drives) != FaultStripeWidth+1 {
 			t.Fatalf("%s has %d drive snapshots, want %d", r.Name, len(r.Drives), FaultStripeWidth+1)
 		}

@@ -47,48 +47,8 @@ func exportFanOuts(t *testing.T, o ExpOptions) []byte {
 		}
 		fmt.Fprintf(&buf, "amplification %.6f\n", r.Amplification)
 	}
-	for _, fr := range RunFaultAblation(o) {
-		fmt.Fprintf(&buf, "%s requests=%d failed=%d degraded=%d hedged=%d timeouts=%d retries=%d\n%s\n",
-			fr.Name, fr.Requests, fr.Failed, fr.DegradedReads, fr.HedgedReads,
-			fr.IOStats.Timeouts, fr.IOStats.Retries, fr.Trace)
-		ladders := []stats.Ladder{fr.Ladder}
-		if err := WriteDistributionJSON(&buf, Distribution{
-			Config: fr.Name, Ladders: ladders, Summary: stats.Summarize(ladders),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, wr := range RunWriteAblation(o) {
-		fmt.Fprintf(&buf, "%s requests=%d failed=%d degraded=%d parity-log=%d unprotected=%d hedged=%d dups=%d wr-timeouts=%d\n%s\n",
-			wr.Name, wr.Requests, wr.Failed, wr.DegradedWrites, wr.ParityLogWrites,
-			wr.UnprotectedWrites, wr.HedgedWrites, wr.DupCompletions,
-			wr.IOStats.WriteTimeouts, wr.Trace)
-		if wr.Rebuild != nil {
-			fmt.Fprintf(&buf, "rebuild %d/%d failed=%d reads=%d writes=%d\n",
-				wr.Rebuild.StripesRebuilt, wr.Rebuild.Spec.Stripes,
-				wr.Rebuild.StripesFailed, wr.Rebuild.Reads, wr.Rebuild.Writes)
-		}
-		ladders := []stats.Ladder{wr.Ladder}
-		if err := WriteDistributionJSON(&buf, Distribution{
-			Config: wr.Name, Ladders: ladders, Summary: stats.Summarize(ladders),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, hr := range RunHedgingAblation(o) {
-		fmt.Fprintf(&buf, "%s requests=%d failed=%d degraded=%d hedged=%d wins=%d suppressed=%d shed=%d overload=%d\n%s\n",
-			hr.Name, hr.Requests, hr.Failed, hr.DegradedReads, hr.HedgedReads,
-			hr.HedgeWins, hr.HedgesSuppressed, hr.IOStats.ShedToReconstruct,
-			hr.IOStats.OverloadEntered, hr.Trace)
-		for _, d := range hr.Drives {
-			fmt.Fprintf(&buf, "drive %+v\n", d)
-		}
-		ladders := []stats.Ladder{hr.Ladder}
-		if err := WriteDistributionJSON(&buf, Distribution{
-			Config: hr.Name, Ladders: ladders, Summary: stats.Summarize(ladders),
-		}); err != nil {
-			t.Fatal(err)
-		}
+	for _, runs := range [][]RAIDRun{RunFaultAblation(o), RunWriteAblation(o), RunHedgingAblation(o)} {
+		writeRAIDRuns(t, &buf, runs)
 	}
 	for _, ir := range RunIOPathAblation(o) {
 		fmt.Fprintf(&buf, "%s ios=%d errors=%d retried=%d timedout=%d pollspins=%d irqs=%d busy=%d\n",
@@ -123,6 +83,35 @@ func exportFanOuts(t *testing.T, o ExpOptions) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// writeRAIDRuns prints every RAID-ablation field the reproducibility
+// contract covers: the union of the read, write and hedging counters,
+// the kernel tolerance counters, the failure trace, the rebuild
+// stream's progress, the health snapshots, and the client ladder.
+func writeRAIDRuns(t *testing.T, buf *bytes.Buffer, runs []RAIDRun) {
+	t.Helper()
+	for _, r := range runs {
+		fmt.Fprintf(buf, "%s requests=%d failed=%d degraded=%d hedged=%d wins=%d suppressed=%d "+
+			"degraded-writes=%d parity-log=%d unprotected=%d hedged-writes=%d dups=%d\nkernel %+v\n%s\n",
+			r.Name, r.Requests, r.FailedRequests, r.DegradedReads, r.HedgedReads, r.HedgeWins,
+			r.HedgesSuppressed, r.DegradedWrites, r.ParityLogWrites, r.UnprotectedWrites,
+			r.HedgedWrites, r.DupCompletions, r.IOStats, r.Trace)
+		if r.Rebuild != nil {
+			fmt.Fprintf(buf, "rebuild %d/%d failed=%d reads=%d writes=%d\n",
+				r.Rebuild.StripesRebuilt, r.Rebuild.Spec.Stripes,
+				r.Rebuild.StripesFailed, r.Rebuild.Reads, r.Rebuild.Writes)
+		}
+		for _, d := range r.Drives {
+			fmt.Fprintf(buf, "drive %+v\n", d)
+		}
+		ladders := []stats.Ladder{r.Ladder}
+		if err := WriteDistributionJSON(buf, Distribution{
+			Config: r.Name, Ladders: ladders, Summary: stats.Summarize(ladders),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestParallelDeterminism is the tentpole guarantee of the runner

@@ -15,11 +15,8 @@ import (
 	"io"
 
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/raid"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // writeRebuildThrottle is the ablation's rebuild-rate knob: the pause
@@ -47,47 +44,6 @@ func DemoWritePlan(horizon sim.Duration) fault.Plan {
 	}}
 }
 
-// WriteRun is one arm of the degraded-write ablation.
-type WriteRun struct {
-	Name   string
-	Ladder stats.Ladder
-	// Client-level counters (see raid.Result).
-	Requests          int64
-	Failed            int64
-	SubIOErrors       int64
-	RMWReads          int64
-	DataWrites        int64
-	ParityWrites      int64
-	DegradedWrites    int64
-	ReconstructWrites int64
-	ParityLogWrites   int64
-	UnprotectedWrites int64
-	HedgedWrites      int64
-	WriteHedgeWins    int64
-	DupCompletions    int64
-	Suspicions        int64
-	Probes            int64
-	// IOStats is the kernel tolerance machinery's activity.
-	IOStats kernel.IOStats
-	// Rebuild is the rebuild stream's snapshot (nil for arms without one).
-	Rebuild *raid.RebuildResult
-	// Trace is the run's failure trace (empty for the clean arm).
-	Trace string
-}
-
-// writeClientSpec is the common foreground write workload of every arm.
-func writeClientSpec(name string, cfg Config, o ExpOptions, tol *raid.Tolerance) raid.ClientSpec {
-	stripe := make([]int, FaultStripeWidth)
-	for i := range stripe {
-		stripe[i] = i
-	}
-	return raid.ClientSpec{
-		Name: name, Workload: raid.WorkloadWrite, Stripe: stripe,
-		Parity: FaultStripeWidth, Runtime: o.Runtime,
-		Class: cfg.FIOClass, RTPrio: cfg.FIORTPrio, Tol: tol, Seed: o.Seed,
-	}
-}
-
 // writeRebuildSpec reconstructs member 0 from its recovery instant, one
 // stripe per writeRebuildThrottle plus service time, sized to keep the
 // stream busy for the rest of the run.
@@ -105,6 +61,19 @@ func writeRebuildSpec(o ExpOptions, cpu int) raid.RebuildSpec {
 	}
 }
 
+// writeClient is the foreground workload every write arm shares: RMW
+// small writes against the FaultStripeWidth data stripe and its parity
+// member.
+var writeClient = raid.ClientSpec{Workload: raid.WorkloadWrite, Parity: FaultStripeWidth}
+
+// tolerantWriteArm is the full write tolerance stack under DemoWritePlan
+// with the rebuild stream racing it: the ablation's "tolerant" arm and,
+// renamed, the RunWriteLadder sweep unit.
+func tolerantWriteArm(name string) raidArm {
+	return raidArm{name: name, cfg: FaultTolerance(), plan: DemoWritePlan, client: writeClient,
+		rebuild: true, tol: raid.DefaultTolerance(FaultStripeWidth)}
+}
+
 // RunWriteAblation measures the client-visible RMW write ladder in four
 // arms:
 //
@@ -120,85 +89,17 @@ func writeRebuildSpec(o ExpOptions, cpu int) raid.RebuildSpec {
 // The headline mirrors the read ablation: the tolerant arm's maximum
 // stays hedge-bounded (sub-millisecond-class) while the untolerant
 // degraded arms pay multi-millisecond timeouts.
-func RunWriteAblation(o ExpOptions) []WriteRun {
-	o = o.withDefaults()
-	if o.NumSSDs <= FaultStripeWidth {
-		panic(fmt.Sprintf("core: write ablation needs > %d SSDs", FaultStripeWidth))
-	}
-
-	run := func(name string, cfg Config, plan *fault.Plan, rebuild bool, tol *raid.Tolerance) WriteRun {
-		opt := Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg,
-			Geom: o.Geom, FaultPlan: plan}
-		sys := NewSystem(opt)
-		cpus := sys.Host.WorkloadCPUs()
-		spec := writeClientSpec(name, cfg, o, tol)
-		spec.CPU = cpus[0]
-		var rb *raid.Rebuilder
-		if rebuild {
-			rb = raid.NewRebuilder(sys.Eng, sys.Kernel, writeRebuildSpec(o, cpus[len(cpus)-1]))
-			rb.Start(nil)
-		}
-		res := raid.Run(sys.Eng, sys.Kernel, []raid.ClientSpec{spec})[0]
-		out := WriteRun{
-			Name:              name,
-			Ladder:            res.Ladder,
-			Requests:          res.Requests,
-			Failed:            res.FailedRequests,
-			SubIOErrors:       res.SubIOErrors,
-			RMWReads:          res.RMWReads,
-			DataWrites:        res.DataWrites,
-			ParityWrites:      res.ParityWrites,
-			DegradedWrites:    res.DegradedWrites,
-			ReconstructWrites: res.ReconstructWrites,
-			ParityLogWrites:   res.ParityLogWrites,
-			UnprotectedWrites: res.UnprotectedWrites,
-			HedgedWrites:      res.HedgedWrites,
-			WriteHedgeWins:    res.WriteHedgeWins,
-			DupCompletions:    res.DupCompletions,
-			Suspicions:        res.Suspicions,
-			Probes:            res.Probes,
-			IOStats:           sys.Kernel.IOStats(),
-		}
-		if rb != nil {
-			r := rb.Result()
-			out.Rebuild = &r
-		}
-		if sys.Faults != nil {
-			out.Trace = sys.Faults.TraceString()
-		}
-		return out
-	}
-
-	// Four independent boots fanned out in parallel; each arm builds its
-	// own plan and tolerance inside its job (DemoWritePlan is a pure
-	// function of the horizon), so no fault-schedule state crosses
-	// workers. Every faulted arm arms kernel timeouts: an offline device
-	// never completes commands, so a host with no timeout at all would
-	// simply hang — "untolerant" here means no RAID-level tolerance.
-	type writeArm struct {
-		name     string
-		cfg      Config
-		faulted  bool
-		rebuild  bool
-		tolerant bool
-	}
-	arms := []writeArm{
-		{name: "clean", cfg: IRQAffinity()},
-		{name: "degraded", cfg: FaultTolerance(), faulted: true},
-		{name: "rebuild", cfg: FaultTolerance(), faulted: true, rebuild: true},
-		{name: "tolerant", cfg: FaultTolerance(), faulted: true, rebuild: true, tolerant: true},
-	}
-	return runner.Map(o.runnerOpts(), arms, func(_ int, a writeArm) WriteRun {
-		var plan *fault.Plan
-		if a.faulted {
-			p := DemoWritePlan(o.Runtime)
-			plan = &p
-		}
-		var tol *raid.Tolerance
-		if a.tolerant {
-			tol = raid.DefaultTolerance(FaultStripeWidth)
-		}
-		return run(a.name, a.cfg, plan, a.rebuild, tol)
+//
+// The four arms are independent boots fanned out in parallel. Every
+// faulted arm arms kernel timeouts: an offline device never completes
+// commands, so a host with no timeout at all would simply hang —
+// "untolerant" here means no RAID-level tolerance.
+func RunWriteAblation(o ExpOptions) []RAIDRun {
+	return runRAIDArms(o, []raidArm{
+		{name: "clean", cfg: IRQAffinity(), client: writeClient},
+		{name: "degraded", cfg: FaultTolerance(), plan: DemoWritePlan, client: writeClient},
+		{name: "rebuild", cfg: FaultTolerance(), plan: DemoWritePlan, client: writeClient, rebuild: true},
+		tolerantWriteArm("tolerant"),
 	})
 }
 
@@ -207,74 +108,34 @@ func RunWriteAblation(o ExpOptions) []WriteRun {
 // stack at one seed, returning the write ladder for RunSeedSweep
 // pooling (n seeds read as one n-client fleet).
 func RunWriteLadder(o ExpOptions) Distribution {
-	o = o.withDefaults()
-	if o.NumSSDs <= FaultStripeWidth {
-		panic(fmt.Sprintf("core: write ladder needs > %d SSDs", FaultStripeWidth))
-	}
-	cfg := FaultTolerance()
-	plan := DemoWritePlan(o.Runtime)
-	sys := NewSystem(Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg,
-		Geom: o.Geom, FaultPlan: &plan})
-	cpus := sys.Host.WorkloadCPUs()
-	spec := writeClientSpec("write-ladder", cfg, o, raid.DefaultTolerance(FaultStripeWidth))
-	spec.CPU = cpus[0]
-	rb := raid.NewRebuilder(sys.Eng, sys.Kernel, writeRebuildSpec(o, cpus[len(cpus)-1]))
-	rb.Start(nil)
-	res := raid.Run(sys.Eng, sys.Kernel, []raid.ClientSpec{spec})[0]
-	ladders := []stats.Ladder{res.Ladder}
-	return Distribution{Config: "writes-tolerant", Ladders: ladders,
-		Summary: stats.Summarize(ladders)}
+	return raidLadder(o, "writes-tolerant", tolerantWriteArm("write-ladder"))
 }
 
 // WriteWriteAblation renders the four-arm comparison: ladders side by
 // side, then the write-path and kernel counters, then the rebuild
 // streams' progress.
-func WriteWriteAblation(w io.Writer, runs []WriteRun) {
-	fmt.Fprintf(w, "%-10s", "lat(µs)")
-	for _, r := range runs {
-		fmt.Fprintf(w, " %12s", r.Name)
-	}
-	fmt.Fprintln(w)
-	for i := 0; i < stats.NumRungs; i++ {
-		fmt.Fprintf(w, "%-10s", stats.LadderLabels[i])
-		for _, r := range runs {
-			fmt.Fprintf(w, " %12.1f", r.Ladder.Rung(i)/1e3)
-		}
-		fmt.Fprintln(w)
-	}
-
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-18s", "counter")
-	for _, r := range runs {
-		fmt.Fprintf(w, " %10s", r.Name)
-	}
-	fmt.Fprintln(w)
-	row := func(label string, f func(WriteRun) int64) {
-		fmt.Fprintf(w, "%-18s", label)
-		for _, r := range runs {
-			fmt.Fprintf(w, " %10d", f(r))
-		}
-		fmt.Fprintln(w)
-	}
-	row("requests", func(r WriteRun) int64 { return r.Requests })
-	row("failed", func(r WriteRun) int64 { return r.Failed })
-	row("sub-I/O errors", func(r WriteRun) int64 { return r.SubIOErrors })
-	row("rmw reads", func(r WriteRun) int64 { return r.RMWReads })
-	row("data writes", func(r WriteRun) int64 { return r.DataWrites })
-	row("parity writes", func(r WriteRun) int64 { return r.ParityWrites })
-	row("degraded writes", func(r WriteRun) int64 { return r.DegradedWrites })
-	row("reconstruct", func(r WriteRun) int64 { return r.ReconstructWrites })
-	row("parity-log", func(r WriteRun) int64 { return r.ParityLogWrites })
-	row("unprotected", func(r WriteRun) int64 { return r.UnprotectedWrites })
-	row("hedged writes", func(r WriteRun) int64 { return r.HedgedWrites })
-	row("hedge wins", func(r WriteRun) int64 { return r.WriteHedgeWins })
-	row("dup completions", func(r WriteRun) int64 { return r.DupCompletions })
-	row("suspicions", func(r WriteRun) int64 { return r.Suspicions })
-	row("probes", func(r WriteRun) int64 { return r.Probes })
-	row("kern timeouts", func(r WriteRun) int64 { return r.IOStats.Timeouts })
-	row("kern wr timeouts", func(r WriteRun) int64 { return r.IOStats.WriteTimeouts })
-	row("kern retries", func(r WriteRun) int64 { return r.IOStats.Retries })
-	row("kern exhausted", func(r WriteRun) int64 { return r.IOStats.Exhausted })
+func WriteWriteAblation(w io.Writer, runs []RAIDRun) {
+	writeRAIDTable(w, runs, 12, 18, 10, []raidCounter{
+		{"requests", func(r RAIDRun) int64 { return r.Requests }},
+		{"failed", func(r RAIDRun) int64 { return r.FailedRequests }},
+		{"sub-I/O errors", func(r RAIDRun) int64 { return r.SubIOErrors }},
+		{"rmw reads", func(r RAIDRun) int64 { return r.RMWReads }},
+		{"data writes", func(r RAIDRun) int64 { return r.DataWrites }},
+		{"parity writes", func(r RAIDRun) int64 { return r.ParityWrites }},
+		{"degraded writes", func(r RAIDRun) int64 { return r.DegradedWrites }},
+		{"reconstruct", func(r RAIDRun) int64 { return r.ReconstructWrites }},
+		{"parity-log", func(r RAIDRun) int64 { return r.ParityLogWrites }},
+		{"unprotected", func(r RAIDRun) int64 { return r.UnprotectedWrites }},
+		{"hedged writes", func(r RAIDRun) int64 { return r.HedgedWrites }},
+		{"hedge wins", func(r RAIDRun) int64 { return r.WriteHedgeWins }},
+		{"dup completions", func(r RAIDRun) int64 { return r.DupCompletions }},
+		{"suspicions", func(r RAIDRun) int64 { return r.Suspicions }},
+		{"probes", func(r RAIDRun) int64 { return r.Probes }},
+		{"kern timeouts", func(r RAIDRun) int64 { return r.IOStats.Timeouts }},
+		{"kern wr timeouts", func(r RAIDRun) int64 { return r.IOStats.WriteTimeouts }},
+		{"kern retries", func(r RAIDRun) int64 { return r.IOStats.Retries }},
+		{"kern exhausted", func(r RAIDRun) int64 { return r.IOStats.Exhausted }},
+	})
 
 	for _, r := range runs {
 		if r.Rebuild == nil {

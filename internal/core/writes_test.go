@@ -27,9 +27,9 @@ func TestWriteAblationShape(t *testing.T) {
 		}
 	}
 	clean := rs[0]
-	if clean.Failed != 0 || clean.DegradedWrites != 0 || clean.Trace != "" {
+	if clean.FailedRequests != 0 || clean.DegradedWrites != 0 || clean.Trace != "" {
 		t.Fatalf("clean arm saw faults: failed=%d degraded=%d trace=%q",
-			clean.Failed, clean.DegradedWrites, clean.Trace)
+			clean.FailedRequests, clean.DegradedWrites, clean.Trace)
 	}
 	if clean.RMWReads != 2*clean.Requests {
 		t.Fatalf("clean rmw reads = %d for %d requests", clean.RMWReads, clean.Requests)
@@ -66,7 +66,7 @@ func runWriteChaos(seed uint64) string {
 		fmt.Fprintf(&buf, "%s: %+v\nkernel: %+v\nladder: %v\ntrace:\n%s",
 			r.Name, struct {
 				Req, Fail, Deg, Rec, PLog, Unp, Hedge, Wins, Dups, Susp, Probe int64
-			}{r.Requests, r.Failed, r.DegradedWrites, r.ReconstructWrites,
+			}{r.Requests, r.FailedRequests, r.DegradedWrites, r.ReconstructWrites,
 				r.ParityLogWrites, r.UnprotectedWrites, r.HedgedWrites,
 				r.WriteHedgeWins, r.DupCompletions, r.Suspicions, r.Probes},
 			r.IOStats, r.Ladder, r.Trace)

@@ -30,15 +30,10 @@
 #                  under -race: exported reports of every fan-out —
 #                  including the write ablation and its rebuild stream —
 #                  must be byte-identical at -parallel 1 and 8.
-#   load smoke   — afareport's open-loop offered-load ladder end to end
-#                  at a small scale: the capacity probe, both arms of
-#                  the rung grid, and the knee detection all execute
-#                  through the real CLI path.
-#   iopath smoke — the I/O-path grid end to end at a small scale: all
-#                  four completion paths on both device classes,
-#                  including the tenant-owned passthrough queues and
-#                  the ULL fabric/device profile, through the real CLI
-#                  path.
+#   ablations    — no separate step: the race+shuffle pass runs
+#                  cmd/afareport's TestEveryAblationRuns, which drives
+#                  every -ablate registry entry end to end at a small
+#                  scale (9 SSDs, 20 ms) through the CLI's report path.
 #   bench tests  — the benchmark module's own tests (bench/ is a
 #                  separate Go module, so ./... above skips it).
 set -euo pipefail
@@ -51,6 +46,4 @@ go run ./cmd/afalint -perf -baseline lint_perf.baseline ./...
 go run ./cmd/afalint -state -baseline lint_state.baseline ./...
 go test -race -shuffle=on ./...
 go test -race -count=1 -run 'TestParallelDeterminism|TestMap' ./internal/core/ ./internal/runner/
-go run ./cmd/afareport -ablate load -ssds 4 -runtime 40ms >/dev/null
-go run ./cmd/afareport -ablate iopath -ssds 4 -runtime 40ms >/dev/null
 (cd bench && go test ./...)
