@@ -176,7 +176,7 @@ type attReq struct {
 	settled  bool       // the race is decided (timeout or completion)
 	aborting bool       // timeout fired, abort round-trip still pending
 	lateDone bool       // CQE arrived while the abort was pending
-	timer    *sim.Event // deadline, canceled on completion
+	timer    *sim.Timer // deadline, re-armed per attempt and canceled on completion
 
 	timeoutFn func()
 	abortFn   func()
@@ -218,18 +218,21 @@ func (k *Kernel) getAtt(m *mngReq) *attReq {
 		a.timeoutFn = a.timeout //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 		a.abortFn = a.abort     //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 		a.onCompFn = a.onComp   //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+		a.timer = k.eng.NewTimer()
 	}
 	a.m = m
 	a.settled = false
 	a.aborting = false
 	a.lateDone = false
-	a.timer = nil
 	return a
 }
 
+// putAtt recycles an attempt carrier. Its timer is never armed here:
+// every release path either canceled the deadline (onComp) or runs after
+// it fired (timeout → abort, or a late CQE), so the next attempt cannot
+// inherit a stale deadline.
 func (k *Kernel) putAtt(a *attReq) {
 	a.m = nil
-	a.timer = nil
 	k.freeAtt = append(k.freeAtt, a)
 }
 
@@ -238,7 +241,7 @@ func (k *Kernel) putAtt(a *attReq) {
 func (m *mngReq) issue() {
 	k := m.k
 	a := k.getAtt(m)
-	a.timer = k.eng.After(k.attemptTimeout(), a.timeoutFn)
+	a.timer.Arm(k.attemptTimeout(), a.timeoutFn)
 	k.submitOnce(m.submitCPU, m.ssd, m.cmd, a.onCompFn)
 }
 
@@ -359,7 +362,7 @@ func (a *attReq) onComp(comp Completion) {
 		return
 	}
 	a.settled = true
-	k.eng.Cancel(a.timer)
+	a.timer.Cancel()
 	m := a.m
 	k.putAtt(a)
 	if k.health != nil {

@@ -368,7 +368,8 @@ func (o *obj) Reset() {
 		{"p5", nil},                  // the loop may run zero times
 		{"p6", []string{""}},         // whole-object reset covers everything
 		{"p7", []string{"f0"}},       // a panicking path never completes a recycle
-		{"Reset", []string{"f0", "f1", "f2", "f3"}}, // chased through clearLow
+		// Reset is chased through clearLow.
+		{"Reset", []string{"f0", "f1", "f2", "f3"}},
 	}
 	for _, c := range cases {
 		fd := declByName[c.fn]

@@ -263,9 +263,9 @@ type Controller struct {
 	// scans, not a map: media errors are injected in handfuls, and the
 	// per-slice lookup sits on the mediaStart hot path where map hashing
 	// costs more than scanning a few entries (afalint -perf hotmap).
-	badLBAs []int64
-	offline bool
-	sqStallUntil  sim.Time
+	badLBAs      []int64
+	offline      bool
+	sqStallUntil sim.Time
 
 	// freeReqs recycles in-flight command carriers (see ioReq). A plain
 	// per-controller slice, not a sync.Pool: the simulation is

@@ -214,6 +214,14 @@ type Client struct {
 	done      bool
 	onDone    func(*Result)
 
+	// freeReqs recycles read-request carriers (see request.holds); a
+	// plain slice, like the kernel's carrier freelists, so reuse order is
+	// deterministic.
+	freeReqs []*request
+	// Thread-burst callbacks, bound once in New.
+	issueWindowFn func()
+	reapAllFn     func()
+
 	// hedgeHist records only requests served without parity help (reads)
 	// or on the pure RMW path (writes): hedging at a quantile of the
 	// overall distribution would be self-referential — during an outage
@@ -245,9 +253,13 @@ type completedReq interface {
 	// cleanSample reports whether the request's latency may calibrate the
 	// hedge delay (served without any recovery path).
 	cleanSample() bool
+	// reaped tells the request the client thread is done with it.
+	reaped()
 }
 
 // request tracks one striped request's fan-out and its recovery state.
+// Carriers are pooled per client with their callbacks bound once, so the
+// striped-read path allocates nothing in steady state.
 type request struct {
 	c        *Client
 	issuedAt sim.Time
@@ -264,16 +276,94 @@ type request struct {
 	parityPending bool
 	hedgeArmed    bool
 	done          bool
+
+	// holds counts what still owes this carrier a visit: the client's
+	// reap, each outstanding sub-I/O and parity read (stragglers after a
+	// hedge win included), and a scheduled hedge. The last release
+	// returns it to the freelist. A callback that never comes (a command
+	// dropped with no timeout policy armed) leaves the carrier garbage.
+	holds int
+
+	subFns        []func(kernel.Completion) // one per stripe position
+	degradedFn    func(kernel.Completion)
+	hedgeParityFn func(kernel.Completion)
+	hedgeFireFn   func()
 }
 
 func (r *request) reqFailed() bool       { return r.failed }
 func (r *request) reqIssuedAt() sim.Time { return r.issuedAt }
 func (r *request) cleanSample() bool     { return !r.usedParity }
+func (r *request) reaped()               { r.release() }
+
+// newReq allocates a carrier and binds its callbacks. It is separate from
+// getReq so the per-position closures capture this function's r, not
+// getReq's, which would otherwise move to the heap on every call.
+// Every completion callback releases its hold after handling.
+func (c *Client) newReq() *request {
+	r := &request{c: c} //afalint:allow hotalloc -- freelist miss only; amortized across carrier reuses
+	r.subFns = make([]func(kernel.Completion), len(c.spec.Stripe))
+	for i := range r.subFns {
+		r.subFns[i] = func(comp kernel.Completion) { r.subDone(i, comp); r.release() } //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+	}
+	r.degradedFn = r.degradedDone //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+	r.hedgeParityFn = r.hedgeDone //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+	r.hedgeFireFn = r.hedgeFire   //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+	return r
+}
+
+// release drops one hold; the last one recycles the carrier.
+func (r *request) release() {
+	r.holds--
+	if r.holds == 0 {
+		c := r.c
+		c.freeReqs = append(c.freeReqs, r)
+	}
+}
+
+// getReq takes a read-request carrier off the freelist, or makes one.
+func (c *Client) getReq(lba int64) *request {
+	var r *request
+	if n := len(c.freeReqs); n > 0 {
+		r = c.freeReqs[n-1]
+		c.freeReqs[n-1] = nil
+		c.freeReqs = c.freeReqs[:n-1]
+	} else {
+		r = c.newReq()
+	}
+	n := len(c.spec.Stripe)
+	r.issuedAt = c.eng.Now()
+	r.lba = lba
+	r.pendingMask = 0
+	r.remaining = n
+	r.lastSSD = -1
+	r.failed = false
+	r.usedParity = false
+	r.parityPending = false
+	r.hedgeArmed = false
+	r.done = false
+	// One hold per sub-I/O plus the client's reap, taken before any
+	// submit so no completion can release the carrier early.
+	r.holds = n + 1
+	return r
+}
 
 // New creates a client (call Start to run it).
 func New(eng *sim.Engine, k *kernel.Kernel, spec ClientSpec) *Client {
 	if len(spec.Stripe) == 0 {
 		panic("raid: empty stripe set")
+	}
+	// Each member is a distinct, existing SSD: sub-I/O callbacks and the
+	// straggler mask are per stripe position, and a repeated member would
+	// make two positions race the same drive.
+	seen := make([]bool, len(k.SSDs))
+	for i, ssd := range spec.Stripe {
+		if ssd < 0 || ssd >= len(k.SSDs) {
+			panic(fmt.Sprintf("raid: stripe member %d is SSD %d, out of range [0,%d)", i, ssd, len(k.SSDs)))
+		}
+		if seen[ssd] {
+			panic(fmt.Sprintf("raid: SSD %d appears twice in the stripe", ssd))
+		}
+		seen[ssd] = true
 	}
 	if spec.QD == 0 {
 		spec.QD = 1
@@ -290,6 +380,8 @@ func New(eng *sim.Engine, k *kernel.Kernel, spec ClientSpec) *Client {
 		eng:  eng,
 		rnd:  rng.NewLabeled(spec.Seed, "raid-"+spec.Name),
 	}
+	c.issueWindowFn = c.issueWindow
+	c.reapAllFn = c.reapAll
 	if t := spec.Tol; t != nil {
 		if t.ParitySSD < 0 || t.ParitySSD >= len(k.SSDs) {
 			panic(fmt.Sprintf("raid: parity SSD %d out of range", t.ParitySSD))
@@ -340,7 +432,7 @@ func (c *Client) Start(onDone func(*Result)) {
 	c.eng.Schedule(ramp, func() {
 		c.start = c.eng.Now()
 		c.deadline = c.start.Add(c.spec.Runtime)
-		c.task.Exec(c.issueCost(), c.issueWindow)
+		c.task.Exec(c.issueCost(), c.issueWindowFn)
 		c.k.Sched.Wake(c.task)
 	})
 }
@@ -369,7 +461,7 @@ func (c *Client) issueWindow() {
 	// Requests may have raced to completion while this thread was
 	// submitting (QD > 1); reap them now rather than sleeping.
 	if len(c.completed) > 0 {
-		c.task.Exec(c.reapCost(len(c.completed)), c.reapAll)
+		c.task.Exec(c.reapCost(len(c.completed)), c.reapAllFn)
 	}
 }
 
@@ -395,17 +487,13 @@ func (c *Client) issueOne() {
 
 func (c *Client) issueRead() {
 	lba := c.rnd.Int63n(c.maxLBA)
-	req := &request{c: c, issuedAt: c.eng.Now(), lba: lba, lastSSD: -1,
-		remaining: len(c.spec.Stripe)}
+	req := c.getReq(lba)
 	for i, ssd := range c.spec.Stripe {
 		if i < 64 {
 			req.pendingMask |= 1 << uint(i)
 		}
-		ssd := ssd
 		cmd := nvme.Command{Op: nvme.OpRead, LBA: lba, Bytes: 4096}
-		c.k.SubmitIO(c.task.CPU(), ssd, cmd, func(comp kernel.Completion) {
-			req.subDone(ssd, comp)
-		})
+		c.k.SubmitIO(c.task.CPU(), ssd, cmd, req.subFns[i])
 	}
 }
 
@@ -436,8 +524,9 @@ func (c *Client) hedgeDelayFor(ssd int) sim.Duration {
 	return c.hedgeDelay()
 }
 
-// subDone runs in softirq context for each data sub-I/O.
-func (r *request) subDone(ssd int, comp kernel.Completion) {
+// subDone runs in softirq context for the data sub-I/O at stripe
+// position i.
+func (r *request) subDone(i int, comp kernel.Completion) {
 	c := r.c
 	if c.done {
 		return
@@ -453,12 +542,10 @@ func (r *request) subDone(ssd int, comp kernel.Completion) {
 		c.task.AddPenalty(comp.WakePenalty)
 	}
 	r.remaining--
-	for i, s := range c.spec.Stripe {
-		if s == ssd && i < 64 {
-			r.pendingMask &^= 1 << uint(i)
-			break
-		}
+	if i < 64 {
+		r.pendingMask &^= 1 << uint(i)
 	}
+	ssd := c.spec.Stripe[i]
 	if comp.Status != nvme.StatusSuccess {
 		c.res.SubIOErrors++
 		if c.spec.Tol != nil && !r.usedParity {
@@ -487,10 +574,16 @@ func (r *request) useParity(hedge bool) {
 		c.res.DegradedReads++
 	}
 	cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: 4096}
-	c.k.SubmitIO(c.task.CPU(), c.spec.Tol.ParitySSD, cmd, func(comp kernel.Completion) {
-		r.parityDone(comp, hedge)
-	})
+	done := r.degradedFn
+	if hedge {
+		done = r.hedgeParityFn
+	}
+	r.holds++
+	c.k.SubmitIO(c.task.CPU(), c.spec.Tol.ParitySSD, cmd, done)
 }
+
+func (r *request) degradedDone(comp kernel.Completion) { r.parityDone(comp, false); r.release() }
+func (r *request) hedgeDone(comp kernel.Completion)    { r.parityDone(comp, true); r.release() }
 
 // parityDone runs in softirq context for the reconstruction read.
 func (r *request) parityDone(comp kernel.Completion, hedge bool) {
@@ -547,19 +640,25 @@ func (r *request) progress() {
 		if now := c.eng.Now(); fireAt < now {
 			fireAt = now
 		}
-		c.eng.ScheduleAt(fireAt, func() {
-			if c.done || r.done || r.usedParity || r.remaining == 0 {
-				return
-			}
-			if c.k.Overloaded() {
-				// Past the in-flight watermark the hedge is load we can
-				// refuse: the straggler still answers eventually.
-				c.res.HedgesSuppressed++
-				return
-			}
-			r.useParity(true)
-		})
+		r.holds++
+		c.eng.ScheduleAt(fireAt, r.hedgeFireFn)
 	}
+}
+
+// hedgeFire is the hedge deadline: fire the speculative parity read
+// unless the request no longer needs it.
+func (r *request) hedgeFire() {
+	c := r.c
+	switch {
+	case c.done || r.done || r.usedParity || r.remaining == 0:
+	case c.k.Overloaded():
+		// Past the in-flight watermark the hedge is load we can
+		// refuse: the straggler still answers eventually.
+		c.res.HedgesSuppressed++
+	default:
+		r.useParity(true)
+	}
+	r.release()
 }
 
 // finish hands the request to the client thread for reaping. A sleeping
@@ -579,7 +678,7 @@ func (r *request) finish() {
 func (c *Client) enqueueDone(r completedReq) {
 	c.completed = append(c.completed, r)
 	if c.task.State() == sched.StateSleeping {
-		c.task.Exec(c.reapCost(len(c.completed)), c.reapAll)
+		c.task.Exec(c.reapCost(len(c.completed)), c.reapAllFn)
 		c.k.Sched.Wake(c.task)
 	}
 }
@@ -592,6 +691,7 @@ func (c *Client) reapAll() {
 			// the served-request distribution.
 			c.res.FailedRequests++
 			c.inflight--
+			r.reaped()
 			continue
 		}
 		lat := int64(now.Sub(r.reqIssuedAt()))
@@ -604,13 +704,14 @@ func (c *Client) reapAll() {
 		}
 		c.res.Requests++
 		c.inflight--
+		r.reaped()
 	}
 	c.completed = c.completed[:0]
 	if now >= c.deadline {
 		c.finishIfDrained()
 		return
 	}
-	c.task.Exec(c.issueCost(), c.issueWindow)
+	c.task.Exec(c.issueCost(), c.issueWindowFn)
 }
 
 func (c *Client) finishIfDrained() {

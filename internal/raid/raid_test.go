@@ -133,6 +133,31 @@ func TestEmptyStripePanics(t *testing.T) {
 	New(eng, k, ClientSpec{CPU: 1})
 }
 
+func TestStripeValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stripe []int
+		ok     bool
+	}{
+		{"distinct", []int{0, 1, 2, 3}, true},
+		{"single", []int{2}, true},
+		{"duplicate", []int{0, 1, 1, 2}, false},
+		{"duplicate-far", []int{3, 0, 1, 3}, false},
+		{"negative", []int{0, -1}, false},
+		{"past-end", []int{0, 4}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, k := newRig(t, 2, 4)
+			defer func() {
+				if got := recover(); (got == nil) != tc.ok {
+					t.Fatalf("New with stripe %v: panic %v, want ok=%v", tc.stripe, got, tc.ok)
+				}
+			}()
+			New(eng, k, ClientSpec{Stripe: tc.stripe, CPU: 1})
+		})
+	}
+}
+
 func TestDegradedReadReconstructsFromParity(t *testing.T) {
 	eng, k := newRig(t, 2, 5)
 	// Every read of member 2 fails permanently (no kernel retry: the rig

@@ -85,6 +85,7 @@ type writeReq struct {
 func (r *writeReq) reqFailed() bool       { return r.failed }
 func (r *writeReq) reqIssuedAt() sim.Time { return r.issuedAt }
 func (r *writeReq) cleanSample() bool     { return r.clean }
+func (r *writeReq) reaped()               {}
 
 // deadCompletion reports whether a completion indicates a missing member
 // (the command timed out or was aborted) rather than a live device

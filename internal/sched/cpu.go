@@ -42,8 +42,8 @@ type CPU struct {
 	stealDoneFn func()
 
 	idleSince   sim.Time
-	cstate      int // -1 active/poll, else index into cstates
-	deepenTimer *sim.Timer // reused for every C-state promotion
+	cstate      int          // -1 active/poll, else index into cstates
+	deepenTimer *sim.Timer   // reused for every C-state promotion
 	pendingExit sim.Duration // C-state exit latency to charge on next dispatch
 
 	busyTime   sim.Duration

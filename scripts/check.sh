@@ -2,6 +2,9 @@
 # Extended tier-1 gate: everything CI needs to trust a change.
 #
 #   build        — the module compiles;
+#   gofmt        — every Go source is gofmt-clean, except the afalint
+#                  fixtures under internal/lint/testdata, whose
+#                  positional `want:` comments pin column layouts;
 #   vet          — stdlib static checks;
 #   afalint      — the determinism contract (DESIGN.md §5): no wall
 #                  clock, no global rand, no map-order dependence, no
@@ -40,6 +43,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go build ./...
+unformatted=$(gofmt -l cmd examples internal bench ./*.go | grep -v '^internal/lint/testdata/' || true)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 go vet ./...
 go run ./cmd/afalint ./...
 go run ./cmd/afalint -perf -baseline lint_perf.baseline ./...
