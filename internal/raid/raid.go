@@ -631,10 +631,12 @@ func (r *request) progress() {
 	if r.remaining == 1 && !r.parityPending && !r.usedParity && !r.failed &&
 		!r.hedgeArmed && c.spec.Tol != nil && c.spec.Tol.HedgeQuantile > 0 {
 		r.hedgeArmed = true
-		delay := c.hedgeDelay()
+		var delay sim.Duration
 		if len(c.spec.Stripe) <= 64 && r.pendingMask != 0 {
 			// Exactly one bit set: the straggler. Hedge at its deadline.
 			delay = c.hedgeDelayFor(c.spec.Stripe[bits.TrailingZeros64(r.pendingMask)])
+		} else {
+			delay = c.hedgeDelay()
 		}
 		fireAt := r.issuedAt.Add(delay)
 		if now := c.eng.Now(); fireAt < now {

@@ -58,10 +58,17 @@ func (t Time) String() string { return Duration(t).String() }
 // Event is a scheduled callback. The zero value is not usable; events are
 // created through Engine.At and Engine.After.
 type Event struct {
-	when     Time
-	seq      uint64
-	index    int // heap index, -1 when not queued
-	fn       func()
+	when Time
+	seq  uint64
+	fn   func()
+	// tm marks a Timer's heap entry. Its (when, seq) is only a lower
+	// bound on the timer's real deadline, which the Timer itself holds;
+	// fn is the timer's callback, nil while it is disarmed.
+	tm *Timer //afalint:sticky -- set once by NewTimer; pooled events never carry one
+	// index is the heap index, inLane in the min lane, -1 when not
+	// queued. An int32 beside the two flags keeps Event at 40 bytes, so
+	// a Timer fits a 64-byte allocation.
+	index    int32
 	canceled bool
 	// pooled marks events created by Schedule/ScheduleAt: their pointers
 	// are never handed to callers, so after firing they return to the
@@ -69,6 +76,9 @@ type Event struct {
 	// them for Cancel/Reschedule — and are never recycled.
 	pooled bool
 }
+
+// inLane is Event.index for the event held in the engine's min lane.
+const inLane = -2
 
 // When reports the instant the event is scheduled to fire.
 func (e *Event) When() Time { return e.when }
@@ -78,9 +88,19 @@ func (e *Event) Canceled() bool { return e.canceled }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
 // a simulation is a single-threaded, deterministic computation.
+//
+// Pending events live in a binary min-heap ordered by (when, seq), plus a
+// one-slot min lane: a Schedule/ScheduleAt event that sorts before the
+// heap head when it is pushed waits there instead, so the common
+// "hand off to the next layer now" event costs no heap work. Timers are
+// lazy (see Timer). Every queued key is at most its event's real (when,
+// seq) — exact for plain events, a lower bound for a timer entry — so
+// settling the heap head until its key is exact, then taking the smaller
+// of it and the lane, yields events in exactly (when, seq) order.
 type Engine struct {
 	now     Time
 	queue   []*Event // binary min-heap ordered by (when, seq)
+	lane    *Event   // the min lane: one pooled event outside the heap, or nil
 	seq     uint64
 	stepped uint64
 	stopped bool
@@ -106,9 +126,16 @@ func (e *Engine) Now() Time { return e.now }
 // Steps reports how many events have fired so far.
 func (e *Engine) Steps() uint64 { return e.stepped }
 
-// Pending reports the number of queued events (including canceled ones that
-// have not yet been discarded).
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of queue entries: live events plus entries
+// not yet discarded — canceled events and the stale heap entries of
+// re-armed or canceled timers, which are settled only when they reach
+// the head.
+func (e *Engine) Pending() int {
+	if e.lane != nil {
+		return len(e.queue) + 1
+	}
+	return len(e.queue)
+}
 
 // push enqueues an event, either recycled from the freelist (pooled) or
 // freshly allocated (pinned).
@@ -129,11 +156,32 @@ func (e *Engine) push(t Time, fn func(), pooled bool) *Event {
 	ev.fn = fn
 	ev.canceled = false
 	ev.pooled = pooled
-	ev.index = len(e.queue)
 	e.seq++
-	e.queue = append(e.queue, ev)
-	e.siftUp(len(e.queue) - 1)
+	// A pooled event that sorts before both the lane and the heap head
+	// takes the lane. Its seq is the newest, so it sorts before the lane
+	// event only at a strictly earlier instant.
+	if l := e.lane; pooled && (l == nil || t < l.when) &&
+		(len(e.queue) == 0 || lessEv(ev, e.queue[0])) {
+		if l != nil {
+			e.heapPush(l)
+		}
+		ev.index = inLane
+		e.lane = ev
+	} else {
+		// heapPush inlined, so afalint -state sees push reinitialize
+		// index on every recycled event.
+		ev.index = int32(len(e.queue))
+		e.queue = append(e.queue, ev)
+		e.siftUp(int(ev.index))
+	}
 	return ev
+}
+
+// heapPush adds ev to the heap.
+func (e *Engine) heapPush(ev *Event) {
+	ev.index = int32(len(e.queue))
+	e.queue = append(e.queue, ev)
+	e.siftUp(int(ev.index))
 }
 
 // At schedules fn to run at the absolute instant t. Scheduling in the past
@@ -171,18 +219,30 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 // Cancel prevents a pending event from firing. Canceling an event that has
 // already fired or been canceled is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || ev.index < 0 {
-		if ev != nil {
-			ev.canceled = true
-		}
+	if ev == nil {
 		return
 	}
+	queued := !ev.canceled && ev.index != -1
 	ev.canceled = true
-	e.removeAt(ev.index)
+	if !queued {
+		return
+	}
+	if ev.index == inLane {
+		e.lane = nil
+	} else {
+		e.removeAt(int(ev.index))
+	}
 	ev.index = -1
 	// Pooled pointers are never handed to callers, so a canceled pooled
 	// event can go straight back to the freelist. Pinned events keep fn:
 	// Reschedule on a canceled event re-arms with the same callback.
+	e.recycle(ev)
+}
+
+// recycle returns a pooled event that left the queue to the freelist,
+// dropping its closure so captured memory is not pinned until the slot's
+// next reuse. Pinned events are left alone.
+func (e *Engine) recycle(ev *Event) {
 	if ev.pooled {
 		ev.fn = nil
 		e.free = append(e.free, ev)
@@ -197,34 +257,81 @@ func (e *Engine) Reschedule(ev *Event, t Time) *Event {
 	return e.At(t, ev.fn)
 }
 
-// Step fires the next pending event. It reports false when no events remain.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.popMin()
-		if ev.canceled {
-			// A pooled tombstone (canceled after Cancel's fast path already
-			// ran, or marked directly) is done for good: recycle it here so
-			// the closure isn't pinned until the slot's next reuse.
-			if ev.pooled {
-				ev.fn = nil
-				e.free = append(e.free, ev)
+// next settles the queue and returns the event that fires next without
+// removing it, or nil when nothing is pending. Settling discards canceled
+// events and disarmed timer entries and re-keys a stale timer entry to
+// its timer's real deadline, until the heap head's key is exact; the
+// smaller of it and the lane is then the true (when, seq) minimum. The
+// lane is returned without settling when it sorts before the heap head's
+// key, because every key is a lower bound on its event's real one.
+func (e *Engine) next() *Event {
+	for {
+		l := e.lane
+		if l != nil && l.canceled {
+			// A tombstone Cancel's fast path missed (marked directly).
+			e.lane = nil
+			l.index = -1
+			e.recycle(l)
+			continue
+		}
+		if len(e.queue) == 0 {
+			return l
+		}
+		h := e.queue[0]
+		if l != nil && lessEv(l, h) {
+			return l
+		}
+		if tm := h.tm; tm != nil {
+			switch {
+			case h.fn == nil:
+				e.popMin()
+			case h.seq != tm.seq:
+				h.when, h.seq = tm.at, tm.seq
+				e.siftDown(0)
+			default:
+				return h
 			}
 			continue
 		}
-		if ev.when < e.now {
-			panic("sim: event queue corrupted (time went backwards)")
+		if h.canceled {
+			e.popMin()
+			e.recycle(h)
+			continue
 		}
-		e.now = ev.when
-		e.stepped++
-		fn := ev.fn
-		if ev.pooled {
-			ev.fn = nil
-			e.free = append(e.free, ev)
-		}
-		fn()
-		return true
+		return h
 	}
-	return false
+}
+
+// fire removes ev — the event next returned — from the queue and runs it.
+func (e *Engine) fire(ev *Event) {
+	if ev.index == inLane {
+		e.lane = nil
+		ev.index = -1
+	} else {
+		e.popMin()
+	}
+	if ev.when < e.now {
+		panic("sim: event queue corrupted (time went backwards)")
+	}
+	e.now = ev.when
+	e.stepped++
+	fn := ev.fn
+	if ev.tm != nil {
+		ev.fn = nil // the timer is disarmed while its callback runs
+	} else {
+		e.recycle(ev)
+	}
+	fn()
+}
+
+// Step fires the next pending event. It reports false when no events remain.
+func (e *Engine) Step() bool {
+	ev := e.next()
+	if ev == nil {
+		return false
+	}
+	e.fire(ev)
+	return true
 }
 
 // Run fires events until the queue is empty or Stop is called.
@@ -235,30 +342,18 @@ func (e *Engine) Run() {
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to t.
-// Events scheduled at exactly t do fire.
+// Events scheduled at exactly t do fire. A Stop leaves the clock at the
+// last fired event, so the events still due by t can fire later.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.queue) == 0 {
+		ev := e.next()
+		if ev == nil || ev.when > t {
 			break
 		}
-		next := e.queue[0]
-		if next.canceled {
-			e.popMin()
-			// Same recycle as Step's tombstone drain: this loop discards
-			// canceled heads without going through Step.
-			if next.pooled {
-				next.fn = nil
-				e.free = append(e.free, next)
-			}
-			continue
-		}
-		if next.when > t {
-			break
-		}
-		e.Step()
+		e.fire(ev)
 	}
-	if e.now < t {
+	if !e.stopped && e.now < t {
 		e.now = t
 	}
 }
@@ -269,21 +364,34 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Timer is a reusable cancelable event for callers that keep at most one
 // deadline outstanding at a time (a CPU's burst completion, a ticker's
-// next fire, a coalescer's flush). Re-arming reuses the same Event
-// storage forever, so steady-state timer traffic allocates nothing.
+// next fire, a coalescer's flush). The timer owns at most one heap entry
+// and reuses its storage forever, so steady-state timer traffic
+// allocates nothing.
+//
+// Timers are lazy. The real deadline (at, seq) lives on the Timer; the
+// heap entry's key only bounds it from below. Re-arming to a later
+// instant just records the new deadline, re-arming earlier re-keys the
+// entry in place, and Cancel only disarms: the stale entry is re-keyed
+// or dropped when it reaches the heap head, so it still counts in
+// Engine.Pending until then. Each arm draws a fresh seq exactly as a
+// fresh event would, so fire order is that of a cancel-and-reschedule.
 // The zero value is not usable; create through Engine.NewTimer.
 type Timer struct {
 	eng *Engine
-	ev  Event
+	ev  Event  // the heap entry (ev.index < 0 when not queued) and callback
+	at  Time   // real deadline, valid while armed
+	seq uint64 // real tie-break, valid while armed
 }
 
 // NewTimer returns an unarmed timer bound to the engine.
 func (e *Engine) NewTimer() *Timer {
-	return &Timer{eng: e, ev: Event{index: -1}}
+	t := &Timer{eng: e}
+	t.ev = Event{index: -1, tm: t}
+	return t
 }
 
-// Armed reports whether the timer is queued to fire.
-func (t *Timer) Armed() bool { return t.ev.index >= 0 }
+// Armed reports whether the timer is set to fire.
+func (t *Timer) Armed() bool { return t.ev.fn != nil }
 
 // Arm schedules fn to fire d from now, canceling any previous deadline.
 func (t *Timer) Arm(d Duration, fn func()) {
@@ -300,26 +408,29 @@ func (t *Timer) ArmAt(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	if t.ev.index >= 0 {
-		e.removeAt(t.ev.index)
+	if fn == nil {
+		panic("sim: arming a timer with a nil callback")
 	}
-	t.ev.when = at
-	t.ev.seq = e.seq
-	t.ev.fn = fn
-	t.ev.canceled = false
-	t.ev.index = len(e.queue)
+	ev := &t.ev
+	t.at, t.seq, ev.fn = at, e.seq, fn
 	e.seq++
-	e.queue = append(e.queue, &t.ev)
-	e.siftUp(len(e.queue) - 1)
+	switch {
+	case ev.index < 0:
+		ev.when, ev.seq = at, t.seq
+		e.heapPush(ev)
+	case at < ev.when:
+		// The new seq is the newest, so an earlier key needs an earlier
+		// instant; a later or same-instant re-arm leaves the entry as a
+		// lower bound for next to settle.
+		ev.when, ev.seq = at, t.seq
+		e.siftUp(int(ev.index))
+	}
 }
 
-// Cancel unschedules the pending fire, if any.
+// Cancel unschedules the pending fire, if any. The heap entry stays
+// queued until it reaches the head.
 func (t *Timer) Cancel() {
-	if t.ev.index >= 0 {
-		t.eng.removeAt(t.ev.index)
-		t.ev.index = -1
-		t.ev.fn = nil
-	}
+	t.ev.fn = nil
 }
 
 // The queue is a hand-rolled binary min-heap rather than container/heap:
@@ -349,11 +460,11 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		q[i] = p
-		p.index = i
+		p.index = int32(i)
 		i = parent
 	}
 	q[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }
 
 // siftDown restores heap order below i; it reports whether i moved.
@@ -377,11 +488,11 @@ func (e *Engine) siftDown(i int) bool {
 			break
 		}
 		q[i] = l
-		l.index = i
+		l.index = int32(i)
 		i = least
 	}
 	q[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 	return i > start
 }
 
@@ -401,8 +512,9 @@ func (e *Engine) popMin() *Event {
 	return ev
 }
 
-// removeAt removes the event at heap index i (Cancel's fast path, so a
-// canceled event costs O(log n) now instead of a dead tombstone later).
+// removeAt removes the event at heap index i (Engine.Cancel's fast path,
+// so a canceled event costs O(log n) now instead of a dead tombstone
+// later).
 func (e *Engine) removeAt(i int) {
 	n := len(e.queue) - 1
 	if i != n {
@@ -410,7 +522,7 @@ func (e *Engine) removeAt(i int) {
 		e.queue[n] = nil
 		e.queue = e.queue[:n]
 		e.queue[i] = moved
-		moved.index = i
+		moved.index = int32(i)
 		if !e.siftDown(i) {
 			e.siftUp(i)
 		}

@@ -1,0 +1,431 @@
+package sim
+
+import (
+	"testing"
+	"unsafe"
+
+	"repro/internal/rng"
+)
+
+// The differential queue test drives the engine and a reference model in
+// lockstep through random mixes of every scheduling operation. The model
+// is a plain list of live callbacks; the next one to fire is the (when,
+// seq) minimum, with seq drawn exactly where the engine draws it (one per
+// push, arm or reschedule). Each firing callback checks that it is the
+// model's minimum, then performs more random operations from inside the
+// run, so zero-delay hand-offs, same-instant re-arms and lane demotions
+// all happen mid-step as they do in the simulator.
+
+type refEvent struct {
+	when  Time
+	seq   uint64
+	id    int
+	timer int // index into queueHarness.timers, -1 for plain events
+}
+
+type pinnedRef struct {
+	ev  *Event
+	ref *refEvent // nil once fired or canceled
+	id  int       // the callback's id, kept across Reschedule
+}
+
+type queueHarness struct {
+	t      *testing.T
+	e      *Engine
+	r      *rng.Stream
+	now    Time
+	seq    uint64
+	live   []*refEvent
+	pinned []*pinnedRef
+	timers []*Timer
+	tref   []*refEvent // each timer's live deadline, nil when disarmed
+	nextID int
+	fired  int
+	// stopReq records that a callback called Stop during the current
+	// Run/RunUntil; budget, when positive, stops Run after that many fires.
+	stopReq bool
+	budget  int
+}
+
+func newQueueHarness(t *testing.T, seed uint64, timers int) *queueHarness {
+	h := &queueHarness{t: t, e: NewEngine(), r: rng.New(seed)}
+	for i := 0; i < timers; i++ {
+		h.timers = append(h.timers, h.e.NewTimer())
+		h.tref = append(h.tref, nil)
+	}
+	return h
+}
+
+// add records a new live callback at when and returns it; seq is drawn
+// here, in the same order as the engine's own draw.
+func (h *queueHarness) add(when Time, id, timer int) *refEvent {
+	ref := &refEvent{when: when, seq: h.seq, id: id, timer: timer}
+	h.seq++
+	h.live = append(h.live, ref)
+	return ref
+}
+
+func (h *queueHarness) kill(ref *refEvent) {
+	for i, x := range h.live {
+		if x == ref {
+			h.live = append(h.live[:i], h.live[i+1:]...)
+			return
+		}
+	}
+	h.t.Fatalf("reference event %d not live", ref.id)
+}
+
+func (h *queueHarness) min() *refEvent {
+	var m *refEvent
+	for _, x := range h.live {
+		if m == nil || x.when < m.when || x.when == m.when && x.seq < m.seq {
+			m = x
+		}
+	}
+	return m
+}
+
+func (h *queueHarness) newID() int {
+	h.nextID++
+	return h.nextID
+}
+
+// callback returns the closure the engine runs for id: it checks the
+// fire against the model, then keeps operating from inside the step.
+func (h *queueHarness) callback(id int) func() {
+	return func() {
+		m := h.min()
+		if m == nil || m.id != id {
+			want := -1
+			if m != nil {
+				want = m.id
+			}
+			h.t.Fatalf("fire %d: engine fired callback %d at %v, model expects %d", h.fired, id, h.e.Now(), want)
+		}
+		if h.e.Now() != m.when {
+			h.t.Fatalf("callback %d fired with Now() = %v, want %v", id, h.e.Now(), m.when)
+		}
+		h.kill(m)
+		if m.timer >= 0 {
+			h.tref[m.timer] = nil
+		}
+		for _, p := range h.pinned {
+			if p.ref == m {
+				p.ref = nil
+			}
+		}
+		h.now = m.when
+		h.fired++
+		h.checkArmed()
+		if h.budget > 0 {
+			if h.budget--; h.budget == 0 {
+				h.e.Stop()
+				h.stopReq = true
+			}
+		}
+		for k := h.r.Intn(3); k > 0; k-- {
+			h.op(true)
+		}
+	}
+}
+
+// delay draws from a small range so same-instant ties are common.
+func (h *queueHarness) delay() Duration {
+	if h.r.Bool(0.3) {
+		return 0
+	}
+	return Duration(h.r.Intn(40))
+}
+
+// rearmTarget picks an instant earlier than, equal to, or later than the
+// timer's current deadline (or a fresh one when disarmed).
+func (h *queueHarness) rearmTarget(i int) Time {
+	ref := h.tref[i]
+	if ref == nil {
+		return h.now.Add(h.delay())
+	}
+	switch h.r.Intn(3) {
+	case 0:
+		if at := ref.when.Add(-Duration(1 + h.r.Intn(20))); at >= h.now {
+			return at
+		}
+		return h.now
+	case 1:
+		return ref.when
+	}
+	return ref.when.Add(Duration(1 + h.r.Intn(60)))
+}
+
+func (h *queueHarness) armTimer(i int, at Time, viaArm bool) {
+	if old := h.tref[i]; old != nil {
+		h.kill(old)
+	}
+	id := h.newID()
+	h.tref[i] = h.add(at, id, i)
+	if viaArm {
+		h.timers[i].Arm(at.Sub(h.now), h.callback(id))
+	} else {
+		h.timers[i].ArmAt(at, h.callback(id))
+	}
+}
+
+// op performs one random operation on both the engine and the model.
+func (h *queueHarness) op(inCallback bool) {
+	e := h.e
+	switch h.r.Intn(12) {
+	case 0:
+		d := h.delay()
+		id := h.newID()
+		h.add(h.now.Add(d), id, -1)
+		e.Schedule(d, h.callback(id))
+	case 1:
+		at := h.now.Add(h.delay())
+		id := h.newID()
+		h.add(at, id, -1)
+		e.ScheduleAt(at, h.callback(id))
+	case 2, 3:
+		at := h.now.Add(h.delay())
+		id := h.newID()
+		ref := h.add(at, id, -1)
+		var ev *Event
+		if h.r.Bool(0.5) {
+			ev = e.At(at, h.callback(id))
+		} else {
+			ev = e.After(at.Sub(h.now), h.callback(id))
+		}
+		h.pinned = append(h.pinned, &pinnedRef{ev: ev, ref: ref, id: id})
+	case 4:
+		if len(h.pinned) == 0 {
+			return
+		}
+		p := h.pinned[h.r.Intn(len(h.pinned))]
+		if p.ref != nil {
+			h.kill(p.ref)
+			p.ref = nil
+		}
+		e.Cancel(p.ev)
+		if !p.ev.Canceled() {
+			h.t.Fatal("Canceled() = false after Cancel")
+		}
+	case 5:
+		if len(h.pinned) == 0 {
+			return
+		}
+		p := h.pinned[h.r.Intn(len(h.pinned))]
+		if p.ref != nil {
+			h.kill(p.ref)
+		}
+		at := h.now.Add(h.delay())
+		p.ref = h.add(at, p.id, -1)
+		p.ev = e.Reschedule(p.ev, at)
+	case 6, 7, 8:
+		i := h.r.Intn(len(h.timers))
+		h.armTimer(i, h.rearmTarget(i), h.r.Bool(0.5))
+	case 9, 10:
+		i := h.r.Intn(len(h.timers))
+		if ref := h.tref[i]; ref != nil {
+			h.kill(ref)
+			h.tref[i] = nil
+		}
+		h.timers[i].Cancel()
+	case 11:
+		if inCallback && h.r.Bool(0.2) {
+			e.Stop()
+			h.stopReq = true
+		}
+	}
+}
+
+func (h *queueHarness) checkArmed() {
+	for i, tm := range h.timers {
+		if got, want := tm.Armed(), h.tref[i] != nil; got != want {
+			h.t.Fatalf("timer %d: Armed() = %v, model %v", i, got, want)
+		}
+	}
+}
+
+func (h *queueHarness) check(what string) {
+	if h.e.Now() != h.now {
+		h.t.Fatalf("after %s: Now() = %v, model %v", what, h.e.Now(), h.now)
+	}
+	if h.e.Pending() < len(h.live) {
+		h.t.Fatalf("after %s: Pending() = %d below %d live events", what, h.e.Pending(), len(h.live))
+	}
+	h.checkArmed()
+}
+
+// drive runs n random top-level actions.
+func (h *queueHarness) drive(n int) {
+	for i := 0; i < n; i++ {
+		switch h.r.Intn(8) {
+		case 0, 1, 2:
+			h.op(false)
+			h.check("op")
+		case 3, 4:
+			want := len(h.live) > 0
+			if got := h.e.Step(); got != want {
+				h.t.Fatalf("Step() = %v with %d live events", got, len(h.live))
+			}
+			h.check("Step")
+		case 5, 6:
+			// Often short of the next deadline, so a stale timer entry
+			// at the head past t is common.
+			t := h.now.Add(Duration(h.r.Intn(30)))
+			h.stopReq = false
+			h.e.RunUntil(t)
+			if !h.stopReq {
+				if m := h.min(); m != nil && m.when <= t {
+					h.t.Fatalf("RunUntil(%v) left callback %d due at %v", t, m.id, m.when)
+				}
+				if h.now < t {
+					h.now = t
+				}
+			}
+			h.check("RunUntil")
+		case 7:
+			h.stopReq = false
+			h.budget = 1 + h.r.Intn(20)
+			h.e.Run()
+			if !h.stopReq && len(h.live) > 0 {
+				h.t.Fatalf("Run returned with %d live events and no Stop", len(h.live))
+			}
+			h.budget = 0
+			h.check("Run")
+		}
+	}
+	// Drain: every live callback still fires, in order.
+	for steps := 0; h.e.Step(); steps++ {
+		if steps > 1_000_000 {
+			h.t.Fatal("drain did not terminate")
+		}
+	}
+	if len(h.live) != 0 {
+		h.t.Fatalf("queue drained with %d live model events", len(h.live))
+	}
+	h.check("drain")
+	if p := h.e.Pending(); p != 0 {
+		h.t.Fatalf("Pending() = %d after drain", p)
+	}
+}
+
+// TestQueueMatchesReferenceOrder is the differential property test of
+// the queue: over random mixes of Schedule, ScheduleAt, At, After,
+// Cancel, Reschedule, Stop and Timer Arm/ArmAt/Cancel with earlier,
+// later and same-instant re-arms, driven through Step, RunUntil and Run,
+// the engine fires callbacks in exactly the reference (when, seq) order
+// and agrees with the model on Now() and every timer's Armed().
+func TestQueueMatchesReferenceOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		h := newQueueHarness(t, seed, 1+int(seed%6))
+		h.drive(1500)
+		if h.fired == 0 {
+			t.Fatalf("seed %d fired nothing", seed)
+		}
+	}
+}
+
+// TestTimerLaterRearmsHoldOneEntry: re-arming a timer to ever later
+// instants only records the deadline. A thousand re-arms leave one queue
+// entry, and the timer fires once, at the last deadline, with the last
+// callback.
+func TestTimerLaterRearmsHoldOneEntry(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer()
+	var fired []int
+	for i := 0; i < 1000; i++ {
+		i := i
+		tm.ArmAt(Time(10+i), func() { fired = append(fired, i) })
+	}
+	if p := e.Pending(); p != 1 {
+		t.Fatalf("Pending() = %d after 1000 later re-arms, want 1", p)
+	}
+	e.Run()
+	if len(fired) != 1 || fired[0] != 999 {
+		t.Fatalf("fired %v, want [999]", fired)
+	}
+	if e.Now() != Time(1009) || e.Steps() != 1 {
+		t.Fatalf("Now() = %v, Steps() = %d; want 1.009µs, 1", e.Now(), e.Steps())
+	}
+	if tm.Armed() || e.Pending() != 0 {
+		t.Fatalf("Armed() = %v, Pending() = %d after the fire", tm.Armed(), e.Pending())
+	}
+}
+
+// TestTimerSize: kernel attempt carriers each allocate a Timer, so its
+// size class shows in allocated bytes per I/O; the lazy deadline fields
+// must keep it within 64 bytes.
+func TestTimerSize(t *testing.T) {
+	if s := unsafe.Sizeof(Timer{}); s > 64 {
+		t.Fatalf("Timer is %d bytes, want <= 64", s)
+	}
+}
+
+// TestRunUntilSettlesStaleTimerPastT: a timer whose entry still carries
+// an old, earlier deadline sits at the head; RunUntil short of the real
+// deadline must neither fire nor disarm it, and a canceled timer's entry
+// is dropped without firing.
+func TestRunUntilSettlesStaleTimerPastT(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer()
+	fired := 0
+	tm.ArmAt(10, func() { fired = 100 })
+	tm.ArmAt(80, func() { fired++ }) // the entry keeps key 10
+	e.RunUntil(50)
+	if fired != 0 || !tm.Armed() || e.Now() != 50 {
+		t.Fatalf("after RunUntil(50): fired=%d Armed()=%v Now()=%v", fired, tm.Armed(), e.Now())
+	}
+	e.RunUntil(80)
+	if fired != 1 || tm.Armed() || e.Now() != 80 {
+		t.Fatalf("after RunUntil(80): fired=%d Armed()=%v Now()=%v", fired, tm.Armed(), e.Now())
+	}
+
+	tm.ArmAt(90, func() { fired = 100 })
+	tm.Cancel()
+	if tm.Armed() || e.Pending() != 1 {
+		t.Fatalf("canceled timer: Armed()=%v Pending()=%d, want false, 1 (stale entry)", tm.Armed(), e.Pending())
+	}
+	e.RunUntil(200)
+	if fired != 1 || e.Pending() != 0 || e.Now() != 200 {
+		t.Fatalf("after RunUntil(200): fired=%d Pending()=%d Now()=%v", fired, e.Pending(), e.Now())
+	}
+}
+
+// TestMinLaneDemotion: a pooled event takes the lane only while it sorts
+// first; an earlier push demotes it into the heap, and both still fire in
+// (when, seq) order with the clock never going backwards.
+func TestMinLaneDemotion(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.ScheduleAt(30, func() { got = append(got, 30) })
+	if e.lane == nil || e.lane.when != 30 {
+		t.Fatal("first pooled event did not take the lane")
+	}
+	e.ScheduleAt(20, func() { got = append(got, 20) })
+	if e.lane.when != 20 || len(e.queue) != 1 || e.queue[0].when != 30 {
+		t.Fatal("earlier pooled event did not demote the lane")
+	}
+	e.ScheduleAt(20, func() { got = append(got, 21) }) // same instant: heap, behind the lane
+	e.At(10, func() { got = append(got, 10) })
+	e.Run()
+	if len(got) != 4 || got[0] != 10 || got[1] != 20 || got[2] != 21 || got[3] != 30 {
+		t.Fatalf("fire order %v, want [10 20 21 30]", got)
+	}
+}
+
+// TestStopInRunUntilKeepsClock: a Stop mid-RunUntil leaves the clock at
+// the stopping event, so events due by t stay in the future and fire on
+// the next run.
+func TestStopInRunUntilKeepsClock(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.At(10, func() { n++; e.Stop() })
+	e.At(20, func() { n++ })
+	e.RunUntil(100)
+	if n != 1 || e.Now() != 10 {
+		t.Fatalf("after stopped RunUntil: n=%d Now()=%v, want 1, 10ns", n, e.Now())
+	}
+	e.RunUntil(100)
+	if n != 2 || e.Now() != 100 {
+		t.Fatalf("after resumed RunUntil: n=%d Now()=%v, want 2, 100ns", n, e.Now())
+	}
+}
