@@ -269,7 +269,7 @@ func compareFTL(t *testing.T, step int, dev *Device, ref *refDevice) {
 		t.Fatalf("step %d: %d mapped LBAs, reference %d", step, len(dev.mapping), len(ref.mapping))
 	}
 	for lba := int64(0); lba < dev.LogicalSlices(); lba++ {
-		got, gok := dev.mapping[lba]
+		got, gok := dev.entry(lba)
 		want, wok := ref.mapping[lba]
 		if got != want || gok != wok {
 			t.Fatalf("step %d: lba %d at %+v (%v), reference %+v (%v)", step, lba, got, gok, want, wok)
@@ -283,18 +283,24 @@ func compareFTL(t *testing.T, step int, dev *Device, ref *refDevice) {
 // TestFTLMatchesReference drives the compact block table and the
 // reference FTL through the same random operation streams — uniform,
 // hot-set and single-die-stripe writes over a near-full device, reads,
-// re-preconditioning and formats — and requires identical durations,
-// GC portions, counters and placements throughout.
+// re-preconditioning and formats, then sparse writes with reads aimed at
+// the written-region filter — and requires identical durations, GC
+// portions, counters and placements throughout.
 func TestFTLMatchesReference(t *testing.T) {
 	// Two planes per die, and blocks big enough to start in stage chunks.
 	twoPlane := Geometry{Channels: 2, DiesPerChan: 2, PlanesPerDie: 2, BlocksPerPlan: 12,
 		PagesPerBlock: 32, PageSize: 16 << 10, SliceSize: 4 << 10}
+	// 512-slice blocks: a block that fills passes every reverse-map size,
+	// the stage chunk, 256 slices, then the full map.
+	growth := Geometry{Channels: 2, DiesPerChan: 1, PlanesPerDie: 1, BlocksPerPlan: 24,
+		PagesPerBlock: 128, PageSize: 16 << 10, SliceSize: 4 << 10}
 	for _, tc := range []struct {
 		name string
 		geom Geometry
 	}{
 		{"tiny", TinyGeometry()},
 		{"two-plane", twoPlane},
+		{"growth", growth},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const seed, ops = 7, 30000
@@ -311,11 +317,31 @@ func TestFTLMatchesReference(t *testing.T) {
 					t.Fatalf("step %d: WriteWithGC(%d) = %v/%v, reference %v/%v", step, lba, got, gotGC, want, wantGC)
 				}
 			}
+			read := func(step int, lba int64) {
+				if got, want := dev.Read(lba), ref.Read(lba); got != want {
+					t.Fatalf("step %d: Read(%d) = %v, reference %v", step, lba, got, want)
+				}
+				if got, want := dev.Stats().UnmappedRead, ref.stats.UnmappedRead; got != want {
+					t.Fatalf("step %d: Read(%d) left %d unmapped reads, reference %d", step, lba, got, want)
+				}
+			}
+			// Reverse-map capacities seen on opened blocks.
+			mapSizes := map[int]bool{}
+			sampleMapSizes := func() {
+				for _, slot := range dev.dies {
+					for _, blk := range slot.blocks {
+						mapSizes[cap(blk.lbas)] = true
+					}
+				}
+			}
 			// Prelude: rewrite half of die 0's stripe until GC has run a
 			// while. Die 0's slot drains every die's never-opened blocks,
 			// so it falls back to other dies while GC victims are free too.
 			for step := 0; ref.stats.Erases < int64(tc.geom.Blocks()); step++ {
 				write(-step, r.Int63n(logical/dies/2)*dies)
+				if step%97 == 0 {
+					sampleMapSizes()
+				}
 			}
 			compareFTL(t, -1, dev, ref)
 			dev.Format()
@@ -341,9 +367,7 @@ func TestFTLMatchesReference(t *testing.T) {
 				case op < 900:
 					write(step, lba)
 				case op < 995:
-					if got, want := dev.Read(lba), ref.Read(lba); got != want {
-						t.Fatalf("step %d: Read(%d) = %v, reference %v", step, lba, got, want)
-					}
+					read(step, lba)
 				case op < 999:
 					frac := r.Float64()
 					dev.Precondition(frac)
@@ -356,6 +380,7 @@ func TestFTLMatchesReference(t *testing.T) {
 				}
 				if step%1000 == 0 {
 					compareFTL(t, step, dev, ref)
+					sampleMapSizes()
 				}
 				eng.RunUntil(eng.Now().Add(sim.Duration(r.Int63n(int64(20 * sim.Microsecond)))))
 			}
@@ -367,8 +392,57 @@ func TestFTLMatchesReference(t *testing.T) {
 				t.Fatalf("streams missed a popFree path: %d recycled, %d other-die (%d contested) openings",
 					ref.recycledPops, ref.otherDiePops, ref.contestedPops)
 			}
-			t.Logf("%+v; %d recycled, %d other-die (%d contested) block openings",
-				ref.stats, ref.recycledPops, ref.otherDiePops, ref.contestedPops)
+			if spb := tc.geom.SlicesPerBlock(); spb > mapGrowth*stageSlices {
+				for _, size := range []int{stageSlices, mapGrowth * stageSlices, spb} {
+					if !mapSizes[size] {
+						t.Fatalf("no opened block held a %d-slice reverse map; saw %v", size, mapSizes)
+					}
+				}
+			}
+
+			// Sparse phase: a few written slices in every other region, and
+			// reads of written slices, of unwritten slices inside written
+			// regions (the filter's false positives), and of slices in
+			// never-written regions.
+			dev.Format()
+			ref.Format()
+			region := int64(1) << regionShift
+			var written []int64
+			var hits, falsePositives, filtered int
+			for step := 0; step < 3000; step++ {
+				switch op := r.Intn(3); {
+				case op == 0 || len(written) == 0:
+					lba := r.Int63n((logical+region-1)/region/2)*2*region + r.Int63n(region/64)
+					if lba < logical {
+						write(step, lba)
+						written = append(written, lba)
+					}
+				default:
+					lba := written[r.Intn(len(written))]
+					switch r.Intn(3) {
+					case 0: // another slice of the same region
+						lba = lba&^(region-1) + r.Int63n(min(region, logical-lba&^(region-1)))
+					case 1: // anywhere
+						lba = r.Int63n(logical)
+					}
+					switch _, mapped := ref.mapping[lba]; {
+					case mapped:
+						hits++
+					case dev.regionWritten(lba):
+						falsePositives++
+					default:
+						filtered++
+					}
+					read(step, lba)
+				}
+			}
+			compareFTL(t, -2, dev, ref)
+			if hits == 0 || falsePositives == 0 || filtered == 0 {
+				t.Fatalf("sparse reads missed a filter case: %d hits, %d false positives, %d filtered",
+					hits, falsePositives, filtered)
+			}
+			t.Logf("%+v; %d recycled, %d other-die (%d contested) block openings; map sizes %v; sparse reads: %d hits, %d false positives, %d filtered",
+				ref.stats, ref.recycledPops, ref.otherDiePops, ref.contestedPops, mapSizes, hits, falsePositives, filtered)
 		})
 	}
 }

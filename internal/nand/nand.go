@@ -13,6 +13,7 @@ package nand
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -68,6 +69,16 @@ func (g Geometry) Validate() error {
 	if g.PageSize <= 0 || g.SliceSize <= 0 || g.PageSize%g.SliceSize != 0 {
 		return fmt.Errorf("nand: PageSize %d must be a positive multiple of SliceSize %d",
 			g.PageSize, g.SliceSize)
+	}
+	// The FTL numbers host and physical slices in int32.
+	slices := int64(1)
+	for _, f := range [...]int{g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlan,
+		g.PagesPerBlock, g.SlicesPerPage()} {
+		if int64(f) > math.MaxInt32/slices {
+			return fmt.Errorf("nand: geometry %+v has over %d raw slices, the FTL's int32 limit",
+				g, math.MaxInt32)
+		}
+		slices *= int64(f)
 	}
 	return nil
 }
@@ -151,12 +162,13 @@ type GCConfig struct {
 
 // Stats exposes FTL counters.
 type Stats struct {
-	HostReads    int64
-	HostWrites   int64
-	UnmappedRead int64 // FOB reads (LBA never written)
-	GCRuns       int64
-	GCPageMoves  int64
-	Erases       int64
+	HostReads     int64
+	HostWrites    int64
+	UnmappedRead  int64 // FOB reads (LBA never written)
+	UnmappedWrite int64 // writes past LogicalSlices: timed, never mapped
+	GCRuns        int64
+	GCPageMoves   int64
+	Erases        int64
 }
 
 // blockMeta is the FTL state of one opened block. lbas[i] is the host
@@ -164,7 +176,7 @@ type Stats struct {
 // block's write pointer, so an erased block has none.
 type blockMeta struct {
 	valid int
-	lbas  []int64
+	lbas  []int32
 }
 
 // dieFTL is one die's share of the block table, plus the write slot of
@@ -178,19 +190,26 @@ type dieFTL struct {
 	// another die when this one had no free block left.
 	open int
 	// stage is the slot's first reverse-map chunk: a never-opened block
-	// fills it before it earns a full SlicesPerBlock map, so lightly
-	// written blocks stay small. nil when a full map is no larger.
-	stage []int64
+	// fills it before its map grows, so lightly written blocks stay
+	// small. nil when a full map is no larger.
+	stage []int32
 }
 
 // Block-table sizing. Each die's initial table capacity and each slot's
 // stage chunk are cut from one slab apiece when the write path is built,
 // so opening a die's first blocks allocates nothing; a Table I device
-// pays 8 KiB and 16 KiB for them instead of 245,632 block records.
+// pays 8 KiB for each instead of 245,632 block records. A block that
+// outgrows its reverse map gets one mapGrowth times larger, capped at
+// SlicesPerBlock: 64, 256, then 1024 slices on Table I.
 const (
 	slabBlocksPerDie = 8
 	stageSlices      = 64
+	mapGrowth        = 4
 )
+
+// regionShift sizes the written-region filter: one bit per 4,096 host
+// slices, 7.5 KiB on a Table I device.
+const regionShift = 12
 
 // Device is one SSD's flash array plus FTL.
 type Device struct {
@@ -209,7 +228,11 @@ type Device struct {
 	// The FTL write path is built lazily on first write, so a FOB device
 	// running the paper's read-only methodology allocates none of it.
 	// Once built it costs O(dies) plus the blocks actually opened.
-	mapping map[int64]mapEntry // host slice → (block, slice); nil until built
+	mapping map[int32]int32 // host slice → block*SlicesPerBlock + slice; nil until built
+	// written has one bit per 1<<regionShift host slices, set by the
+	// region's first write. A clear bit means no slice there is mapped,
+	// so reads and first writes in it skip the map.
+	written []uint64
 	dies    []dieFTL
 	// recycled holds erased GC victims, oldest first.
 	recycled []int
@@ -218,11 +241,11 @@ type Device struct {
 	// Counters are preserved across Format by contract (see Format's
 	// doc and TestFormatFieldPolicy), so reset must not zero them.
 	stats Stats //afalint:sticky -- counters survive Format by contract
-}
 
-type mapEntry struct {
-	block int
-	slice int
+	// ln(Timing.ReadPage) for the read-jitter draw, and the ReadPage it
+	// was taken of: tests may retime a device after construction.
+	lnReadPage   float64      //afalint:sticky -- derived from Timing
+	lnReadPageOf sim.Duration //afalint:sticky -- derived from Timing
 }
 
 // NewDevice builds a device in the FOB state.
@@ -248,6 +271,7 @@ func NewDevice(eng *sim.Engine, g Geometry, tm Timing, seed uint64) *Device {
 
 func (d *Device) reset() {
 	d.mapping = nil
+	d.written = nil
 	d.dies = nil
 	d.recycled = nil
 	d.free = 0
@@ -261,13 +285,15 @@ func (d *Device) ensureInit() {
 	}
 	g := d.Geom
 	n := g.Dies()
-	d.mapping = make(map[int64]mapEntry)
+	d.mapping = make(map[int32]int32)
+	regions := (g.Blocks()*g.SlicesPerBlock() + 1<<regionShift - 1) >> regionShift
+	d.written = make([]uint64, (regions+63)/64)
 	d.dies = make([]dieFTL, n)
 	d.free = g.Blocks()
 	slab := make([]blockMeta, n*slabBlocksPerDie)
-	var stages []int64
+	var stages []int32
 	if g.SlicesPerBlock() > stageSlices {
-		stages = make([]int64, n*stageSlices)
+		stages = make([]int32, n*stageSlices)
 	}
 	for i := range d.dies {
 		// Full slice expressions: a die outgrowing its cut reallocates
@@ -330,30 +356,57 @@ func (d *Device) occupyDie(die int, dur sim.Duration) sim.Time {
 	return d.dieFree[die]
 }
 
+// readDuration draws a read's die time. The jitter draw is
+// rnd.LogNormalMean(ReadPage, σ) with the logarithm cached.
 func (d *Device) readDuration() sim.Duration {
 	tr := d.Timing.ReadPage
 	if s := d.Timing.ReadJitterSigma; s > 0 {
-		tr = sim.Duration(d.rnd.LogNormalMean(float64(tr), s))
+		tr = sim.Duration(d.rnd.LogNormal(d.logReadPage()-s*s/2, s))
 	}
 	xfer := sim.Duration(int64(d.Timing.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
 	return tr + xfer
+}
+
+// logReadPage returns ln(Timing.ReadPage), taken again only when
+// ReadPage changes.
+func (d *Device) logReadPage() float64 {
+	if tr := d.Timing.ReadPage; tr != d.lnReadPageOf || tr <= 0 {
+		if tr <= 0 {
+			panic("nand: read jitter with non-positive ReadPage")
+		}
+		d.lnReadPage, d.lnReadPageOf = math.Log(float64(tr)), tr
+	}
+	return d.lnReadPage
 }
 
 // Read services a 4 KiB host read of the given slice LBA and returns the
 // delay until data is in the controller buffer (including die contention).
 // FOB/unmapped reads cost a full deterministic read, mirroring how the
 // testbed's FOB devices behaved (the paper measured 25 µs against
-// freshly formatted drives).
+// freshly formatted drives). A slice past LogicalSlices reads as
+// unmapped.
 func (d *Device) Read(lba int64) sim.Duration {
 	d.stats.HostReads++
 	die := d.dieOf(lba)
-	if e, ok := d.mapping[lba]; ok {
-		die = e.block % d.Geom.Dies()
+	if p, ok := d.lookup(lba); ok {
+		die = int(p) / d.Geom.SlicesPerBlock() % d.Geom.Dies()
 	} else {
 		d.stats.UnmappedRead++
 	}
 	done := d.occupyDie(die, d.readDuration())
 	return done.Sub(d.eng.Now())
+}
+
+// lookup returns the physical slice holding host slice lba. It probes
+// the map only inside a written region, so a slice in a never-written
+// region, or outside the device, costs no map access.
+func (d *Device) lookup(lba int64) (phys int32, ok bool) {
+	r := uint64(lba) >> regionShift
+	if r/64 >= uint64(len(d.written)) || d.written[r/64]&(1<<(r%64)) == 0 {
+		return 0, false
+	}
+	phys, ok = d.mapping[int32(lba)]
+	return phys, ok
 }
 
 // Write services a 4 KiB host write and returns the delay until the
@@ -366,7 +419,13 @@ func (d *Device) Write(lba int64) sim.Duration {
 // WriteWithGC is Write, also reporting the foreground-GC portion of the
 // delay separately (the NVMe cache model applies backpressure only for
 // that part — transient die-queue waits are absorbed by the cache).
+// A write at or past LogicalSlices has no slot in the FTL: it is timed
+// on its striped die and counted as an UnmappedWrite, but maps nothing.
+// A negative slice panics.
 func (d *Device) WriteWithGC(lba int64) (total, gc sim.Duration) {
+	if lba < 0 {
+		panic(fmt.Sprintf("nand: write to negative slice %d", lba))
+	}
 	d.ensureInit()
 	d.stats.HostWrites++
 	start := d.eng.Now()
@@ -388,23 +447,33 @@ func (d *Device) WriteWithGC(lba int64) (total, gc sim.Duration) {
 		}
 		gcDelay += sim.Duration(moved)
 	}
-	die := d.place(lba) % d.Geom.Dies()
+	die := d.dieOf(lba)
+	if lba < d.LogicalSlices() {
+		die = d.place(lba) % d.Geom.Dies()
+	} else {
+		d.stats.UnmappedWrite++
+	}
 	prog := d.Timing.ProgramPage / sim.Duration(d.Geom.SlicesPerPage())
 	xfer := sim.Duration(int64(d.Timing.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
 	done := d.occupyDie(die, gcDelay+prog+xfer)
 	return done.Sub(start), gcDelay
 }
 
-// place writes lba to a fresh slice, invalidating its previous copy, and
-// returns the block it landed in.
+// place writes lba, which must lie in [0, LogicalSlices), to a fresh
+// slice, invalidating its previous copy, and returns the block it
+// landed in.
 func (d *Device) place(lba int64) int {
-	if e, ok := d.mapping[lba]; ok {
-		blk := d.block(e.block)
+	spb := d.Geom.SlicesPerBlock()
+	r := lba >> regionShift
+	if w := &d.written[r/64]; *w&(1<<(r%64)) == 0 {
+		*w |= 1 << (r % 64) // the region's first write: no old copy
+	} else if p, ok := d.mapping[int32(lba)]; ok {
+		blk := d.block(int(p) / spb)
 		blk.valid--
-		blk.lbas[e.slice] = -1
+		blk.lbas[int(p)%spb] = -1
 	}
 	bi, s := d.allocSlice(lba)
-	d.mapping[lba] = mapEntry{block: bi, slice: s}
+	d.mapping[int32(lba)] = int32(bi*spb + s)
 	return bi
 }
 
@@ -423,14 +492,14 @@ func (d *Device) allocSlice(lba int64) (blkIdx, slice int) {
 	}
 	s := len(blk.lbas)
 	if s == cap(blk.lbas) {
-		// Outgrew the stage chunk (or had none): move to a full map and
-		// leave the chunk to the slot's next never-opened block.
-		full := make([]int64, s, spb)
-		copy(full, blk.lbas)
-		blk.lbas = full
+		// Outgrew its map (or had none): grow it, leaving a stage chunk
+		// to the slot's next never-opened block.
+		grown := make([]int32, s, min(max(mapGrowth*s, stageSlices), spb))
+		copy(grown, blk.lbas)
+		blk.lbas = grown
 	}
 	blk.lbas = blk.lbas[:s+1]
-	blk.lbas[s] = lba
+	blk.lbas[s] = int32(lba)
 	blk.valid++
 	return slot.open, s
 }
@@ -535,8 +604,8 @@ func (d *Device) collect() int64 {
 		}
 		// Relocate: read + program elsewhere.
 		cost += d.readDuration()
-		nb, ns := d.allocSlice(lba)
-		d.mapping[lba] = mapEntry{block: nb, slice: ns}
+		nb, ns := d.allocSlice(int64(lba))
+		d.mapping[lba] = int32(nb*spb + ns)
 		cost += d.Timing.ProgramPage / sim.Duration(d.Geom.SlicesPerPage())
 		d.stats.GCPageMoves++
 	}

@@ -181,9 +181,9 @@ func TestOverwriteInvalidatesOldCopy(t *testing.T) {
 	eng, d := newTiny(t)
 	d.Write(7)
 	eng.RunUntil(eng.Now().Add(sim.Millisecond))
-	e1 := d.mapping[7]
+	e1, _ := d.entry(7)
 	d.Write(7)
-	e2 := d.mapping[7]
+	e2, _ := d.entry(7)
 	if e1 == e2 {
 		t.Fatal("overwrite did not relocate")
 	}
@@ -315,8 +315,12 @@ func TestFormatFieldPolicy(t *testing.T) {
 		"dieFree": "preserved",
 		// Counters survive Format by documented contract.
 		"stats": "preserved",
+		// Derived from Timing, not FTL state.
+		"lnReadPage":   "preserved",
+		"lnReadPageOf": "preserved",
 		// The FTL proper: back to FOB.
 		"mapping":  "restored",
+		"written":  "restored",
 		"dies":     "restored",
 		"recycled": "restored",
 		"free":     "restored",
@@ -344,16 +348,17 @@ func TestFormatFieldPolicy(t *testing.T) {
 	preDieFree := append([]sim.Time(nil), d.dieFree...)
 	preGeom, preTiming, preGC := d.Geom, d.Timing, d.GC
 	preEng, preRnd := d.eng, d.rnd
-	if preStats.HostWrites == 0 || d.FOB() {
+	preLn, preLnOf := d.lnReadPage, d.lnReadPageOf
+	if preStats.HostWrites == 0 || d.FOB() || preLnOf == 0 {
 		t.Fatalf("workload did not exercise the FTL: stats = %+v", preStats)
 	}
 
 	d.Format()
 
 	// Restored fields: byte-for-byte the FOB state.
-	if d.mapping != nil || d.dies != nil || d.recycled != nil || d.free != 0 {
-		t.Errorf("Format left FTL state behind: mapping=%d dies=%d recycled=%d free=%d",
-			len(d.mapping), len(d.dies), len(d.recycled), d.free)
+	if d.mapping != nil || d.written != nil || d.dies != nil || d.recycled != nil || d.free != 0 {
+		t.Errorf("Format left FTL state behind: mapping=%d written=%d dies=%d recycled=%d free=%d",
+			len(d.mapping), len(d.written), len(d.dies), len(d.recycled), d.free)
 	}
 	// Preserved fields: untouched.
 	if d.stats != preStats {
@@ -368,15 +373,46 @@ func TestFormatFieldPolicy(t *testing.T) {
 	if d.eng != preEng || d.rnd != preRnd {
 		t.Error("Format rebound the engine or rng stream")
 	}
+	if math.Float64bits(d.lnReadPage) != math.Float64bits(preLn) || d.lnReadPageOf != preLnOf {
+		t.Error("Format dropped the ln(ReadPage) cache")
+	}
+}
+
+// mapEntry is a forward-map entry unpacked into (block, slice).
+type mapEntry struct {
+	block int
+	slice int
+}
+
+// entry returns lba's forward-map entry, unpacked, straight from the map:
+// unlike lookup it does not consult the written-region filter.
+func (d *Device) entry(lba int64) (mapEntry, bool) {
+	p, ok := d.mapping[int32(lba)]
+	if !ok {
+		return mapEntry{}, false
+	}
+	spb := d.Geom.SlicesPerBlock()
+	return mapEntry{block: int(p) / spb, slice: int(p) % spb}, true
+}
+
+// regionWritten reports whether lba's written-region bit is set.
+func (d *Device) regionWritten(lba int64) bool {
+	r := lba >> regionShift
+	return d.written != nil && d.written[r/64]&(1<<(r%64)) != 0
 }
 
 // checkFTL verifies the block table against the mapping: every mapped
-// LBA points at a live slice holding it, every live slice is mapped
-// there, and each opened block's valid count is its live-slice count.
+// LBA lies in a written region and points at a live slice holding it,
+// every live slice is mapped there, and each opened block's valid count
+// is its live-slice count.
 func checkFTL(d *Device) error {
-	for lba, e := range d.mapping {
+	for lba := range d.mapping {
+		e, _ := d.entry(int64(lba))
 		if lbas := d.block(e.block).lbas; e.slice >= len(lbas) || lbas[e.slice] != lba {
 			return fmt.Errorf("lba %d maps to block %d slice %d, which does not hold it", lba, e.block, e.slice)
+		}
+		if !d.regionWritten(int64(lba)) {
+			return fmt.Errorf("lba %d is mapped but its region is not marked written", lba)
 		}
 	}
 	n := d.Geom.Dies()
@@ -392,7 +428,7 @@ func checkFTL(d *Device) error {
 					continue
 				}
 				live++
-				if e, ok := d.mapping[lba]; !ok || e != (mapEntry{block: bi, slice: s}) {
+				if e, ok := d.entry(int64(lba)); !ok || e != (mapEntry{block: bi, slice: s}) {
 					return fmt.Errorf("block %d slice %d holds lba %d, mapped to %+v", bi, s, lba, e)
 				}
 			}
@@ -487,5 +523,145 @@ func TestCollectSurvivesBlockTableGrowth(t *testing.T) {
 	}
 	if err := checkFTL(d); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestValidateRejectsOverInt32Slices(t *testing.T) {
+	g := TableIGeometry() // 251.5 M raw slices
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Geometry)
+	}{
+		{"9x blocks", func(g *Geometry) { g.BlocksPerPlan *= 9 }},
+		{"huge pages", func(g *Geometry) { g.PagesPerBlock = math.MaxInt32 }},
+		{"overflowing product", func(g *Geometry) { g.Channels, g.DiesPerChan = math.MaxInt64/2, math.MaxInt64/2 }},
+	} {
+		g := TableIGeometry()
+		tc.edit(&g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: geometry with %d×%d×%d×%d×%d×%d slices accepted", tc.name,
+				g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlan, g.PagesPerBlock, g.SlicesPerPage())
+		}
+	}
+	// The largest geometry that fits is accepted.
+	edge := Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1, BlocksPerPlan: math.MaxInt32 / 4,
+		PagesPerBlock: 1, PageSize: 16 << 10, SliceSize: 4 << 10}
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("%d raw slices rejected: %v", int64(edge.Blocks())*int64(edge.SlicesPerBlock()), err)
+	}
+}
+
+// A write past the logical space maps nothing, so it cannot alias an
+// in-range slice; it is still timed and counted.
+func TestWritePastLogicalSpaceMapsNothing(t *testing.T) {
+	eng, d := newTiny(t)
+	logical := d.LogicalSlices()
+	d.Write(5)
+	eng.RunUntil(eng.Now().Add(sim.Millisecond))
+	before, _ := d.entry(5)
+	for _, lba := range []int64{logical, logical + 5, 1 << 32, 1<<32 + 5, math.MaxInt64} {
+		if got := d.Write(lba); got <= 0 {
+			t.Fatalf("Write(%d) took %v", lba, got)
+		}
+		eng.RunUntil(eng.Now().Add(sim.Millisecond))
+	}
+	if st := d.Stats(); st.HostWrites != 6 || st.UnmappedWrite != 5 {
+		t.Fatalf("stats = %+v, want 6 host writes, 5 unmapped", st)
+	}
+	if len(d.mapping) != 1 {
+		t.Fatalf("%d slices mapped, want 1", len(d.mapping))
+	}
+	if after, ok := d.entry(5); !ok || after != before {
+		t.Fatalf("slice 5 moved from %+v to %+v (%v)", before, after, ok)
+	}
+	for _, lba := range []int64{logical, logical + 5, 1 << 32, math.MaxInt64} {
+		d.Read(lba)
+	}
+	if st := d.Stats(); st.UnmappedRead != 4 {
+		t.Fatalf("reads past the logical space: %d unmapped, want 4", st.UnmappedRead)
+	}
+	if err := checkFTL(d); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Write(-1) did not panic")
+			}
+		}()
+		d.Write(-1)
+	}()
+}
+
+// The ln(ReadPage) cache follows a retimed device: every draw equals
+// rng's LogNormalMean on the current ReadPage, bit for bit.
+func TestReadJitterFollowsRetiming(t *testing.T) {
+	eng := sim.NewEngine()
+	tm := MLC3DTiming()
+	d := NewDevice(eng, TinyGeometry(), tm, 3)
+	twin := NewDevice(sim.NewEngine(), TinyGeometry(), tm, 3)
+	xfer := sim.Duration(int64(tm.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
+	for i, rp := range []sim.Duration{d.Timing.ReadPage, 3 * d.Timing.ReadPage, 3 * d.Timing.ReadPage, 1} {
+		d.Timing.ReadPage = rp
+		want := sim.Duration(twin.rnd.LogNormalMean(float64(rp), tm.ReadJitterSigma)) + xfer
+		if got := d.readDuration(); got != want {
+			t.Fatalf("draw %d at ReadPage %v: %v, want %v", i, rp, got, want)
+		}
+	}
+	d.Timing.ReadPage = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("read with zero ReadPage did not panic")
+		}
+	}()
+	d.readDuration()
+}
+
+// TestFTLFootprint bounds the FTL's heap after 5,000 uniformly random
+// writes to a Table I device — about what each device of the open-loop
+// 10k-tenant run takes. The block-table and map layout set the figure:
+// int32 maps, reverse maps grown from 64 to 256 slices rather than to a
+// full block, and a 7.5 KiB written-region filter keep it near 110 KB,
+// where 24-byte map slots and full 8 KiB reverse maps took ~480 KB. Not
+// parallel: it reads the process heap.
+func TestFTLFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng := sim.NewEngine()
+	d := NewDevice(eng, TableIGeometry(), MLC3DTiming(), 1)
+	r := rng.New(5)
+	logical := d.LogicalSlices()
+	for i := 0; i < 5000; i++ {
+		d.Write(r.Int63n(logical))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("Table I device after 5,000 random writes: %d B of heap", heap)
+	if heap > 224<<10 {
+		t.Fatalf("FTL heap after 5,000 random writes = %d B, want ≤ %d", heap, 224<<10)
+	}
+
+	lbas := make([]int64, 0, 64)
+	for lba := range d.mapping {
+		lbas = append(lbas, int64(lba))
+		if len(lbas) == cap(lbas) {
+			break
+		}
+	}
+	for i := 0; i < 64; i++ {
+		lbas = append(lbas, r.Int63n(logical))
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		d.Read(lbas[i%len(lbas)])
+		i++
+	}); allocs > 0 {
+		t.Fatalf("Read allocates %v times per call, want 0", allocs)
 	}
 }
