@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -243,15 +244,13 @@ func BenchmarkAblationFirmware(b *testing.B) {
 func BenchmarkAblationUsedState(b *testing.B) {
 	o := benchOpts()
 	o.NumSSDs = 8
-	var fob, used core.Distribution
+	var ds []core.Distribution
 	for i := 0; i < b.N; i++ {
-		fob, used = core.RunUsedStateStudy(o, 0.9)
+		ds = core.RunUsedStateStudy(o)
 	}
-	printTable(b, "abl-used", func() {
-		core.WriteComparisonTable(os.Stdout, []core.Distribution{fob, used})
-	})
-	b.ReportMetric(fob.Summary.Mean[6]/1e3, "fob-max-µs")
-	b.ReportMetric(used.Summary.Mean[6]/1e3, "used-max-µs")
+	printTable(b, "abl-used", func() { core.WriteComparisonTable(os.Stdout, ds) })
+	b.ReportMetric(ds[0].Summary.Mean[6]/1e3, "fob-max-µs")
+	b.ReportMetric(ds[1].Summary.Mean[6]/1e3, "used-max-µs")
 }
 
 // BenchmarkAblationFutureWork evaluates the Section VI prototypes — the
@@ -275,15 +274,13 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 	o := benchOpts()
 	o.NumSSDs = 16
 	o.Runtime = 200 * sim.Millisecond
-	var off, on core.CoalescingResult
+	var rs []core.FIORun
 	for i := 0; i < b.N; i++ {
-		off, on = core.RunCoalescingAblation(o)
+		rs = core.RunCoalescingAblation(o)
 	}
-	printTable(b, "abl-coalesce", func() {
-		core.WriteComparisonTable(os.Stdout, []core.Distribution{off.Dist, on.Dist})
-	})
-	b.ReportMetric(float64(off.Interrupts)/float64(off.IOs), "irq-per-io-off")
-	b.ReportMetric(float64(on.Interrupts)/float64(on.IOs), "irq-per-io-on")
+	printTable(b, "abl-coalesce", func() { core.WriteCoalescingAblation(os.Stdout, rs) })
+	b.ReportMetric(float64(rs[0].IRQs())/float64(rs[0].IOs), "irq-per-io-off")
+	b.ReportMetric(float64(rs[1].IRQs())/float64(rs[1].IOs), "irq-per-io-on")
 }
 
 // BenchmarkTailAtScale quantifies the Section I motivation: client-visible
@@ -502,18 +499,19 @@ func updateEngineBench(b *testing.B, rows ...core.EngineBenchRow) {
 // model change, not noise.
 func BenchmarkIOPathLatency(b *testing.B) {
 	o := benchOpts()
-	var runs []core.IOPathRun
+	var runs []core.FIORun
 	for i := 0; i < b.N; i++ {
 		runs = core.RunIOPathAblation(o)
 	}
 	var rows []core.EngineBenchRow
 	for _, r := range runs {
-		if r.Device != "ull" || r.Arm == "coalesced" {
+		arm, ull := strings.CutPrefix(r.Config, "ull/")
+		if !ull || arm == "coalesced" {
 			continue
 		}
-		b.ReportMetric(r.Mean(), "ns/io-"+r.Arm)
+		b.ReportMetric(r.Mean(), "ns/io-"+arm)
 		rows = append(rows, core.EngineBenchRow{
-			Experiment: "iopath-ull-" + r.Arm,
+			Experiment: "iopath-ull-" + arm,
 			NumSSDs:    o.NumSSDs,
 			IOs:        r.IOs,
 			MeanLatNs:  r.Mean(),

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -78,7 +79,18 @@ func main() {
 		SoloRuns: *solo,
 		Parallel: *parallel,
 	}
-	selected, err := resolve(o, *seeds, *all, *ablate)
+	var figs []int
+	if *fig != "" {
+		for _, part := range strings.Split(*fig, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "bad figure %q\n", part)
+				os.Exit(2)
+			}
+			figs = append(figs, n)
+		}
+	}
+	selected, err := resolve(o, *seeds, *all, figs, *ablate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -103,15 +115,8 @@ func main() {
 		}
 		return
 	}
-	if *fig != "" {
-		for _, part := range strings.Split(*fig, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad figure %q\n", part)
-				os.Exit(2)
-			}
-			runFigure(n, o)
-		}
+	for _, n := range figs {
+		runFigure(n, o)
 		ran = true
 	}
 	if *table != 0 {
@@ -133,9 +138,10 @@ func main() {
 }
 
 // resolve rejects option values the simulator would otherwise panic on
-// deep inside a run, and maps -all / -ablate to registry entries: every
-// entry for -all, the named one for -ablate, none otherwise.
-func resolve(o core.ExpOptions, seeds int, all bool, name string) ([]ablation, error) {
+// deep inside a run or turn into an empty report, and maps -all /
+// -ablate to registry entries: every entry for -all, the named one for
+// -ablate, none otherwise. figs are the -fig numbers.
+func resolve(o core.ExpOptions, seeds int, all bool, figs []int, name string) ([]ablation, error) {
 	switch {
 	case seeds < 1:
 		return nil, fmt.Errorf("-seeds must be >= 1, got %d", seeds)
@@ -143,6 +149,12 @@ func resolve(o core.ExpOptions, seeds int, all bool, name string) ([]ablation, e
 		return nil, fmt.Errorf("-ssds must be >= 1, got %d", o.NumSSDs)
 	case o.Runtime <= 0:
 		return nil, fmt.Errorf("-runtime must be > 0, got %v", time.Duration(o.Runtime))
+	case o.SoloRuns < 0:
+		return nil, fmt.Errorf("-solo-runs must be >= 0, got %d", o.SoloRuns)
+	}
+	// Fig 10 logs the first half of the fleet: one SSD logs none.
+	if o.NumSSDs < 2 && (all || slices.Contains(figs, 10)) {
+		return nil, fmt.Errorf("-fig 10 needs -ssds >= 2, got %d", o.NumSSDs)
 	}
 	var selected []ablation
 	if all {
@@ -332,13 +344,11 @@ var ablations = []ablation{
 	{name: "fw", banner: "Ablation: firmware housekeeping variants (tuned kernel)",
 		run: report(core.RunFirmwareAblation, core.WriteComparisonTable)},
 	{name: "used", banner: "Extension: FOB vs used (non-FOB) state, random writes",
-		run: func(w io.Writer, o core.ExpOptions) {
-			fob, used := core.RunUsedStateStudy(o, 0.9)
-			core.WriteComparisonTable(w, []core.Distribution{fob, used})
-		}},
+		run: report(core.RunUsedStateStudy, core.WriteComparisonTable)},
 	{name: "future", banner: "Section VI prototypes: how much manual tuning do better algorithms recover?",
 		run: report(core.RunFutureWorkAblation, core.WriteComparisonTable)},
-	{name: "coalesce", banner: "Extension: NVMe interrupt coalescing (QD8)", run: writeCoalescing},
+	{name: "coalesce", banner: "Extension: NVMe interrupt coalescing (QD8)",
+		run: report(core.RunCoalescingAblation, core.WriteCoalescingAblation)},
 	{name: "tail", banner: "Section I motivation: striped-client tail amplification vs stripe width",
 		run: writeTailAtScale},
 	{name: "pts", banner: "SNIA PTS-E latency test: purge → rounds → steady state", run: writePTS},
@@ -388,15 +398,6 @@ func runAblation(a ablation, o core.ExpOptions) {
 		core.WriteComparisonTable(os.Stdout, append(sweep, core.MergeSweep("pooled", sweep)))
 	}
 	wallBanner(t0)
-}
-
-// writeCoalescing reports the QD8 coalescing comparison and the cut in
-// interrupts per I/O it buys.
-func writeCoalescing(w io.Writer, o core.ExpOptions) {
-	off, on := core.RunCoalescingAblation(o)
-	core.WriteComparisonTable(w, []core.Distribution{off.Dist, on.Dist})
-	fmt.Fprintf(w, "interrupts/IO: %.2f → %.2f\n",
-		float64(off.Interrupts)/float64(off.IOs), float64(on.Interrupts)/float64(on.IOs))
 }
 
 // writeTailAtScale reports striped-client tail amplification at the

@@ -18,7 +18,9 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 		ssds    int
 		runtime sim.Duration
 		seeds   int
+		solo    int
 		all     bool
+		figs    []int
 		ablate  string
 		wantErr string // "" = accepted
 		wantN   int    // entries selected when accepted
@@ -36,6 +38,11 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 			wantErr: `ablation "hedging" needs -ssds >= 9, got 8`},
 		{name: "iopath on one SSD", ssds: 1, runtime: rt, seeds: 1, ablate: "iopath",
 			wantErr: `ablation "iopath" needs -ssds >= 2, got 1`},
+		{name: "negative solo runs", ssds: 8, runtime: rt, seeds: 1, solo: -1, figs: []int{13},
+			wantErr: "-solo-runs must be >= 0, got -1"},
+		{name: "fig 10 on one SSD", ssds: 1, runtime: rt, seeds: 1, figs: []int{6, 10},
+			wantErr: "-fig 10 needs -ssds >= 2, got 1"},
+		{name: "fig 10 on two SSDs", ssds: 2, runtime: rt, seeds: 1, figs: []int{10}},
 		{name: "all below stripe", ssds: 4, runtime: rt, seeds: 1, all: true, wantErr: "needs -ssds >= 9"},
 		{name: "faults at stripe+parity", ssds: 9, runtime: rt, seeds: 1, ablate: "faults", wantN: 1},
 		{name: "tail on a small fleet", ssds: 9, runtime: rt, seeds: 1, ablate: "tail", wantN: 1},
@@ -44,8 +51,8 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := core.ExpOptions{Runtime: tc.runtime, NumSSDs: tc.ssds}
-			got, err := resolve(o, tc.seeds, tc.all, tc.ablate)
+			o := core.ExpOptions{Runtime: tc.runtime, NumSSDs: tc.ssds, SoloRuns: tc.solo}
+			got, err := resolve(o, tc.seeds, tc.all, tc.figs, tc.ablate)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)

@@ -326,19 +326,20 @@ func TestCoalescingAblation(t *testing.T) {
 	o := testOpts()
 	o.NumSSDs = 8
 	o.Runtime = 200 * sim.Millisecond
-	off, on := RunCoalescingAblation(o)
+	runs := RunCoalescingAblation(o)
+	off, on := runs[0], runs[1]
 	if off.IOs == 0 || on.IOs == 0 {
 		t.Fatal("no IOs")
 	}
-	offRate := float64(off.Interrupts) / float64(off.IOs)
-	onRate := float64(on.Interrupts) / float64(on.IOs)
+	offRate := float64(off.IRQs()) / float64(off.IOs)
+	onRate := float64(on.IRQs()) / float64(on.IOs)
 	if onRate > offRate/1.5 {
 		t.Fatalf("coalescing interrupt rate %.2f/IO vs %.2f/IO; expected a big cut", onRate, offRate)
 	}
 	// At QD8 coalescing is close to latency-neutral (batch reaping saves
 	// about what batching delays); the cost must in any case stay bounded
 	// by the coalescing timeout.
-	diff := on.Dist.Summary.Mean[0] - off.Dist.Summary.Mean[0]
+	diff := on.Summary.Mean[0] - off.Summary.Mean[0]
 	if diff > 150e3 || diff < -150e3 {
 		t.Fatalf("coalescing shifted avg by %.0fns; must stay within the timeout bound", diff)
 	}
@@ -364,7 +365,8 @@ func TestUsedStateStudy(t *testing.T) {
 	o := testOpts()
 	o.NumSSDs = 4
 	o.Runtime = 200 * sim.Millisecond
-	fob, used := RunUsedStateStudy(o, 0.9)
+	ds := RunUsedStateStudy(o)
+	fob, used := ds[0], ds[1]
 	if used.Summary.Mean[6] <= fob.Summary.Mean[6] {
 		t.Fatalf("used-state max %.0f not worse than FOB %.0f (GC should spike)",
 			used.Summary.Mean[6], fob.Summary.Mean[6])

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"io"
+	"strings"
 
 	"repro/internal/fio"
 	"repro/internal/kernel"
@@ -72,7 +74,9 @@ func (o ExpOptions) withDefaults() ExpOptions {
 	return o
 }
 
-func (o ExpOptions) newSystem(cfg Config) *System {
+// systemOptions boots cfg at the experiment's scale, compressing the
+// rare-event periodicity by TimeScale (1 boots the stock periods).
+func (o ExpOptions) systemOptions(cfg Config) Options {
 	opt := Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg, Geom: o.Geom}
 	if o.TimeScale > 0 && o.TimeScale != 1 {
 		fw := nvme.DefaultFirmware()
@@ -81,17 +85,18 @@ func (o ExpOptions) newSystem(cfg Config) *System {
 		opt.FirmwareOverride = &fw
 		opt.Daemons = kernel.ScaleDaemonPeriods(kernel.DefaultDaemons(), o.TimeScale)
 	}
-	return NewSystem(opt)
+	return opt
+}
+
+func (o ExpOptions) newSystem(cfg Config) *System {
+	return NewSystem(o.systemOptions(cfg))
 }
 
 // RunLatencyDistribution measures the per-SSD latency ladders under one
 // configuration with the Fig 5 geometry — the common shape of Figs 6-9
 // and 11.
 func RunLatencyDistribution(cfg Config, o ExpOptions) Distribution {
-	o = o.withDefaults()
-	sys := o.newSystem(cfg)
-	res := sys.RunFIO(RunSpec{Runtime: o.Runtime})
-	return NewDistribution(cfg.Name, res)
+	return runFIOArm(o, fioArm{name: cfg.Name, cfg: cfg}).Distribution
 }
 
 // runDistributions measures one latency distribution per configuration.
@@ -99,9 +104,7 @@ func RunLatencyDistribution(cfg Config, o ExpOptions) Distribution {
 // so the batch fans out across o.Parallel workers; results come back in
 // config order, identical to the serial loop.
 func runDistributions(o ExpOptions, cfgs []Config) []Distribution {
-	return runner.Map(o.runnerOpts(), cfgs, func(_ int, cfg Config) Distribution {
-		return RunLatencyDistribution(cfg, o)
-	})
+	return distributions(runFIOArms(o, cfgArms(cfgs)))
 }
 
 // RunFig6 reproduces Fig 6: latency distributions of 64 SSDs under the
@@ -232,32 +235,26 @@ func RunFig13(o ExpOptions) []Fig13Result {
 
 	// Every (row, geometry) pair is a fresh boot (the paper reran fio on
 	// disjoint SSD sets), so the whole Table II matrix — including the 64
-	// solo runs of the 13(d) row — is one flat batch of independent jobs.
+	// solo runs of the 13(d) row — is one flat batch of independent arms.
 	rows := TableII()
-	type fig13Job struct {
-		row int
-		g   *topology.Geometry
-	}
-	var jobs []fig13Job
+	var arms []fioArm
+	var rowOf []int
 	for ri, row := range rows {
 		for _, g := range geoms(row) {
-			jobs = append(jobs, fig13Job{row: ri, g: g})
+			arms = append(arms, fioArm{name: cfg.Name, cfg: cfg, spec: RunSpec{Geometry: g}})
+			rowOf = append(rowOf, ri)
 		}
 	}
-	ladderSets := runner.Map(o.runnerOpts(), jobs, func(_ int, j fig13Job) []stats.Ladder {
-		sys := o.newSystem(cfg)
-		res := sys.RunFIO(RunSpec{Geometry: j.g, Runtime: o.Runtime})
-		return Ladders(res)
-	})
+	runs := runFIOArms(o, arms)
 
-	// Merge in submission order: jobs (and therefore ladders) appear
+	// Merge in submission order: arms (and therefore ladders) appear
 	// exactly where the serial loop would have put them.
 	var out []Fig13Result
 	for ri, row := range rows {
 		var ladders []stats.Ladder
-		for ji, j := range jobs {
-			if j.row == ri {
-				ladders = append(ladders, ladderSets[ji]...)
+		for ai, r := range runs {
+			if rowOf[ai] == ri {
+				ladders = append(ladders, r.Ladders...)
 			}
 		}
 		out = append(out, Fig13Result{
@@ -365,16 +362,6 @@ func RunPTSLatencyTest(cfg Config, o ExpOptions, roundLen sim.Duration, maxRound
 	return rep
 }
 
-func mergedHistogram(results []*fio.Result) *stats.Histogram {
-	h := stats.NewHistogram()
-	for _, r := range results {
-		if r != nil {
-			h.Merge(r.Hist)
-		}
-	}
-	return h
-}
-
 // TailAtScaleResult quantifies the Section I motivation for one stripe
 // width: the per-request (client-visible) ladder versus the average
 // per-SSD ladder, under one configuration.
@@ -408,15 +395,7 @@ func RunTailAtScale(cfg Config, widths []int, o ExpOptions) []TailAtScaleResult 
 	specs := append([]int{0}, widths...)
 	ladders := runner.Map(o.runnerOpts(), specs, func(_ int, w int) stats.Ladder {
 		if w == 0 {
-			base := o.newSystem(cfg)
-			baseRes := base.RunFIO(RunSpec{Runtime: o.Runtime})
-			perSSD := stats.NewHistogram()
-			for _, r := range baseRes {
-				if r != nil {
-					perSSD.Merge(r.Hist)
-				}
-			}
-			return stats.LadderOf(perSSD)
+			return runFIOArm(o, fioArm{name: cfg.Name, cfg: cfg}).Pooled
 		}
 		sys := o.newSystem(cfg)
 		stripe := make([]int, w)
@@ -450,37 +429,11 @@ func RunTailAtScale(cfg Config, widths []int, o ExpOptions) []TailAtScaleResult 
 	return out
 }
 
-// CoalescingResult pairs a latency distribution with the interrupt count
-// that produced it.
-type CoalescingResult struct {
-	Dist       Distribution
-	Interrupts int64
-	IOs        int64
-}
-
 // RunCoalescingAblation quantifies the interrupt-storm trade-off the paper
 // raises in Section I: NVMe interrupt coalescing cuts the interrupt rate
-// at some latency cost. Both runs use queue depth 8 so batches can form,
-// and run in parallel.
-func RunCoalescingAblation(o ExpOptions) (off, on CoalescingResult) {
-	o = o.withDefaults()
-	measure := func(cfg Config) CoalescingResult {
-		sys := o.newSystem(cfg)
-		res := sys.RunFIO(RunSpec{Runtime: o.Runtime, IODepth: 8})
-		local, remote, _ := sys.IRQ.Stats()
-		var ios int64
-		for _, r := range res {
-			if r != nil {
-				ios += r.IOs
-			}
-		}
-		return CoalescingResult{
-			Dist:       NewDistribution(cfg.Name, res),
-			Interrupts: local + remote,
-			IOs:        ios,
-		}
-	}
-
+// at some latency cost. Both arms — no coalescing, then coalescing — use
+// queue depth 8 so batches can form, and run in parallel.
+func RunCoalescingAblation(o ExpOptions) []FIORun {
 	base := ExpFirmware()
 	base.Name = "no-coalesce"
 
@@ -488,10 +441,22 @@ func RunCoalescingAblation(o ExpOptions) (off, on CoalescingResult) {
 	co.Name = "coalesce-4"
 	co.Coalesce = kernel.Coalescing{Threshold: 4, Timeout: 100 * sim.Microsecond}
 
-	rs := runner.Map(o.runnerOpts(), []Config{base, co}, func(_ int, cfg Config) CoalescingResult {
-		return measure(cfg)
-	})
-	return rs[0], rs[1]
+	arms := cfgArms([]Config{base, co})
+	for i := range arms {
+		arms[i].spec.IODepth = 8
+	}
+	return runFIOArms(o, arms)
+}
+
+// WriteCoalescingAblation renders the arms' comparison table and the
+// interrupts each spent per I/O.
+func WriteCoalescingAblation(w io.Writer, runs []FIORun) {
+	WriteComparisonTable(w, distributions(runs))
+	rates := make([]string, len(runs))
+	for i, r := range runs {
+		rates[i] = fmt.Sprintf("%.2f", float64(r.IRQs())/float64(r.IOs))
+	}
+	fmt.Fprintf(w, "interrupts/IO: %s\n", strings.Join(rates, " → "))
 }
 
 // RunFirmwareAblation compares the three firmware builds under the tuned
@@ -511,10 +476,14 @@ func RunFirmwareAblation(o ExpOptions) []Distribution {
 	return runDistributions(o, cfgs)
 }
 
+// usedFillFraction is the share of the logical space the used-state
+// study preconditions before measuring.
+const usedFillFraction = 0.9
+
 // RunUsedStateStudy is the paper's stated future work: latency in a used
 // (non-FOB) SSD state with a mixed read/write workload driving GC.
-// It returns the FOB baseline and the preconditioned distribution.
-func RunUsedStateStudy(o ExpOptions, fillFraction float64) (fob, used Distribution) {
+// It returns the FOB baseline, then the preconditioned distribution.
+func RunUsedStateStudy(o ExpOptions) []Distribution {
 	o = o.withDefaults()
 	if o.Geom.Channels == 0 {
 		o.Geom = UsedStateGeom()
@@ -530,18 +499,16 @@ func RunUsedStateStudy(o ExpOptions, fillFraction float64) (fob, used Distributi
 	// Random writes are what separates the states: in FOB they stream into
 	// fresh blocks, in the used state they drag foreground GC along. The
 	// two states are independent boots and run in parallel.
-	ds := runner.Map(o.runnerOpts(), []bool{false, true}, func(_ int, precondition bool) Distribution {
-		sys := o.newSystem(cfg)
-		name := "fob"
-		if precondition {
-			name = "used"
-			for _, d := range sys.SSDs {
-				d.Flash.Precondition(fillFraction)
-			}
+	spec := RunSpec{RW: fio.RandWrite}
+	precondition := func(sys *System) {
+		for _, d := range sys.SSDs {
+			d.Flash.Precondition(usedFillFraction)
 		}
-		return NewDistribution(name, sys.RunFIO(RunSpec{Runtime: o.Runtime, RW: fio.RandWrite}))
-	})
-	return ds[0], ds[1]
+	}
+	return distributions(runFIOArms(o, []fioArm{
+		{name: "fob", cfg: cfg, spec: spec},
+		{name: "used", cfg: cfg, spec: spec, prep: precondition},
+	}))
 }
 
 // UsedStateGeom returns the geometry for the used-state study: small

@@ -15,11 +15,11 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/nvme"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -39,34 +39,6 @@ var IOPathArms = []string{"irq", "coalesced", "polling", "passthrough"}
 
 // IOPathDevices lists the device classes in figure order.
 var IOPathDevices = []nvme.DeviceClass{nvme.ClassFlash, nvme.ClassULL}
-
-// IOPathRun is one cell of the grid.
-type IOPathRun struct {
-	Name   string // "flash/polling"
-	Device string // flash | ull
-	Arm    string // irq | coalesced | polling | passthrough
-	// Ladder pools every active SSD's completion latencies.
-	Ladder stats.Ladder
-	IOs    int64
-	// Tolerance interaction (see iopathFaultSSD): Errors are non-success
-	// statuses the workload saw; Retried/TimedOut are kernel-tier rescues
-	// (always zero on the passthrough arm — there is no kernel to rescue).
-	Errors   int64
-	Retried  int64
-	TimedOut int64
-	// Host-CPU-burn accounting: PollSpins counts CQ poll iterations,
-	// Interrupts the MSI-X deliveries (local + remote), BusyNs the total
-	// host CPU busy time, and CPUPerIONs the busy nanoseconds per I/O —
-	// the price column next to the latency win.
-	PollSpins  int64
-	LocalIRQs  int64
-	RemoteIRQs int64
-	BusyNs     int64
-	CPUPerIONs float64
-}
-
-// Mean reports the cell's mean completion latency in nanoseconds.
-func (r IOPathRun) Mean() float64 { return r.Ladder.Avg }
 
 // iopathConfig assembles one arm's configuration on one device class.
 // Every arm starts from the tuned scheduler side of ExpFirmware (chrt +
@@ -104,6 +76,12 @@ func iopathConfig(arm string, dev nvme.DeviceClass) Config {
 	return cfg
 }
 
+// iopathCell splits a grid run's "device/arm" name.
+func iopathCell(r FIORun) (dev, arm string) {
+	dev, arm, _ = strings.Cut(r.Config, "/")
+	return dev, arm
+}
+
 // iopathFaultPlan arms the tolerance-interaction probe.
 func iopathFaultPlan() fault.Plan {
 	return fault.Plan{Profiles: []fault.Profile{
@@ -111,97 +89,66 @@ func iopathFaultPlan() fault.Plan {
 	}}
 }
 
-// runIOPathCell boots one (arm, device) system and measures the standard
-// per-SSD QD1 randread fleet on it.
-func runIOPathCell(arm string, dev nvme.DeviceClass, o ExpOptions) IOPathRun {
+// iopathArm is one (arm, device) cell: the standard per-SSD QD1
+// randread fleet under the arm's completion path, with the
+// tolerance-interaction probe armed.
+func iopathArm(arm string, dev nvme.DeviceClass) fioArm {
 	cfg := iopathConfig(arm, dev)
-	plan := iopathFaultPlan()
-	sys := NewSystem(Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg,
-		Geom: o.Geom, FaultPlan: &plan})
-	res := sys.RunFIO(RunSpec{Runtime: o.Runtime})
+	return fioArm{name: cfg.Name, cfg: cfg, plan: iopathFaultPlan}
+}
 
-	out := IOPathRun{
-		Name:   cfg.Name,
-		Device: dev.String(),
-		Arm:    arm,
-		Ladder: stats.LadderOf(mergedHistogram(res)),
-	}
-	for _, r := range res {
-		if r == nil {
-			continue
-		}
-		out.IOs += r.IOs
-		out.Errors += r.Errors
-		out.Retried += r.Retried
-		out.TimedOut += r.TimedOut
-		out.PollSpins += r.PollSpins
-	}
-	out.LocalIRQs, out.RemoteIRQs, _ = sys.IRQ.Stats()
-	var busy sim.Duration
-	for i := 0; i < sys.Sched.NumCPUs(); i++ {
-		busy += sys.Sched.CPU(i).BusyTime()
-	}
-	out.BusyNs = int64(busy)
-	if out.IOs > 0 {
-		out.CPUPerIONs = float64(out.BusyNs) / float64(out.IOs)
-	}
-	return out
+// iopathOpts boots the grid's systems with the stock housekeeping
+// periods: the cells compare completion paths, not rare-event rates.
+func iopathOpts(o ExpOptions) ExpOptions {
+	o = o.withDefaults()
+	o.TimeScale = 1
+	return o
 }
 
 // RunIOPathAblation measures the full 4-arm × 2-device grid. Cells are
 // independent boots and fan out across o.Parallel workers; the result is
 // ordered device-major (all flash arms, then all ULL arms), matching
-// IOPathDevices × IOPathArms.
-func RunIOPathAblation(o ExpOptions) []IOPathRun {
-	o = o.withDefaults()
-	type cell struct {
-		arm string
-		dev nvme.DeviceClass
-	}
-	var cells []cell
+// IOPathDevices × IOPathArms, and each cell is named "device/arm".
+func RunIOPathAblation(o ExpOptions) []FIORun {
+	var arms []fioArm
 	for _, dev := range IOPathDevices {
 		for _, arm := range IOPathArms {
-			cells = append(cells, cell{arm: arm, dev: dev})
+			arms = append(arms, iopathArm(arm, dev))
 		}
 	}
-	return runner.Map(o.runnerOpts(), cells, func(_ int, c cell) IOPathRun {
-		return runIOPathCell(c.arm, c.dev, o)
-	})
+	return runFIOArms(iopathOpts(o), arms)
 }
 
 // RunIOPathLadder is the sweepable single-distribution form: the ULL
 // passthrough cell's per-SSD ladders at one seed, for RunSeedSweep
 // pooling (the fastest arm is the one whose tail needs the resolution).
 func RunIOPathLadder(o ExpOptions) Distribution {
-	o = o.withDefaults()
-	cfg := iopathConfig("passthrough", nvme.ClassULL)
-	plan := iopathFaultPlan()
-	sys := NewSystem(Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg,
-		Geom: o.Geom, FaultPlan: &plan})
-	res := sys.RunFIO(RunSpec{Runtime: o.Runtime})
-	d := NewDistribution("iopath-ull-passthrough", res)
-	return d
+	a := iopathArm("passthrough", nvme.ClassULL)
+	a.name = "iopath-ull-passthrough"
+	return runFIOArm(iopathOpts(o), a).Distribution
 }
 
 // WriteIOPathAblation renders the grid: per-device rung × arm latency
 // tables, the counter rows underneath, and the two verdict lines the
 // acceptance question asks — does the flash device keep the paper's
 // ordering, and do polling/passthrough invert it on ULL.
-func WriteIOPathAblation(w io.Writer, runs []IOPathRun) {
-	byDev := map[string][]IOPathRun{}
+func WriteIOPathAblation(w io.Writer, runs []FIORun) {
+	byDev := map[string][]FIORun{}
 	var devOrder []string
 	for _, r := range runs {
-		if _, ok := byDev[r.Device]; !ok {
-			devOrder = append(devOrder, r.Device)
+		dev, _ := iopathCell(r)
+		if _, ok := byDev[dev]; !ok {
+			devOrder = append(devOrder, dev)
 		}
-		byDev[r.Device] = append(byDev[r.Device], r)
+		byDev[dev] = append(byDev[dev], r)
 	}
 	for _, dev := range devOrder {
 		arms := byDev[dev]
 		fmt.Fprintf(w, "%s device, per-SSD QD1 randread (pooled ladders):\n", dev)
 		fmt.Fprintf(w, "%-10s", "lat(µs)")
 		for _, r := range arms {
-			fmt.Fprintf(w, " %14s", r.Arm)
+			_, arm := iopathCell(r)
+			fmt.Fprintf(w, " %14s", arm)
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "%-10s", "mean")
@@ -212,43 +159,43 @@ func WriteIOPathAblation(w io.Writer, runs []IOPathRun) {
 		for i := 0; i < stats.NumRungs; i++ {
 			fmt.Fprintf(w, "%-10s", stats.LadderLabels[i])
 			for _, r := range arms {
-				fmt.Fprintf(w, " %14.1f", r.Ladder.Rung(i)/1e3)
+				fmt.Fprintf(w, " %14.1f", r.Pooled.Rung(i)/1e3)
 			}
 			fmt.Fprintln(w)
 		}
 		fmt.Fprintf(w, "%-10s", "max")
 		for _, r := range arms {
-			fmt.Fprintf(w, " %14.1f", float64(r.Ladder.Max)/1e3)
+			fmt.Fprintf(w, " %14.1f", float64(r.Pooled.Max)/1e3)
 		}
 		fmt.Fprintln(w)
 
 		fmt.Fprintln(w)
-		row := func(label string, f func(IOPathRun) int64) {
+		row := func(label string, f func(FIORun) int64) {
 			fmt.Fprintf(w, "%-10s", label)
 			for _, r := range arms {
 				fmt.Fprintf(w, " %14d", f(r))
 			}
 			fmt.Fprintln(w)
 		}
-		row("ios", func(r IOPathRun) int64 { return r.IOs })
-		row("errors", func(r IOPathRun) int64 { return r.Errors })
-		row("retried", func(r IOPathRun) int64 { return r.Retried })
-		row("timedout", func(r IOPathRun) int64 { return r.TimedOut })
-		row("pollspins", func(r IOPathRun) int64 { return r.PollSpins })
-		row("irqs", func(r IOPathRun) int64 { return r.LocalIRQs + r.RemoteIRQs })
-		row("cpu(ms)", func(r IOPathRun) int64 { return r.BusyNs / 1e6 })
+		row("ios", func(r FIORun) int64 { return r.IOs })
+		row("errors", func(r FIORun) int64 { return r.Errors })
+		row("retried", func(r FIORun) int64 { return r.Retried })
+		row("timedout", func(r FIORun) int64 { return r.TimedOut })
+		row("pollspins", func(r FIORun) int64 { return r.PollSpins })
+		row("irqs", FIORun.IRQs)
+		row("cpu(ms)", func(r FIORun) int64 { return r.BusyNs / 1e6 })
 		fmt.Fprintf(w, "%-10s", "cpu/io(µs)")
 		for _, r := range arms {
-			fmt.Fprintf(w, " %14.2f", r.CPUPerIONs/1e3)
+			fmt.Fprintf(w, " %14.2f", r.CPUPerIO()/1e3)
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintln(w)
 	}
 
 	// Verdicts: the flash ordering and the ULL inversion.
-	find := func(dev, arm string) *IOPathRun {
+	find := func(dev, arm string) *FIORun {
 		for i := range runs {
-			if runs[i].Device == dev && runs[i].Arm == arm {
+			if runs[i].Config == dev+"/"+arm {
 				return &runs[i]
 			}
 		}

@@ -19,34 +19,34 @@ func TestIOPathAblationShape(t *testing.T) {
 		for _, arm := range IOPathArms {
 			r := runs[i]
 			i++
-			if want := dev.String() + "/" + arm; r.Name != want {
-				t.Fatalf("cell %d is %q, want %q", i-1, r.Name, want)
+			if want := dev.String() + "/" + arm; r.Config != want {
+				t.Fatalf("cell %d is %q, want %q", i-1, r.Config, want)
 			}
 			if r.IOs == 0 {
-				t.Errorf("%s served no I/Os", r.Name)
+				t.Errorf("%s served no I/Os", r.Config)
 			}
 			irqDriven := arm == "irq" || arm == "coalesced"
 			if gotIRQs := r.LocalIRQs+r.RemoteIRQs > 0; gotIRQs != irqDriven {
-				t.Errorf("%s: interrupts=%v, want %v", r.Name, gotIRQs, irqDriven)
+				t.Errorf("%s: interrupts=%v, want %v", r.Config, gotIRQs, irqDriven)
 			}
 			spinning := arm == "polling" || arm == "passthrough"
 			if gotSpins := r.PollSpins > 0; gotSpins != spinning {
-				t.Errorf("%s: pollspins=%d, spinning arm=%v", r.Name, r.PollSpins, spinning)
+				t.Errorf("%s: pollspins=%d, spinning arm=%v", r.Config, r.PollSpins, spinning)
 			}
 			if arm == "passthrough" {
 				if r.Retried != 0 || r.TimedOut != 0 {
 					t.Errorf("%s: kernel rescued passthrough I/O (retried=%d timedout=%d)",
-						r.Name, r.Retried, r.TimedOut)
+						r.Config, r.Retried, r.TimedOut)
 				}
 				if r.Errors == 0 {
-					t.Errorf("%s: injected transient errors did not surface to the tenant", r.Name)
+					t.Errorf("%s: injected transient errors did not surface to the tenant", r.Config)
 				}
 			} else {
 				if r.Errors != 0 {
-					t.Errorf("%s: %d errors leaked past the kernel retry machinery", r.Name, r.Errors)
+					t.Errorf("%s: %d errors leaked past the kernel retry machinery", r.Config, r.Errors)
 				}
 				if r.Retried == 0 {
-					t.Errorf("%s: kernel arm retried nothing against the fault probe", r.Name)
+					t.Errorf("%s: kernel arm retried nothing against the fault probe", r.Config)
 				}
 			}
 		}
@@ -62,7 +62,7 @@ func TestIOPathOrdering(t *testing.T) {
 	runs := RunIOPathAblation(sweepOpts())
 	mean := map[string]float64{}
 	for _, r := range runs {
-		mean[r.Name] = r.Mean()
+		mean[r.Config] = r.Mean()
 	}
 	// Flash: faster paths still help, but the ~25 µs device bounds the
 	// win well below 2×.

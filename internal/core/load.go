@@ -72,16 +72,8 @@ func loadClassOf(i int) kernel.QoSClass {
 // one pinned FIO thread per SSD at QD loadProbeQD, summed across the
 // fleet. This is the "100%" the load ladder is scaled against.
 func MeasureCapacity(o ExpOptions) float64 {
-	o = o.withDefaults()
-	sys := o.newSystem(IRQAffinity())
-	res := sys.RunFIO(RunSpec{Runtime: o.Runtime, IODepth: loadProbeQD})
-	var total float64
-	for _, r := range res {
-		if r != nil {
-			total += r.IOPS()
-		}
-	}
-	return total
+	probe := fioArm{name: "capacity", cfg: IRQAffinity(), spec: RunSpec{IODepth: loadProbeQD}}
+	return runFIOArm(o, probe).IOPS
 }
 
 // LoadRun is one (rung, arm) cell of the load ablation.

@@ -23,8 +23,10 @@ func sweepOpts() ExpOptions {
 // write ablation (rebuild stream included), the three-arm hedging
 // ablation (health trackers included), the I/O-path grid (four
 // completion paths × two device classes), the open-loop load ablation
-// (capacity probe plus the rung × arm grid), and a seed sweep. The
-// exported bytes are the reproducibility contract.
+// (capacity probe plus the rung × arm grid), a seed sweep, the two-arm
+// coalescing ablation, and the FOB-vs-used study (preconditioning
+// inside the arm's job). The exported bytes are the reproducibility
+// contract.
 func exportFanOuts(t *testing.T, o ExpOptions) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -50,17 +52,7 @@ func exportFanOuts(t *testing.T, o ExpOptions) []byte {
 	for _, runs := range [][]RAIDRun{RunFaultAblation(o), RunWriteAblation(o), RunHedgingAblation(o)} {
 		writeRAIDRuns(t, &buf, runs)
 	}
-	for _, ir := range RunIOPathAblation(o) {
-		fmt.Fprintf(&buf, "%s ios=%d errors=%d retried=%d timedout=%d pollspins=%d irqs=%d busy=%d\n",
-			ir.Name, ir.IOs, ir.Errors, ir.Retried, ir.TimedOut,
-			ir.PollSpins, ir.LocalIRQs+ir.RemoteIRQs, ir.BusyNs)
-		ladders := []stats.Ladder{ir.Ladder}
-		if err := WriteDistributionJSON(&buf, Distribution{
-			Config: ir.Name, Ladders: ladders, Summary: stats.Summarize(ladders),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeFIORuns(t, &buf, RunIOPathAblation(o))
 	la := RunLoadAblation(o)
 	fmt.Fprintf(&buf, "load capacity=%.3f\n", la.Capacity)
 	for _, lr := range la.Runs {
@@ -82,7 +74,27 @@ func exportFanOuts(t *testing.T, o ExpOptions) []byte {
 	if err := WriteDistributionJSON(&buf, MergeSweep("sweep", sweep)); err != nil {
 		t.Fatal(err)
 	}
+	writeFIORuns(t, &buf, RunCoalescingAblation(o))
+	if err := WriteDistributionsJSON(&buf, RunUsedStateStudy(o)); err != nil {
+		t.Fatal(err)
+	}
 	return buf.Bytes()
+}
+
+// writeFIORuns prints every closed-loop arm field the reproducibility
+// contract covers: the fleet and host counters, the pooled ladder and
+// the per-SSD distribution.
+func writeFIORuns(t *testing.T, buf *bytes.Buffer, runs []FIORun) {
+	t.Helper()
+	for _, r := range runs {
+		fmt.Fprintf(buf, "%s ios=%d iops=%.6f errors=%d retried=%d timedout=%d pollspins=%d "+
+			"local-irqs=%d remote-irqs=%d busy=%d\npooled %+v\n",
+			r.Config, r.IOs, r.IOPS, r.Errors, r.Retried, r.TimedOut, r.PollSpins,
+			r.LocalIRQs, r.RemoteIRQs, r.BusyNs, r.Pooled)
+		if err := WriteDistributionJSON(buf, r.Distribution); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // writeRAIDRuns prints every RAID-ablation field the reproducibility

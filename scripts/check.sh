@@ -33,6 +33,10 @@
 #                  under -race: exported reports of every fan-out —
 #                  including the write ablation and its rebuild stream —
 #                  must be byte-identical at -parallel 1 and 8.
+#   report digests — the same contract at the CLI: every afareport
+#                  report scripts/report-digests.sh fingerprints (the
+#                  figures, Table II, the headline and every -ablate
+#                  entry) hashes identically at -parallel 1 and 4.
 #   ablations    — no separate step: the race+shuffle pass runs
 #                  cmd/afareport's TestEveryAblationRuns, which drives
 #                  every -ablate registry entry end to end at a small
@@ -55,4 +59,5 @@ go run ./cmd/afalint -perf -baseline lint_perf.baseline ./...
 go run ./cmd/afalint -state -baseline lint_state.baseline ./...
 go test -race -shuffle=on ./...
 go test -race -count=1 -run 'TestParallelDeterminism|TestMap' ./internal/core/ ./internal/runner/
+diff <(scripts/report-digests.sh -parallel 1) <(scripts/report-digests.sh -parallel 4)
 (cd bench && go test ./...)
