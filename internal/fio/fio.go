@@ -397,7 +397,8 @@ func (j *Job) onComplete(c kernel.Completion) {
 // and refill the window.
 func (j *Job) reap() {
 	now := j.eng.Now()
-	for _, c := range j.pending {
+	for i := range j.pending {
+		c := &j.pending[i]
 		j.res.IOs++
 		j.inflight--
 		if c.Retries > 0 {

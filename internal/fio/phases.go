@@ -47,8 +47,8 @@ type PhaseReport struct {
 }
 
 // add decomposes one completion (reaped at reapAt) into phases.
-func (r *PhaseReport) add(c kernel.Completion, reapAt sim.Time) {
-	res := c.Result
+func (r *PhaseReport) add(c *kernel.Completion, reapAt sim.Time) {
+	res := &c.Result
 	if res.MediaStartAt == 0 || res.MediaDoneAt == 0 {
 		return // non-media command; no meaningful decomposition
 	}

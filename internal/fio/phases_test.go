@@ -90,7 +90,7 @@ func TestWaterfallRendering(t *testing.T) {
 
 func TestPhasesSkipNonMediaCommands(t *testing.T) {
 	var rep PhaseReport
-	rep.add(kernel.Completion{}, 0) // zero-valued: no media timestamps
+	rep.add(&kernel.Completion{}, 0) // zero-valued: no media timestamps
 	if rep.N() != 0 {
 		t.Fatal("non-media command decomposed")
 	}

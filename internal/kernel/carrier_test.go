@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/nvme"
 	"repro/internal/sim"
@@ -36,6 +37,15 @@ func TestManagedSteadyStateAllocs(t *testing.T) {
 	}
 	if st := r.k.IOStats(); st.Timeouts != 0 {
 		t.Fatalf("timeouts = %d on a healthy drive", st.Timeouts)
+	}
+}
+
+// TestCarrierSize: a command dropped by an offline drive leaves its
+// kioReq as garbage, so the carrier's size class shows in allocated bytes
+// per I/O on faulty workloads; it must stay within 144 bytes.
+func TestCarrierSize(t *testing.T) {
+	if s := unsafe.Sizeof(kioReq{}); s > 144 {
+		t.Fatalf("kioReq is %d bytes, want <= 144", s)
 	}
 }
 
@@ -120,5 +130,91 @@ func TestAttemptCarrierReuseAfterAbortRace(t *testing.T) {
 	}
 	if len(r.k.freeAtt) != 1 || r.k.freeAtt[0] != a || a.timer.Armed() {
 		t.Fatal("healthy command did not reuse and return the raced carrier")
+	}
+}
+
+// TestManagedOutcomesReachCaller: the managed path hands one Completion
+// by pointer from the CQE through the attempt and command carriers, which
+// amend it in place. For each outcome, and on each of the three ways a
+// CQE reaches the host (interrupt, coalesced interrupt, polling), the
+// caller's copy must carry the first submission instant, the retry count,
+// the final status and the timeout flag, stamped when it was delivered.
+func TestManagedOutcomesReachCaller(t *testing.T) {
+	const submitAt = sim.Time(50 * sim.Microsecond)
+	fast := TimeoutPolicy{
+		Timeout: 100 * sim.Microsecond, MaxRetries: 2,
+		Backoff: 50 * sim.Microsecond, AbortCost: 10 * sim.Microsecond,
+	}
+	budget := fast
+	budget.MaxRetries, budget.Budget = 5, 1
+	cases := []struct {
+		name     string
+		pol      TimeoutPolicy
+		fault    func(r *rig) // applied at submitAt
+		status   nvme.Status
+		retries  int
+		timedOut bool
+	}{
+		{name: "success", pol: DefaultTimeoutPolicy(),
+			fault: func(*rig) {}, status: nvme.StatusSuccess},
+		{name: "transient-then-retry", pol: DefaultTimeoutPolicy(),
+			fault: func(r *rig) {
+				r.k.SSDs[0].SetTransientErrorRate(1.0)
+				r.eng.After(100*sim.Microsecond, func() { r.k.SSDs[0].SetTransientErrorRate(0) })
+			},
+			status: nvme.StatusSuccess, retries: 1},
+		{name: "timeout-exhausted", pol: fast,
+			fault:  func(r *rig) { r.k.SSDs[0].SetOffline(true) },
+			status: nvme.StatusAborted, retries: 2, timedOut: true},
+		{name: "budget-shed", pol: budget,
+			fault:  func(r *rig) { r.k.SSDs[0].SetOffline(true) },
+			status: nvme.StatusAborted, retries: 1, timedOut: true},
+	}
+	paths := []struct {
+		name     string
+		mode     CompletionMode
+		coalesce Coalescing
+	}{
+		{name: "interrupt", mode: CompleteInterrupt},
+		{name: "coalesced", mode: CompleteInterrupt,
+			coalesce: Coalescing{Threshold: 4, Timeout: 20 * sim.Microsecond}},
+		{name: "polling", mode: CompletePolling},
+	}
+	for _, p := range paths {
+		for _, tc := range cases {
+			t.Run(p.name+"/"+tc.name, func(t *testing.T) {
+				r := newTimeoutRig(t, tc.pol)
+				r.k.mode = p.mode
+				r.k.SetCoalescing(p.coalesce)
+				var got []Completion
+				var deliveredAt sim.Time
+				r.eng.At(submitAt, func() {
+					tc.fault(r)
+					r.k.SubmitIO(1, 0, nvme.Command{Op: nvme.OpRead, LBA: 1}, func(c Completion) {
+						got = append(got, c)
+						deliveredAt = r.eng.Now()
+					})
+				})
+				r.eng.RunUntil(sim.Time(50 * sim.Millisecond))
+				if len(got) != 1 {
+					t.Fatalf("%d completions delivered, want 1", len(got))
+				}
+				c := got[0]
+				if c.Result.SubmittedAt != submitAt {
+					t.Errorf("SubmittedAt = %v, want the first submit %v", c.Result.SubmittedAt, submitAt)
+				}
+				if c.Retries != tc.retries || c.Status != tc.status || c.TimedOut != tc.timedOut {
+					t.Errorf("retries %d, status %v, timed out %v; want %d, %v, %v",
+						c.Retries, c.Status, c.TimedOut, tc.retries, tc.status, tc.timedOut)
+				}
+				if c.DeliveredAt != deliveredAt {
+					t.Errorf("DeliveredAt = %v, delivered at %v", c.DeliveredAt, deliveredAt)
+				}
+				if r.k.inflight != 0 || len(r.k.freeMng) != 1 {
+					t.Errorf("inflight %d, %d command carriers free; want 0 and 1",
+						r.k.inflight, len(r.k.freeMng))
+				}
+			})
+		}
 	}
 }

@@ -54,12 +54,12 @@ type coalescer struct {
 }
 
 type pendingCQE struct {
-	res  nvme.Result
-	done func(Completion)
+	res nvme.Result
+	to  sink
 }
 
-func (c *coalescer) add(res nvme.Result, done func(Completion)) {
-	c.pending = append(c.pending, pendingCQE{res: res, done: done})
+func (c *coalescer) add(res nvme.Result, to sink) {
+	c.pending = append(c.pending, pendingCQE{res: res, to: to})
 	if len(c.pending) >= c.k.coalesce.Threshold {
 		c.flush()
 		return
@@ -113,15 +113,16 @@ func (d *coalDelivery) onDelivery(del irq.Delivery) {
 	now := k.eng.Now()
 	for i := range d.batch {
 		p := &d.batch[i]
-		done := p.done
-		p.done = nil
-		done(Completion{
+		to := p.to
+		p.to = sink{}
+		comp := Completion{
 			Result:      p.res,
 			Delivery:    del,
 			WakePenalty: penalty,
 			DeliveredAt: now,
 			Status:      p.res.Status,
-		})
+		}
+		to.complete(&comp)
 		penalty = 0
 	}
 	d.batch = d.batch[:0]

@@ -197,7 +197,7 @@ func (k *Kernel) tickWork(cpu int) sim.Duration {
 	if k.tickRnd.Bool(0.05) { // vmstat / timer wheel burst
 		d += sim.Duration(k.tickRnd.LogNormalMean(6_000, 0.6))
 	}
-	if !k.Sched.Boot().RCUOffloaded(cpu) && k.tickRnd.Bool(0.02) {
+	if !k.Sched.RCUOffloaded(cpu) && k.tickRnd.Bool(0.02) {
 		// RCU callback batch.
 		d += sim.Duration(k.tickRnd.LogNormalMean(60_000, 0.7))
 	}
@@ -243,7 +243,23 @@ func (k *Kernel) SubmitIO(submitCPU, ssd int, cmd nvme.Command, done func(Comple
 		k.submitManaged(submitCPU, ssd, cmd, done)
 		return
 	}
-	k.submitOnce(submitCPU, ssd, cmd, done)
+	k.submitOnce(submitCPU, ssd, cmd, sink{done: done})
+}
+
+// sink is where one CQE's Completion goes: the managed attempt it
+// settles, by pointer, or else the caller's done, which receives the one
+// copy the path makes.
+type sink struct {
+	done func(Completion)
+	att  *attReq
+}
+
+func (s sink) complete(c *Completion) {
+	if s.att != nil {
+		s.att.onComp(c)
+		return
+	}
+	s.done(*c)
 }
 
 // kioReq carries one I/O's host-side completion state from the device
@@ -256,13 +272,13 @@ type kioReq struct {
 	submitCPU int
 	ssd       int
 	res       nvme.Result
-	done      func(Completion)
+	to        sink
 
 	onResFn   func(nvme.Result)
 	onDelivFn func(irq.Delivery)
 }
 
-func (k *Kernel) getReq(submitCPU, ssd int, done func(Completion)) *kioReq {
+func (k *Kernel) getReq(submitCPU, ssd int, to sink) *kioReq {
 	var r *kioReq
 	if n := len(k.freeReqs); n > 0 {
 		r = k.freeReqs[n-1]
@@ -275,12 +291,12 @@ func (k *Kernel) getReq(submitCPU, ssd int, done func(Completion)) *kioReq {
 	}
 	r.submitCPU = submitCPU
 	r.ssd = ssd
-	r.done = done
+	r.to = to
 	return r
 }
 
 func (k *Kernel) putReq(r *kioReq) {
-	r.done = nil
+	r.to = sink{}
 	r.res = nvme.Result{}
 	k.freeReqs = append(k.freeReqs, r)
 }
@@ -288,9 +304,9 @@ func (k *Kernel) putReq(r *kioReq) {
 // submitOnce is the raw single-attempt submit path. A command dropped by
 // an offline device never completes; its carrier is simply garbage — the
 // freelist only recycles requests that finish.
-func (k *Kernel) submitOnce(submitCPU, ssd int, cmd nvme.Command, done func(Completion)) {
+func (k *Kernel) submitOnce(submitCPU, ssd int, cmd nvme.Command, to sink) {
 	cmd.Queue = submitCPU
-	r := k.getReq(submitCPU, ssd, done)
+	r := k.getReq(submitCPU, ssd, to)
 	k.SSDs[ssd].Submit(cmd, r.onResFn)
 }
 
@@ -301,7 +317,7 @@ func (r *kioReq) onResult(res nvme.Result) {
 	case CompletePolling:
 		// The polling thread spins on the CQ: no interrupt, no wake
 		// penalty. Delivery is synthesized as local.
-		done := r.done
+		to := r.to
 		comp := Completion{
 			Result:      res,
 			Delivery:    irq.Delivery{SSD: r.ssd, Queue: r.submitCPU, Executed: r.submitCPU},
@@ -309,13 +325,13 @@ func (r *kioReq) onResult(res nvme.Result) {
 			Status:      res.Status,
 		}
 		k.putReq(r)
-		done(comp)
+		to.complete(&comp)
 	default:
 		if k.coalesce.Enabled() {
-			done := r.done
+			to := r.to
 			ssd, queue := r.ssd, r.submitCPU
 			k.putReq(r)
-			k.coalescerFor(ssd, queue).add(res, done)
+			k.coalescerFor(ssd, queue).add(res, to)
 			return
 		}
 		r.res = res
@@ -326,7 +342,7 @@ func (r *kioReq) onResult(res nvme.Result) {
 // onDelivery is the MSI-X interrupt reaching the submitting thread.
 func (r *kioReq) onDelivery(d irq.Delivery) {
 	k := r.k
-	done := r.done
+	to := r.to
 	comp := Completion{
 		Result:      r.res,
 		Delivery:    d,
@@ -335,5 +351,5 @@ func (r *kioReq) onDelivery(d irq.Delivery) {
 		Status:      r.res.Status,
 	}
 	k.putReq(r)
-	done(comp)
+	to.complete(&comp)
 }

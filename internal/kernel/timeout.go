@@ -180,7 +180,6 @@ type attReq struct {
 
 	timeoutFn func()
 	abortFn   func()
-	onCompFn  func(Completion)
 }
 
 func (k *Kernel) getMng(submitCPU, ssd int, cmd nvme.Command, done func(Completion)) *mngReq {
@@ -217,7 +216,6 @@ func (k *Kernel) getAtt(m *mngReq) *attReq {
 		a = &attReq{k: k}       //afalint:allow hotalloc -- freelist miss only; amortized across carrier reuses
 		a.timeoutFn = a.timeout //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 		a.abortFn = a.abort     //afalint:allow hotalloc -- stage callback bound once per pooled carrier
-		a.onCompFn = a.onComp   //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 		a.timer = k.eng.NewTimer()
 	}
 	a.m = m
@@ -242,7 +240,7 @@ func (m *mngReq) issue() {
 	k := m.k
 	a := k.getAtt(m)
 	a.timer.Arm(k.attemptTimeout(), a.timeoutFn)
-	k.submitOnce(m.submitCPU, m.ssd, m.cmd, a.onCompFn)
+	k.submitOnce(m.submitCPU, m.ssd, m.cmd, sink{att: a})
 }
 
 // attemptTimeout is the effective per-attempt deadline: the policy's
@@ -338,17 +336,20 @@ func (a *attReq) abort() {
 		// straggler only touches per-attempt state.
 		a.m = nil
 	}
-	m.retryOrFail(Completion{
+	comp := Completion{
 		Result: nvme.Result{
 			Cmd: m.cmd, SubmittedAt: m.first, Status: nvme.StatusAborted,
 		},
 		Status:   nvme.StatusAborted,
 		TimedOut: true,
-	})
+	}
+	m.retryOrFail(&comp)
 }
 
-// onComp is the attempt's CQE landing on the host.
-func (a *attReq) onComp(comp Completion) {
+// onComp is the attempt's CQE landing on the host. comp is only read or
+// amended in place on its way to the caller's done; it does not outlive
+// the call.
+func (a *attReq) onComp(comp *Completion) {
 	k := a.k
 	if a.settled {
 		// The abort raced a completion that was already in flight.
@@ -383,7 +384,7 @@ func (a *attReq) onComp(comp Completion) {
 }
 
 // deliver surfaces the final outcome and retires the command carrier.
-func (m *mngReq) deliver(comp Completion) {
+func (m *mngReq) deliver(comp *Completion) {
 	k := m.k
 	// End-to-end latency spans every attempt: report the first
 	// submission instant, not the final attempt's.
@@ -392,14 +393,14 @@ func (m *mngReq) deliver(comp Completion) {
 	k.noteInflight(-1)
 	done := m.done
 	k.putMng(m)
-	done(comp)
+	done(*comp)
 }
 
 // retryOrFail re-issues the command after backoff, or surfaces failed
 // when attempts are exhausted — or immediately when the drive's retry
 // budget is, so a dying drive sheds its retry storm to the RAID layer's
 // reconstruction path instead of amplifying load.
-func (m *mngReq) retryOrFail(failed Completion) {
+func (m *mngReq) retryOrFail(failed *Completion) {
 	k := m.k
 	if m.attempt >= k.timeout.MaxRetries {
 		k.iostats.Exhausted++

@@ -25,7 +25,7 @@ func (s *Scheduler) startBalancer() {
 // CPUs their long-run fair 2/3 share, as PELT-driven balancing does.
 func (s *Scheduler) rebalance() {
 	for _, dst := range s.cpus {
-		if s.opts.isolated(dst.id) {
+		if dst.isolated {
 			continue
 		}
 		if s.autoIsolate && dst.HostsIOBound() {

@@ -15,6 +15,10 @@ type CPU struct {
 	id int
 	s  *Scheduler
 
+	// Membership in the isolcpus, nohz_full and rcu_nocbs boot sets,
+	// resolved once by New.
+	isolated, noHz, rcuNocb bool
+
 	curr         *Task
 	burstStart   sim.Time
 	burstPlanned sim.Duration
@@ -379,14 +383,17 @@ func (c *CPU) startTick() {
 }
 
 func (c *CPU) tickPeriod() sim.Duration {
-	if c.s.opts.noHz(c.id) && c.NrRunnable() <= 1 {
+	if c.noHz && c.NrRunnable() <= 1 {
 		return c.s.params.NoHzTickPeriod
 	}
 	return c.s.params.TickPeriod
 }
 
+// retuneTick re-derives the tick period after a runqueue change. Only a
+// nohz_full CPU's period depends on its load; every other CPU keeps the
+// period startTick gave it.
 func (c *CPU) retuneTick() {
-	if c.tick != nil {
+	if c.noHz && c.tick != nil {
 		c.tick.SetPeriod(c.tickPeriod())
 	}
 }

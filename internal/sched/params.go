@@ -89,24 +89,6 @@ type BootOptions struct {
 	MaxCState int
 }
 
-// isolated reports whether cpu is in the isolcpus set.
-func (b BootOptions) isolated(cpu int) bool { return contains(b.Isolcpus, cpu) }
-
-// noHz reports whether cpu is in the nohz_full set.
-func (b BootOptions) noHz(cpu int) bool { return contains(b.NoHzFull, cpu) }
-
-// RCUOffloaded reports whether cpu is in the rcu_nocbs set.
-func (b BootOptions) RCUOffloaded(cpu int) bool { return contains(b.RCUNocbs, cpu) }
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // CState describes one idle state of the CPU.
 type CState struct {
 	Name string

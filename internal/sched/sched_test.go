@@ -263,6 +263,60 @@ func TestIsolcpusExcludesUnpinnedTasks(t *testing.T) {
 	}
 }
 
+// TestBootOptionsRejectOutOfRange: a boot CPU id outside the machine, or
+// a negative C-state cap, is a configuration bug; New names it instead of
+// silently ignoring it.
+func TestBootOptionsRejectOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		boot BootOptions
+		want string // "" = accepted
+	}{
+		{"first and last CPU", BootOptions{Isolcpus: []int{0, 39}, NoHzFull: []int{39}, RCUNocbs: []int{0}, MaxCState: 1}, ""},
+		{"nohz_full past the last CPU", BootOptions{NoHzFull: []int{99}}, "sched: nohz_full CPU 99 out of range [0,40)"},
+		{"isolcpus one past the end", BootOptions{Isolcpus: []int{1, 40}}, "sched: isolcpus CPU 40 out of range [0,40)"},
+		{"negative rcu_nocbs", BootOptions{RCUNocbs: []int{-1}}, "sched: rcu_nocbs CPU -1 out of range [0,40)"},
+		{"negative max_cstate", BootOptions{MaxCState: -1}, "sched: processor.max_cstate=-1 is negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got, _ := recover().(string); got != tc.want {
+					t.Fatalf("panic %q, want %q", got, tc.want)
+				}
+			}()
+			New(sim.NewEngine(), Config{NumCPUs: 40, Boot: tc.boot, Seed: 1})
+		})
+	}
+}
+
+// TestBootListsAreCopies: New resolves the boot lists once, so neither
+// the caller's slices nor the ones Boot returns may change what Boot
+// reports or where tasks run.
+func TestBootListsAreCopies(t *testing.T) {
+	iso := []int{1}
+	eng, s := newSched(t, 2, BootOptions{Isolcpus: iso, NoHzFull: []int{1}, RCUNocbs: []int{1}})
+	iso[0] = 0
+	b := s.Boot()
+	b.Isolcpus[0], b.NoHzFull[0], b.RCUNocbs[0] = 0, 0, 0
+	if b := s.Boot(); b.Isolcpus[0] != 1 || b.NoHzFull[0] != 1 || b.RCUNocbs[0] != 1 {
+		t.Fatalf("Boot() = %+v after its lists were mutated, want CPU 1 in each set", b)
+	}
+	if !s.RCUOffloaded(1) || s.RCUOffloaded(0) {
+		t.Fatal("rcu_nocbs membership changed with the mutated lists")
+	}
+	if got := s.CPU(1).tick.Period(); got != s.params.NoHzTickPeriod {
+		t.Fatalf("nohz_full CPU 1 tick = %v, want %v", got, s.params.NoHzTickPeriod)
+	}
+	for i := 0; i < 4; i++ {
+		newHog(s, "hog", nil).wake()
+	}
+	eng.RunUntil(sim.Time(50 * sim.Millisecond))
+	if s.CPU(1).BusyTime() != 0 || s.CPU(0).BusyTime() == 0 {
+		t.Fatalf("unpinned hogs ran %v on isolated CPU 1, %v on CPU 0",
+			s.CPU(1).BusyTime(), s.CPU(0).BusyTime())
+	}
+}
+
 func TestPinnedTaskRunsOnIsolatedCPU(t *testing.T) {
 	eng, s := newSched(t, 2, BootOptions{Isolcpus: []int{1}})
 	io := newIOThread(s, eng, "fio", ClassCFS, 0, []int{1})

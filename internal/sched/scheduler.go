@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -55,10 +56,19 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	if cfg.Params == (Params{}) {
 		cfg.Params = DefaultParams()
 	}
+	if cfg.Boot.MaxCState < 0 {
+		panic(fmt.Sprintf("sched: processor.max_cstate=%d is negative", cfg.Boot.MaxCState))
+	}
+	// The boot CPU lists are fixed for the scheduler's lifetime: resolve
+	// them once into per-CPU flags, so the per-dispatch tick retune and
+	// placement never scan them.
+	isolated := bootSet("isolcpus", cfg.Boot.Isolcpus, cfg.NumCPUs)
+	noHz := bootSet("nohz_full", cfg.Boot.NoHzFull, cfg.NumCPUs)
+	rcuNocb := bootSet("rcu_nocbs", cfg.Boot.RCUNocbs, cfg.NumCPUs)
 	s := &Scheduler{
 		eng:         eng,
 		params:      cfg.Params,
-		opts:        cfg.Boot,
+		opts:        cloneBoot(cfg.Boot),
 		rnd:         rng.NewLabeled(cfg.Seed, "sched"),
 		autoIsolate: cfg.AutoIsolateIOBound,
 	}
@@ -75,7 +85,8 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	}
 	s.cstates = XeonCStates()
 	for i := 0; i < cfg.NumCPUs; i++ {
-		c := &CPU{id: i, s: s, cstate: -1}
+		c := &CPU{id: i, s: s, cstate: -1,
+			isolated: isolated[i], noHz: noHz[i], rcuNocb: rcuNocb[i]}
 		c.burstTimer = eng.NewTimer()
 		c.deepenTimer = eng.NewTimer()
 		c.burstDoneFn = c.burstDone
@@ -89,13 +100,38 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	return s
 }
 
+// bootSet turns one boot option's CPU list into per-CPU membership,
+// rejecting ids outside [0, n).
+func bootSet(option string, ids []int, n int) []bool {
+	in := make([]bool, n)
+	for _, id := range ids {
+		if id < 0 || id >= n {
+			panic(fmt.Sprintf("sched: %s CPU %d out of range [0,%d)", option, id, n))
+		}
+		in[id] = true
+	}
+	return in
+}
+
+// cloneBoot copies b with private CPU lists, so no caller can change the
+// lists Boot reports after New resolved them.
+func cloneBoot(b BootOptions) BootOptions {
+	b.Isolcpus = slices.Clone(b.Isolcpus)
+	b.NoHzFull = slices.Clone(b.NoHzFull)
+	b.RCUNocbs = slices.Clone(b.RCUNocbs)
+	return b
+}
+
 func (s *Scheduler) siblingOf(cpu int) int { return s.siblings[cpu] }
 
 // Params reports the tunables in use.
 func (s *Scheduler) Params() Params { return s.params }
 
-// Boot reports the boot options in use.
-func (s *Scheduler) Boot() BootOptions { return s.opts }
+// Boot reports the boot options in use. The CPU lists are copies.
+func (s *Scheduler) Boot() BootOptions { return cloneBoot(s.opts) }
+
+// RCUOffloaded reports whether cpu is in the rcu_nocbs set.
+func (s *Scheduler) RCUOffloaded(cpu int) bool { return s.cpus[cpu].rcuNocb }
 
 // NumCPUs reports the CPU count.
 func (s *Scheduler) NumCPUs() int { return len(s.cpus) }
@@ -197,15 +233,17 @@ func (s *Scheduler) selectRQ(t *Task) *CPU {
 	avoid := func(c *CPU) bool {
 		return s.autoIsolate && c.HostsIOBound()
 	}
-	if t.cpu >= 0 && !s.opts.isolated(t.cpu) && s.cpus[t.cpu].Idle() && !avoid(s.cpus[t.cpu]) {
-		return s.cpus[t.cpu]
+	if t.cpu >= 0 {
+		if c := s.cpus[t.cpu]; !c.isolated && c.Idle() && !avoid(c) {
+			return c
+		}
 	}
 	n := len(s.cpus)
 	start := s.rnd.Intn(n)
 	var least, leastAvoided *CPU
 	for i := 0; i < n; i++ {
 		c := s.cpus[(start+i)%n]
-		if s.opts.isolated(c.id) {
+		if c.isolated {
 			continue
 		}
 		if avoid(c) {

@@ -8,32 +8,62 @@
 # faults, recovery, writes, hedging, load, iopath) — each at
 # -ssds 16 -runtime 200ms, strips the "[... wall, parallel=N]"
 # wall-clock banners, and prints one "sha256  name" line per report.
-# Run it on two checkouts and diff the output:
 #
-#   scripts/report-digests.sh > after.txt
-#   (cd ../parent && scripts/report-digests.sh) > before.txt
-#   diff before.txt after.txt
+#   scripts/report-digests.sh                  # digests of this checkout
+#   scripts/report-digests.sh -against HEAD~1  # diff against a revision
 #
-# Extra arguments pass through to every afareport run (e.g. -seed 7, or
-# -parallel 1 vs -parallel 4 for the serial-vs-parallel cross-check
+# -against REV (first argument only) also builds REV's afareport from a
+# `git archive` export in the temporary directory, runs this script's
+# report list against both binaries, prints the diff of the two digest
+# lists and exits non-zero if it is not empty. The working tree is
+# built as it is, uncommitted edits included.
+#
+# Further arguments pass through to every afareport run (e.g. -seed 7,
+# or -parallel 1 vs -parallel 4 for the serial-vs-parallel cross-check
 # scripts/check.sh runs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+against=
+if [ "${1:-}" = -against ]; then
+	against=${2:?"-against needs a revision"}
+	shift 2
+fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/afareport" ./cmd/afareport
 
-digest() {
-	local name=$1
+# digests BINARY ARGS... prints the digest list of one afareport build.
+digests() {
+	local bin=$1
 	shift
-	"$tmp/afareport" -ssds 16 -runtime 200ms "$@" |
-		grep -v '^\[.* wall, parallel=[0-9]*\]$' |
-		sha256sum | sed "s/ .*/  $name/"
+	digest() {
+		local name=$1
+		shift
+		"$bin" -ssds 16 -runtime 200ms "$@" |
+			grep -v '^\[.* wall, parallel=[0-9]*\]$' |
+			sha256sum | sed "s/ .*/  $name/"
+	}
+	digest figs -fig 6,7,8,9,11,12 -headline "$@"
+	digest figs-10-13-table2 -fig 10,13 -table 2 "$@"
+	for a in fw used future coalesce tail pts faults recovery writes hedging load iopath; do
+		digest "ablate-$a" -ablate "$a" "$@"
+	done
 }
 
-digest figs -fig 6,7,8,9,11,12 -headline "${@}"
-digest figs-10-13-table2 -fig 10,13 -table 2 "${@}"
-for a in fw used future coalesce tail pts faults recovery writes hedging load iopath; do
-	digest "ablate-$a" -ablate "$a" "${@}"
-done
+if [ -z "$against" ]; then
+	digests "$tmp/afareport" "$@"
+	exit
+fi
+
+mkdir "$tmp/rev"
+git archive "$against" | tar -x -C "$tmp/rev"
+(cd "$tmp/rev" && go build -o "$tmp/afareport-rev" ./cmd/afareport)
+digests "$tmp/afareport-rev" "$@" >"$tmp/before"
+digests "$tmp/afareport" "$@" >"$tmp/after"
+if diff "$tmp/before" "$tmp/after"; then
+	echo "report-digests: $(wc -l <"$tmp/after") reports identical to $against" >&2
+else
+	exit 1
+fi
