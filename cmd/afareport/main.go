@@ -90,7 +90,7 @@ func main() {
 			figs = append(figs, n)
 		}
 	}
-	selected, err := resolve(o, *seeds, *all, figs, *ablate)
+	selected, err := resolve(o, *seeds, *all, figs, *table, *format, *ablate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -138,10 +138,11 @@ func main() {
 }
 
 // resolve rejects option values the simulator would otherwise panic on
-// deep inside a run or turn into an empty report, and maps -all /
-// -ablate to registry entries: every entry for -all, the named one for
-// -ablate, none otherwise. figs are the -fig numbers.
-func resolve(o core.ExpOptions, seeds int, all bool, figs []int, name string) ([]ablation, error) {
+// deep inside a run, turn into an empty report, or only reject after
+// earlier reports ran, and maps -all / -ablate to registry entries:
+// every entry for -all, the named one for -ablate, none otherwise. figs
+// are the -fig numbers, table the -table number (0 for none).
+func resolve(o core.ExpOptions, seeds int, all bool, figs []int, table int, format, name string) ([]ablation, error) {
 	switch {
 	case seeds < 1:
 		return nil, fmt.Errorf("-seeds must be >= 1, got %d", seeds)
@@ -151,6 +152,15 @@ func resolve(o core.ExpOptions, seeds int, all bool, figs []int, name string) ([
 		return nil, fmt.Errorf("-runtime must be > 0, got %v", time.Duration(o.Runtime))
 	case o.SoloRuns < 0:
 		return nil, fmt.Errorf("-solo-runs must be >= 0, got %d", o.SoloRuns)
+	case format != "text" && format != "json" && format != "csv":
+		return nil, fmt.Errorf("unknown -format %q (have text, json, csv)", format)
+	case table != 0 && (table < 1 || table > 2):
+		return nil, fmt.Errorf("unknown table %d (have 1 and 2)", table)
+	}
+	for _, n := range figs {
+		if n < 6 || n > 14 {
+			return nil, fmt.Errorf("unknown figure %d (have 6-14)", n)
+		}
 	}
 	// Fig 10 logs the first half of the fleet: one SSD logs none.
 	if o.NumSSDs < 2 && (all || slices.Contains(figs, 10)) {
@@ -287,8 +297,7 @@ func runFigure(n int, o core.ExpOptions) {
 		}
 		core.WriteComparisonTable(os.Stdout, ds)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %d (have 6-14)\n", n)
-		os.Exit(2)
+		panic(fmt.Sprintf("afareport: figure %d passed resolve", n))
 	}
 	wallBanner(t0)
 }
@@ -307,8 +316,7 @@ func runTable(n int) {
 		banner("Table II: varying number of SSDs / CPU core")
 		core.WriteTableII(os.Stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown table %d (have 1 and 2)\n", n)
-		os.Exit(2)
+		panic(fmt.Sprintf("afareport: table %d passed resolve", n))
 	}
 }
 

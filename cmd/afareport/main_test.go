@@ -10,7 +10,8 @@ import (
 )
 
 // TestResolveRejectsBadOptions pins the flag values that used to panic
-// inside a run: each is now a one-line error before anything starts.
+// inside a run, or were rejected only after earlier reports ran: each is
+// now a one-line error before anything starts.
 func TestResolveRejectsBadOptions(t *testing.T) {
 	const rt = 20 * sim.Millisecond
 	cases := []struct {
@@ -21,6 +22,8 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 		solo    int
 		all     bool
 		figs    []int
+		table   int
+		format  string // "" = text
 		ablate  string
 		wantErr string // "" = accepted
 		wantN   int    // entries selected when accepted
@@ -48,11 +51,32 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 		{name: "tail on a small fleet", ssds: 9, runtime: rt, seeds: 1, ablate: "tail", wantN: 1},
 		{name: "all", ssds: 16, runtime: rt, seeds: 3, all: true, wantN: len(ablations)},
 		{name: "no ablation", ssds: 16, runtime: rt, seeds: 1},
+		{name: "xml format", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, format: "xml",
+			wantErr: `unknown -format "xml" (have text, json, csv)`},
+		{name: "misspelt json", ssds: 16, runtime: rt, seeds: 1, format: "jsno",
+			wantErr: `unknown -format "jsno"`},
+		{name: "csv format", ssds: 16, runtime: rt, seeds: 1, figs: []int{10}, format: "csv"},
+		{name: "unknown figure after a valid one", ssds: 16, runtime: rt, seeds: 1, figs: []int{6, 99},
+			wantErr: "unknown figure 99 (have 6-14)"},
+		{name: "figure below range", ssds: 16, runtime: rt, seeds: 1, figs: []int{5},
+			wantErr: "unknown figure 5 (have 6-14)"},
+		{name: "figure 14", ssds: 16, runtime: rt, seeds: 1, figs: []int{14}},
+		{name: "table 3", ssds: 16, runtime: rt, seeds: 1, table: 3,
+			wantErr: "unknown table 3 (have 1 and 2)"},
+		{name: "table 3 after a valid figure", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, table: 3,
+			wantErr: "unknown table 3 (have 1 and 2)"},
+		{name: "negative table", ssds: 16, runtime: rt, seeds: 1, table: -1,
+			wantErr: "unknown table -1 (have 1 and 2)"},
+		{name: "table 2", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, table: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := core.ExpOptions{Runtime: tc.runtime, NumSSDs: tc.ssds, SoloRuns: tc.solo}
-			got, err := resolve(o, tc.seeds, tc.all, tc.figs, tc.ablate)
+			format := tc.format
+			if format == "" {
+				format = "text"
+			}
+			got, err := resolve(o, tc.seeds, tc.all, tc.figs, tc.table, format, tc.ablate)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)

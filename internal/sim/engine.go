@@ -66,8 +66,8 @@ type Event struct {
 	// fn is the timer's callback, nil while it is disarmed.
 	tm *Timer //afalint:sticky -- set once by NewTimer; pooled events never carry one
 	// index is the heap index, inLane in the min lane, -1 when not
-	// queued. An int32 beside the two flags keeps Event at 40 bytes, so
-	// a Timer fits a 64-byte allocation.
+	// queued. An int32 beside the three flags keeps Event at 40 bytes,
+	// so a Timer fits a 64-byte allocation; one padding byte is left.
 	index    int32
 	canceled bool
 	// pooled marks events created by Schedule/ScheduleAt: their pointers
@@ -75,6 +75,9 @@ type Event struct {
 	// engine's freelist. At/After events are pinned — callers may retain
 	// them for Cancel/Reschedule — and are never recycled.
 	pooled bool
+	// far records which heap holds the entry: the far heap when it was
+	// filed farSpan or more ahead of the clock, else the near heap.
+	far bool
 }
 
 // inLane is Event.index for the event held in the engine's min lane.
@@ -89,18 +92,24 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
 // a simulation is a single-threaded, deterministic computation.
 //
-// Pending events live in a binary min-heap ordered by (when, seq), plus a
-// one-slot min lane: a Schedule/ScheduleAt event that sorts before the
-// heap head when it is pushed waits there instead, so the common
-// "hand off to the next layer now" event costs no heap work. Timers are
-// lazy (see Timer). Every queued key is at most its event's real (when,
-// seq) — exact for plain events, a lower bound for a timer entry — so
-// settling the heap head until its key is exact, then taking the smaller
-// of it and the lane, yields events in exactly (when, seq) order.
+// Pending events live in two binary min-heaps ordered by (when, seq) —
+// a near heap for entries filed less than farSpan ahead of the clock
+// and a far heap for the rest — plus a one-slot min lane: a
+// Schedule/ScheduleAt event that sorts before both heap heads when it is
+// pushed waits there instead, so the common "hand off to the next layer
+// now" event costs no heap work. An entry is classified once, when it is
+// filed, and never moves between heaps, so parked timeouts and ticks do
+// not deepen the heap every per-I/O event sifts through. Timers are lazy
+// (see Timer). Every queued key is at most its event's real (when, seq)
+// — exact for plain events, a lower bound for a timer entry — so
+// settling the smaller heap head until its key is exact, then taking the
+// smaller of it and the lane, yields events in exactly (when, seq)
+// order whichever heap each entry was filed in.
 type Engine struct {
 	now     Time
-	queue   []*Event // binary min-heap ordered by (when, seq)
-	lane    *Event   // the min lane: one pooled event outside the heap, or nil
+	near    []*Event // binary min-heap of entries filed < farSpan ahead
+	far     []*Event // binary min-heap of entries filed >= farSpan ahead
+	lane    *Event   // the min lane: one pooled event outside the heaps, or nil
 	seq     uint64
 	stepped uint64
 	stopped bool
@@ -110,14 +119,24 @@ type Engine struct {
 	free []*Event
 }
 
-// initialQueueCap sizes the heap and freelist so steady-state runs never
-// grow them: a 64-SSD headline config keeps well under a thousand events
-// in flight.
+// initialQueueCap sizes each heap so steady-state runs never grow them:
+// a 64-SSD headline config keeps well under a thousand events in flight.
 const initialQueueCap = 1024
+
+// farSpan splits the near heap from the far heap. Every per-I/O pipeline
+// stage is shorter than 100 µs — ULL and PCIe stages are under 10 µs,
+// flash reads 50–80 µs — while scheduler ticks, attempt timeouts and
+// daemons are 1 ms or longer, so the near heap holds the pipeline and
+// the far heap the housekeeping parked behind it. The split only moves
+// cost: fire order is (when, seq) for any value.
+const farSpan = 100 * Microsecond
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{queue: make([]*Event, 0, initialQueueCap)}
+	return &Engine{
+		near: make([]*Event, 0, initialQueueCap),
+		far:  make([]*Event, 0, initialQueueCap),
+	}
 }
 
 // Now reports the current simulated time.
@@ -131,10 +150,11 @@ func (e *Engine) Steps() uint64 { return e.stepped }
 // re-armed or canceled timers, which are settled only when they reach
 // the head.
 func (e *Engine) Pending() int {
+	n := len(e.near) + len(e.far)
 	if e.lane != nil {
-		return len(e.queue) + 1
+		n++
 	}
-	return len(e.queue)
+	return n
 }
 
 // push enqueues an event, either recycled from the freelist (pooled) or
@@ -156,12 +176,14 @@ func (e *Engine) push(t Time, fn func(), pooled bool) *Event {
 	ev.fn = fn
 	ev.canceled = false
 	ev.pooled = pooled
+	ev.far = t.Sub(e.now) >= farSpan // the heap it is filed in, unless it takes the lane
 	e.seq++
-	// A pooled event that sorts before both the lane and the heap head
+	// A pooled event that sorts before the lane and both heap heads
 	// takes the lane. Its seq is the newest, so it sorts before the lane
 	// event only at a strictly earlier instant.
 	if l := e.lane; pooled && (l == nil || t < l.when) &&
-		(len(e.queue) == 0 || lessEv(ev, e.queue[0])) {
+		(len(e.near) == 0 || lessEv(ev, e.near[0])) &&
+		(len(e.far) == 0 || lessEv(ev, e.far[0])) {
 		if l != nil {
 			e.heapPush(l)
 		}
@@ -169,19 +191,37 @@ func (e *Engine) push(t Time, fn func(), pooled bool) *Event {
 		e.lane = ev
 	} else {
 		// heapPush inlined, so afalint -state sees push reinitialize
-		// index on every recycled event.
-		ev.index = int32(len(e.queue))
-		e.queue = append(e.queue, ev)
-		e.siftUp(int(ev.index))
+		// index and far on every recycled event.
+		q := &e.near
+		if ev.far {
+			q = &e.far
+		}
+		ev.index = int32(len(*q))
+		*q = append(*q, ev)
+		siftUp(*q, int(ev.index))
 	}
 	return ev
 }
 
-// heapPush adds ev to the heap.
+// heapPush files ev in the near or far heap by how far ahead of the
+// clock it is due.
 func (e *Engine) heapPush(ev *Event) {
-	ev.index = int32(len(e.queue))
-	e.queue = append(e.queue, ev)
-	e.siftUp(int(ev.index))
+	q := &e.near
+	ev.far = ev.when.Sub(e.now) >= farSpan
+	if ev.far {
+		q = &e.far
+	}
+	ev.index = int32(len(*q))
+	*q = append(*q, ev)
+	siftUp(*q, int(ev.index))
+}
+
+// heapOf returns the heap holding ev.
+func (e *Engine) heapOf(ev *Event) *[]*Event {
+	if ev.far {
+		return &e.far
+	}
+	return &e.near
 }
 
 // At schedules fn to run at the absolute instant t. Scheduling in the past
@@ -230,7 +270,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev.index == inLane {
 		e.lane = nil
 	} else {
-		e.removeAt(int(ev.index))
+		removeAt(e.heapOf(ev), int(ev.index))
 	}
 	ev.index = -1
 	// Pooled pointers are never handed to callers, so a canceled pooled
@@ -258,12 +298,14 @@ func (e *Engine) Reschedule(ev *Event, t Time) *Event {
 }
 
 // next settles the queue and returns the event that fires next without
-// removing it, or nil when nothing is pending. Settling discards canceled
-// events and disarmed timer entries and re-keys a stale timer entry to
-// its timer's real deadline, until the heap head's key is exact; the
-// smaller of it and the lane is then the true (when, seq) minimum. The
-// lane is returned without settling when it sorts before the heap head's
-// key, because every key is a lower bound on its event's real one.
+// removing it, or nil when nothing is pending. The candidate is the
+// smaller-keyed of the two heap heads. Settling discards canceled events
+// and disarmed timer entries and re-keys a stale timer entry to its
+// timer's real deadline, inside its own heap, until the candidate's key
+// is exact; since every key in either heap is at least its head's key
+// and at most its event's real one, the smaller of the candidate and
+// the lane is then the true (when, seq) minimum. The lane is returned
+// without settling when it sorts before the candidate's key.
 func (e *Engine) next() *Event {
 	for {
 		l := e.lane
@@ -274,27 +316,33 @@ func (e *Engine) next() *Event {
 			e.recycle(l)
 			continue
 		}
-		if len(e.queue) == 0 {
+		var h *Event
+		if len(e.near) > 0 {
+			h = e.near[0]
+		}
+		if len(e.far) > 0 && (h == nil || lessEv(e.far[0], h)) {
+			h = e.far[0]
+		}
+		if h == nil {
 			return l
 		}
-		h := e.queue[0]
 		if l != nil && lessEv(l, h) {
 			return l
 		}
 		if tm := h.tm; tm != nil {
 			switch {
 			case h.fn == nil:
-				e.popMin()
+				popMin(e.heapOf(h))
 			case h.seq != tm.seq:
 				h.when, h.seq = tm.at, tm.seq
-				e.siftDown(0)
+				siftDown(*e.heapOf(h), 0)
 			default:
 				return h
 			}
 			continue
 		}
 		if h.canceled {
-			e.popMin()
+			popMin(e.heapOf(h))
 			e.recycle(h)
 			continue
 		}
@@ -308,7 +356,7 @@ func (e *Engine) fire(ev *Event) {
 		e.lane = nil
 		ev.index = -1
 	} else {
-		e.popMin()
+		popMin(e.heapOf(ev))
 	}
 	if ev.when < e.now {
 		panic("sim: event queue corrupted (time went backwards)")
@@ -372,8 +420,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // heap entry's key only bounds it from below. Re-arming to a later
 // instant just records the new deadline, re-arming earlier re-keys the
 // entry in place, and Cancel only disarms: the stale entry is re-keyed
-// or dropped when it reaches the heap head, so it still counts in
-// Engine.Pending until then. Each arm draws a fresh seq exactly as a
+// or dropped when it reaches its heap's head, so it still counts in
+// Engine.Pending until then. The entry stays in the heap it was filed
+// in across re-arms; only a fresh arm after it left the queue
+// classifies it again. Each arm draws a fresh seq exactly as a
 // fresh event would, so fire order is that of a cancel-and-reschedule.
 // The zero value is not usable; create through Engine.NewTimer.
 type Timer struct {
@@ -423,7 +473,7 @@ func (t *Timer) ArmAt(at Time, fn func()) {
 		// instant; a later or same-instant re-arm leaves the entry as a
 		// lower bound for next to settle.
 		ev.when, ev.seq = at, t.seq
-		e.siftUp(int(ev.index))
+		siftUp(*e.heapOf(ev), int(ev.index))
 	}
 }
 
@@ -433,7 +483,7 @@ func (t *Timer) Cancel() {
 	t.ev.fn = nil
 }
 
-// The queue is a hand-rolled binary min-heap rather than container/heap:
+// Each heap is a hand-rolled binary min-heap rather than container/heap:
 // the stdlib version pays an interface-dispatch call per compare and swap,
 // which profiles as ~30% of a full run. Pop order is a pure function of
 // the (when, seq) total order — seq is unique — so the heap's internal
@@ -450,8 +500,7 @@ func lessEv(a, b *Event) bool {
 // pairwise: one pointer write per level instead of three, which matters
 // because every write to the []*Event spine pays a GC write barrier.
 
-func (e *Engine) siftUp(i int) {
-	q := e.queue
+func siftUp(q []*Event, i int) {
 	ev := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -468,8 +517,7 @@ func (e *Engine) siftUp(i int) {
 }
 
 // siftDown restores heap order below i; it reports whether i moved.
-func (e *Engine) siftDown(i int) bool {
-	q := e.queue
+func siftDown(q []*Event, i int) bool {
 	n := len(q)
 	ev := q[i]
 	start := i
@@ -496,38 +544,36 @@ func (e *Engine) siftDown(i int) bool {
 	return i > start
 }
 
-// popMin removes and returns the earliest event.
-func (e *Engine) popMin() *Event {
-	q := e.queue
+// popMin removes the earliest event of the heap *hp.
+func popMin(hp *[]*Event) {
+	q := *hp
 	n := len(q) - 1
 	ev := q[0]
 	q[0] = q[n]
 	q[0].index = 0
 	q[n] = nil
-	e.queue = q[:n]
+	*hp = q[:n]
 	if n > 0 {
-		e.siftDown(0)
+		siftDown(q[:n], 0)
 	}
 	ev.index = -1
-	return ev
 }
 
-// removeAt removes the event at heap index i (Engine.Cancel's fast path,
-// so a canceled event costs O(log n) now instead of a dead tombstone
-// later).
-func (e *Engine) removeAt(i int) {
-	n := len(e.queue) - 1
+// removeAt removes the event at index i of the heap *hp (Engine.Cancel's
+// fast path, so a canceled event costs O(log n) now instead of a dead
+// tombstone later).
+func removeAt(hp *[]*Event, i int) {
+	q := *hp
+	n := len(q) - 1
+	moved := q[n]
+	q[n] = nil
+	q = q[:n]
+	*hp = q
 	if i != n {
-		moved := e.queue[n]
-		e.queue[n] = nil
-		e.queue = e.queue[:n]
-		e.queue[i] = moved
+		q[i] = moved
 		moved.index = int32(i)
-		if !e.siftDown(i) {
-			e.siftUp(i)
+		if !siftDown(q, i) {
+			siftUp(q, i)
 		}
-		return
 	}
-	e.queue[n] = nil
-	e.queue = e.queue[:n]
 }

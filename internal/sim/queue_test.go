@@ -14,7 +14,9 @@ import (
 // push, arm or reschedule). Each firing callback checks that it is the
 // model's minimum, then performs more random operations from inside the
 // run, so zero-delay hand-offs, same-instant re-arms and lane demotions
-// all happen mid-step as they do in the simulator.
+// all happen mid-step as they do in the simulator. About a third of the
+// delays straddle farSpan, so near and far heap entries interleave in
+// time and timers re-arm across the split.
 
 type refEvent struct {
 	when  Time
@@ -45,6 +47,8 @@ type queueHarness struct {
 	// Run/RunUntil; budget, when positive, stops Run after that many fires.
 	stopReq bool
 	budget  int
+	// mixed counts checks that found both heaps non-empty.
+	mixed int
 }
 
 func newQueueHarness(t *testing.T, seed uint64, timers int) *queueHarness {
@@ -129,31 +133,44 @@ func (h *queueHarness) callback(id int) func() {
 	}
 }
 
-// delay draws from a small range so same-instant ties are common.
+// delay draws from a small range so same-instant ties are common, or
+// from within 20 ns of farSpan so entries land in both heaps.
 func (h *queueHarness) delay() Duration {
-	if h.r.Bool(0.3) {
+	switch {
+	case h.r.Bool(0.3):
+		return farSpan + Duration(h.r.Intn(41)-20)
+	case h.r.Bool(0.3):
 		return 0
 	}
 	return Duration(h.r.Intn(40))
 }
 
 // rearmTarget picks an instant earlier than, equal to, or later than the
-// timer's current deadline (or a fresh one when disarmed).
+// timer's current deadline (or a fresh one when disarmed), by a few
+// nanoseconds or by farSpan, so entries filed in one heap re-arm to
+// deadlines the other heap would have taken.
 func (h *queueHarness) rearmTarget(i int) Time {
 	ref := h.tref[i]
 	if ref == nil {
 		return h.now.Add(h.delay())
 	}
-	switch h.r.Intn(3) {
+	var d Duration
+	switch h.r.Intn(5) {
 	case 0:
-		if at := ref.when.Add(-Duration(1 + h.r.Intn(20))); at >= h.now {
-			return at
-		}
-		return h.now
+		d = -Duration(1 + h.r.Intn(20))
 	case 1:
 		return ref.when
+	case 2:
+		d = Duration(1 + h.r.Intn(60))
+	case 3:
+		d = -farSpan
+	case 4:
+		d = farSpan
 	}
-	return ref.when.Add(Duration(1 + h.r.Intn(60)))
+	if at := ref.when.Add(d); at >= h.now {
+		return at
+	}
+	return h.now
 }
 
 func (h *queueHarness) armTimer(i int, at Time, viaArm bool) {
@@ -252,6 +269,41 @@ func (h *queueHarness) check(what string) {
 		h.t.Fatalf("after %s: Pending() = %d below %d live events", what, h.e.Pending(), len(h.live))
 	}
 	h.checkArmed()
+	h.checkHeaps(what)
+}
+
+// checkHeaps verifies the engine's queue layout: both heaps are
+// heap-ordered by (when, seq), every entry's index is its slot and its
+// far flag names the heap holding it, the lane event is in neither
+// heap, and an armed timer's entry keys at most its real deadline.
+func (h *queueHarness) checkHeaps(what string) {
+	e := h.e
+	for _, heap := range []struct {
+		q   []*Event
+		far bool
+	}{{e.near, false}, {e.far, true}} {
+		for i, ev := range heap.q {
+			switch {
+			case ev == e.lane:
+				h.t.Fatalf("after %s: the lane event sits in a heap (far=%v) at %d", what, heap.far, i)
+			case int(ev.index) != i:
+				h.t.Fatalf("after %s: entry at slot %d (far=%v) has index %d", what, i, heap.far, ev.index)
+			case ev.far != heap.far:
+				h.t.Fatalf("after %s: entry at slot %d has far=%v in the far=%v heap", what, i, ev.far, heap.far)
+			case i > 0 && lessEv(ev, heap.q[(i-1)/2]):
+				h.t.Fatalf("after %s: entry at slot %d (far=%v) sorts before its parent", what, i, heap.far)
+			}
+			if tm := ev.tm; tm != nil && ev.fn != nil && (tm.at < ev.when || tm.at == ev.when && tm.seq < ev.seq) {
+				h.t.Fatalf("after %s: timer entry key (%v, %d) above its deadline (%v, %d)", what, ev.when, ev.seq, tm.at, tm.seq)
+			}
+		}
+	}
+	if l := e.lane; l != nil && l.index != inLane {
+		h.t.Fatalf("after %s: lane event has index %d", what, l.index)
+	}
+	if len(e.near) > 0 && len(e.far) > 0 {
+		h.mixed++
+	}
 }
 
 // drive runs n random top-level actions.
@@ -321,7 +373,21 @@ func TestQueueMatchesReferenceOrder(t *testing.T) {
 		if h.fired == 0 {
 			t.Fatalf("seed %d fired nothing", seed)
 		}
+		if h.mixed == 0 {
+			t.Fatalf("seed %d never had both heaps in use", seed)
+		}
 	}
+}
+
+// FuzzQueueOrder runs the differential queue test from fuzzed seeds and
+// timer counts. The committed corpus under testdata/fuzz makes plain
+// `go test` replay it; the nightly workflow fuzzes it for new inputs.
+func FuzzQueueOrder(f *testing.F) {
+	f.Add(uint64(2018), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, timers uint8) {
+		h := newQueueHarness(t, seed, 1+int(timers%8))
+		h.drive(500)
+	})
 }
 
 // TestTimerLaterRearmsHoldOneEntry: re-arming a timer to ever later
@@ -357,6 +423,16 @@ func TestTimerLaterRearmsHoldOneEntry(t *testing.T) {
 func TestTimerSize(t *testing.T) {
 	if s := unsafe.Sizeof(Timer{}); s > 64 {
 		t.Fatalf("Timer is %d bytes, want <= 64", s)
+	}
+}
+
+// TestEventSize: Event is the pooled carrier of every Schedule and the
+// entry embedded in every Timer, so its size shows in allocated bytes per
+// I/O. The three flags share the padding after index; one padding byte
+// is left for ROADMAP item 2's per-layer tag.
+func TestEventSize(t *testing.T) {
+	if s := unsafe.Sizeof(Event{}); s != 40 {
+		t.Fatalf("Event is %d bytes, want 40", s)
 	}
 }
 
@@ -401,7 +477,7 @@ func TestMinLaneDemotion(t *testing.T) {
 		t.Fatal("first pooled event did not take the lane")
 	}
 	e.ScheduleAt(20, func() { got = append(got, 20) })
-	if e.lane.when != 20 || len(e.queue) != 1 || e.queue[0].when != 30 {
+	if e.lane.when != 20 || len(e.near) != 1 || e.near[0].when != 30 {
 		t.Fatal("earlier pooled event did not demote the lane")
 	}
 	e.ScheduleAt(20, func() { got = append(got, 21) }) // same instant: heap, behind the lane
