@@ -141,42 +141,29 @@ func BenchmarkFig12Comparison(b *testing.B) {
 // disjoint-SSD runs per Table II.
 func BenchmarkFig13Balance(b *testing.B) {
 	o := benchOpts()
-	var rs []core.Fig13Result
+	var ds []core.Distribution
 	for i := 0; i < b.N; i++ {
-		rs = core.RunFig13(o)
+		ds = core.RunFig13(o)
 	}
 	printTable(b, "fig13", func() {
 		core.WriteTableII(os.Stdout)
-		var ds []core.Distribution
-		for _, r := range rs {
-			ds = append(ds, r.Dist)
-		}
 		core.WriteComparisonTable(os.Stdout, ds)
 	})
-	b.ReportMetric(rs[0].Dist.Summary.Mean[0]/1e3, "4perCore-avg-µs")
-	b.ReportMetric(rs[3].Dist.Summary.Mean[0]/1e3, "solo-avg-µs")
+	b.ReportMetric(ds[0].Summary.Mean[0]/1e3, "4perCore-avg-µs")
+	b.ReportMetric(ds[3].Summary.Mean[0]/1e3, "solo-avg-µs")
 }
 
 // BenchmarkFig14BalanceSummary reproduces Fig 14 (the mean/σ summary of
 // the Fig 13 data): cross-SSD aggregates per Table II setup.
 func BenchmarkFig14BalanceSummary(b *testing.B) {
 	o := benchOpts()
-	var rs []core.Fig13Result
+	var ds []core.Distribution
 	for i := 0; i < b.N; i++ {
-		rs = core.RunFig13(o)
+		ds = core.RunFig13(o)
 	}
-	printTable(b, "fig14", func() {
-		var ds []core.Distribution
-		for _, r := range rs {
-			ds = append(ds, r.Dist)
-		}
-		core.WriteComparisonTable(os.Stdout, ds)
-	})
-	for _, r := range rs {
-		_ = r
-	}
-	b.ReportMetric(rs[0].Dist.Summary.Std[0]/1e3, "4perCore-std-avg-µs")
-	b.ReportMetric(rs[2].Dist.Summary.Std[0]/1e3, "1perCore-std-avg-µs")
+	printTable(b, "fig14", func() { core.WriteComparisonTable(os.Stdout, ds) })
+	b.ReportMetric(ds[0].Summary.Std[0]/1e3, "4perCore-std-avg-µs")
+	b.ReportMetric(ds[2].Summary.Std[0]/1e3, "1perCore-std-avg-µs")
 }
 
 // BenchmarkTableISpec verifies the Table I device model: a standalone read
@@ -289,19 +276,21 @@ func BenchmarkTailAtScale(b *testing.B) {
 	o := benchOpts()
 	o.NumSSDs = 32
 	o.Runtime = 300 * sim.Millisecond
-	var rs []core.TailAtScaleResult
+	widths := []int{1, 8, 32}
+	var perSSD core.FIORun
+	var rs []core.RAIDRun
 	for i := 0; i < b.N; i++ {
-		rs = core.RunTailAtScale(core.ExpFirmware(), []int{1, 8, 32}, o)
+		perSSD, rs = core.RunTailAtScale(core.ExpFirmware(), widths, o)
 	}
 	printTable(b, "tailatscale", func() {
-		for _, r := range rs {
+		for i, r := range rs {
 			fmt.Printf("width %2d: client p99 %.1fµs (×%.2f a single SSD's)\n",
-				r.Width, float64(r.Client.P[0])/1e3, r.Amplification)
+				widths[i], float64(r.Ladder.P[0])/1e3, core.P99Amplification(r.Ladder, perSSD.Pooled))
 		}
 	})
-	b.ReportMetric(float64(rs[0].Client.P[0])/1e3, "w1-p99-µs")
-	b.ReportMetric(float64(rs[2].Client.P[0])/1e3, "w32-p99-µs")
-	b.ReportMetric(rs[2].Amplification, "w32-amplification-x")
+	b.ReportMetric(float64(rs[0].Ladder.P[0])/1e3, "w1-p99-µs")
+	b.ReportMetric(float64(rs[2].Ladder.P[0])/1e3, "w32-p99-µs")
+	b.ReportMetric(core.P99Amplification(rs[2].Ladder, perSSD.Pooled), "w32-amplification-x")
 }
 
 // BenchmarkParallelSpeedup measures the orchestration layer's win on the

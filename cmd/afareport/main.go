@@ -90,7 +90,7 @@ func main() {
 			figs = append(figs, n)
 		}
 	}
-	selected, err := resolve(o, *seeds, *all, figs, *table, *format, *ablate)
+	selected, err := resolve(o, *seeds, *all, figs, *table, *headline, *format, *ablate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -138,11 +138,12 @@ func main() {
 }
 
 // resolve rejects option values the simulator would otherwise panic on
-// deep inside a run, turn into an empty report, or only reject after
-// earlier reports ran, and maps -all / -ablate to registry entries:
-// every entry for -all, the named one for -ablate, none otherwise. figs
-// are the -fig numbers, table the -table number (0 for none).
-func resolve(o core.ExpOptions, seeds int, all bool, figs []int, table int, format, name string) ([]ablation, error) {
+// deep inside a run, turn into an empty report, ignore, or only reject
+// after earlier reports ran, and maps -all / -ablate to registry
+// entries: every entry for -all, the named one for -ablate, none
+// otherwise. figs are the -fig numbers, table the -table number (0 for
+// none).
+func resolve(o core.ExpOptions, seeds int, all bool, figs []int, table int, headline bool, format, name string) ([]ablation, error) {
 	switch {
 	case seeds < 1:
 		return nil, fmt.Errorf("-seeds must be >= 1, got %d", seeds)
@@ -156,6 +157,10 @@ func resolve(o core.ExpOptions, seeds int, all bool, figs []int, table int, form
 		return nil, fmt.Errorf("unknown -format %q (have text, json, csv)", format)
 	case table != 0 && (table < 1 || table > 2):
 		return nil, fmt.Errorf("unknown table %d (have 1 and 2)", table)
+	case format != "text" && (table != 0 || headline || name != "" || all):
+		return nil, fmt.Errorf("-format %s covers figures only, not -table, -headline, -ablate or -all", format)
+	case format == "json" && slices.Contains(figs, 10):
+		return nil, fmt.Errorf("-fig 10 has no json form (have text, csv)")
 	}
 	for _, n := range figs {
 		if n < 6 || n > 14 {
@@ -208,7 +213,13 @@ func emitFigure(run func(core.ExpOptions) core.Distribution, o core.ExpOptions) 
 		return
 	}
 	sweep := core.RunSeedSweep(o, sweepSeeds, run)
-	ds := append(sweep, core.MergeSweep("pooled", sweep))
+	emitDistributions(append(sweep, core.MergeSweep("pooled", sweep)))
+}
+
+// emitDistributions renders a multi-distribution figure in the chosen
+// format: a JSON array, one CSV per distribution, or the side-by-side
+// comparison table.
+func emitDistributions(ds []core.Distribution) {
 	switch outputFormat {
 	case "json":
 		if err := core.WriteDistributionsJSON(os.Stdout, ds); err != nil {
@@ -287,15 +298,10 @@ func runFigure(n int, o core.ExpOptions) {
 		emitFigure(core.RunFig11, o)
 	case 12:
 		banner("Fig 12: comparison of four system configurations")
-		core.WriteComparisonTable(os.Stdout, core.RunFig12(o))
+		emitDistributions(core.RunFig12(o))
 	case 13, 14:
 		banner("Fig 13/14: latency vs number of SSDs per physical CPU core")
-		results := core.RunFig13(o)
-		var ds []core.Distribution
-		for _, r := range results {
-			ds = append(ds, r.Dist)
-		}
-		core.WriteComparisonTable(os.Stdout, ds)
+		emitDistributions(core.RunFig13(o))
 	default:
 		panic(fmt.Sprintf("afareport: figure %d passed resolve", n))
 	}
@@ -419,10 +425,11 @@ func writeTailAtScale(w io.Writer, o core.ExpOptions) {
 	}
 	for _, cfg := range []core.Config{core.Default(), core.ExpFirmware()} {
 		fmt.Fprintf(w, "-- %s --\n", cfg.Name)
-		for _, r := range core.RunTailAtScale(cfg, widths, o) {
+		perSSD, clients := core.RunTailAtScale(cfg, widths, o)
+		for i, c := range clients {
 			fmt.Fprintf(w, "width %2d: avg %8.1fµs  p99 %8.1fµs  max %8.1fµs  (p99 ×%.2f a single SSD)\n",
-				r.Width, r.Client.Avg/1e3, float64(r.Client.P[0])/1e3,
-				float64(r.Client.Max)/1e3, r.Amplification)
+				widths[i], c.Ladder.Avg/1e3, float64(c.Ladder.P[0])/1e3,
+				float64(c.Ladder.Max)/1e3, core.P99Amplification(c.Ladder, perSSD.Pooled))
 		}
 	}
 }

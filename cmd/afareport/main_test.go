@@ -15,18 +15,19 @@ import (
 func TestResolveRejectsBadOptions(t *testing.T) {
 	const rt = 20 * sim.Millisecond
 	cases := []struct {
-		name    string
-		ssds    int
-		runtime sim.Duration
-		seeds   int
-		solo    int
-		all     bool
-		figs    []int
-		table   int
-		format  string // "" = text
-		ablate  string
-		wantErr string // "" = accepted
-		wantN   int    // entries selected when accepted
+		name     string
+		ssds     int
+		runtime  sim.Duration
+		seeds    int
+		solo     int
+		all      bool
+		figs     []int
+		table    int
+		headline bool
+		format   string // "" = text
+		ablate   string
+		wantErr  string // "" = accepted
+		wantN    int    // entries selected when accepted
 	}{
 		{name: "negative ssds", ssds: -2, runtime: rt, seeds: 1, wantErr: "-ssds must be >= 1, got -2"},
 		{name: "zero ssds", ssds: 0, runtime: rt, seeds: 1, wantErr: "-ssds must be >= 1, got 0"},
@@ -68,6 +69,18 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 		{name: "negative table", ssds: 16, runtime: rt, seeds: 1, table: -1,
 			wantErr: "unknown table -1 (have 1 and 2)"},
 		{name: "table 2", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, table: 2},
+		{name: "json figures", ssds: 16, runtime: rt, seeds: 1, figs: []int{6, 12, 13}, format: "json"},
+		{name: "csv figures", ssds: 16, runtime: rt, seeds: 1, figs: []int{10, 12}, format: "csv"},
+		{name: "json with table", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, table: 2, format: "json",
+			wantErr: "-format json covers figures only"},
+		{name: "csv with headline", ssds: 16, runtime: rt, seeds: 1, headline: true, format: "csv",
+			wantErr: "-format csv covers figures only"},
+		{name: "csv with ablation", ssds: 16, runtime: rt, seeds: 1, ablate: "fw", format: "csv",
+			wantErr: "-format csv covers figures only"},
+		{name: "json with all", ssds: 16, runtime: rt, seeds: 1, all: true, format: "json",
+			wantErr: "-format json covers figures only"},
+		{name: "json fig 10", ssds: 16, runtime: rt, seeds: 1, figs: []int{6, 10}, format: "json",
+			wantErr: "-fig 10 has no json form"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,7 +89,7 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 			if format == "" {
 				format = "text"
 			}
-			got, err := resolve(o, tc.seeds, tc.all, tc.figs, tc.table, format, tc.ablate)
+			got, err := resolve(o, tc.seeds, tc.all, tc.figs, tc.table, tc.headline, format, tc.ablate)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -246,14 +247,14 @@ func TestRunFig13Coverage(t *testing.T) {
 	}
 	wantLadders := []int{64, 64, 64, 2} // SoloRuns=2 caps row d
 	for i, r := range results {
-		if len(r.Dist.Ladders) != wantLadders[i] {
+		if len(r.Ladders) != wantLadders[i] {
 			t.Fatalf("setup %s merged %d ladders, want %d",
-				r.Row.Fig, len(r.Dist.Ladders), wantLadders[i])
+				TableII()[i].Fig, len(r.Ladders), wantLadders[i])
 		}
 	}
 	// The paper's finding: the distributions are similar across setups —
 	// medians (avg rung) within ~2x of each other.
-	a, d := results[0].Dist.Summary.Mean[0], results[3].Dist.Summary.Mean[0]
+	a, d := results[0].Summary.Mean[0], results[3].Summary.Mean[0]
 	if a > 2*d {
 		t.Fatalf("4-SSDs/core avg %.0f ≫ solo avg %.0f; paper found them close", a, d)
 	}
@@ -457,21 +458,29 @@ func TestNoDaemonsOption(t *testing.T) {
 func TestTailAtScale(t *testing.T) {
 	o := testOpts()
 	o.Runtime = 300 * sim.Millisecond
-	results := RunTailAtScale(ExpFirmware(), []int{1, 4, 16}, o)
+	// Width 16 is the whole fleet: a tail arm has no parity member, so
+	// it needs exactly width SSDs.
+	widths := []int{1, 4, 16}
+	perSSD, results := RunTailAtScale(ExpFirmware(), widths, o)
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
+	for i, r := range results {
+		if want := fmt.Sprintf("stripe-%d", widths[i]); r.Name != want || len(r.Spec.Stripe) != widths[i] {
+			t.Fatalf("client %d = %s over %d SSDs, want %s", i, r.Name, len(r.Spec.Stripe), want)
+		}
+	}
 	// Wider stripes amplify the tail monotonically.
 	for i := 1; i < len(results); i++ {
-		if results[i].Client.P[0] < results[i-1].Client.P[0] {
+		if results[i].Ladder.P[0] < results[i-1].Ladder.P[0] {
 			t.Fatalf("width %d client P99 %d below width %d's %d",
-				results[i].Width, results[i].Client.P[0],
-				results[i-1].Width, results[i-1].Client.P[0])
+				widths[i], results[i].Ladder.P[0],
+				widths[i-1], results[i-1].Ladder.P[0])
 		}
 	}
 	// A width-16 stripe's P99 must clearly exceed a single SSD's P99.
-	if results[2].Amplification < 1.05 {
-		t.Fatalf("width-16 amplification = %.2f, want > 1.05", results[2].Amplification)
+	if amp := P99Amplification(results[2].Ladder, perSSD.Pooled); amp < 1.05 {
+		t.Fatalf("width-16 amplification = %.2f, want > 1.05", amp)
 	}
 }
 

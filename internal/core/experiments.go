@@ -10,7 +10,6 @@ import (
 	"repro/internal/nand"
 	"repro/internal/nvme"
 	"repro/internal/pts"
-	"repro/internal/raid"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -86,6 +85,15 @@ func (o ExpOptions) systemOptions(cfg Config) Options {
 		opt.Daemons = kernel.ScaleDaemonPeriods(kernel.DefaultDaemons(), o.TimeScale)
 	}
 	return opt
+}
+
+// stockOpts applies the defaults and boots the stock housekeeping
+// periods (TimeScale 1): the RAID ablations and the iopath grid compare
+// tolerance policies and completion paths, not rare-event rates.
+func stockOpts(o ExpOptions) ExpOptions {
+	o = o.withDefaults()
+	o.TimeScale = 1
+	return o
 }
 
 func (o ExpOptions) newSystem(cfg Config) *System {
@@ -191,16 +199,11 @@ func TableII() []TableIIRow {
 	}
 }
 
-// Fig13Result pairs a Table II row with its merged latency distribution.
-type Fig13Result struct {
-	Row  TableIIRow
-	Dist Distribution
-}
-
 // RunFig13 reproduces Fig 13 (and, through the summaries, Fig 14): the
 // latency distributions for 4/2/1 SSDs per physical core and for a single
-// FIO thread, each merged over disjoint-SSD runs per Table II.
-func RunFig13(o ExpOptions) []Fig13Result {
+// FIO thread, each merged over disjoint-SSD runs per Table II and
+// returned in TableII() order.
+func RunFig13(o ExpOptions) []Distribution {
 	o = o.withDefaults()
 	host := topology.XeonE52690v2()
 	cfg := IRQAffinity() // Fig 13(a) is identical to Fig 9
@@ -249,7 +252,7 @@ func RunFig13(o ExpOptions) []Fig13Result {
 
 	// Merge in submission order: arms (and therefore ladders) appear
 	// exactly where the serial loop would have put them.
-	var out []Fig13Result
+	out := make([]Distribution, len(rows))
 	for ri, row := range rows {
 		var ladders []stats.Ladder
 		for ai, r := range runs {
@@ -257,14 +260,11 @@ func RunFig13(o ExpOptions) []Fig13Result {
 				ladders = append(ladders, r.Ladders...)
 			}
 		}
-		out = append(out, Fig13Result{
-			Row: row,
-			Dist: Distribution{
-				Config:  fmt.Sprintf("fig%s", row.Fig),
-				Ladders: ladders,
-				Summary: stats.Summarize(ladders),
-			},
-		})
+		out[ri] = Distribution{
+			Config:  fmt.Sprintf("fig%s", row.Fig),
+			Ladders: ladders,
+			Summary: stats.Summarize(ladders),
+		}
 	}
 	return out
 }
@@ -362,71 +362,49 @@ func RunPTSLatencyTest(cfg Config, o ExpOptions, roundLen sim.Duration, maxRound
 	return rep
 }
 
-// TailAtScaleResult quantifies the Section I motivation for one stripe
-// width: the per-request (client-visible) ladder versus the average
-// per-SSD ladder, under one configuration.
-type TailAtScaleResult struct {
-	Config string
-	Width  int
-	// Client is the striped-request latency ladder.
-	Client stats.Ladder
-	// PerSSD is the mean single-SSD ladder for the same system/config.
-	PerSSD stats.Ladder
-	// Amplification is Client.P99 / PerSSD.P99: how much worse the
-	// client's 99th percentile is than a single device's.
-	Amplification float64
+// RunTailAtScale quantifies the Section I motivation — "even if one SSD
+// out of many shows long tail latency, the entire I/O from the client is
+// delayed by the same amount" — under cfg: perSSD is the closed-loop
+// per-SSD baseline, and clients holds one striped client per width, an
+// arm named stripe-<w> over SSDs [0, w). Unlike the RAID ablations, the
+// arms keep the caller's compressed housekeeping periods. The baseline
+// and the clients are independent boots and fan out as one batch.
+func RunTailAtScale(cfg Config, widths []int, o ExpOptions) (perSSD FIORun, clients []RAIDRun) {
+	o = o.withDefaults()
+	// Job 0 is the per-SSD baseline; job i is the client of widths[i-1].
+	arms := make([]raidArm, 1+len(widths))
+	for i, w := range widths {
+		if w < 1 {
+			panic(fmt.Sprintf("core: stripe width %d < 1", w))
+		}
+		arms[i+1] = raidArm{name: fmt.Sprintf("stripe-%d", w), cfg: cfg, width: w}
+	}
+	type tailRun struct {
+		perSSD FIORun
+		client RAIDRun
+	}
+	runs := runner.Map(o.runnerOpts(), arms, func(i int, a raidArm) tailRun {
+		if i == 0 {
+			return tailRun{perSSD: runFIOArm(o, fioArm{name: cfg.Name, cfg: cfg})}
+		}
+		client, _ := runRAIDArm(o, a)
+		return tailRun{client: client}
+	})
+	clients = make([]RAIDRun, len(widths))
+	for i := range clients {
+		clients[i] = runs[i+1].client
+	}
+	return runs[0].perSSD, clients
 }
 
-// RunTailAtScale runs striped clients of the given widths under cfg and
-// reports the tail amplification — "even if one SSD out of many shows long
-// tail latency, the entire I/O from the client is delayed by the same
-// amount" (Section I).
-func RunTailAtScale(cfg Config, widths []int, o ExpOptions) []TailAtScaleResult {
-	o = o.withDefaults()
-	for _, w := range widths {
-		if w > o.NumSSDs {
-			panic(fmt.Sprintf("core: stripe width %d exceeds %d SSDs", w, o.NumSSDs))
-		}
+// P99Amplification is how much worse a striped client's 99th percentile
+// is than the per-SSD baseline's: client.P99 / base.P99, or 0 when the
+// baseline's P99 is 0.
+func P99Amplification(client, base stats.Ladder) float64 {
+	if base.P[0] == 0 {
+		return 0
 	}
-
-	// Job 0 is the per-SSD baseline under the same config; every other
-	// job is one striped client. All are independent boots, so the whole
-	// batch fans out; each returns the one ladder the comparison needs.
-	specs := append([]int{0}, widths...)
-	ladders := runner.Map(o.runnerOpts(), specs, func(_ int, w int) stats.Ladder {
-		if w == 0 {
-			return runFIOArm(o, fioArm{name: cfg.Name, cfg: cfg}).Pooled
-		}
-		sys := o.newSystem(cfg)
-		stripe := make([]int, w)
-		for i := range stripe {
-			stripe[i] = i
-		}
-		cpu := sys.Host.WorkloadCPUs()[0]
-		res := raid.Run(sys.Eng, sys.Kernel, []raid.ClientSpec{{
-			Stripe: stripe, CPU: cpu, Runtime: o.Runtime,
-			Class: cfg.FIOClass, RTPrio: cfg.FIORTPrio, Seed: o.Seed,
-		}})[0]
-		return res.Ladder
-	})
-
-	perLadder := ladders[0]
-	var out []TailAtScaleResult
-	for i, w := range widths {
-		client := ladders[i+1]
-		amp := 0.0
-		if perLadder.P[0] > 0 {
-			amp = float64(client.P[0]) / float64(perLadder.P[0])
-		}
-		out = append(out, TailAtScaleResult{
-			Config:        cfg.Name,
-			Width:         w,
-			Client:        client,
-			PerSSD:        perLadder,
-			Amplification: amp,
-		})
-	}
-	return out
+	return float64(client.P[0]) / float64(base.P[0])
 }
 
 // RunCoalescingAblation quantifies the interrupt-storm trade-off the paper

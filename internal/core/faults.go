@@ -73,7 +73,7 @@ type RecoveryResult struct {
 // the series shows a bounded latency plateau during the outage rather
 // than a hang — and a return to baseline after recovery.
 func RunRecoverySeries(o ExpOptions) RecoveryResult {
-	o = o.withDefaults()
+	o = stockOpts(o)
 	dropAt := sim.Time(0).Add(o.Runtime / 4)
 	recoverAt := sim.Time(0).Add(3 * o.Runtime / 4)
 	run, end := runRAIDArm(o, raidArm{

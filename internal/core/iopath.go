@@ -97,18 +97,12 @@ func iopathArm(arm string, dev nvme.DeviceClass) fioArm {
 	return fioArm{name: cfg.Name, cfg: cfg, plan: iopathFaultPlan}
 }
 
-// iopathOpts boots the grid's systems with the stock housekeeping
-// periods: the cells compare completion paths, not rare-event rates.
-func iopathOpts(o ExpOptions) ExpOptions {
-	o = o.withDefaults()
-	o.TimeScale = 1
-	return o
-}
-
-// RunIOPathAblation measures the full 4-arm × 2-device grid. Cells are
-// independent boots and fan out across o.Parallel workers; the result is
-// ordered device-major (all flash arms, then all ULL arms), matching
-// IOPathDevices × IOPathArms, and each cell is named "device/arm".
+// RunIOPathAblation measures the full 4-arm × 2-device grid, booted
+// with the stock housekeeping periods: the cells compare completion
+// paths, not rare-event rates. Cells are independent boots and fan out
+// across o.Parallel workers; the result is ordered device-major (all
+// flash arms, then all ULL arms), matching IOPathDevices × IOPathArms,
+// and each cell is named "device/arm".
 func RunIOPathAblation(o ExpOptions) []FIORun {
 	var arms []fioArm
 	for _, dev := range IOPathDevices {
@@ -116,7 +110,7 @@ func RunIOPathAblation(o ExpOptions) []FIORun {
 			arms = append(arms, iopathArm(arm, dev))
 		}
 	}
-	return runFIOArms(iopathOpts(o), arms)
+	return runFIOArms(stockOpts(o), arms)
 }
 
 // RunIOPathLadder is the sweepable single-distribution form: the ULL
@@ -125,7 +119,7 @@ func RunIOPathAblation(o ExpOptions) []FIORun {
 func RunIOPathLadder(o ExpOptions) Distribution {
 	a := iopathArm("passthrough", nvme.ClassULL)
 	a.name = "iopath-ull-passthrough"
-	return runFIOArm(iopathOpts(o), a).Distribution
+	return runFIOArm(stockOpts(o), a).Distribution
 }
 
 // WriteIOPathAblation renders the grid: per-device rung × arm latency

@@ -76,28 +76,18 @@ func MeasureCapacity(o ExpOptions) float64 {
 	return runFIOArm(o, probe).IOPS
 }
 
-// LoadRun is one (rung, arm) cell of the load ablation.
+// LoadRun is one (rung, arm) cell of the load ablation: the
+// multiplexer's result (Total is measured from each arrival's intended
+// instant, coordinated omission included) plus where the cell sits on
+// the ladder.
 type LoadRun struct {
-	Name string
+	fio.MuxResult
 	// Arm is "open" (no admission) or "admit" (class budgets armed).
 	Arm string
 	// Frac is the offered load as a fraction of measured capacity;
 	// OfferedRate is the same in I/Os per second.
 	Frac        float64
 	OfferedRate float64
-	Tenants     int
-	// Aggregate arrival accounting (sums over classes).
-	Offered   int64
-	Admitted  int64
-	Completed int64
-	Errors    int64
-	Shed      int64 // AdmitShed + queue-overflow drops
-	Throttled int64
-	// Total is the all-classes completion ladder, measured from each
-	// arrival's intended instant (coordinated omission included).
-	Total stats.Ladder
-	// Class is the per-QoS-class breakdown.
-	Class [kernel.NumQoSClasses]fio.ClassResult
 }
 
 // LoadAblation is the full rung × arm grid plus the capacity it was
@@ -113,14 +103,14 @@ type LoadAblation struct {
 // loadMuxConfig assembles the multiplexer for one rung: admission
 // budgets are fixed absolute rates provisioned from capacity (they do
 // not scale with the rung — an operator provisions once).
-func loadMuxConfig(name string, admit bool, capacity float64, sys *System, runtime sim.Duration, seed uint64) fio.MuxConfig {
+func loadMuxConfig(name, arm string, capacity float64, sys *System, runtime sim.Duration, seed uint64) fio.MuxConfig {
 	cfg := fio.MuxConfig{
 		Name:    name,
 		Runtime: runtime,
 		Seed:    seed,
 		CPUs:    sys.Host.WorkloadCPUs(),
 	}
-	if admit {
+	if arm == "admit" {
 		cfg.Class[kernel.ClassThroughput] = fio.ClassConfig{
 			Rate:   admitTPShare * capacity,
 			Policy: fio.AdmitThrottle,
@@ -171,40 +161,18 @@ func addLoadTenants(m *fio.Multiplexer, numSSDs int, offered float64) {
 }
 
 // runLoadRung boots one system and runs the tenant mix at frac ×
-// capacity offered load, with or without the admission budgets.
-func runLoadRung(name string, frac float64, admit bool, capacity float64, o ExpOptions) LoadRun {
+// capacity offered load on one arm: "open", or "admit" with the
+// admission budgets.
+func runLoadRung(name, arm string, frac, capacity float64, o ExpOptions) LoadRun {
 	sys := o.newSystem(IRQAffinity())
 	// Settle the system (daemons started, balancer run) like RunFIO's
 	// warmup before arrivals begin.
 	sys.Eng.RunUntil(sys.Eng.Now().Add(50 * sim.Millisecond))
-	cfg := loadMuxConfig(name, admit, capacity, sys, o.Runtime, o.Seed)
+	cfg := loadMuxConfig(name, arm, capacity, sys, o.Runtime, o.Seed)
 	m := fio.NewMultiplexer(sys.Eng, sys.Kernel, cfg)
 	offered := frac * capacity
 	addLoadTenants(m, len(sys.SSDs), offered)
-	res := m.Run()
-
-	arm := "open"
-	if admit {
-		arm = "admit"
-	}
-	out := LoadRun{
-		Name:        name,
-		Arm:         arm,
-		Frac:        frac,
-		OfferedRate: offered,
-		Tenants:     res.Tenants,
-		Offered:     res.Offered,
-		Admitted:    res.Admitted,
-		Completed:   res.Completed,
-		Errors:      res.Errors,
-		Total:       res.Total,
-		Class:       res.Class,
-	}
-	for c := range res.Class {
-		out.Shed += res.Class[c].Shed + res.Class[c].QueueShed
-		out.Throttled += res.Class[c].Throttled
-	}
-	return out
+	return LoadRun{MuxResult: *m.Run(), Arm: arm, Frac: frac, OfferedRate: offered}
 }
 
 // RunLoadAblation measures the load-vs-tail curve: the capacity probe
@@ -217,26 +185,21 @@ func RunLoadAblation(o ExpOptions) LoadAblation {
 	capacity := MeasureCapacity(o)
 
 	type loadCell struct {
-		name  string
-		frac  float64
-		admit bool
+		name, arm string
+		frac      float64
 	}
 	cells := make([]loadCell, 0, 2*len(loadFracs))
-	for _, admit := range []bool{false, true} {
-		arm := "open"
-		if admit {
-			arm = "admit"
-		}
+	for _, arm := range []string{"open", "admit"} {
 		for _, f := range loadFracs {
 			cells = append(cells, loadCell{
-				name:  fmt.Sprintf("load-%s-%d", arm, int(f*100+0.5)),
-				frac:  f,
-				admit: admit,
+				name: fmt.Sprintf("load-%s-%d", arm, int(f*100+0.5)),
+				arm:  arm,
+				frac: f,
 			})
 		}
 	}
 	runs := runner.Map(o.runnerOpts(), cells, func(_ int, c loadCell) LoadRun {
-		return runLoadRung(c.name, c.frac, c.admit, capacity, o)
+		return runLoadRung(c.name, c.arm, c.frac, capacity, o)
 	})
 	return LoadAblation{Capacity: capacity, Runs: runs}
 }
@@ -271,7 +234,7 @@ func (a LoadAblation) Knee(arm string) (frac float64, ratio float64, ok bool) {
 func RunLoadLadder(o ExpOptions) Distribution {
 	o = o.withDefaults()
 	capacity := MeasureCapacity(o)
-	res := runLoadRung("load-ladder", 1.1, true, capacity, o)
+	res := runLoadRung("load-ladder", "admit", 1.1, capacity, o)
 	ladders := make([]stats.Ladder, 0, kernel.NumQoSClasses)
 	for c := range res.Class {
 		ladders = append(ladders, res.Class[c].Ladder)
@@ -296,7 +259,7 @@ func WriteLoadAblation(w io.Writer, a LoadAblation) {
 			}
 			ls := r.Class[kernel.ClassLatency].Ladder
 			fmt.Fprintf(w, "%5.0f%% %10d %10d %10d %8d %9d %12.1f %12.1f %12.1f %14.1f\n",
-				r.Frac*100, r.Offered, r.Admitted, r.Completed, r.Shed, r.Throttled,
+				r.Frac*100, r.Offered, r.Admitted, r.Completed, r.Shed(), r.Throttled(),
 				r.Total.Rung(1)/1e3, r.Total.Rung(2)/1e3, r.Total.Rung(6)/1e3,
 				ls.Rung(2)/1e3)
 		}

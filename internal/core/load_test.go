@@ -36,6 +36,30 @@ func TestLoadAblationKnee(t *testing.T) {
 		if r.Offered <= 0 || r.Completed <= 0 {
 			t.Errorf("%s: offered=%d completed=%d", r.Name, r.Offered, r.Completed)
 		}
+		// Conservation, per class and in total: an arrival is admitted,
+		// shed or still parked; an admitted one completes, fails or is
+		// still in flight.
+		var shed int64
+		for c, cr := range r.Class {
+			if cr.Admitted+cr.Shed+cr.QueueShed > cr.Offered {
+				t.Errorf("%s class %d: admitted %d + shed %d + queue-shed %d > offered %d",
+					r.Name, c, cr.Admitted, cr.Shed, cr.QueueShed, cr.Offered)
+			}
+			if cr.Completed+cr.Errors > cr.Admitted {
+				t.Errorf("%s class %d: completed %d + errors %d > admitted %d",
+					r.Name, c, cr.Completed, cr.Errors, cr.Admitted)
+			}
+			shed += cr.Shed + cr.QueueShed
+		}
+		if r.Shed() != shed {
+			t.Errorf("%s: Shed() = %d, per-class shed sums to %d", r.Name, r.Shed(), shed)
+		}
+		if r.Admitted+r.Shed() > r.Offered {
+			t.Errorf("%s: admitted %d + shed %d > offered %d", r.Name, r.Admitted, r.Shed(), r.Offered)
+		}
+		if r.Completed+r.Errors > r.Admitted {
+			t.Errorf("%s: completed %d + errors %d > admitted %d", r.Name, r.Completed, r.Errors, r.Admitted)
+		}
 	}
 
 	// Open arm: no admission means everything offered is admitted, and
@@ -63,10 +87,10 @@ func TestLoadAblationKnee(t *testing.T) {
 	// and the latency-sensitive class p99.9 at 110% stays within 2x of
 	// its own pre-knee value.
 	hot := byArm["admit"][1.1]
-	if hot.Shed == 0 {
+	if hot.Shed() == 0 {
 		t.Error("admit arm at 110%: background class shed nothing")
 	}
-	if hot.Throttled == 0 {
+	if hot.Throttled() == 0 {
 		t.Error("admit arm at 110%: throughput class throttled nothing")
 	}
 	preLS := byArm["admit"][0.4].Class[kernel.ClassLatency].Ladder

@@ -33,22 +33,14 @@ func exportFanOuts(t *testing.T, o ExpOptions) []byte {
 	if err := WriteDistributionsJSON(&buf, RunFig12(o)); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range RunFig13(o) {
-		if err := WriteDistributionJSON(&buf, r.Dist); err != nil {
+	for _, d := range RunFig13(o) {
+		if err := WriteDistributionJSON(&buf, d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, r := range RunTailAtScale(ExpFirmware(), []int{1, 4}, o) {
-		ladders := []stats.Ladder{r.Client, r.PerSSD}
-		if err := WriteDistributionJSON(&buf, Distribution{
-			Config:  fmt.Sprintf("%s/w%d", r.Config, r.Width),
-			Ladders: ladders,
-			Summary: stats.Summarize(ladders),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&buf, "amplification %.6f\n", r.Amplification)
-	}
+	perSSD, clients := RunTailAtScale(ExpFirmware(), []int{1, 4}, o)
+	writeFIORuns(t, &buf, []FIORun{perSSD})
+	writeRAIDRuns(t, &buf, clients)
 	for _, runs := range [][]RAIDRun{RunFaultAblation(o), RunWriteAblation(o), RunHedgingAblation(o)} {
 		writeRAIDRuns(t, &buf, runs)
 	}
@@ -57,7 +49,7 @@ func exportFanOuts(t *testing.T, o ExpOptions) []byte {
 	fmt.Fprintf(&buf, "load capacity=%.3f\n", la.Capacity)
 	for _, lr := range la.Runs {
 		fmt.Fprintf(&buf, "%s frac=%.2f offered=%d admitted=%d completed=%d shed=%d throttled=%d errors=%d\n",
-			lr.Name, lr.Frac, lr.Offered, lr.Admitted, lr.Completed, lr.Shed, lr.Throttled, lr.Errors)
+			lr.Name, lr.Frac, lr.Offered, lr.Admitted, lr.Completed, lr.Shed(), lr.Throttled(), lr.Errors)
 		ladders := append([]stats.Ladder{lr.Total}, lr.Class[0].Ladder, lr.Class[1].Ladder, lr.Class[2].Ladder)
 		if err := WriteDistributionJSON(&buf, Distribution{
 			Config: lr.Name, Ladders: ladders, Summary: stats.Summarize(ladders),

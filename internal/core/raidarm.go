@@ -1,7 +1,7 @@
-// The RAID-ablation harness. The fault, write, hedging and recovery
-// experiments are all the same method: boot a system under one
-// configuration, optionally impose a fault schedule, run one striped
-// client over the FaultStripeWidth data stripe (optionally racing a
+// The striped-client harness. The fault, write, hedging and recovery
+// experiments and the tail-at-scale study are all the same method: boot
+// a system under one configuration, optionally impose a fault schedule,
+// run one striped client over a data stripe (optionally racing a
 // rebuild stream), and compare the arms' ladders and tolerance
 // counters. Each experiment is a table of raidArm values; runRAIDArm
 // runs one and writeRAIDTable renders them side by side.
@@ -21,7 +21,7 @@ import (
 	"repro/internal/stats"
 )
 
-// FaultStripeWidth is the data-stripe width the fault experiments use;
+// FaultStripeWidth is the data-stripe width the RAID ablations use;
 // the parity member is SSD FaultStripeWidth.
 const FaultStripeWidth = 8
 
@@ -42,10 +42,14 @@ type RAIDRun struct {
 	Trace string
 }
 
-// raidArm describes one independent boot of a RAID ablation.
+// raidArm describes one independent boot of a striped client.
 type raidArm struct {
 	name string
 	cfg  Config
+	// width is the data stripe, SSDs [0, width); 0 means
+	// FaultStripeWidth. The parity member, for arms that use one, is SSD
+	// width.
+	width int
 	// plan builds the fault schedule from the run's horizon; nil boots a
 	// clean fleet. The plan is built inside the arm's job, so no
 	// fault-schedule state is shared across parallel workers.
@@ -61,14 +65,28 @@ type raidArm struct {
 	tol *raid.Tolerance
 }
 
-// runRAIDArm boots one system for the arm, starts the rebuild stream if
-// the arm has one, runs the client to completion and snapshots the
-// tolerance machinery. end is the engine clock once the client drained.
-func runRAIDArm(o ExpOptions, a raidArm) (run RAIDRun, end sim.Time) {
-	if o.NumSSDs <= FaultStripeWidth {
-		panic(fmt.Sprintf("core: RAID arm %q needs > %d SSDs", a.name, FaultStripeWidth))
+// ssds is how many SSDs the arm touches: the data stripe, plus the
+// parity member when the arm reconstructs, hedges, writes or rebuilds
+// through it.
+func (a raidArm) ssds() int {
+	if a.tol != nil || a.rebuild || a.client.Workload == raid.WorkloadWrite {
+		return a.width + 1
 	}
-	opt := Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: a.cfg, Geom: o.Geom}
+	return a.width
+}
+
+// runRAIDArm boots one system for the arm (o carries its defaults),
+// starts the rebuild stream if the arm has one, runs the client to
+// completion and snapshots the tolerance machinery. end is the engine
+// clock once the client drained.
+func runRAIDArm(o ExpOptions, a raidArm) (run RAIDRun, end sim.Time) {
+	if a.width == 0 {
+		a.width = FaultStripeWidth
+	}
+	if n := a.ssds(); n > o.NumSSDs {
+		panic(fmt.Sprintf("core: RAID arm %q needs %d SSDs, have %d", a.name, n, o.NumSSDs))
+	}
+	opt := o.systemOptions(a.cfg)
 	if a.plan != nil {
 		p := a.plan(o.Runtime)
 		opt.FaultPlan = &p
@@ -78,7 +96,7 @@ func runRAIDArm(o ExpOptions, a raidArm) (run RAIDRun, end sim.Time) {
 
 	spec := a.client
 	spec.Name = a.name
-	spec.Stripe = make([]int, FaultStripeWidth)
+	spec.Stripe = make([]int, a.width)
 	for i := range spec.Stripe {
 		spec.Stripe[i] = i
 	}
@@ -102,7 +120,7 @@ func runRAIDArm(o ExpOptions, a raidArm) (run RAIDRun, end sim.Time) {
 		run.Rebuild = &r
 	}
 	if h := sys.Kernel.Health(); h != nil {
-		for ssd := 0; ssd <= FaultStripeWidth; ssd++ {
+		for ssd := 0; ssd < a.ssds(); ssd++ {
 			run.Drives = append(run.Drives, h.Snapshot(ssd))
 		}
 	}
@@ -112,10 +130,11 @@ func runRAIDArm(o ExpOptions, a raidArm) (run RAIDRun, end sim.Time) {
 	return run, sys.Eng.Now()
 }
 
-// runRAIDArms runs independent arms across o.Parallel workers; results
-// come back in arm order, identical to the serial loop.
+// runRAIDArms runs independent RAID-ablation arms across o.Parallel
+// workers, booted with the stock housekeeping periods; results come back
+// in arm order, identical to the serial loop.
 func runRAIDArms(o ExpOptions, arms []raidArm) []RAIDRun {
-	o = o.withDefaults()
+	o = stockOpts(o)
 	return runner.Map(o.runnerOpts(), arms, func(_ int, a raidArm) RAIDRun {
 		run, _ := runRAIDArm(o, a)
 		return run
@@ -126,7 +145,7 @@ func runRAIDArms(o ExpOptions, arms []raidArm) []RAIDRun {
 // client ladder at one seed under the given config name, for
 // RunSeedSweep pooling (n seeds read as one n-client fleet).
 func raidLadder(o ExpOptions, config string, a raidArm) Distribution {
-	run, _ := runRAIDArm(o.withDefaults(), a)
+	run, _ := runRAIDArm(stockOpts(o), a)
 	ladders := []stats.Ladder{run.Ladder}
 	return Distribution{Config: config, Ladders: ladders, Summary: stats.Summarize(ladders)}
 }

@@ -35,8 +35,9 @@
 #                  must be byte-identical at -parallel 1 and 8.
 #   report digests — the same contract at the CLI: every afareport
 #                  report scripts/report-digests.sh fingerprints (the
-#                  figures, Table II, the headline and every -ablate
-#                  entry) hashes identically at -parallel 1 and 4.
+#                  figures, Table II, the headline, every -ablate
+#                  entry and the JSON/CSV figure renderers) hashes
+#                  identically at -parallel 1 and 4.
 #   ablations    — no separate step: the race+shuffle pass runs
 #                  cmd/afareport's TestEveryAblationRuns, which drives
 #                  every -ablate registry entry end to end at a small

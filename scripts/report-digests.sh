@@ -3,11 +3,16 @@
 #
 # Runs afareport on every report a simulator-cost or refactoring change
 # must leave byte-identical — the figures, Table II and the headline
-# (-fig 6,7,8,9,11,12 -headline, then -fig 10,13 -table 2) and every
+# (-fig 6,7,8,9,11,12 -headline, then -fig 10,13 -table 2), every
 # -ablate registry entry (fw, used, future, coalesce, tail, pts,
-# faults, recovery, writes, hedging, load, iopath) — each at
-# -ssds 16 -runtime 200ms, strips the "[... wall, parallel=N]"
+# faults, recovery, writes, hedging, load, iopath), and the JSON and
+# CSV renderers (-fig 6,12,13 -format json, -fig 10,12 -format csv) —
+# each at -ssds 16 -runtime 200ms, strips the "[... wall, parallel=N]"
 # wall-clock banners, and prints one "sha256  name" line per report.
+#
+# Revisions before afareport honoured -format for Figs 12 and 13 print
+# those two as text, so against them the two format entries differ by
+# design (and only there); every other digest must match.
 #
 #   scripts/report-digests.sh                  # digests of this checkout
 #   scripts/report-digests.sh -against HEAD~1  # diff against a revision
@@ -47,6 +52,8 @@ digests() {
 	}
 	digest figs -fig 6,7,8,9,11,12 -headline "$@"
 	digest figs-10-13-table2 -fig 10,13 -table 2 "$@"
+	digest figs-json -fig 6,12,13 -format json "$@"
+	digest figs-csv -fig 10,12 -format csv "$@"
 	for a in fw used future coalesce tail pts faults recovery writes hedging load iopath; do
 		digest "ablate-$a" -ablate "$a" "$@"
 	done
