@@ -153,6 +153,8 @@ func resolve(o core.ExpOptions, seeds int, all bool, figs []int, table int, head
 		return nil, fmt.Errorf("-runtime must be > 0, got %v", time.Duration(o.Runtime))
 	case o.SoloRuns < 0:
 		return nil, fmt.Errorf("-solo-runs must be >= 0, got %d", o.SoloRuns)
+	case o.Parallel < 0:
+		return nil, fmt.Errorf("-parallel must be >= 0, got %d", o.Parallel)
 	case format != "text" && format != "json" && format != "csv":
 		return nil, fmt.Errorf("unknown -format %q (have text, json, csv)", format)
 	case table != 0 && (table < 1 || table > 2):

@@ -20,6 +20,7 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 		runtime  sim.Duration
 		seeds    int
 		solo     int
+		parallel int
 		all      bool
 		figs     []int
 		table    int
@@ -44,6 +45,9 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 			wantErr: `ablation "iopath" needs -ssds >= 2, got 1`},
 		{name: "negative solo runs", ssds: 8, runtime: rt, seeds: 1, solo: -1, figs: []int{13},
 			wantErr: "-solo-runs must be >= 0, got -1"},
+		{name: "negative parallel", ssds: 16, runtime: rt, seeds: 1, parallel: -1, figs: []int{6},
+			wantErr: "-parallel must be >= 0, got -1"},
+		{name: "parallel 0 is one per CPU", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}},
 		{name: "fig 10 on one SSD", ssds: 1, runtime: rt, seeds: 1, figs: []int{6, 10},
 			wantErr: "-fig 10 needs -ssds >= 2, got 1"},
 		{name: "fig 10 on two SSDs", ssds: 2, runtime: rt, seeds: 1, figs: []int{10}},
@@ -84,7 +88,7 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := core.ExpOptions{Runtime: tc.runtime, NumSSDs: tc.ssds, SoloRuns: tc.solo}
+			o := core.ExpOptions{Runtime: tc.runtime, NumSSDs: tc.ssds, SoloRuns: tc.solo, Parallel: tc.parallel}
 			format := tc.format
 			if format == "" {
 				format = "text"

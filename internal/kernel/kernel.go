@@ -140,6 +140,9 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 	if cfg.Sched == nil || cfg.IRQ == nil {
 		panic("kernel: Sched and IRQ required")
 	}
+	if err := cfg.Timeout.check(); err != nil {
+		panic("kernel: " + err.Error())
+	}
 	if cfg.Costs == (Costs{}) {
 		cfg.Costs = DefaultCosts()
 	}

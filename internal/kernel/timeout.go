@@ -7,6 +7,8 @@
 package kernel
 
 import (
+	"fmt"
+
 	"repro/internal/nvme"
 	"repro/internal/sim"
 )
@@ -62,6 +64,39 @@ func DefaultTimeoutPolicy() TimeoutPolicy {
 		BackoffMax: 8 * sim.Millisecond,
 		AbortCost:  10 * sim.Microsecond,
 	}
+}
+
+// check names the first field of the policy that is negative. Every
+// field is a delay, a count or a threshold; a negative one would boot
+// and then panic mid-run on a negative delay at the first retry or
+// timeout, or quietly disable a budget or watermark check.
+func (p TimeoutPolicy) check() error {
+	for _, f := range [...]struct {
+		name string
+		v    sim.Duration
+	}{
+		{"Backoff", p.Backoff},
+		{"BackoffMax", p.BackoffMax},
+		{"AbortCost", p.AbortCost},
+		{"BudgetRefill", p.BudgetRefill},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("TimeoutPolicy.%s is negative (%v)", f.name, f.v)
+		}
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"MaxRetries", p.MaxRetries},
+		{"Budget", p.Budget},
+		{"OverloadWatermark", p.OverloadWatermark},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("TimeoutPolicy.%s is negative (%d)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Enabled reports whether the policy is armed.

@@ -1,13 +1,72 @@
 package kernel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/health"
+	"repro/internal/irq"
 	"repro/internal/nvme"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
+
+// TestNewRejectsNegativePolicy: a negative TimeoutPolicy field is
+// rejected when the kernel is built, naming the field, instead of
+// booting and panicking mid-run on the first retry or timeout.
+func TestNewRejectsNegativePolicy(t *testing.T) {
+	def := DefaultTimeoutPolicy()
+	cases := []struct {
+		name    string
+		edit    func(p *TimeoutPolicy)
+		wantErr string // "" = accepted
+	}{
+		{name: "default", edit: func(p *TimeoutPolicy) {}},
+		{name: "zero", edit: func(p *TimeoutPolicy) { *p = TimeoutPolicy{} }},
+		{name: "budgets and watermark", edit: func(p *TimeoutPolicy) {
+			p.Budget, p.BudgetRefill, p.OverloadWatermark = 4, sim.Millisecond, 32
+		}},
+		{name: "negative backoff", edit: func(p *TimeoutPolicy) { p.Backoff = -500 * sim.Microsecond },
+			wantErr: "kernel: TimeoutPolicy.Backoff is negative (-500000ns)"},
+		{name: "negative backoff cap", edit: func(p *TimeoutPolicy) { p.BackoffMax = -1 },
+			wantErr: "kernel: TimeoutPolicy.BackoffMax is negative (-1ns)"},
+		{name: "negative abort cost", edit: func(p *TimeoutPolicy) { p.AbortCost = -10 * sim.Microsecond },
+			wantErr: "kernel: TimeoutPolicy.AbortCost is negative (-10000ns)"},
+		{name: "negative budget refill", edit: func(p *TimeoutPolicy) { p.Budget, p.BudgetRefill = 4, -sim.Millisecond },
+			wantErr: "kernel: TimeoutPolicy.BudgetRefill is negative"},
+		{name: "negative retries", edit: func(p *TimeoutPolicy) { p.MaxRetries = -1 },
+			wantErr: "kernel: TimeoutPolicy.MaxRetries is negative (-1)"},
+		{name: "negative budget", edit: func(p *TimeoutPolicy) { p.Budget = -3 },
+			wantErr: "kernel: TimeoutPolicy.Budget is negative (-3)"},
+		{name: "negative watermark", edit: func(p *TimeoutPolicy) { p.OverloadWatermark = -8 },
+			wantErr: "kernel: TimeoutPolicy.OverloadWatermark is negative (-8)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := def
+			tc.edit(&p)
+			eng := sim.NewEngine()
+			sch := sched.New(eng, sched.Config{NumCPUs: 2, Seed: 3})
+			ic := irq.New(eng, sch, irq.Config{NumSSDs: 1, NumCPUs: 2, Seed: 3})
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+				}()
+				New(eng, Config{Sched: sch, IRQ: ic, Timeout: p, Seed: 3})
+			}()
+			switch {
+			case tc.wantErr == "" && got != "":
+				t.Fatalf("rejected: %s", got)
+			case tc.wantErr != "" && !strings.HasPrefix(got, tc.wantErr):
+				t.Fatalf("got %q, want an error starting %q", got, tc.wantErr)
+			}
+		})
+	}
+}
 
 func TestBackoffBounds(t *testing.T) {
 	p := TimeoutPolicy{Backoff: 100 * sim.Microsecond, BackoffMax: 500 * sim.Microsecond}

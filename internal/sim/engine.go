@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is a point in simulated time, in nanoseconds since simulation start.
@@ -61,12 +62,13 @@ type Event struct {
 	when Time
 	seq  uint64
 	fn   func()
-	// tm marks a Timer's heap entry. Its (when, seq) is only a lower
+	// tm marks a Timer's queue entry. Its (when, seq) is only a lower
 	// bound on the timer's real deadline, which the Timer itself holds;
 	// fn is the timer's callback, nil while it is disarmed.
 	tm *Timer //afalint:sticky -- set once by NewTimer; pooled events never carry one
-	// index is the heap index, inLane in the min lane, -1 when not
-	// queued. An int32 beside the three flags keeps Event at 40 bytes,
+	// index says where the entry is queued: its heap index (>= 0),
+	// notQueued, inLane, or at or below wheelBase its wheel slab
+	// position. An int32 beside the three flags keeps Event at 40 bytes,
 	// so a Timer fits a 64-byte allocation; one padding byte is left.
 	index    int32
 	canceled bool
@@ -75,13 +77,19 @@ type Event struct {
 	// engine's freelist. At/After events are pinned — callers may retain
 	// them for Cancel/Reschedule — and are never recycled.
 	pooled bool
-	// far records which heap holds the entry: the far heap when it was
-	// filed farSpan or more ahead of the clock, else the near heap.
+	// far marks an entry filed farSpan or more ahead of the clock: it
+	// sits in the far heap. A near entry sits in the wheel, or in the
+	// near heap when its wheel bucket was full.
 	far bool
 }
 
-// inLane is Event.index for the event held in the engine's min lane.
-const inLane = -2
+// Event.index values other than a heap index.
+const (
+	notQueued = -1
+	inLane    = -2 // the event held in the engine's min lane
+	// wheelBase and below: a wheel entry at slab position wheelBase-index.
+	wheelBase = -3
+)
 
 // When reports the instant the event is scheduled to fire.
 func (e *Event) When() Time { return e.when }
@@ -92,24 +100,30 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
 // a simulation is a single-threaded, deterministic computation.
 //
-// Pending events live in two binary min-heaps ordered by (when, seq) —
-// a near heap for entries filed less than farSpan ahead of the clock
-// and a far heap for the rest — plus a one-slot min lane: a
-// Schedule/ScheduleAt event that sorts before both heap heads when it is
-// pushed waits there instead, so the common "hand off to the next layer
-// now" event costs no heap work. An entry is classified once, when it is
-// filed, and never moves between heaps, so parked timeouts and ticks do
-// not deepen the heap every per-I/O event sifts through. Timers are lazy
+// Pending events live in three stores ordered by (when, seq), plus a
+// one-slot min lane. An entry filed less than farSpan ahead of the clock
+// goes to the wheel, a ring of 64 ns buckets that pops the per-I/O
+// pipeline without sifting; one whose bucket is full spills into the
+// near heap; the rest — parked timeouts, ticks and daemons — go to the
+// far heap. A Schedule/ScheduleAt event that sorts before all three
+// heads when it is pushed waits in the lane instead, so the common "hand
+// off to the next layer now" event costs no queue work. Timers are lazy
 // (see Timer). Every queued key is at most its event's real (when, seq)
 // — exact for plain events, a lower bound for a timer entry — so
-// settling the smaller heap head until its key is exact, then taking the
-// smaller of it and the lane, yields events in exactly (when, seq)
-// order whichever heap each entry was filed in.
+// settling the smallest of the three heads until its key is exact, then
+// taking the smaller of it and the lane, yields events in exactly
+// (when, seq) order wherever each entry was filed.
 type Engine struct {
-	now     Time
-	near    []*Event // binary min-heap of entries filed < farSpan ahead
-	far     []*Event // binary min-heap of entries filed >= farSpan ahead
-	lane    *Event   // the min lane: one pooled event outside the heaps, or nil
+	now  Time
+	near []*Event // binary min-heap: near entries whose wheel bucket was full
+	far  []*Event // binary min-heap of entries filed >= farSpan ahead
+	lane *Event   // the min lane: one pooled event outside the queue, or nil
+	// wheel holds the other near entries, allocated on the first one
+	// filed; whead is its minimum entry (nil when empty) and wlen its
+	// size.
+	wheel   *wheel
+	whead   *Event
+	wlen    int
 	seq     uint64
 	stepped uint64
 	stopped bool
@@ -123,13 +137,38 @@ type Engine struct {
 // a 64-SSD headline config keeps well under a thousand events in flight.
 const initialQueueCap = 1024
 
-// farSpan splits the near heap from the far heap. Every per-I/O pipeline
+// farSpan splits near entries from the far heap. Every per-I/O pipeline
 // stage is shorter than 100 µs — ULL and PCIe stages are under 10 µs,
 // flash reads 50–80 µs — while scheduler ticks, attempt timeouts and
-// daemons are 1 ms or longer, so the near heap holds the pipeline and
-// the far heap the housekeeping parked behind it. The split only moves
+// daemons are 1 ms or longer, so the wheel holds the pipeline and the
+// far heap the housekeeping parked behind it. The split only moves
 // cost: fire order is (when, seq) for any value.
 const farSpan = 100 * Microsecond
+
+// Wheel geometry: 2048 slots of 64 ns, 4 entries a bucket. A slot is
+// keyed by when>>slotShift&slotMask. The ring spans 131 µs, more than
+// farSpan plus one slot, and every wheel entry is due in
+// [now, now+farSpan), so a slot never holds entries a lap apart.
+const (
+	slotShift  = 6
+	wheelSlots = 2048
+	slotMask   = wheelSlots - 1
+	bucketCap  = 4
+)
+
+// The ring must outspan farSpan by a slot, or two live entries alias.
+const _ = uint64(wheelSlots<<slotShift - 1<<slotShift - farSpan)
+
+// wheel is the near-entry store: bucket s holds n[s] entries at
+// slab[s*bucketCap:], unordered. occ has one bit per non-empty bucket
+// and sum one bit per non-zero occ word, so the next non-empty bucket
+// is two TrailingZeros away however sparse the ring is.
+type wheel struct {
+	slab [wheelSlots * bucketCap]*Event
+	n    [wheelSlots]uint8
+	occ  [wheelSlots / 64]uint64
+	sum  uint32
+}
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
@@ -146,11 +185,11 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.stepped }
 
 // Pending reports the number of queue entries: live events plus entries
-// not yet discarded — canceled events and the stale heap entries of
+// not yet discarded — canceled events and the stale queue entries of
 // re-armed or canceled timers, which are settled only when they reach
 // the head.
 func (e *Engine) Pending() int {
-	n := len(e.near) + len(e.far)
+	n := len(e.near) + len(e.far) + e.wlen
 	if e.lane != nil {
 		n++
 	}
@@ -176,44 +215,45 @@ func (e *Engine) push(t Time, fn func(), pooled bool) *Event {
 	ev.fn = fn
 	ev.canceled = false
 	ev.pooled = pooled
-	ev.far = t.Sub(e.now) >= farSpan // the heap it is filed in, unless it takes the lane
+	ev.far = false
+	ev.index = notQueued // until the lane or file below queues it
 	e.seq++
-	// A pooled event that sorts before the lane and both heap heads
-	// takes the lane. Its seq is the newest, so it sorts before the lane
-	// event only at a strictly earlier instant.
+	// A pooled event that sorts before the lane and all three queue
+	// heads takes the lane. Its seq is the newest, so it sorts before
+	// the lane event only at a strictly earlier instant.
 	if l := e.lane; pooled && (l == nil || t < l.when) &&
+		(e.whead == nil || lessEv(ev, e.whead)) &&
 		(len(e.near) == 0 || lessEv(ev, e.near[0])) &&
 		(len(e.far) == 0 || lessEv(ev, e.far[0])) {
 		if l != nil {
-			e.heapPush(l)
+			e.file(l)
 		}
 		ev.index = inLane
 		e.lane = ev
 	} else {
-		// heapPush inlined, so afalint -state sees push reinitialize
-		// index and far on every recycled event.
-		q := &e.near
-		if ev.far {
-			q = &e.far
-		}
-		ev.index = int32(len(*q))
-		*q = append(*q, ev)
-		siftUp(*q, int(ev.index))
+		e.file(ev)
 	}
 	return ev
 }
 
-// heapPush files ev in the near or far heap by how far ahead of the
-// clock it is due.
-func (e *Engine) heapPush(ev *Event) {
-	q := &e.near
+// file queues ev, which is in neither the lane nor the queue, by how
+// far ahead of the clock it is due: the far heap from farSpan on, else
+// the wheel, or the near heap when its wheel bucket is full.
+func (e *Engine) file(ev *Event) {
 	ev.far = ev.when.Sub(e.now) >= farSpan
-	if ev.far {
-		q = &e.far
+	switch {
+	case ev.far:
+		heapPush(&e.far, ev)
+	case !e.wheelPut(ev):
+		heapPush(&e.near, ev)
 	}
-	ev.index = int32(len(*q))
-	*q = append(*q, ev)
-	siftUp(*q, int(ev.index))
+}
+
+// heapPush appends ev to the heap *hp and sifts it into place.
+func heapPush(hp *[]*Event, ev *Event) {
+	ev.index = int32(len(*hp))
+	*hp = append(*hp, ev)
+	siftUp(*hp, int(ev.index))
 }
 
 // heapOf returns the heap holding ev.
@@ -222,6 +262,106 @@ func (e *Engine) heapOf(ev *Event) *[]*Event {
 		return &e.far
 	}
 	return &e.near
+}
+
+// wheelPut files a near entry in its wheel bucket; it reports false,
+// leaving ev unqueued, when the bucket is full.
+func (e *Engine) wheelPut(ev *Event) bool {
+	w := e.wheel
+	if w == nil {
+		w = new(wheel) //afalint:allow hotalloc -- once per engine, on its first near entry
+		e.wheel = w
+	}
+	s := int(ev.when>>slotShift) & slotMask
+	k := w.n[s]
+	if k == bucketCap {
+		return false
+	}
+	w.n[s] = k + 1
+	pos := s*bucketCap + int(k)
+	w.slab[pos] = ev
+	ev.index = int32(wheelBase - pos)
+	if k == 0 {
+		w.occ[s>>6] |= 1 << (s & 63)
+		w.sum |= 1 << (s >> 6)
+	}
+	e.wlen++
+	if h := e.whead; h == nil || lessEv(ev, h) {
+		e.whead = ev
+	}
+	return true
+}
+
+// wheelRemove takes a wheel entry out of its bucket, moving the
+// bucket's last entry into its place, and finds the new wheel head when
+// it was the head.
+func (e *Engine) wheelRemove(ev *Event) {
+	w := e.wheel
+	pos := int(wheelBase - ev.index)
+	s := pos / bucketCap
+	k := int(w.n[s]) - 1
+	w.n[s] = uint8(k)
+	last := s*bucketCap + k
+	if pos != last {
+		m := w.slab[last]
+		w.slab[pos] = m
+		m.index = int32(wheelBase - pos)
+	}
+	w.slab[last] = nil
+	ev.index = notQueued
+	e.wlen--
+	if k == 0 {
+		if w.occ[s>>6] &^= 1 << (s & 63); w.occ[s>>6] == 0 {
+			w.sum &^= 1 << (s >> 6)
+		}
+	}
+	if ev == e.whead {
+		e.whead = w.minFrom(s)
+	}
+}
+
+// minFrom returns the wheel's minimum entry, or nil when it is empty,
+// given that no entry sorts before slot s: it is the smallest entry of
+// the first non-empty bucket at or after s around the ring.
+func (w *wheel) minFrom(s int) *Event {
+	if w.sum == 0 {
+		return nil
+	}
+	if w.n[s] == 0 {
+		i := s >> 6
+		if rest := w.occ[i] >> (s & 63); rest != 0 {
+			s += bits.TrailingZeros64(rest)
+		} else {
+			later := w.sum >> (i + 1) << (i + 1)
+			if later == 0 {
+				later = w.sum // wrap around the ring
+			}
+			i = bits.TrailingZeros32(later)
+			s = i<<6 + bits.TrailingZeros64(w.occ[i])
+		}
+	}
+	b := w.slab[s*bucketCap : s*bucketCap+int(w.n[s])]
+	m := b[0]
+	for _, x := range b[1:] {
+		if lessEv(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
+// dequeue takes a queued event out of the wheel, the lane or its heap.
+func (e *Engine) dequeue(ev *Event) {
+	switch i := ev.index; {
+	case i <= wheelBase:
+		e.wheelRemove(ev)
+	case i == inLane:
+		e.lane = nil
+		ev.index = notQueued
+	default:
+		removeAt(e.heapOf(ev), int(i))
+		ev.index = notQueued
+	}
 }
 
 // At schedules fn to run at the absolute instant t. Scheduling in the past
@@ -262,17 +402,12 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil {
 		return
 	}
-	queued := !ev.canceled && ev.index != -1
+	queued := !ev.canceled && ev.index != notQueued
 	ev.canceled = true
 	if !queued {
 		return
 	}
-	if ev.index == inLane {
-		e.lane = nil
-	} else {
-		removeAt(e.heapOf(ev), int(ev.index))
-	}
-	ev.index = -1
+	e.dequeue(ev)
 	// Pooled pointers are never handed to callers, so a canceled pooled
 	// event can go straight back to the freelist. Pinned events keep fn:
 	// Reschedule on a canceled event re-arms with the same callback.
@@ -299,25 +434,27 @@ func (e *Engine) Reschedule(ev *Event, t Time) *Event {
 
 // next settles the queue and returns the event that fires next without
 // removing it, or nil when nothing is pending. The candidate is the
-// smaller-keyed of the two heap heads. Settling discards canceled events
-// and disarmed timer entries and re-keys a stale timer entry to its
-// timer's real deadline, inside its own heap, until the candidate's key
-// is exact; since every key in either heap is at least its head's key
-// and at most its event's real one, the smaller of the candidate and
-// the lane is then the true (when, seq) minimum. The lane is returned
-// without settling when it sorts before the candidate's key.
+// smallest-keyed of the wheel, near heap and far heap heads. Settling
+// discards canceled events and disarmed timer entries and re-keys a
+// stale timer entry to its timer's real deadline — sifted down inside
+// its heap, or re-filed, possibly into the far heap, from the wheel —
+// until the candidate's key is exact; since every queued key is at
+// least its store's head key and at most its event's real one, the
+// smaller of the candidate and the lane is then the true (when, seq)
+// minimum. The lane is returned without settling when it sorts before
+// the candidate's key.
 func (e *Engine) next() *Event {
 	for {
 		l := e.lane
 		if l != nil && l.canceled {
 			// A tombstone Cancel's fast path missed (marked directly).
 			e.lane = nil
-			l.index = -1
+			l.index = notQueued
 			e.recycle(l)
 			continue
 		}
-		var h *Event
-		if len(e.near) > 0 {
+		h := e.whead
+		if len(e.near) > 0 && (h == nil || lessEv(e.near[0], h)) {
 			h = e.near[0]
 		}
 		if len(e.far) > 0 && (h == nil || lessEv(e.far[0], h)) {
@@ -332,17 +469,23 @@ func (e *Engine) next() *Event {
 		if tm := h.tm; tm != nil {
 			switch {
 			case h.fn == nil:
-				popMin(e.heapOf(h))
+				e.dequeue(h)
 			case h.seq != tm.seq:
-				h.when, h.seq = tm.at, tm.seq
-				siftDown(*e.heapOf(h), 0)
+				if h.index <= wheelBase {
+					e.wheelRemove(h)
+					h.when, h.seq = tm.at, tm.seq
+					e.file(h)
+				} else {
+					h.when, h.seq = tm.at, tm.seq
+					siftDown(*e.heapOf(h), 0)
+				}
 			default:
 				return h
 			}
 			continue
 		}
 		if h.canceled {
-			popMin(e.heapOf(h))
+			e.dequeue(h)
 			e.recycle(h)
 			continue
 		}
@@ -352,12 +495,7 @@ func (e *Engine) next() *Event {
 
 // fire removes ev — the event next returned — from the queue and runs it.
 func (e *Engine) fire(ev *Event) {
-	if ev.index == inLane {
-		e.lane = nil
-		ev.index = -1
-	} else {
-		popMin(e.heapOf(ev))
-	}
+	e.dequeue(ev)
 	if ev.when < e.now {
 		panic("sim: event queue corrupted (time went backwards)")
 	}
@@ -412,23 +550,25 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Timer is a reusable cancelable event for callers that keep at most one
 // deadline outstanding at a time (a CPU's burst completion, a ticker's
-// next fire, a coalescer's flush). The timer owns at most one heap entry
+// next fire, a coalescer's flush). The timer owns at most one queue entry
 // and reuses its storage forever, so steady-state timer traffic
 // allocates nothing.
 //
 // Timers are lazy. The real deadline (at, seq) lives on the Timer; the
-// heap entry's key only bounds it from below. Re-arming to a later
+// queue entry's key only bounds it from below. Re-arming to a later
 // instant just records the new deadline, re-arming earlier re-keys the
-// entry in place, and Cancel only disarms: the stale entry is re-keyed
-// or dropped when it reaches its heap's head, so it still counts in
-// Engine.Pending until then. The entry stays in the heap it was filed
-// in across re-arms; only a fresh arm after it left the queue
-// classifies it again. Each arm draws a fresh seq exactly as a
-// fresh event would, so fire order is that of a cancel-and-reschedule.
-// The zero value is not usable; create through Engine.NewTimer.
+// entry — sifted up in its heap, or moved to its new wheel slot — and
+// Cancel only disarms: the stale entry is re-keyed or dropped when it
+// reaches the head, so it still counts in Engine.Pending until then. A
+// heap entry stays in the heap it was filed in across re-arms; a wheel
+// entry re-keyed at the head is filed again by its new deadline, as is
+// a fresh arm after the entry left the queue. Each arm draws a fresh seq
+// exactly as a fresh event would, so fire order is that of a
+// cancel-and-reschedule. The zero value is not usable; create through
+// Engine.NewTimer.
 type Timer struct {
 	eng *Engine
-	ev  Event  // the heap entry (ev.index < 0 when not queued) and callback
+	ev  Event  // the queue entry (ev.index == notQueued when not queued) and callback
 	at  Time   // real deadline, valid while armed
 	seq uint64 // real tie-break, valid while armed
 }
@@ -436,7 +576,7 @@ type Timer struct {
 // NewTimer returns an unarmed timer bound to the engine.
 func (e *Engine) NewTimer() *Timer {
 	t := &Timer{eng: e}
-	t.ev = Event{index: -1, tm: t}
+	t.ev = Event{index: notQueued, tm: t}
 	return t
 }
 
@@ -465,19 +605,25 @@ func (t *Timer) ArmAt(at Time, fn func()) {
 	t.at, t.seq, ev.fn = at, e.seq, fn
 	e.seq++
 	switch {
-	case ev.index < 0:
+	case ev.index == notQueued:
 		ev.when, ev.seq = at, t.seq
-		e.heapPush(ev)
+		e.file(ev)
 	case at < ev.when:
 		// The new seq is the newest, so an earlier key needs an earlier
 		// instant; a later or same-instant re-arm leaves the entry as a
 		// lower bound for next to settle.
-		ev.when, ev.seq = at, t.seq
-		siftUp(*e.heapOf(ev), int(ev.index))
+		if ev.index <= wheelBase {
+			e.wheelRemove(ev)
+			ev.when, ev.seq = at, t.seq
+			e.file(ev)
+		} else {
+			ev.when, ev.seq = at, t.seq
+			siftUp(*e.heapOf(ev), int(ev.index))
+		}
 	}
 }
 
-// Cancel unschedules the pending fire, if any. The heap entry stays
+// Cancel unschedules the pending fire, if any. The queue entry stays
 // queued until it reaches the head.
 func (t *Timer) Cancel() {
 	t.ev.fn = nil
@@ -544,24 +690,9 @@ func siftDown(q []*Event, i int) bool {
 	return i > start
 }
 
-// popMin removes the earliest event of the heap *hp.
-func popMin(hp *[]*Event) {
-	q := *hp
-	n := len(q) - 1
-	ev := q[0]
-	q[0] = q[n]
-	q[0].index = 0
-	q[n] = nil
-	*hp = q[:n]
-	if n > 0 {
-		siftDown(q[:n], 0)
-	}
-	ev.index = -1
-}
-
-// removeAt removes the event at index i of the heap *hp (Engine.Cancel's
-// fast path, so a canceled event costs O(log n) now instead of a dead
-// tombstone later).
+// removeAt removes the event at index i of the heap *hp: the root when
+// it fires or is settled, any entry on Engine.Cancel's fast path (so a
+// canceled event costs O(log n) now instead of a dead tombstone later).
 func removeAt(hp *[]*Event, i int) {
 	q := *hp
 	n := len(q) - 1

@@ -15,8 +15,11 @@ import (
 // model's minimum, then performs more random operations from inside the
 // run, so zero-delay hand-offs, same-instant re-arms and lane demotions
 // all happen mid-step as they do in the simulator. About a third of the
-// delays straddle farSpan, so near and far heap entries interleave in
-// time and timers re-arm across the split.
+// delays straddle farSpan, so wheel and far-heap entries interleave in
+// time and timers re-arm across the split; many more collide in one
+// 64 ns wheel slot, so buckets overflow into the near (spill) heap; some
+// land on slot boundaries, at exactly now+farSpan-1, or anywhere in the
+// window, so the ring is sparse and wraps many times over a run.
 
 type refEvent struct {
 	when  Time
@@ -47,8 +50,9 @@ type queueHarness struct {
 	// Run/RunUntil; budget, when positive, stops Run after that many fires.
 	stopReq bool
 	budget  int
-	// mixed counts checks that found both heaps non-empty.
-	mixed int
+	// inWheel, inSpill and inFar count checks that found the wheel, the
+	// near (spill) heap and the far heap non-empty.
+	inWheel, inSpill, inFar int
 }
 
 func newQueueHarness(t *testing.T, seed uint64, timers int) *queueHarness {
@@ -133,12 +137,22 @@ func (h *queueHarness) callback(id int) func() {
 	}
 }
 
-// delay draws from a small range so same-instant ties are common, or
-// from within 20 ns of farSpan so entries land in both heaps.
+// delay draws from a small range so same-instant ties and full wheel
+// buckets are common, from within 20 ns of farSpan so entries land in
+// both the wheel and the far heap, or at the wheel's edges: the first
+// instant of a slot a few slots ahead, anywhere in the window, and
+// exactly farSpan-1, the last instant the wheel takes.
 func (h *queueHarness) delay() Duration {
 	switch {
 	case h.r.Bool(0.3):
 		return farSpan + Duration(h.r.Intn(41)-20)
+	case h.r.Bool(0.1):
+		next := (h.now>>slotShift + Time(1+h.r.Intn(3))) << slotShift
+		return next.Sub(h.now)
+	case h.r.Bool(0.05):
+		return Duration(h.r.Intn(int(farSpan)))
+	case h.r.Bool(0.03):
+		return farSpan - 1
 	case h.r.Bool(0.3):
 		return 0
 	}
@@ -147,15 +161,16 @@ func (h *queueHarness) delay() Duration {
 
 // rearmTarget picks an instant earlier than, equal to, or later than the
 // timer's current deadline (or a fresh one when disarmed), by a few
-// nanoseconds or by farSpan, so entries filed in one heap re-arm to
-// deadlines the other heap would have taken.
+// nanoseconds, by whole wheel slots, or by farSpan, so wheel entries
+// move to earlier slots and entries filed on one side of the split
+// re-arm to deadlines the other side would have taken.
 func (h *queueHarness) rearmTarget(i int) Time {
 	ref := h.tref[i]
 	if ref == nil {
 		return h.now.Add(h.delay())
 	}
 	var d Duration
-	switch h.r.Intn(5) {
+	switch h.r.Intn(6) {
 	case 0:
 		d = -Duration(1 + h.r.Intn(20))
 	case 1:
@@ -166,6 +181,8 @@ func (h *queueHarness) rearmTarget(i int) Time {
 		d = -farSpan
 	case 4:
 		d = farSpan
+	case 5:
+		d = -Duration(1+h.r.Intn(8)) << slotShift
 	}
 	if at := ref.when.Add(d); at >= h.now {
 		return at
@@ -189,7 +206,7 @@ func (h *queueHarness) armTimer(i int, at Time, viaArm bool) {
 // op performs one random operation on both the engine and the model.
 func (h *queueHarness) op(inCallback bool) {
 	e := h.e
-	switch h.r.Intn(12) {
+	switch h.r.Intn(13) {
 	case 0:
 		d := h.delay()
 		id := h.newID()
@@ -250,6 +267,19 @@ func (h *queueHarness) op(inCallback bool) {
 			e.Stop()
 			h.stopReq = true
 		}
+	case 12:
+		// A burst into one 64 ns slot, more than a bucket holds, so the
+		// overflow spills into the near heap.
+		slot := (h.now.Add(h.delay()) >> slotShift) << slotShift
+		for k := 3 + h.r.Intn(6); k > 0; k-- {
+			at := slot.Add(Duration(h.r.Intn(1 << slotShift)))
+			if at < h.now {
+				at = h.now
+			}
+			id := h.newID()
+			h.add(at, id, -1)
+			e.ScheduleAt(at, h.callback(id))
+		}
 	}
 }
 
@@ -273,9 +303,10 @@ func (h *queueHarness) check(what string) {
 }
 
 // checkHeaps verifies the engine's queue layout: both heaps are
-// heap-ordered by (when, seq), every entry's index is its slot and its
-// far flag names the heap holding it, the lane event is in neither
-// heap, and an armed timer's entry keys at most its real deadline.
+// heap-ordered by (when, seq), every heap entry's index is its slot and
+// its far flag names the heap holding it, the wheel is consistent (see
+// checkWheel), the lane event is in no store, and an armed timer's entry
+// keys at most its real deadline.
 func (h *queueHarness) checkHeaps(what string) {
 	e := h.e
 	for _, heap := range []struct {
@@ -293,16 +324,96 @@ func (h *queueHarness) checkHeaps(what string) {
 			case i > 0 && lessEv(ev, heap.q[(i-1)/2]):
 				h.t.Fatalf("after %s: entry at slot %d (far=%v) sorts before its parent", what, i, heap.far)
 			}
-			if tm := ev.tm; tm != nil && ev.fn != nil && (tm.at < ev.when || tm.at == ev.when && tm.seq < ev.seq) {
-				h.t.Fatalf("after %s: timer entry key (%v, %d) above its deadline (%v, %d)", what, ev.when, ev.seq, tm.at, tm.seq)
-			}
+			h.checkTimerKey(what, ev)
 		}
 	}
+	h.checkWheel(what)
 	if l := e.lane; l != nil && l.index != inLane {
 		h.t.Fatalf("after %s: lane event has index %d", what, l.index)
 	}
-	if len(e.near) > 0 && len(e.far) > 0 {
-		h.mixed++
+	if e.wlen > 0 {
+		h.inWheel++
+	}
+	if len(e.near) > 0 {
+		h.inSpill++
+	}
+	if len(e.far) > 0 {
+		h.inFar++
+	}
+}
+
+func (h *queueHarness) checkTimerKey(what string, ev *Event) {
+	if tm := ev.tm; tm != nil && ev.fn != nil && (tm.at < ev.when || tm.at == ev.when && tm.seq < ev.seq) {
+		h.t.Fatalf("after %s: timer entry key (%v, %d) above its deadline (%v, %d)", what, ev.when, ev.seq, tm.at, tm.seq)
+	}
+}
+
+// checkWheel verifies the wheel: each bucket's count is within
+// bucketCap, its first count slab cells hold entries and the rest are
+// nil; an entry's index encodes its slab position, its instant keys its
+// slot and lies in [now, now+farSpan), and its far flag is clear; the
+// occupancy bits mark exactly the non-empty buckets and the summary bits
+// exactly the non-zero occupancy words; the counts add up to wlen; and
+// the cached head is the wheel's (when, seq) minimum.
+func (h *queueHarness) checkWheel(what string) {
+	e := h.e
+	w := e.wheel
+	if w == nil {
+		if e.wlen != 0 || e.whead != nil {
+			h.t.Fatalf("after %s: no wheel, but wlen=%d whead=%v", what, e.wlen, e.whead)
+		}
+		return
+	}
+	var min *Event
+	total := 0
+	for s := 0; s < wheelSlots; s++ {
+		n := int(w.n[s])
+		if n > bucketCap {
+			h.t.Fatalf("after %s: bucket %d holds %d entries", what, s, n)
+		}
+		if occ := w.occ[s>>6]>>(s&63)&1 == 1; occ != (n > 0) {
+			h.t.Fatalf("after %s: bucket %d holds %d entries, occupancy bit %v", what, s, n, occ)
+		}
+		for k := 0; k < bucketCap; k++ {
+			pos := s*bucketCap + k
+			ev := w.slab[pos]
+			if k >= n {
+				if ev != nil {
+					h.t.Fatalf("after %s: bucket %d keeps an entry past its count %d", what, s, n)
+				}
+				continue
+			}
+			switch {
+			case ev == nil:
+				h.t.Fatalf("after %s: bucket %d has a hole at %d of %d", what, s, k, n)
+			case ev == e.lane:
+				h.t.Fatalf("after %s: the lane event sits in bucket %d", what, s)
+			case int(wheelBase-ev.index) != pos:
+				h.t.Fatalf("after %s: wheel entry at slab %d has index %d", what, pos, ev.index)
+			case ev.far:
+				h.t.Fatalf("after %s: wheel entry at slab %d has far set", what, pos)
+			case int(ev.when>>slotShift)&slotMask != s:
+				h.t.Fatalf("after %s: entry due %v sits in bucket %d", what, ev.when, s)
+			case ev.when < e.now || ev.when.Sub(e.now) >= farSpan:
+				h.t.Fatalf("after %s: wheel entry due %v outside [%v, %v+farSpan)", what, ev.when, e.now, e.now)
+			}
+			h.checkTimerKey(what, ev)
+			if min == nil || lessEv(ev, min) {
+				min = ev
+			}
+			total++
+		}
+	}
+	for i, word := range w.occ {
+		if set := w.sum>>i&1 == 1; set != (word != 0) {
+			h.t.Fatalf("after %s: occupancy word %d = %#x, summary bit %v", what, i, word, set)
+		}
+	}
+	if total != e.wlen {
+		h.t.Fatalf("after %s: wheel holds %d entries, wlen %d", what, total, e.wlen)
+	}
+	if e.whead != min {
+		h.t.Fatalf("after %s: cached wheel head %v, minimum %v", what, e.whead, min)
 	}
 }
 
@@ -373,8 +484,12 @@ func TestQueueMatchesReferenceOrder(t *testing.T) {
 		if h.fired == 0 {
 			t.Fatalf("seed %d fired nothing", seed)
 		}
-		if h.mixed == 0 {
-			t.Fatalf("seed %d never had both heaps in use", seed)
+		if h.inWheel == 0 || h.inSpill == 0 || h.inFar == 0 {
+			t.Fatalf("seed %d did not use every store: wheel %d, spill heap %d, far heap %d checks",
+				seed, h.inWheel, h.inSpill, h.inFar)
+		}
+		if turns := h.now >> slotShift / wheelSlots; turns < 2 {
+			t.Fatalf("seed %d ended at %v: the wheel turned %d times, want >= 2", seed, h.now, turns)
 		}
 	}
 }
@@ -467,8 +582,9 @@ func TestRunUntilSettlesStaleTimerPastT(t *testing.T) {
 }
 
 // TestMinLaneDemotion: a pooled event takes the lane only while it sorts
-// first; an earlier push demotes it into the heap, and both still fire in
-// (when, seq) order with the clock never going backwards.
+// before the lane and every queue head; an earlier push demotes it into
+// the queue, and both still fire in (when, seq) order with the clock
+// never going backwards.
 func TestMinLaneDemotion(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -477,14 +593,22 @@ func TestMinLaneDemotion(t *testing.T) {
 		t.Fatal("first pooled event did not take the lane")
 	}
 	e.ScheduleAt(20, func() { got = append(got, 20) })
-	if e.lane.when != 20 || len(e.near) != 1 || e.near[0].when != 30 {
-		t.Fatal("earlier pooled event did not demote the lane")
+	if e.lane.when != 20 || e.wlen != 1 || e.whead.when != 30 {
+		t.Fatal("earlier pooled event did not demote the lane into the wheel")
 	}
-	e.ScheduleAt(20, func() { got = append(got, 21) }) // same instant: heap, behind the lane
+	e.ScheduleAt(20, func() { got = append(got, 21) }) // same instant: the wheel, behind the lane
 	e.At(10, func() { got = append(got, 10) })
 	e.Run()
 	if len(got) != 4 || got[0] != 10 || got[1] != 20 || got[2] != 21 || got[3] != 30 {
 		t.Fatalf("fire order %v, want [10 20 21 30]", got)
+	}
+	// A pooled event due after the wheel head files behind it instead of
+	// taking the empty lane.
+	e = NewEngine()
+	e.At(10, func() {})
+	e.ScheduleAt(20, func() {})
+	if e.lane != nil || e.wlen != 2 {
+		t.Fatalf("pooled event behind the wheel head: lane %v, wlen %d; want no lane, 2", e.lane, e.wlen)
 	}
 }
 
@@ -503,5 +627,99 @@ func TestStopInRunUntilKeepsClock(t *testing.T) {
 	e.RunUntil(100)
 	if n != 2 || e.Now() != 100 {
 		t.Fatalf("after resumed RunUntil: n=%d Now()=%v, want 2, 100ns", n, e.Now())
+	}
+}
+
+// TestWheelBucketSpills: the wheel is allocated on the first near
+// filing, not before; a slot takes bucketCap entries and the rest of a
+// burst into it spill into the near heap; all of them still fire in
+// (when, seq) order.
+func TestWheelBucketSpills(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.At(Time(farSpan), func() { got = append(got, -1) })
+	if e.wheel != nil {
+		t.Fatal("a far-only queue allocated the wheel")
+	}
+	// Instants 191, 190, ..., 184 all key slot 2; two share 187.
+	for i, at := range []Time{191, 190, 189, 188, 187, 187, 186, 185} {
+		i := i
+		e.At(at, func() { got = append(got, i) })
+	}
+	if e.wheel == nil || e.wlen != bucketCap || len(e.near) != 8-bucketCap || len(e.far) != 1 {
+		t.Fatalf("wlen=%d near=%d far=%d, want %d in the wheel, %d spilled, 1 far",
+			e.wlen, len(e.near), len(e.far), bucketCap, 8-bucketCap)
+	}
+	e.Run()
+	want := []int{7, 6, 4, 5, 3, 2, 1, 0, -1}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// TestWheelTimerRearms: an earlier re-arm moves a timer's wheel entry to
+// its new slot; a later re-arm past the window leaves the entry stale,
+// and settling it at the head re-files it into the far heap.
+func TestWheelTimerRearms(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer()
+	fired := Time(-1)
+	fn := func() { fired = e.Now() }
+	tm.ArmAt(1000, fn)
+	slotOf := func() int { return int(wheelBase-tm.ev.index) / bucketCap }
+	if tm.ev.index > wheelBase || slotOf() != 1000>>slotShift {
+		t.Fatalf("armed at 1000: index %d, want slot %d of the wheel", tm.ev.index, 1000>>slotShift)
+	}
+	tm.ArmAt(200, fn)
+	if tm.ev.index > wheelBase || slotOf() != 200>>slotShift || e.wlen != 1 || e.whead != &tm.ev {
+		t.Fatalf("re-armed to 200: index %d wlen %d, want the head of slot %d", tm.ev.index, e.wlen, 200>>slotShift)
+	}
+	late := Time(200 + 3*farSpan)
+	tm.ArmAt(late, fn)
+	if tm.ev.when != 200 || e.wlen != 1 {
+		t.Fatalf("later re-arm moved the entry: key %v, wlen %d", tm.ev.when, e.wlen)
+	}
+	e.RunUntil(300)
+	if fired != -1 || e.wlen != 0 || len(e.far) != 1 || !tm.ev.far || tm.ev.when != late {
+		t.Fatalf("after settling: fired=%v wlen=%d far=%d key=%v, want the entry re-filed far at %v",
+			fired, e.wlen, len(e.far), tm.ev.when, late)
+	}
+	e.Run()
+	if fired != late || e.Pending() != 0 {
+		t.Fatalf("fired at %v, Pending %d; want %v, 0", fired, e.Pending(), late)
+	}
+}
+
+// TestNearTrafficAllocatesNothing: once the wheel, the heaps and the
+// freelist are warm, near-event traffic — instants that collide in one
+// slot and spill, a timer re-armed earlier and later, runs that wrap
+// the ring — allocates nothing per event, so wheel buckets never grow.
+func TestNearTrafficAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer()
+	n := 0
+	fn := func() { n++ }
+	round := func() {
+		for i := 0; i < 12; i++ {
+			e.Schedule(Duration(i%3), fn)
+		}
+		e.Schedule(Duration(n%97)*Microsecond, fn)
+		tm.Arm(Duration(n%61)*Microsecond, fn)
+		tm.Arm(Duration(n%13)*Microsecond, fn)
+		e.RunUntil(e.Now().Add(40 * Microsecond))
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(2000, round); avg != 0 {
+		t.Fatalf("near traffic allocates %.3f per round of ~15 events, want 0", avg)
+	}
+	if e.Now() < Time(wheelSlots<<slotShift) {
+		t.Fatalf("clock at %v: the ring never wrapped", e.Now())
 	}
 }
