@@ -39,22 +39,25 @@ func main() {
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
+	cfg, err := resolve(cmd, *cfgName, *ssds, *dev)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nvmectl:", err)
+		os.Exit(2)
+	}
 
-	sys := core.NewSystem(core.Options{NumSSDs: *ssds, Seed: *seed, Config: configByName(*cfgName)})
+	sys := core.NewSystem(core.Options{NumSSDs: *ssds, Seed: *seed, Config: cfg})
 
 	switch cmd {
 	case "list":
 		list(sys)
 	case "id-ctrl":
-		idCtrl(sys, need(dev, *ssds))
+		idCtrl(sys, *dev)
 	case "smart-log":
-		smartLog(sys, need(dev, *ssds))
+		smartLog(sys, *dev)
 	case "format":
-		format(sys, need(dev, *ssds))
+		format(sys, *dev)
 	case "profile":
 		profile(sys, *dev)
-	default:
-		usage()
 	}
 }
 
@@ -63,30 +66,42 @@ func usage() {
 	os.Exit(2)
 }
 
-func need(dev *int, n int) int {
-	if *dev < 0 || *dev >= n {
-		fmt.Fprintf(os.Stderr, "nvmectl: -dev must be in [0,%d)\n", n)
-		os.Exit(2)
+// resolve checks the command and its flags before anything boots, and
+// returns the kernel config -config names. -ssds must be at least 1 and
+// -dev must name a device of the array; -dev -1, its default, means
+// every device and is accepted by list and profile only.
+func resolve(cmd, cfgName string, ssds, dev int) (core.Config, error) {
+	var cfg core.Config
+	allowAll := false
+	switch cmd {
+	case "list", "profile":
+		allowAll = true
+	case "id-ctrl", "smart-log", "format":
+	default:
+		return cfg, fmt.Errorf("unknown command %q (have list, id-ctrl, smart-log, format, profile)", cmd)
 	}
-	return *dev
-}
-
-func configByName(name string) core.Config {
-	switch name {
+	switch cfgName {
 	case "default":
-		return core.Default()
+		cfg = core.Default()
 	case "chrt":
-		return core.CHRT()
+		cfg = core.CHRT()
 	case "isolcpus":
-		return core.Isolcpus()
+		cfg = core.Isolcpus()
 	case "irq":
-		return core.IRQAffinity()
+		cfg = core.IRQAffinity()
 	case "expfw":
-		return core.ExpFirmware()
+		cfg = core.ExpFirmware()
+	default:
+		return cfg, fmt.Errorf("unknown config %q (have default, chrt, isolcpus, irq, expfw)", cfgName)
 	}
-	fmt.Fprintf(os.Stderr, "nvmectl: unknown config %q\n", name)
-	os.Exit(2)
-	panic("unreachable")
+	switch {
+	case ssds < 1:
+		return cfg, fmt.Errorf("-ssds must be >= 1, got %d", ssds)
+	case dev == -1 && allowAll:
+	case dev < 0 || dev >= ssds:
+		return cfg, fmt.Errorf("%s: -dev must be in [0,%d), got %d", cmd, ssds, dev)
+	}
+	return cfg, nil
 }
 
 func list(sys *core.System) {

@@ -23,8 +23,7 @@ type RunSpec struct {
 	IODepth int
 	// LatLogSSDs enables fio latency logging on SSDs [0, LatLogSSDs).
 	// The paper's footnote 1 logs only 32 of 64 for accuracy.
-	LatLogSSDs  int
-	LatLogLimit int
+	LatLogSSDs int
 	// Phases enables blktrace-style per-I/O latency decomposition on all
 	// jobs.
 	Phases bool
@@ -80,7 +79,6 @@ func (s *System) RunFIO(spec RunSpec) []*fio.Result {
 		}
 		if ssd < spec.LatLogSSDs {
 			js.LatLog = true
-			js.LatLogLimit = spec.LatLogLimit
 		}
 		jobs = append(jobs, js)
 	}

@@ -18,76 +18,55 @@ const (
 	ArrivalPoisson ArrivalKind = iota
 	// ArrivalMMPP is a two-state Markov-modulated Poisson process: the
 	// stream alternates between a calm state and a burst state (rate
-	// multiplied by Burst), with exponentially distributed dwell times.
-	// The calm-state rate is scaled down so the long-run mean stays
-	// Rate.
+	// multiplied by mmppBurst), with exponentially distributed dwell
+	// times. The calm-state rate is scaled down so the long-run mean
+	// stays Rate.
 	ArrivalMMPP
 	// ArrivalDiurnal modulates a Poisson process sinusoidally:
-	// rate(t) = Rate·(1 + Swing·sin(2πt/Period)) — a compressed
-	// day/night load curve.
+	// rate(t) = Rate·(1 + diurnalSwing·sin(2πt/diurnalPeriod)) — a
+	// compressed day/night load curve.
 	ArrivalDiurnal
 )
 
+// The shape constants of the modulated processes.
+const (
+	// mmppBurst multiplies the MMPP rate while bursting.
+	mmppBurst = 8
+	// mmppMeanCalm / mmppMeanBurst are the MMPP mean dwell times in each
+	// state.
+	mmppMeanCalm  = 10 * sim.Millisecond
+	mmppMeanBurst = 2 * sim.Millisecond
+	// diurnalPeriod is the diurnal modulation period and diurnalSwing its
+	// depth in [0, 1).
+	diurnalPeriod = 100 * sim.Millisecond
+	diurnalSwing  = 0.8
+)
+
 // ArrivalSpec parameterizes an arrival process. Rate is the long-run
-// mean arrival rate in I/Os per second for every kind; the remaining
-// fields apply only to the kinds that name them.
+// mean arrival rate in I/Os per second for every kind.
 type ArrivalSpec struct {
 	Kind ArrivalKind
 	// Rate is the long-run mean arrival rate (I/Os per second).
 	Rate float64
-
-	// Burst (MMPP) multiplies the rate while bursting. Default 8.
-	Burst float64
-	// MeanCalm / MeanBurst (MMPP) are the mean dwell times in each
-	// state. Defaults 10 ms / 2 ms.
-	MeanCalm  sim.Duration
-	MeanBurst sim.Duration
-
-	// Period (diurnal) is the modulation period; default 100 ms.
-	// Swing (diurnal) is the modulation depth in [0, 1); default 0.8.
-	Period sim.Duration
-	Swing  float64
 
 	// calmRate is the precomputed MMPP calm-state rate that keeps the
 	// long-run mean at Rate. Filled by normalize.
 	calmRate float64
 }
 
-// normalize fills defaults and precomputes derived rates. It returns an
-// error for specs that cannot generate a valid process.
+// normalize precomputes derived rates. It returns an error for specs
+// that cannot generate a valid process.
 func (a ArrivalSpec) normalize() (ArrivalSpec, error) {
 	if a.Rate <= 0 {
 		return a, fmt.Errorf("arrival rate must be positive, got %g", a.Rate)
 	}
 	switch a.Kind {
-	case ArrivalPoisson:
+	case ArrivalPoisson, ArrivalDiurnal:
 	case ArrivalMMPP:
-		if a.Burst == 0 { //afalint:allow floatcompare -- zero-value "unset" sentinel, not a computed float
-			a.Burst = 8
-		}
-		if a.MeanCalm == 0 {
-			a.MeanCalm = 10 * sim.Millisecond
-		}
-		if a.MeanBurst == 0 {
-			a.MeanBurst = 2 * sim.Millisecond
-		}
-		if a.Burst < 1 || a.MeanCalm <= 0 || a.MeanBurst <= 0 {
-			return a, fmt.Errorf("invalid MMPP params: burst=%g calm=%s burst-dwell=%s", a.Burst, a.MeanCalm, a.MeanBurst)
-		}
-		// Long-run mean = calmRate·(calm + Burst·burst)/(calm+burst);
+		// Long-run mean = calmRate·(calm + mmppBurst·burst)/(calm+burst);
 		// solve for calmRate so the mean equals Rate.
-		calm, burst := a.MeanCalm.Seconds(), a.MeanBurst.Seconds()
-		a.calmRate = a.Rate * (calm + burst) / (calm + a.Burst*burst)
-	case ArrivalDiurnal:
-		if a.Period == 0 {
-			a.Period = 100 * sim.Millisecond
-		}
-		if a.Swing == 0 { //afalint:allow floatcompare -- zero-value "unset" sentinel, not a computed float
-			a.Swing = 0.8
-		}
-		if a.Period <= 0 || a.Swing < 0 || a.Swing >= 1 {
-			return a, fmt.Errorf("invalid diurnal params: period=%s swing=%g", a.Period, a.Swing)
-		}
+		calm, burst := mmppMeanCalm.Seconds(), mmppMeanBurst.Seconds()
+		a.calmRate = a.Rate * (calm + burst) / (calm + mmppBurst*burst)
 	default:
 		return a, fmt.Errorf("unknown arrival kind %d", a.Kind)
 	}
@@ -112,19 +91,19 @@ func (a *ArrivalSpec) nextGap(now sim.Time, st *arrivalState, rnd *rng.Stream) s
 	case ArrivalMMPP:
 		if now >= st.stateUntil {
 			st.bursting = !st.bursting
-			dwell := a.MeanCalm
+			dwell := mmppMeanCalm
 			if st.bursting {
-				dwell = a.MeanBurst
+				dwell = mmppMeanBurst
 			}
 			st.stateUntil = now.Add(sim.Duration(rnd.Exp(float64(dwell))))
 		}
 		rate = a.calmRate
 		if st.bursting {
-			rate = a.calmRate * a.Burst
+			rate = a.calmRate * mmppBurst
 		}
 	case ArrivalDiurnal:
-		phase := 2 * pi * float64(int64(now)%int64(a.Period)) / float64(a.Period)
-		rate = a.Rate * (1 + a.Swing*sinApprox(phase))
+		phase := 2 * pi * float64(int64(now)%int64(diurnalPeriod)) / float64(diurnalPeriod)
+		rate = a.Rate * (1 + diurnalSwing*sinApprox(phase))
 	default:
 		panic("fio: unnormalized ArrivalSpec")
 	}

@@ -49,10 +49,6 @@ type JobSpec struct {
 	// LatLog enables per-I/O latency logging (write_lat_log) with the
 	// associated per-sample overhead.
 	LatLog bool
-	// LatLogLimit caps retained samples (0 = unlimited).
-	LatLogLimit int
-	// ThinkTime inserts a delay between I/Os (0 = closed loop).
-	ThinkTime sim.Duration
 	// Phases enables per-I/O latency decomposition (blktrace-style; see
 	// PhaseReport).
 	Phases bool
@@ -84,12 +80,6 @@ func (s JobSpec) Validate() error {
 	}
 	if s.SSD < 0 {
 		return fmt.Errorf("fio: job %q: ssd index must be non-negative, got %d", s.Name, s.SSD)
-	}
-	if s.ThinkTime < 0 {
-		return fmt.Errorf("fio: job %q: think time must be non-negative, got %v", s.Name, s.ThinkTime)
-	}
-	if s.LatLogLimit < 0 {
-		return fmt.Errorf("fio: job %q: lat-log limit must be non-negative, got %d", s.Name, s.LatLogLimit)
 	}
 	return nil
 }
@@ -201,7 +191,6 @@ type Job struct {
 	reapFn       func()
 	submitFn     func()
 	pollSpinFn   func()
-	thinkFn      func()
 }
 
 // New creates a job (thread is created sleeping; Start launches it).
@@ -223,7 +212,7 @@ func New(eng *sim.Engine, k *kernel.Kernel, spec JobSpec) *Job {
 	j.res.Spec = spec
 	j.res.Hist = stats.NewHistogram()
 	if spec.LatLog {
-		j.res.Log = stats.NewLatLog(spec.LatLogLimit)
+		j.res.Log = stats.NewLatLog()
 	}
 	if spec.Phases {
 		j.res.Phases = &PhaseReport{}
@@ -244,10 +233,6 @@ func New(eng *sim.Engine, k *kernel.Kernel, spec JobSpec) *Job {
 	j.reapFn = j.reap
 	j.submitFn = j.submitWindow
 	j.pollSpinFn = j.pollSpin
-	j.thinkFn = func() {
-		j.task.Exec(j.submitCost(1), j.submitFn)
-		j.k.Sched.Wake(j.task)
-	}
 	return j
 }
 
@@ -436,10 +421,6 @@ func (j *Job) reap() {
 			return
 		}
 		j.finishIfDrained()
-		return
-	}
-	if j.spec.ThinkTime > 0 {
-		j.eng.Schedule(j.spec.ThinkTime, j.thinkFn)
 		return
 	}
 	j.submitWindow()

@@ -192,17 +192,6 @@ func TestQD1NeverOverlaps(t *testing.T) {
 	}
 }
 
-func TestThinkTimeThrottles(t *testing.T) {
-	r := newRig(t, 2, 1, kernel.CompleteInterrupt, nvme.FirmwareNoSMART)
-	res := RunGroup(r.eng, r.k, []JobSpec{{
-		SSD: 0, RW: RandRead, Runtime: 200 * sim.Millisecond, CPUsAllowed: []int{1},
-		ThinkTime: 100 * sim.Microsecond, Seed: 1,
-	}})[0]
-	if iops := res.IOPS(); iops > 9000 {
-		t.Fatalf("think time ignored: %.0f IOPS", iops)
-	}
-}
-
 func TestReportFormat(t *testing.T) {
 	r := newRig(t, 2, 1, kernel.CompleteInterrupt, nvme.FirmwareNoSMART)
 	res := RunGroup(r.eng, r.k, []JobSpec{{

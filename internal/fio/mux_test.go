@@ -192,31 +192,6 @@ func TestMuxAdmissionThrottle(t *testing.T) {
 	}
 }
 
-// TestMuxSourceContract: TenantStream implements Source; a per-tenant
-// observer sees its counters at teardown.
-func TestMuxSourceContract(t *testing.T) {
-	r := newRig(t, 2, 1, kernel.CompleteInterrupt, nvme.FirmwareNoSMART)
-	m := NewMultiplexer(r.eng, r.k, MuxConfig{Runtime: 100 * sim.Millisecond, Seed: 5})
-	id := m.AddTenant(TenantSpec{SSD: 0, RW: RandRead, Class: kernel.ClassLatency,
-		Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 2000}})
-	var got *Result
-	var src Source = m.Tenant(id)
-	src.Start(func(res *Result) { got = res })
-	if src.Name() == "" {
-		t.Fatal("empty tenant name")
-	}
-	m.Run()
-	if got == nil {
-		t.Fatal("tenant onDone never fired")
-	}
-	if got.IOs == 0 {
-		t.Fatalf("tenant completed no I/O: %+v", got)
-	}
-	if got.IOPS() <= 0 {
-		t.Fatalf("tenant IOPS %v", got.IOPS())
-	}
-}
-
 // TestMuxSteadyStateAllocs: after warmup, advancing the mux must not
 // allocate on the arrival/submit/complete path.
 func TestMuxSteadyStateAllocs(t *testing.T) {

@@ -28,8 +28,6 @@ func TestJobSpecValidate(t *testing.T) {
 		{"zero-runtime", func(s *JobSpec) { s.Runtime = 0 }, "runtime"},
 		{"negative-runtime", func(s *JobSpec) { s.Runtime = -sim.Second }, "runtime"},
 		{"negative-ssd", func(s *JobSpec) { s.SSD = -1 }, "ssd"},
-		{"negative-think", func(s *JobSpec) { s.ThinkTime = -sim.Microsecond }, "think"},
-		{"negative-latlog", func(s *JobSpec) { s.LatLogLimit = -1 }, "lat-log"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := valid

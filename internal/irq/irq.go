@@ -22,38 +22,30 @@ import (
 	"repro/internal/sim"
 )
 
-// Costs are the interrupt-path cost constants.
-type Costs struct {
-	// HardIRQ is the top-half handler's CPU time.
-	HardIRQ sim.Duration
-	// SoftIRQ is the block-layer completion (bottom half) CPU time.
-	SoftIRQ sim.Duration
-	// IPI is the inter-processor-interrupt cost when the handler must wake
+// The calibrated interrupt-path costs.
+const (
+	// hardIRQ is the top-half handler's CPU time.
+	hardIRQ = 1200 * sim.Nanosecond
+	// softIRQ is the block-layer completion (bottom half) CPU time.
+	softIRQ = 1500 * sim.Nanosecond
+	// ipi is the inter-processor-interrupt cost when the handler must wake
 	// a thread living on another CPU.
-	IPI sim.Duration
-	// RemoteWakePenalty is extra first-burst time for a thread woken from
+	ipi = 2 * sim.Microsecond
+	// remoteWakePenalty is extra first-burst time for a thread woken from
 	// a remote CPU (completion data structures are in the wrong cache).
-	RemoteWakePenalty sim.Duration
-	// CrossSocketExtra is the additional cost when the remote CPU sits on
+	remoteWakePenalty = 7 * sim.Microsecond
+	// crossSocketExtra is the additional cost when the remote CPU sits on
 	// the other NUMA socket: the IPI crosses QPI and the cache lines are
 	// remote-memory (the paper's stated future work on NUMA implications).
-	CrossSocketExtra sim.Duration
-	// CrossSocketWakeExtra is the extra wake penalty for cross-socket
+	crossSocketExtra = 1500 * sim.Nanosecond
+	// crossSocketWakeExtra is the extra wake penalty for cross-socket
 	// deliveries.
-	CrossSocketWakeExtra sim.Duration
-}
+	crossSocketWakeExtra = 4 * sim.Microsecond
+)
 
-// DefaultCosts returns calibrated interrupt-path costs.
-func DefaultCosts() Costs {
-	return Costs{
-		HardIRQ:              1200 * sim.Nanosecond,
-		SoftIRQ:              1500 * sim.Nanosecond,
-		IPI:                  2 * sim.Microsecond,
-		RemoteWakePenalty:    7 * sim.Microsecond,
-		CrossSocketExtra:     1500 * sim.Nanosecond,
-		CrossSocketWakeExtra: 4 * sim.Microsecond,
-	}
-}
+// balancePeriod is how often irqbalance re-spreads vectors (its daemon's
+// default is 10 s).
+const balancePeriod = 10 * sim.Second
 
 // Delivery describes how one completion was delivered; the kernel package
 // uses it to charge wake penalties, and the trace package records it.
@@ -68,10 +60,9 @@ type Delivery struct {
 
 // Controller owns the vector table and the balancer.
 type Controller struct {
-	eng   *sim.Engine
-	sch   *sched.Scheduler
-	rnd   *rng.Stream
-	costs Costs
+	eng *sim.Engine
+	sch *sched.Scheduler
+	rnd *rng.Stream
 
 	// eff[ssd][queue] is the effective CPU of vector irq(ssd,queue).
 	eff [][]int
@@ -79,7 +70,6 @@ type Controller struct {
 	pinned [][]bool
 
 	balancer       *sim.Ticker
-	BalancePeriod  sim.Duration
 	policy         Policy
 	socketOf       []int
 	local, remote  int64
@@ -156,11 +146,7 @@ func (p Policy) String() string {
 type Config struct {
 	NumSSDs int
 	NumCPUs int
-	Costs   Costs
 	Seed    uint64
-	// BalancePeriod is how often irqbalance re-spreads vectors (its
-	// daemon's default is 10 s).
-	BalancePeriod sim.Duration
 	// StartBalanced scatters initial effective affinities the way a boot
 	// with irqbalance leaves them; false starts with ideal (pinned-like)
 	// placement.
@@ -168,7 +154,7 @@ type Config struct {
 	// Policy selects the balancer algorithm (BalanceNaive by default).
 	Policy Policy
 	// SocketOf maps each logical CPU to its NUMA socket; when set,
-	// cross-socket deliveries pay the CrossSocket cost surcharges.
+	// cross-socket deliveries pay the cross-socket cost surcharges.
 	SocketOf []int
 }
 
@@ -179,20 +165,12 @@ func New(eng *sim.Engine, sch *sched.Scheduler, cfg Config) *Controller {
 	if cfg.NumSSDs <= 0 || cfg.NumCPUs <= 0 {
 		panic("irq: NumSSDs and NumCPUs must be positive")
 	}
-	if cfg.Costs == (Costs{}) {
-		cfg.Costs = DefaultCosts()
-	}
-	if cfg.BalancePeriod == 0 {
-		cfg.BalancePeriod = 10 * sim.Second
-	}
 	c := &Controller{
-		eng:           eng,
-		sch:           sch,
-		rnd:           rng.NewLabeled(cfg.Seed, "irqbalance"),
-		costs:         cfg.Costs,
-		BalancePeriod: cfg.BalancePeriod,
-		policy:        cfg.Policy,
-		socketOf:      cfg.SocketOf,
+		eng:      eng,
+		sch:      sch,
+		rnd:      rng.NewLabeled(cfg.Seed, "irqbalance"),
+		policy:   cfg.Policy,
+		socketOf: cfg.SocketOf,
 	}
 	c.eff = make([][]int, cfg.NumSSDs)
 	c.pinned = make([][]bool, cfg.NumSSDs)
@@ -205,7 +183,7 @@ func New(eng *sim.Engine, sch *sched.Scheduler, cfg Config) *Controller {
 	}
 	if cfg.StartBalanced {
 		c.spread()
-		c.balancer = sim.NewTicker(eng, c.BalancePeriod, func(sim.Time) {
+		c.balancer = sim.NewTicker(eng, balancePeriod, func(sim.Time) {
 			c.spread()
 			c.balancerPasses++
 		})
@@ -307,13 +285,13 @@ func (c *Controller) DeliverN(ssd, queue, n int, done func(Delivery)) {
 	if c.OnDeliver != nil {
 		c.OnDeliver(d)
 	}
-	cost := c.costs.HardIRQ + c.costs.SoftIRQ
+	cost := hardIRQ + softIRQ
 	cost += sim.Duration(n-1) * perExtraCQE
 	if d.Remote {
-		cost += c.costs.IPI
+		cost += ipi
 	}
 	if d.CrossSocket {
-		cost += c.costs.CrossSocketExtra
+		cost += crossSocketExtra
 	}
 	c.sch.CPU(cpu).Steal(cost, c.getReq(d, done).fireFn)
 }
@@ -328,9 +306,9 @@ func (c *Controller) WakePenalty(d Delivery) sim.Duration {
 	if !d.Remote {
 		return 0
 	}
-	p := c.costs.RemoteWakePenalty
+	p := remoteWakePenalty
 	if d.CrossSocket {
-		p += c.costs.CrossSocketWakeExtra
+		p += crossSocketWakeExtra
 	}
 	return p
 }

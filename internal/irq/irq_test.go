@@ -107,7 +107,7 @@ func TestDeliveryStealsHandlerCPUTime(t *testing.T) {
 	eng, s, c := newIRQ(t, 1, 1, false)
 	c.Deliver(0, 0, func(Delivery) {})
 	eng.RunUntil(sim.Time(sim.Millisecond))
-	if st := s.CPU(0).StolenTime(); st < c.costs.HardIRQ+c.costs.SoftIRQ {
+	if st := s.CPU(0).StolenTime(); st < hardIRQ+softIRQ {
 		t.Fatalf("stolen = %v, want ≥ hardirq+softirq", st)
 	}
 }

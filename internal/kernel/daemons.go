@@ -8,7 +8,8 @@ import (
 
 // DaemonSpec describes one background process's behaviour: it sleeps for
 // an exponentially distributed interval, wakes, and executes a session of
-// CPU bursts.
+// CPU bursts. Daemons are never pinned: the scheduler may place them on
+// any CPU the boot options leave open, which is the problematic case.
 type DaemonSpec struct {
 	Name string
 	// SleepMean is the mean time between activity sessions.
@@ -20,9 +21,6 @@ type DaemonSpec struct {
 	BurstsPerSession int
 	// Nice is the CFS nice value.
 	Nice int
-	// Affinity optionally pins the daemon (empty = unpinned, the default
-	// and the problematic case).
-	Affinity []int
 	// NoScale excludes the daemon from ScaleDaemonPeriods: its activity is
 	// frequent (frame-rate, not rare), so time compression of short runs
 	// must not distort it.
@@ -105,7 +103,7 @@ func (k *Kernel) StartDaemons(specs []DaemonSpec) {
 			k:    k,
 			rnd:  k.rnd.Derive("daemon-" + spec.Name),
 		}
-		d.task = k.Sched.NewTask(spec.Name, sched.ClassCFS, spec.Nice, spec.Affinity)
+		d.task = k.Sched.NewTask(spec.Name, sched.ClassCFS, spec.Nice, nil)
 		d.wakeFn = d.wake
 		d.burstDoneFn = d.burstDone
 		k.daemons = append(k.daemons, d)

@@ -118,7 +118,6 @@ type Config struct {
 	Sched *sched.Scheduler
 	IRQ   *irq.Controller
 	SSDs  []*nvme.Controller
-	Costs Costs
 	Mode  CompletionMode
 	// Coalesce enables NVMe interrupt coalescing (see Coalescing).
 	Coalesce Coalescing
@@ -143,15 +142,12 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 	if err := cfg.Timeout.check(); err != nil {
 		panic("kernel: " + err.Error())
 	}
-	if cfg.Costs == (Costs{}) {
-		cfg.Costs = DefaultCosts()
-	}
 	k := &Kernel{
 		eng:      eng,
 		Sched:    cfg.Sched,
 		IRQ:      cfg.IRQ,
 		SSDs:     cfg.SSDs,
-		costs:    cfg.Costs,
+		costs:    DefaultCosts(),
 		mode:     cfg.Mode,
 		coalesce: cfg.Coalesce,
 		timeout:  cfg.Timeout,

@@ -172,9 +172,6 @@ func TestDefaultDaemonPopulationShape(t *testing.T) {
 		if s.SleepMean <= 0 || s.BurstMean <= 0 || s.BurstsPerSession <= 0 {
 			t.Fatalf("bad spec %+v", s)
 		}
-		if len(s.Affinity) != 0 {
-			t.Fatalf("daemon %s is pinned; the paper's point is that they are not", s.Name)
-		}
 	}
 	// The paper names these two explicitly.
 	if !names["llvmpipe"] || !names["lttng-consumerd"] {

@@ -27,15 +27,17 @@ const (
 // enum.
 const NumQoSClasses = 3
 
-// qosLabels is indexed by QoSClass.
-var qosLabels = [NumQoSClasses]string{"latency", "throughput", "background"}
-
 // String returns a short lower-case label ("latency", ...).
 func (c QoSClass) String() string {
-	if c < 0 || int(c) >= NumQoSClasses {
-		return "invalid"
+	switch c {
+	case ClassLatency:
+		return "latency"
+	case ClassThroughput:
+		return "throughput"
+	case ClassBackground:
+		return "background"
 	}
-	return qosLabels[c]
+	return "invalid"
 }
 
 // ClassIOStats counts per-class kernel activity.

@@ -22,7 +22,7 @@ type refBlock struct {
 type refDevice struct {
 	geom    Geometry
 	timing  Timing
-	gc      GCConfig
+	gcLow   int
 	eng     *sim.Engine
 	rnd     *rng.Stream
 	dieFree []sim.Time
@@ -45,7 +45,7 @@ type refDevice struct {
 // same timing draw, same rng stream.
 func newRefDevice(eng *sim.Engine, g Geometry, tm Timing, seed uint64) *refDevice {
 	twin := NewDevice(eng, g, tm, seed)
-	return &refDevice{geom: twin.Geom, timing: twin.Timing, gc: twin.GC, eng: eng,
+	return &refDevice{geom: twin.Geom, timing: twin.Timing, gcLow: twin.freeBlockLow(), eng: eng,
 		rnd: twin.rnd, dieFree: make([]sim.Time, g.Dies())}
 }
 
@@ -109,7 +109,7 @@ func (d *refDevice) WriteWithGC(lba int64) (total, gc sim.Duration) {
 	start := d.eng.Now()
 	var gcDelay sim.Duration
 	startFree := len(d.freeList)
-	for passes := 0; len(d.freeList) <= d.gc.FreeBlockLow; passes++ {
+	for passes := 0; len(d.freeList) <= d.gcLow; passes++ {
 		if passes >= 16 && len(d.freeList) <= startFree {
 			break
 		}
@@ -232,7 +232,7 @@ func (d *refDevice) Precondition(frac float64) {
 	d.ensureInit()
 	n := int64(float64(d.LogicalSlices()) * frac)
 	for lba := int64(0); lba < n; lba++ {
-		if len(d.freeList) <= d.gc.FreeBlockLow {
+		if len(d.freeList) <= d.gcLow {
 			d.collect()
 		}
 		if e, ok := d.mapping[lba]; ok {
@@ -246,7 +246,7 @@ func (d *refDevice) Precondition(frac float64) {
 }
 
 func (d *refDevice) LogicalSlices() int64 {
-	twin := Device{Geom: d.geom, GC: d.gc}
+	twin := Device{Geom: d.geom}
 	return twin.LogicalSlices()
 }
 

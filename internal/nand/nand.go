@@ -153,13 +153,6 @@ func ZNANDTiming() Timing {
 	}
 }
 
-// GCConfig controls garbage collection.
-type GCConfig struct {
-	// FreeBlockLow triggers GC when free blocks fall to this count.
-	FreeBlockLow int
-	// Greedy victim selection is the only policy implemented.
-}
-
 // Stats exposes FTL counters.
 type Stats struct {
 	HostReads     int64
@@ -215,7 +208,6 @@ const regionShift = 12
 type Device struct {
 	Geom   Geometry
 	Timing Timing
-	GC     GCConfig
 
 	eng *sim.Engine
 	rnd *rng.Stream
@@ -256,7 +248,6 @@ func NewDevice(eng *sim.Engine, g Geometry, tm Timing, seed uint64) *Device {
 	d := &Device{
 		Geom:    g,
 		Timing:  tm,
-		GC:      GCConfig{FreeBlockLow: 2 * g.Dies()},
 		eng:     eng,
 		rnd:     rng.New(seed),
 		dieFree: make([]sim.Time, g.Dies()),
@@ -268,6 +259,10 @@ func NewDevice(eng *sim.Engine, g Geometry, tm Timing, seed uint64) *Device {
 	d.reset()
 	return d
 }
+
+// freeBlockLow triggers GC when free blocks fall to this count: two per
+// die. Greedy victim selection is the only policy implemented.
+func (d *Device) freeBlockLow() int { return 2 * d.Geom.Dies() }
 
 func (d *Device) reset() {
 	d.mapping = nil
@@ -330,7 +325,7 @@ func (d *Device) Stats() Stats { return d.stats }
 // device could be logically over-subscribed and GC could never converge.
 func (d *Device) LogicalSlices() int64 {
 	raw := int64(d.Geom.Blocks()) * int64(d.Geom.SlicesPerBlock())
-	headroomBlocks := int64(d.GC.FreeBlockLow + d.Geom.Dies() + 2)
+	headroomBlocks := int64(d.freeBlockLow() + d.Geom.Dies() + 2)
 	byHeadroom := raw - headroomBlocks*int64(d.Geom.SlicesPerBlock())
 	byOP := raw * 93 / 100
 	if byHeadroom < byOP {
@@ -431,7 +426,7 @@ func (d *Device) WriteWithGC(lba int64) (total, gc sim.Duration) {
 	start := d.eng.Now()
 	var gcDelay sim.Duration
 	startFree := d.free
-	for passes := 0; d.free <= d.GC.FreeBlockLow; passes++ {
+	for passes := 0; d.free <= d.freeBlockLow(); passes++ {
 		// Safety valves: if repeated passes reclaim no block-level slack
 		// (every victim nearly fully valid), stop — the host keeps writing
 		// into the remaining free blocks rather than livelocking.
@@ -640,7 +635,7 @@ func (d *Device) Precondition(frac float64) {
 	d.ensureInit()
 	n := int64(float64(d.LogicalSlices()) * frac)
 	for lba := int64(0); lba < n; lba++ {
-		if d.free <= d.GC.FreeBlockLow {
+		if d.free <= d.freeBlockLow() {
 			d.collect()
 		}
 		d.place(lba)

@@ -273,8 +273,8 @@ func TestLogicalCapacityLeavesGCHeadroom(t *testing.T) {
 		d := NewDevice(sim.NewEngine(), g, MLC3DTiming(), 1)
 		raw := int64(g.Blocks()) * int64(g.SlicesPerBlock())
 		spareBlocks := (raw - d.LogicalSlices()) / int64(g.SlicesPerBlock())
-		if spareBlocks <= int64(d.GC.FreeBlockLow) {
-			t.Fatalf("%+v: spare %d blocks ≤ GC threshold %d", g, spareBlocks, d.GC.FreeBlockLow)
+		if spareBlocks <= int64(d.freeBlockLow()) {
+			t.Fatalf("%+v: spare %d blocks ≤ GC threshold %d", g, spareBlocks, d.freeBlockLow())
 		}
 	}
 }
@@ -308,7 +308,6 @@ func TestFormatFieldPolicy(t *testing.T) {
 		// Configuration and identity: Format does not reconfigure.
 		"Geom":   "preserved",
 		"Timing": "preserved",
-		"GC":     "preserved",
 		"eng":    "preserved",
 		"rnd":    "preserved",
 		// Physical die occupancy: Format does not idle the dies.
@@ -346,7 +345,7 @@ func TestFormatFieldPolicy(t *testing.T) {
 	d.Read(999) // bump UnmappedRead too
 	preStats := d.stats
 	preDieFree := append([]sim.Time(nil), d.dieFree...)
-	preGeom, preTiming, preGC := d.Geom, d.Timing, d.GC
+	preGeom, preTiming := d.Geom, d.Timing
 	preEng, preRnd := d.eng, d.rnd
 	preLn, preLnOf := d.lnReadPage, d.lnReadPageOf
 	if preStats.HostWrites == 0 || d.FOB() || preLnOf == 0 {
@@ -367,8 +366,8 @@ func TestFormatFieldPolicy(t *testing.T) {
 	if !reflect.DeepEqual(d.dieFree, preDieFree) {
 		t.Errorf("Format changed dieFree: %v -> %v", preDieFree, d.dieFree)
 	}
-	if d.Geom != preGeom || d.Timing != preTiming || d.GC != preGC {
-		t.Error("Format changed configuration (Geom/Timing/GC)")
+	if d.Geom != preGeom || d.Timing != preTiming {
+		t.Error("Format changed configuration (Geom/Timing)")
 	}
 	if d.eng != preEng || d.rnd != preRnd {
 		t.Error("Format rebound the engine or rng stream")

@@ -116,22 +116,24 @@ type Firmware struct {
 	Kind FirmwareKind
 	// SMARTPeriod is the interval between SMART persistence windows.
 	SMARTPeriod sim.Duration
-	// SMARTBlockTime is how long one window stalls media (standard).
-	SMARTBlockTime sim.Duration
-	// IncrementalSlice is the media stall of one incremental step; steps
-	// run SMARTBlockTime/IncrementalSlice times more often, preserving
-	// total overhead.
-	IncrementalSlice sim.Duration
 }
+
+const (
+	// smartBlockTime is how long one SMART window stalls media (standard
+	// firmware).
+	smartBlockTime = 550 * sim.Microsecond
+	// incrementalSlice is the media stall of one incremental step; steps
+	// run smartBlockTime/incrementalSlice times more often, preserving
+	// total overhead.
+	incrementalSlice = 5 * sim.Microsecond
+)
 
 // DefaultFirmware returns the stock firmware: a ~550 µs media stall every
 // ~55 s (Fig 10 shows two spike windows within a 120 s / 4 M-sample run).
 func DefaultFirmware() Firmware {
 	return Firmware{
-		Kind:             FirmwareStandard,
-		SMARTPeriod:      55 * sim.Second,
-		SMARTBlockTime:   550 * sim.Microsecond,
-		IncrementalSlice: 5 * sim.Microsecond,
+		Kind:        FirmwareStandard,
+		SMARTPeriod: 55 * sim.Second,
 	}
 }
 
@@ -283,12 +285,11 @@ type Config struct {
 	ID     int
 	Fabric *pcie.Fabric
 	Geom   nand.Geometry
-	Timing nand.Timing
 	FW     Firmware
 	Seed   uint64
 	// Class selects the device speed class; the zero value is the paper's
 	// Table I flash device. ClassULL swaps in the Z-NAND spec, a slimmed
-	// controller pipeline, and (if Timing is zero) ZNANDTiming.
+	// controller pipeline, and ZNANDTiming.
 	Class DeviceClass
 }
 
@@ -305,7 +306,7 @@ func New(eng *sim.Engine, cfg Config) *Controller {
 	if cfg.Geom.Channels == 0 {
 		cfg.Geom = nand.TableIGeometry()
 	}
-	// The device class picks the spec sheet, the media timing default, and
+	// The device class picks the spec sheet, the media timing, and
 	// the controller pipeline costs: the ULL part pairs Z-NAND media with a
 	// slimmed command path (~0.7 µs of controller time vs the flash part's
 	// ~2.5 µs) — on a ~3 µs medium the 2018-class pipeline would dominate.
@@ -314,9 +315,6 @@ func New(eng *sim.Engine, cfg Config) *Controller {
 	if cfg.Class == ClassULL {
 		spec, timing = SpecZNAND(), nand.ZNANDTiming()
 		cmdProcess, cqePost = 500*sim.Nanosecond, 200*sim.Nanosecond
-	}
-	if cfg.Timing.ReadPage == 0 {
-		cfg.Timing = timing
 	}
 	c := &Controller{
 		ID:             cfg.ID,
@@ -334,7 +332,7 @@ func New(eng *sim.Engine, cfg Config) *Controller {
 		cqePost:        cqePost,
 		writeTokenCost: sim.Duration(int64(sim.Second) / int64(spec.RandWriteIOPS)),
 	}
-	c.Flash = nand.NewDevice(eng, cfg.Geom, cfg.Timing, cfg.Seed^uint64(cfg.ID)*0x9e37)
+	c.Flash = nand.NewDevice(eng, cfg.Geom, timing, cfg.Seed^uint64(cfg.ID)*0x9e37)
 	c.startHousekeeping()
 	return c
 }
@@ -349,16 +347,12 @@ func (c *Controller) startHousekeeping() {
 	case FirmwareNoSMART:
 		return
 	case FirmwareIncremental:
-		steps := int64(c.FW.SMARTBlockTime / c.FW.IncrementalSlice)
-		if steps < 1 {
-			steps = 1
-		}
-		period := c.FW.SMARTPeriod / sim.Duration(steps)
+		period := c.FW.SMARTPeriod / (smartBlockTime / incrementalSlice)
 		// Desynchronize devices with a phase offset.
 		phase := sim.Duration(c.rnd.Int63n(int64(period)))
 		c.eng.Schedule(phase, func() {
 			c.smartTicker = sim.NewTicker(c.eng, period, func(sim.Time) {
-				c.blockMedia(c.FW.IncrementalSlice)
+				c.blockMedia(incrementalSlice)
 			})
 		})
 	default:
@@ -374,7 +368,7 @@ func (c *Controller) startHousekeeping() {
 
 func (c *Controller) smartWindow() {
 	c.stats.SMARTWindows++
-	c.blockMedia(c.FW.SMARTBlockTime)
+	c.blockMedia(smartBlockTime)
 }
 
 func (c *Controller) blockMedia(d sim.Duration) {

@@ -176,15 +176,16 @@ type Fabric struct {
 	DebugTrace func(link string, at, start sim.Time, wire sim.Duration)
 }
 
+// lowerSwitches is the number of level-2 switches the SSD population is
+// spread over (4 on the testbed's one-host share).
+const lowerSwitches = 4
+
 // Options configures a Fabric.
 type Options struct {
 	NumSSDs int
 	// HopLatency per switch level; the default (1250 ns × 4 hops = 5 µs
 	// round trip) matches the paper's 25 µs → 30 µs observation.
 	HopLatency sim.Duration
-	// LowerSwitches is the number of level-2 switches the SSD population is
-	// spread over (4 on the testbed's one-host share).
-	LowerSwitches int
 	// BytesPerLanePerSec overrides every link's per-lane payload rate;
 	// the default is Gen3BytesPerLanePerSec (the 2016 testbed). The
 	// ULL-era fabric passes Gen4BytesPerLanePerSec.
@@ -199,23 +200,20 @@ func NewFabric(eng *sim.Engine, opt Options) *Fabric {
 	if opt.HopLatency == 0 {
 		opt.HopLatency = 1250 * sim.Nanosecond
 	}
-	if opt.LowerSwitches == 0 {
-		opt.LowerSwitches = 4
-	}
 	f := &Fabric{
 		eng:        eng,
 		HopLatency: opt.HopLatency,
 		Uplink:     &Link{Name: "uplink", Lanes: 16, perLane: opt.BytesPerLanePerSec},
 		lowerOf:    make([]int, opt.NumSSDs),
 	}
-	for i := 0; i < opt.LowerSwitches; i++ {
+	for i := 0; i < lowerSwitches; i++ {
 		f.InterSwitch = append(f.InterSwitch, &Link{Name: fmt.Sprintf("isl%d", i), Lanes: 16,
 			perLane: opt.BytesPerLanePerSec})
 	}
 	for i := 0; i < opt.NumSSDs; i++ {
 		f.DevLinks = append(f.DevLinks, &Link{Name: fmt.Sprintf("dev%d", i), Lanes: 4,
 			perLane: opt.BytesPerLanePerSec})
-		f.lowerOf[i] = i * opt.LowerSwitches / opt.NumSSDs
+		f.lowerOf[i] = i * lowerSwitches / opt.NumSSDs
 	}
 	return f
 }

@@ -125,9 +125,8 @@ type ClientSpec struct {
 	Tol *Tolerance
 	// LatLog records per-request (completion time, latency) samples, for
 	// recovery-time series.
-	LatLog      bool
-	LatLogLimit int
-	Seed        uint64
+	LatLog bool
+	Seed   uint64
 }
 
 // Result is the client-visible outcome.
@@ -413,7 +412,7 @@ func New(eng *sim.Engine, k *kernel.Kernel, spec ClientSpec) *Client {
 	c.hedgeHist = stats.NewHistogram()
 	c.stragglers = make([]int64, len(k.SSDs))
 	if spec.LatLog {
-		c.res.Log = stats.NewLatLog(spec.LatLogLimit)
+		c.res.Log = stats.NewLatLog()
 	}
 	c.maxLBA = k.SSDs[spec.Stripe[0]].Flash.LogicalSlices()
 	prio := spec.RTPrio

@@ -20,17 +20,14 @@ import (
 
 // RebuildSpec describes one member-rebuild stream.
 type RebuildSpec struct {
-	Name string
 	// Survivors are the data members read for reconstruction; Parity is
 	// the parity member; Target is the replaced member being written.
 	Survivors []int
 	Parity    int
 	Target    int
-	// CPU pins the rebuild thread; Class/RTPrio set its scheduling class
-	// (rebuild usually runs CFS so foreground RT I/O preempts it).
-	CPU    int
-	Class  sched.Class
-	RTPrio int
+	// CPU pins the rebuild thread. It runs CFS, so foreground RT I/O
+	// preempts it.
+	CPU int
 	// StartAt is when the stream begins (e.g. the member's recovery
 	// instant); Stripes is how many stripes to reconstruct.
 	StartAt sim.Time
@@ -97,9 +94,6 @@ func NewRebuilder(eng *sim.Engine, k *kernel.Kernel, spec RebuildSpec) *Rebuilde
 	if spec.Target == spec.Parity {
 		panic("raid: rebuild target is the parity member")
 	}
-	if spec.Name == "" {
-		spec.Name = fmt.Sprintf("rebuild-%d", spec.Target)
-	}
 	if spec.Stripes <= 0 {
 		panic("raid: rebuild needs Stripes > 0")
 	}
@@ -108,11 +102,7 @@ func NewRebuilder(eng *sim.Engine, k *kernel.Kernel, spec RebuildSpec) *Rebuilde
 	}
 	rb := &Rebuilder{spec: spec, k: k, eng: eng}
 	rb.res.Spec = spec
-	prio := spec.RTPrio
-	if spec.Class == sched.ClassCFS {
-		prio = 0
-	}
-	rb.task = k.Sched.NewTask("raid/"+spec.Name, spec.Class, prio, []int{spec.CPU})
+	rb.task = k.Sched.NewTask(fmt.Sprintf("raid/rebuild-%d", spec.Target), sched.ClassCFS, 0, []int{spec.CPU})
 	rb.readTargets = append(append([]int{}, spec.Survivors...), spec.Parity)
 	rb.issueStripeFn = rb.issueStripe
 	rb.issueWriteFn = rb.issueWrite

@@ -201,9 +201,9 @@ func (c *CPU) slice() sim.Duration {
 	if n < 1 {
 		n = 1
 	}
-	s := c.s.params.SchedLatency / sim.Duration(n)
-	if s < c.s.params.MinGranularity {
-		s = c.s.params.MinGranularity
+	s := schedLatency / sim.Duration(n)
+	if s < minGranularity {
+		s = minGranularity
 	}
 	return s
 }
@@ -222,14 +222,14 @@ func (c *CPU) dispatch(t *Task) {
 		c.s.OnDispatch(c.id, t)
 	}
 
-	overhead := c.s.params.CtxSwitch + c.pendingExit + t.extraNext
+	overhead := ctxSwitch + c.pendingExit + t.extraNext
 	c.pendingExit = 0
 	t.extraNext = 0
 	if c.lastTask != nil && c.lastTask != t {
-		overhead += c.s.params.ColdCachePenalty
+		overhead += coldCachePenalty
 	}
 	if t.cpu >= 0 && t.cpu != c.id {
-		overhead += c.s.params.MigrationPenalty
+		overhead += migrationPenalty
 	}
 	t.cpu = c.id
 	t.sliceStart = now
@@ -239,7 +239,7 @@ func (c *CPU) dispatch(t *Task) {
 
 	c.htMult = 1000
 	if sib := c.s.siblingOf(c.id); sib >= 0 && c.s.cpus[sib].curr != nil {
-		c.htMult += c.s.params.HTContentionFactor
+		c.htMult += htContentionFactor
 	}
 	wall := overhead + t.remaining*sim.Duration(c.htMult)/1000
 	c.overhead = overhead
@@ -373,7 +373,7 @@ func (c *CPU) shouldPreempt(w *Task) bool {
 	}
 	// CFS wakeup preemption: the waker needs a vruntime advantage larger
 	// than wakeup_granularity (scaled by weight, ignored here).
-	return cur.vruntime-w.vruntime > c.s.params.WakeupGranularity
+	return cur.vruntime-w.vruntime > wakeupGranularity
 }
 
 // ---- tick ----
@@ -384,9 +384,9 @@ func (c *CPU) startTick() {
 
 func (c *CPU) tickPeriod() sim.Duration {
 	if c.noHz && c.NrRunnable() <= 1 {
-		return c.s.params.NoHzTickPeriod
+		return noHzTickPeriod
 	}
-	return c.s.params.TickPeriod
+	return hzTickPeriod
 }
 
 // retuneTick re-derives the tick period after a runqueue change. Only a

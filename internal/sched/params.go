@@ -23,51 +23,35 @@ package sched
 
 import "repro/internal/sim"
 
-// Params are the scheduler tunables; Defaults matches Linux 4.7 defaults
-// scaled for a 40-CPU machine.
-type Params struct {
-	// TickPeriod is the periodic scheduler tick (CONFIG_HZ=1000 → 1 ms).
-	TickPeriod sim.Duration
-	// NoHzTickPeriod is the residual 1 Hz tick on nohz_full CPUs.
-	NoHzTickPeriod sim.Duration
-	// SchedLatency is the CFS latency target (period with few tasks).
-	SchedLatency sim.Duration
-	// MinGranularity floors a task's slice.
-	MinGranularity sim.Duration
-	// WakeupGranularity is the vruntime advantage a waking task needs
+// The scheduler tunables: Linux 4.7 defaults scaled for a 40-CPU
+// machine.
+const (
+	// hzTickPeriod is the periodic scheduler tick (CONFIG_HZ=1000 → 1 ms).
+	hzTickPeriod = sim.Millisecond
+	// noHzTickPeriod is the residual 1 Hz tick on nohz_full CPUs.
+	noHzTickPeriod = sim.Second
+	// schedLatency is the CFS latency target (period with few tasks).
+	schedLatency = 6 * sim.Millisecond
+	// minGranularity floors a task's slice.
+	minGranularity = 750 * sim.Microsecond
+	// wakeupGranularity is the vruntime advantage a waking task needs
 	// before it may preempt the current CFS task.
-	WakeupGranularity sim.Duration
-	// SleeperCredit caps the vruntime credit granted to a waking task
+	wakeupGranularity = sim.Millisecond
+	// sleeperCredit caps the vruntime credit granted to a waking task
 	// (place_entity subtracts sched_latency/2 in "gentle" mode).
-	SleeperCredit sim.Duration
-	// CtxSwitch is the direct cost of a context switch.
-	CtxSwitch sim.Duration
-	// ColdCachePenalty is extra first-burst time after the task lost the
+	sleeperCredit = 3 * sim.Millisecond
+	// ctxSwitch is the direct cost of a context switch.
+	ctxSwitch = 1500 * sim.Nanosecond
+	// coldCachePenalty is extra first-burst time after the task lost the
 	// CPU to someone else (cache refill).
-	ColdCachePenalty sim.Duration
-	// MigrationPenalty is extra first-burst time after cross-CPU
+	coldCachePenalty = 1800 * sim.Nanosecond
+	// migrationPenalty is extra first-burst time after cross-CPU
 	// migration.
-	MigrationPenalty sim.Duration
-	// HTContentionFactor inflates burst time (per mille) when the
+	migrationPenalty = 3500 * sim.Nanosecond
+	// htContentionFactor inflates burst time (per mille) when the
 	// hyper-thread sibling is busy at burst start; 250 = +25%.
-	HTContentionFactor int
-}
-
-// DefaultParams returns Linux-4.7-like tunables.
-func DefaultParams() Params {
-	return Params{
-		TickPeriod:         sim.Millisecond,
-		NoHzTickPeriod:     sim.Second,
-		SchedLatency:       6 * sim.Millisecond,
-		MinGranularity:     750 * sim.Microsecond,
-		WakeupGranularity:  sim.Millisecond,
-		SleeperCredit:      3 * sim.Millisecond,
-		CtxSwitch:          1500 * sim.Nanosecond,
-		ColdCachePenalty:   1800 * sim.Nanosecond,
-		MigrationPenalty:   3500 * sim.Nanosecond,
-		HTContentionFactor: 250,
-	}
-}
+	htContentionFactor = 250
+)
 
 // BootOptions model the kernel command line of Section IV-C.
 type BootOptions struct {

@@ -304,8 +304,8 @@ func TestBootListsAreCopies(t *testing.T) {
 	if !s.RCUOffloaded(1) || s.RCUOffloaded(0) {
 		t.Fatal("rcu_nocbs membership changed with the mutated lists")
 	}
-	if got := s.CPU(1).tick.Period(); got != s.params.NoHzTickPeriod {
-		t.Fatalf("nohz_full CPU 1 tick = %v, want %v", got, s.params.NoHzTickPeriod)
+	if got := s.CPU(1).tick.Period(); got != noHzTickPeriod {
+		t.Fatalf("nohz_full CPU 1 tick = %v, want %v", got, noHzTickPeriod)
 	}
 	for i := 0; i < 4; i++ {
 		newHog(s, "hog", nil).wake()
@@ -346,12 +346,12 @@ func TestUnpinnedPrefersIdleCPU(t *testing.T) {
 func TestNoHzFullTickSlowsWithOneTask(t *testing.T) {
 	_, s := newSched(t, 2, BootOptions{NoHzFull: []int{1}})
 	c := s.CPU(1)
-	if c.tick.Period() != s.params.NoHzTickPeriod {
-		t.Fatalf("idle nohz_full CPU tick = %v, want %v", c.tick.Period(), s.params.NoHzTickPeriod)
+	if c.tick.Period() != noHzTickPeriod {
+		t.Fatalf("idle nohz_full CPU tick = %v, want %v", c.tick.Period(), noHzTickPeriod)
 	}
 	c0 := s.CPU(0)
-	if c0.tick.Period() != s.params.TickPeriod {
-		t.Fatalf("housekeeping CPU tick = %v, want %v", c0.tick.Period(), s.params.TickPeriod)
+	if c0.tick.Period() != hzTickPeriod {
+		t.Fatalf("housekeeping CPU tick = %v, want %v", c0.tick.Period(), hzTickPeriod)
 	}
 }
 
@@ -362,8 +362,8 @@ func TestNoHzFullTickSpeedsUpWithTwoTasks(t *testing.T) {
 	h1.wake()
 	h2.wake()
 	eng.RunUntil(sim.Time(sim.Millisecond))
-	if got := s.CPU(1).tick.Period(); got != s.params.TickPeriod {
-		t.Fatalf("nohz CPU with 2 runnable: tick %v, want %v", got, s.params.TickPeriod)
+	if got := s.CPU(1).tick.Period(); got != hzTickPeriod {
+		t.Fatalf("nohz CPU with 2 runnable: tick %v, want %v", got, hzTickPeriod)
 	}
 }
 
@@ -516,7 +516,6 @@ func TestHTContentionSlowsBurst(t *testing.T) {
 
 func TestColdCachePenaltyAfterOtherTaskRan(t *testing.T) {
 	eng, s := newSched(t, 1, BootOptions{})
-	p := s.Params()
 	a := newIOThread(s, eng, "a", ClassCFS, 0, []int{0})
 	b := newIOThread(s, eng, "b", ClassCFS, 0, []int{0})
 	a.kick()
@@ -528,7 +527,7 @@ func TestColdCachePenaltyAfterOtherTaskRan(t *testing.T) {
 	if len(a.latencies) != 2 {
 		t.Fatal("missing completions")
 	}
-	if a.latencies[1] < a.latencies[0]+p.ColdCachePenalty/2 {
+	if a.latencies[1] < a.latencies[0]+coldCachePenalty/2 {
 		t.Fatalf("no cold-cache penalty: first=%v second=%v", a.latencies[0], a.latencies[1])
 	}
 }

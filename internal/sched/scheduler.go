@@ -12,7 +12,6 @@ import (
 // wakeups, and preemption policy.
 type Scheduler struct {
 	eng         *sim.Engine
-	params      Params
 	opts        BootOptions
 	cpus        []*CPU
 	tasks       []*Task
@@ -37,7 +36,6 @@ type Scheduler struct {
 // Config assembles a Scheduler.
 type Config struct {
 	NumCPUs  int
-	Params   Params
 	Boot     BootOptions
 	Siblings []int // optional HT sibling map
 	Seed     uint64
@@ -53,9 +51,6 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	if cfg.NumCPUs <= 0 {
 		panic("sched: NumCPUs must be positive")
 	}
-	if cfg.Params == (Params{}) {
-		cfg.Params = DefaultParams()
-	}
 	if cfg.Boot.MaxCState < 0 {
 		panic(fmt.Sprintf("sched: processor.max_cstate=%d is negative", cfg.Boot.MaxCState))
 	}
@@ -67,7 +62,6 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	rcuNocb := bootSet("rcu_nocbs", cfg.Boot.RCUNocbs, cfg.NumCPUs)
 	s := &Scheduler{
 		eng:         eng,
-		params:      cfg.Params,
 		opts:        cloneBoot(cfg.Boot),
 		rnd:         rng.NewLabeled(cfg.Seed, "sched"),
 		autoIsolate: cfg.AutoIsolateIOBound,
@@ -124,9 +118,6 @@ func cloneBoot(b BootOptions) BootOptions {
 
 func (s *Scheduler) siblingOf(cpu int) int { return s.siblings[cpu] }
 
-// Params reports the tunables in use.
-func (s *Scheduler) Params() Params { return s.params }
-
 // Boot reports the boot options in use. The CPU lists are copies.
 func (s *Scheduler) Boot() BootOptions { return cloneBoot(s.opts) }
 
@@ -159,11 +150,11 @@ func (s *Scheduler) Wake(t *Task) {
 			// sleeper credit below, a CPU-bound daemon hopping onto an
 			// "idle-looking" I/O CPU starts with a full head start —
 			// the paper's default-configuration stall.
-			t.vruntime = c.minVruntime - s.params.SleeperCredit
+			t.vruntime = c.minVruntime - sleeperCredit
 		}
 		// place_entity: grant bounded sleeper credit so long sleepers do
 		// not monopolize, but freshly woken tasks get a head start.
-		floor := c.minVruntime - s.params.SleeperCredit
+		floor := c.minVruntime - sleeperCredit
 		if t.vruntime < floor {
 			t.vruntime = floor
 		}

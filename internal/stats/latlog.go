@@ -14,30 +14,18 @@ type Sample struct {
 // simulator charges to the recording thread; see the fio package.
 type LatLog struct {
 	samples []Sample
-	limit   int
-	dropped int64
 }
 
-// NewLatLog returns a log retaining at most limit samples (0 = unlimited).
-func NewLatLog(limit int) *LatLog {
-	return &LatLog{limit: limit}
-}
+// NewLatLog returns an empty log. It retains every sample.
+func NewLatLog() *LatLog { return &LatLog{} }
 
-// Add records one sample. Once the limit is reached further samples are
-// counted but not stored.
+// Add records one sample.
 func (l *LatLog) Add(at, latency int64) {
-	if l.limit > 0 && len(l.samples) >= l.limit {
-		l.dropped++
-		return
-	}
 	l.samples = append(l.samples, Sample{At: at, Latency: latency})
 }
 
 // Samples returns the stored samples in completion order.
 func (l *LatLog) Samples() []Sample { return l.samples }
-
-// Dropped reports how many samples were discarded due to the limit.
-func (l *LatLog) Dropped() int64 { return l.dropped }
 
 // SpikesAbove returns the samples whose latency exceeds threshold,
 // preserving order. Used to locate the periodic SMART spikes of Fig 10.

@@ -5,33 +5,17 @@ import (
 )
 
 func TestLatLogBasics(t *testing.T) {
-	l := NewLatLog(0)
+	l := NewLatLog()
 	l.Add(100, 30)
 	l.Add(200, 31)
 	s := l.Samples()
 	if len(s) != 2 || s[0].At != 100 || s[1].Latency != 31 {
 		t.Fatalf("samples = %v", s)
 	}
-	if l.Dropped() != 0 {
-		t.Fatal("unexpected drops")
-	}
-}
-
-func TestLatLogLimit(t *testing.T) {
-	l := NewLatLog(3)
-	for i := 0; i < 10; i++ {
-		l.Add(int64(i), int64(i))
-	}
-	if len(l.Samples()) != 3 {
-		t.Fatalf("stored %d, want 3", len(l.Samples()))
-	}
-	if l.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", l.Dropped())
-	}
 }
 
 func TestSpikesAbove(t *testing.T) {
-	l := NewLatLog(0)
+	l := NewLatLog()
 	l.Add(1, 30)
 	l.Add(2, 600)
 	l.Add(3, 31)
@@ -45,7 +29,7 @@ func TestSpikesAbove(t *testing.T) {
 func TestSpikeClustersFindsPeriod(t *testing.T) {
 	// Synthetic Fig 10: background at 30, spike windows at t=1e9 and t=3e9,
 	// each window containing several consecutive spikes.
-	l := NewLatLog(0)
+	l := NewLatLog()
 	for t0 := int64(0); t0 < 4_000_000_000; t0 += 1_000_000 {
 		lat := int64(30_000)
 		if (t0 >= 1_000_000_000 && t0 < 1_000_500_000) ||
@@ -64,7 +48,7 @@ func TestSpikeClustersFindsPeriod(t *testing.T) {
 }
 
 func TestSpikeClustersEmpty(t *testing.T) {
-	l := NewLatLog(0)
+	l := NewLatLog()
 	l.Add(1, 30)
 	if c := l.SpikeClusters(100, 10); len(c) != 0 {
 		t.Fatalf("clusters on clean log = %v", c)

@@ -33,11 +33,12 @@
 #                  under -race: exported reports of every fan-out —
 #                  including the write ablation and its rebuild stream —
 #                  must be byte-identical at -parallel 1 and 8.
-#   report digests — the same contract at the CLI: every afareport
-#                  report scripts/report-digests.sh fingerprints (the
+#   report digests — the same contract at the CLI: every output
+#                  scripts/report-digests.sh fingerprints (the
 #                  figures, Table II, the headline, every -ablate
-#                  entry and the JSON/CSV figure renderers) hashes
-#                  identically at -parallel 1 and 4.
+#                  entry, the JSON/CSV figure renderers, the examples
+#                  and nvmectl's commands) hashes identically with
+#                  afareport at -parallel 1 and 4.
 #   ablations    — no separate step: the race+shuffle pass runs
 #                  cmd/afareport's TestEveryAblationRuns, which drives
 #                  every -ablate registry entry end to end at a small
