@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"repro/internal/nvme"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -40,9 +41,10 @@ func TestManagedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCarrierSize: a command dropped by an offline drive leaves its
-// kioReq as garbage, so the carrier's size class shows in allocated bytes
-// per I/O on faulty workloads; it must stay within 144 bytes.
+// TestCarrierSize: every in-flight I/O holds one kioReq, and the
+// freelist keeps as many as were ever in flight at once, so the carrier's
+// size class sets the kernel's share of the heap on deep-queue workloads;
+// it must stay within 144 bytes.
 func TestCarrierSize(t *testing.T) {
 	if s := unsafe.Sizeof(kioReq{}); s > 144 {
 		t.Fatalf("kioReq is %d bytes, want <= 144", s)
@@ -217,4 +219,298 @@ func TestManagedOutcomesReachCaller(t *testing.T) {
 			})
 		}
 	}
+}
+
+// checkFreelists fails the test if a carrier sits on its freelist twice
+// (it was released twice) or was released still holding per-I/O state.
+func checkFreelists(t *testing.T, k *Kernel) {
+	t.Helper()
+	reqs := map[*kioReq]bool{}
+	for _, r := range k.freeReqs {
+		if reqs[r] {
+			t.Fatal("a kioReq is on the freelist twice")
+		}
+		reqs[r] = true
+		if r.to.done != nil || r.to.att != nil {
+			t.Fatal("a free kioReq still points at its sink")
+		}
+	}
+	atts := map[*attReq]bool{}
+	for _, a := range k.freeAtt {
+		if atts[a] {
+			t.Fatal("an attReq is on the freelist twice")
+		}
+		atts[a] = true
+		if a.m != nil || a.timer.Armed() {
+			t.Fatal("a free attReq still holds its command or an armed deadline")
+		}
+	}
+	mngs := map[*mngReq]bool{}
+	for _, m := range k.freeMng {
+		if mngs[m] {
+			t.Fatal("an mngReq is on the freelist twice")
+		}
+		mngs[m] = true
+		if m.done != nil {
+			t.Fatal("a free mngReq still holds the caller's done")
+		}
+	}
+}
+
+// TestOfflineSteadyStateAllocs: the device's drop notice hands a lost
+// command's carriers back, so once the freelists are warm a command an
+// offline drive loses allocates nothing. Each command goes out while the
+// drive is up and is lost in flight when it drops; on the managed path
+// its deadline still fires, the abort surfaces, and the retry is lost
+// again at the doorbell. On the untolerant path the caller never hears
+// back, as on an untuned host.
+func TestOfflineSteadyStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		pol       TimeoutPolicy
+		delivered int // per command
+		drops     int // per command
+		attempts  int // attempt carriers on the freelist at the end
+	}{
+		{name: "managed", pol: TimeoutPolicy{
+			Timeout: 100 * sim.Microsecond, MaxRetries: 1,
+			Backoff: 50 * sim.Microsecond, AbortCost: 10 * sim.Microsecond,
+		}, delivered: 1, drops: 2, attempts: 1},
+		{name: "untolerant", delivered: 0, drops: 1, attempts: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTimeoutRig(t, tc.pol)
+			ssd := r.k.SSDs[0]
+			cmd := nvme.Command{Op: nvme.OpRead, LBA: 1}
+			delivered := 0
+			onDone := func(c Completion) {
+				if c.Status != nvme.StatusAborted || !c.TimedOut {
+					t.Fatalf("status %v, timed out %v; want a timed-out abort", c.Status, c.TimedOut)
+				}
+				delivered++
+			}
+			io := func() {
+				ssd.SetOffline(false)
+				r.k.SubmitIO(1, 0, cmd, onDone)
+				r.eng.RunUntil(r.eng.Now().Add(10 * sim.Microsecond))
+				ssd.SetOffline(true) // the read is on the media: lost before its CQE
+				r.eng.RunUntil(r.eng.Now().Add(sim.Millisecond))
+			}
+			for i := 0; i < 16; i++ {
+				io()
+			}
+			avg := testing.AllocsPerRun(200, io)
+			if avg > 0 {
+				t.Fatalf("a dropped command allocates %.2f per I/O in steady state, want 0", avg)
+			}
+			const ios = 16 + 1 + 200
+			if want := ios * tc.delivered; delivered != want {
+				t.Fatalf("delivered %d, want %d", delivered, want)
+			}
+			if got, want := ssd.Stats().DroppedCmds, int64(ios*tc.drops); got != want {
+				t.Fatalf("device dropped %d commands, want %d", got, want)
+			}
+			if st := r.k.IOStats(); st.LateCompletions != 0 {
+				t.Fatalf("%d late completions counted, but no CQE ever arrived", st.LateCompletions)
+			}
+			checkFreelists(t, r.k)
+			if len(r.k.freeReqs) != 1 || len(r.k.freeAtt) != tc.attempts || r.k.inflight != 0 {
+				t.Fatalf("%d kioReqs and %d attReqs free, inflight %d; want 1, %d, 0",
+					len(r.k.freeReqs), len(r.k.freeAtt), r.k.inflight, tc.attempts)
+			}
+		})
+	}
+}
+
+// TestDroppedAttemptReleasedOnce: the drop notice can reach an attempt at
+// three points of its race with the deadline. Before the deadline, and
+// while the abort round-trip is pending, the abort releases the attempt
+// carrier; once the abort has surfaced the command, the notice releases
+// it. In each case the kioReq comes back at the drop, the attempt carrier
+// comes back exactly once and at the right instant, the command is
+// delivered once, and no CQE is counted late, since none arrived.
+func TestDroppedAttemptReleasedOnce(t *testing.T) {
+	type fault struct {
+		at  sim.Duration
+		run func(ssd *nvme.Controller)
+	}
+	offline := func(at sim.Duration) fault {
+		return fault{at, func(ssd *nvme.Controller) { ssd.SetOffline(true) }}
+	}
+	stall := fault{0, func(ssd *nvme.Controller) { ssd.StallSubmissionQueues(300 * sim.Microsecond) }}
+	cases := []struct {
+		name     string
+		abort    sim.Duration // AbortCost; the deadline is 100 µs
+		faults   []fault
+		held     sim.Duration // after the drop, before the attempt carrier is released
+		released sim.Duration // by when it must be back
+	}{
+		// In flight at 10 µs, lost at its ~30 µs CQE; deadline 100 µs, abort 110 µs.
+		{name: "before-deadline", abort: 10 * sim.Microsecond,
+			faults: []fault{offline(10 * sim.Microsecond)},
+			held:   50 * sim.Microsecond, released: 111 * sim.Microsecond},
+		// Held in the SQ to ~300 µs, past the deadline; the abort is
+		// pending until 600 µs.
+		{name: "abort-pending", abort: 500 * sim.Microsecond,
+			faults: []fault{stall, offline(150 * sim.Microsecond)},
+			held:   350 * sim.Microsecond, released: 601 * sim.Microsecond},
+		// The abort surfaces the command at 110 µs; the SQ releases it to
+		// an offline drive at ~300 µs.
+		{name: "after-abort", abort: 10 * sim.Microsecond,
+			faults: []fault{stall, offline(200 * sim.Microsecond)},
+			held:   150 * sim.Microsecond, released: 350 * sim.Microsecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTimeoutRig(t, TimeoutPolicy{Timeout: 100 * sim.Microsecond, AbortCost: tc.abort})
+			ssd := r.k.SSDs[0]
+			start := r.eng.Now()
+			for _, f := range tc.faults {
+				f := f
+				r.eng.At(start.Add(f.at), func() { f.run(ssd) })
+			}
+			var got []Completion
+			onDone := func(c Completion) { got = append(got, c) }
+			r.eng.At(start, func() {
+				r.k.SubmitIO(1, 0, nvme.Command{Op: nvme.OpRead, LBA: 1}, onDone)
+			})
+
+			r.eng.RunUntil(start.Add(tc.held))
+			checkFreelists(t, r.k)
+			if len(r.k.freeAtt) != 0 {
+				t.Fatalf("at %v the attempt carrier is already free", tc.held)
+			}
+			r.eng.RunUntil(start.Add(tc.released))
+			checkFreelists(t, r.k)
+			if ssd.Stats().DroppedCmds != 1 {
+				t.Fatalf("the device dropped %d commands by %v, want 1", ssd.Stats().DroppedCmds, tc.released)
+			}
+			if len(r.k.freeAtt) != 1 || len(r.k.freeReqs) != 1 {
+				t.Fatalf("at %v: %d attReqs and %d kioReqs free, want 1 each",
+					tc.released, len(r.k.freeAtt), len(r.k.freeReqs))
+			}
+			a, kr := r.k.freeAtt[0], r.k.freeReqs[0]
+
+			// A healthy command, under a deadline no tick or IRQ delay
+			// reaches.
+			ssd.SetOffline(false)
+			r.k.timeout = DefaultTimeoutPolicy()
+			r.k.SubmitIO(1, 0, nvme.Command{Op: nvme.OpRead, LBA: 2}, onDone)
+			r.eng.RunUntil(start.Add(10 * sim.Millisecond))
+			checkFreelists(t, r.k)
+			if len(got) != 2 || got[0].Status != nvme.StatusAborted || !got[0].TimedOut ||
+				got[1].Status != nvme.StatusSuccess {
+				t.Fatalf("delivered %+v; want one timed-out abort, then one success", got)
+			}
+			st := r.k.IOStats()
+			if st.Timeouts != 1 || st.LateCompletions != 0 {
+				t.Fatalf("timeouts %d, late completions %d; want 1, 0", st.Timeouts, st.LateCompletions)
+			}
+			if len(r.k.freeAtt) != 1 || r.k.freeAtt[0] != a || len(r.k.freeReqs) != 1 || r.k.freeReqs[0] != kr {
+				t.Fatal("the next command did not reuse the dropped command's carriers")
+			}
+		})
+	}
+}
+
+// FuzzCarrierLifetime sends a burst of SubmitIOs through random drive
+// drop-outs and recoveries, SQ stalls and transient-error bursts, drawn
+// from seed. plan picks the path: its low two bits the completion path
+// (interrupt, coalesced, polling) or the untolerant host with no timeout
+// policy, bit 2 arms retry budgets, bit 3 an overload watermark, and the
+// high four bits add faults. Once the drive is back and the burst has
+// drained:
+//   - each managed command's done has fired exactly once, and the
+//     untolerant host's done at most once, with every other command
+//     dropped by the device;
+//   - every deadline that fired was answered by a late CQE or a drop,
+//     so late completions count only real CQEs;
+//   - no carrier is on its freelist twice or holds stale state, and
+//     nothing is in flight.
+//
+// The committed corpus under testdata/fuzz makes plain `go test` replay
+// it; the nightly workflow fuzzes it for new inputs.
+func FuzzCarrierLifetime(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, plan uint8) {
+		rnd := rng.New(seed)
+		managed := plan&3 != 3
+		var pol TimeoutPolicy
+		if managed {
+			pol = TimeoutPolicy{
+				Timeout:    sim.Duration(50+rnd.Intn(250)) * sim.Microsecond,
+				MaxRetries: rnd.Intn(5),
+				Backoff:    sim.Duration(10+rnd.Intn(90)) * sim.Microsecond,
+				BackoffMax: 400 * sim.Microsecond,
+				AbortCost:  sim.Duration(1+rnd.Intn(300)) * sim.Microsecond,
+			}
+			if plan&4 != 0 {
+				pol.Budget, pol.BudgetRefill = 2, 200*sim.Microsecond
+			}
+			if plan&8 != 0 {
+				pol.OverloadWatermark = 4
+			}
+		}
+		r := newTimeoutRig(t, pol)
+		switch plan & 3 {
+		case 1:
+			r.k.SetCoalescing(Coalescing{Threshold: 4, Timeout: 20 * sim.Microsecond})
+		case 2:
+			r.k.mode = CompletePolling
+		}
+		ssd := r.k.SSDs[0]
+		const window = 2 * sim.Millisecond
+		at := func() sim.Time { return sim.Time(rnd.Int63n(int64(window))) }
+		span := func() sim.Duration { return sim.Duration(5+rnd.Intn(400)) * sim.Microsecond }
+
+		for i := 1 + int(plan>>4); i > 0; i-- {
+			from, d := at(), span()
+			switch rnd.Intn(3) {
+			case 0:
+				r.eng.At(from, func() { ssd.SetOffline(true) })
+				r.eng.At(from.Add(d), func() { ssd.SetOffline(false) })
+			case 1:
+				r.eng.At(from, func() { ssd.StallSubmissionQueues(d) })
+			default:
+				r.eng.At(from, func() { ssd.SetTransientErrorRate(1) })
+				r.eng.At(from.Add(d), func() { ssd.SetTransientErrorRate(0) })
+			}
+		}
+		r.eng.At(sim.Time(window+sim.Millisecond), func() {
+			ssd.SetOffline(false)
+			ssd.SetTransientErrorRate(0)
+		})
+
+		n := 16 + rnd.Intn(49)
+		calls := make([]int, n)
+		for i := range calls {
+			i := i
+			cmd := nvme.Command{Op: nvme.Opcode(rnd.Intn(3)), LBA: int64(rnd.Intn(64))}
+			cpu := rnd.Intn(2)
+			r.eng.At(at(), func() {
+				r.k.SubmitIO(cpu, 0, cmd, func(Completion) { calls[i]++ })
+			})
+		}
+		r.eng.RunUntil(sim.Time(200 * sim.Millisecond))
+
+		delivered := 0
+		for i, c := range calls {
+			if c > 1 || (managed && c != 1) {
+				t.Fatalf("command %d: done fired %d times", i, c)
+			}
+			delivered += c
+		}
+		st, dropped := r.k.IOStats(), ssd.Stats().DroppedCmds
+		if managed {
+			if st.Timeouts != st.LateCompletions+dropped {
+				t.Fatalf("%d deadlines fired, but %d late CQEs and %d drops answered them",
+					st.Timeouts, st.LateCompletions, dropped)
+			}
+		} else if int64(delivered)+dropped != int64(n) {
+			t.Fatalf("%d commands: %d delivered, %d dropped", n, delivered, dropped)
+		}
+		if r.k.inflight != 0 {
+			t.Fatalf("inflight %d after the burst drained", r.k.inflight)
+		}
+		checkFreelists(t, r.k)
+	})
 }

@@ -261,6 +261,15 @@ func (s sink) complete(c *Completion) {
 	s.done(*c)
 }
 
+// dropped tells the managed attempt that its command was lost and no CQE
+// will come. On the untolerant path the caller's done hears nothing: with
+// no timeout policy the host waits forever.
+func (s sink) dropped() {
+	if s.att != nil {
+		s.att.onDrop()
+	}
+}
+
 // kioReq carries one I/O's host-side completion state from the device
 // CQE through interrupt delivery. Requests are recycled through the
 // kernel's freelist with their callbacks bound once, so the per-I/O
@@ -301,17 +310,26 @@ func (k *Kernel) putReq(r *kioReq) {
 }
 
 // submitOnce is the raw single-attempt submit path. A command dropped by
-// an offline device never completes; its carrier is simply garbage — the
-// freelist only recycles requests that finish.
+// an offline device never completes, but the device's drop notice returns
+// its carrier to the freelist (see onResult).
 func (k *Kernel) submitOnce(submitCPU, ssd int, cmd nvme.Command, to sink) {
 	cmd.Queue = submitCPU
 	r := k.getReq(submitCPU, ssd, to)
 	k.SSDs[ssd].Submit(cmd, r.onResFn)
 }
 
-// onResult is the device CQE landing on the host.
+// onResult is the device CQE landing on the host, or the device's drop
+// notice for a command it lost.
 func (r *kioReq) onResult(res nvme.Result) {
 	k := r.k
+	if res.Dropped {
+		// No CQE, so no interrupt, coalescing or poll: on every completion
+		// path the carrier goes straight back to the freelist.
+		to := r.to
+		k.putReq(r)
+		to.dropped()
+		return
+	}
 	switch k.mode {
 	case CompletePolling:
 		// The polling thread spins on the CQ: no interrupt, no wake

@@ -201,16 +201,19 @@ type mngReq struct {
 }
 
 // attReq is the per-attempt carrier racing the deadline timer against the
-// device CQE. It is released when its CQE arrives — even a late one after
-// the attempt was abandoned — mirroring submitOnce's rule that a carrier
-// whose CQE never comes (offline drop) is simply garbage.
+// device CQE. It goes back to the freelist exactly once. A CQE before the
+// deadline releases it at once. Otherwise it waits for two things: the
+// abort round-trip, once the deadline fired, and the device being done
+// with the command, by a late CQE or by an offline drive's drop notice.
+// Whichever comes second releases it. A dropped command's deadline still
+// fires: the host learns of the loss only by timing out.
 type attReq struct {
 	k *Kernel
 	m *mngReq
 
 	settled  bool       // the race is decided (timeout or completion)
 	aborting bool       // timeout fired, abort round-trip still pending
-	lateDone bool       // CQE arrived while the abort was pending
+	devDone  bool       // no CQE will come: it arrived late, or the command was dropped
 	timer    *sim.Timer // deadline, re-armed per attempt and canceled on completion
 
 	timeoutFn func()
@@ -256,14 +259,14 @@ func (k *Kernel) getAtt(m *mngReq) *attReq {
 	a.m = m
 	a.settled = false
 	a.aborting = false
-	a.lateDone = false
+	a.devDone = false
 	return a
 }
 
 // putAtt recycles an attempt carrier. Its timer is never armed here:
 // every release path either canceled the deadline (onComp) or runs after
-// it fired (timeout → abort, or a late CQE), so the next attempt cannot
-// inherit a stale deadline.
+// it fired (timeout → abort, or a late CQE or drop notice), so the next
+// attempt cannot inherit a stale deadline.
 func (k *Kernel) putAtt(a *attReq) {
 	a.m = nil
 	k.freeAtt = append(k.freeAtt, a)
@@ -358,17 +361,18 @@ func (a *attReq) timeout() {
 }
 
 // abort is the admin Abort round-trip completing. The attempt carrier can
-// only be released here if its late CQE already arrived; otherwise it must
-// stay out of the freelist until the CQE shows up (or never does).
+// only be released here if no CQE can come any more (a late one already
+// arrived, or the command was dropped); otherwise it stays out of the
+// freelist until the CQE or the drop notice shows up.
 func (a *attReq) abort() {
 	k, m := a.k, a.m
 	a.aborting = false
-	if a.lateDone {
+	if a.devDone {
 		k.putAtt(a)
 	} else {
-		// The device may still post this attempt's CQE much later, after m
-		// has moved on (or been recycled): drop the back-pointer now so the
-		// straggler only touches per-attempt state.
+		// The device may still post this attempt's CQE or drop notice
+		// much later, after m has moved on (or been recycled): drop the
+		// back-pointer now so the straggler only touches per-attempt state.
 		a.m = nil
 	}
 	comp := Completion{
@@ -391,7 +395,7 @@ func (a *attReq) onComp(comp *Completion) {
 		k.iostats.LateCompletions++
 		if a.aborting {
 			// The abort round-trip still needs this carrier; it releases it.
-			a.lateDone = true
+			a.devDone = true
 			return
 		}
 		k.putAtt(a)
@@ -416,6 +420,18 @@ func (a *attReq) onComp(comp *Completion) {
 		k.iostats.MediaErrors++
 	}
 	m.deliver(comp)
+}
+
+// onDrop is the device's notice that it lost the attempt's command: no
+// CQE will come. It is handled like a late CQE, without counting one.
+// An attempt still racing its deadline, or with its abort pending, is
+// released by abort; an abandoned one only waited for this notice.
+func (a *attReq) onDrop() {
+	if a.settled && !a.aborting {
+		a.k.putAtt(a)
+		return
+	}
+	a.devDone = true
 }
 
 // deliver surfaces the final outcome and retires the command carrier.

@@ -215,6 +215,11 @@ type Result struct {
 	// BlockedBySMART reports that the command waited on a housekeeping
 	// window.
 	BlockedBySMART bool
+	// Dropped marks a drop notice rather than a CQE: the device went
+	// offline and lost the command, so no CQE will ever be posted for it.
+	// The notice carries the command and its SubmittedAt (plus whatever
+	// stage timestamps it had reached); Status and CompletedAt are unset.
+	Dropped bool
 	// Status is the CQE status code. Callers must check it: a non-success
 	// completion carries no data.
 	Status Status
@@ -277,6 +282,12 @@ type Controller struct {
 	// qpNext is the next tenant queue-pair ID (see queue.go).
 	qpNext int
 
+	// admin holds the admin commands awaiting completion, in submission
+	// order; adminFn (adminDone, bound once in New) completes one of them
+	// per scheduled event.
+	admin   []adminCmd
+	adminFn func()
+
 	stats Stats
 }
 
@@ -332,6 +343,7 @@ func New(eng *sim.Engine, cfg Config) *Controller {
 		cqePost:        cqePost,
 		writeTokenCost: sim.Duration(int64(sim.Second) / int64(spec.RandWriteIOPS)),
 	}
+	c.adminFn = c.adminDone
 	c.Flash = nand.NewDevice(eng, cfg.Geom, timing, cfg.Seed^uint64(cfg.ID)*0x9e37)
 	c.startHousekeeping()
 	return c
@@ -463,8 +475,9 @@ func (c *Controller) healLBA(lba int64) {
 }
 
 // SetOffline drops (true) or recovers (false) the whole device. While
-// offline, submitted commands are lost without a completion — exactly the
-// failure mode the host-side timeout machinery exists for.
+// offline, submitted commands are lost without a CQE — exactly the failure
+// mode the host-side timeout machinery exists for. Each lost command's
+// done receives a drop notice (Result.Dropped) instead.
 func (c *Controller) SetOffline(offline bool) { c.offline = offline }
 
 // Offline reports whether the device is currently dropped.
@@ -531,21 +544,25 @@ func (c *Controller) putReq(r *ioReq) {
 	c.freeReqs = append(c.freeReqs, r)
 }
 
-// Submit issues a command; done fires when the CQE has been posted and the
-// MSI-X interrupt would be raised. The host-side interrupt path is the
-// caller's job (the kernel package routes it through package irq).
+// Submit issues a command. done fires exactly once: when the CQE has been
+// posted and the MSI-X interrupt would be raised, or with a drop notice
+// (Result.Dropped) at the instant an offline device loses the command —
+// at the doorbell, in the SQ, or before its CQE is posted. A notice is not
+// a CQE: it schedules no event and raises no interrupt, so recovery stays
+// the host's job (kernel timeout), but the host can reclaim whatever it
+// held for the command. The host-side interrupt path is the caller's job
+// (the kernel package routes it through package irq).
 func (c *Controller) Submit(cmd Command, done func(Result)) {
 	now := c.eng.Now()
-	if c.offline {
-		// The device is gone: the doorbell write lands nowhere and no CQE
-		// will ever be posted. Recovery is the host's job (kernel timeout).
-		c.stats.DroppedCmds++
-		return
-	}
 	if cmd.Bytes == 0 {
 		cmd.Bytes = 4096
 	}
 	r := c.getReq(cmd, done)
+	if c.offline {
+		// The device is gone: the doorbell write lands nowhere.
+		r.drop()
+		return
+	}
 
 	// Doorbell + SQE fetch across the fabric, then controller decode. A
 	// stalled firmware stops draining SQs: the fetch waits out the stall.
@@ -561,8 +578,7 @@ func (r *ioReq) fetched() {
 	c := r.c
 	if c.offline {
 		// Dropped while the command sat in the SQ.
-		c.stats.DroppedCmds++
-		c.putReq(r)
+		r.drop()
 		return
 	}
 	r.res.FetchedAt = c.eng.Now()
@@ -697,8 +713,7 @@ func (r *ioReq) complete() {
 	c := r.c
 	if c.offline {
 		// The device died with the command in flight: no CQE.
-		c.stats.DroppedCmds++
-		c.putReq(r)
+		r.drop()
 		return
 	}
 	r.res.CompletedAt = c.eng.Now()
@@ -710,18 +725,91 @@ func (r *ioReq) complete() {
 	done(res)
 }
 
+// drop loses the command to an offline device: it is counted, the request
+// released, and done handed the drop notice in place of a CQE.
+func (r *ioReq) drop() {
+	c := r.c
+	c.stats.DroppedCmds++
+	res, done := r.res, r.done
+	res.Dropped = true
+	c.putReq(r)
+	done(res)
+}
+
 // Format executes the NVMe format admin command: all mappings are
 // discarded and the device returns to FOB (the paper's methodology before
 // every run). done fires when the device is usable again.
 func (c *Controller) Format(done func()) {
 	c.stats.Formats++
-	c.eng.Schedule(200*sim.Millisecond, func() {
+	c.submitAdmin(200*sim.Millisecond, adminCmd{op: adminFormat, onFormat: done})
+}
+
+// adminOp names the admin commands the model serves.
+type adminOp int
+
+const (
+	adminFormat adminOp = iota
+	adminIdentify
+	adminLogPage
+)
+
+// adminCmd is one admin command awaiting its completion instant. Admin
+// commands ride the controller's admin queue (Controller.admin) as values,
+// and every completion event runs the one callback bound in New, so an
+// admin command allocates no closure.
+type adminCmd struct {
+	at         sim.Time
+	op         adminOp
+	onFormat   func()
+	onIdentify func(IdentifyController)
+	onLog      func(SMARTLog)
+}
+
+// submitAdmin queues cmd and schedules its completion d from now.
+func (c *Controller) submitAdmin(d sim.Duration, cmd adminCmd) {
+	cmd.at = c.eng.Now().Add(d)
+	c.admin = append(c.admin, cmd)
+	c.eng.Schedule(d, c.adminFn)
+}
+
+// adminDone completes the admin command due now. Events due at one
+// instant fire in the order they were scheduled, so the first queued
+// command due now is the one whose event this is.
+func (c *Controller) adminDone() {
+	now := c.eng.Now()
+	i := 0
+	for c.admin[i].at != now {
+		i++
+	}
+	cmd := c.admin[i]
+	last := len(c.admin) - 1
+	copy(c.admin[i:], c.admin[i+1:])
+	c.admin[last] = adminCmd{} // drop the stale callbacks past the end
+	c.admin = c.admin[:last]
+	switch cmd.op {
+	case adminFormat:
 		c.Flash.Format()
 		c.badLBAs = nil // format remaps injected media errors away
-		if done != nil {
-			done()
+		if cmd.onFormat != nil {
+			cmd.onFormat()
 		}
-	})
+	case adminIdentify:
+		cmd.onIdentify(IdentifyController{
+			ModelNumber:      "CB-AFA-M2-960",
+			SerialNumber:     fmt.Sprintf("S4FANX0M%06d", c.ID),
+			FirmwareRev:      c.FW.Kind.String(),
+			TotalCapacityGB:  c.Spec.CapacityGB,
+			NumNamespaces:    1,
+			MaxTransferBytes: 128 << 10,
+		})
+	case adminLogPage:
+		cmd.onLog(SMARTLog{
+			PowerOnIOs:    c.stats.Reads + c.stats.Writes,
+			SMARTWindows:  c.stats.SMARTWindows,
+			MediaBlocked:  c.stats.SMARTBlockedIOs,
+			FirmwareBuild: c.FW.Kind.String(),
+		})
+	}
 }
 
 // IdentifyController is the subset of the NVMe Identify Controller data
@@ -738,16 +826,7 @@ type IdentifyController struct {
 
 // Identify serves the Identify Controller admin command.
 func (c *Controller) Identify(done func(IdentifyController)) {
-	c.eng.Schedule(c.cmdProcess+c.fabric.Upstream(c.ID, 4096), func() {
-		done(IdentifyController{
-			ModelNumber:      "CB-AFA-M2-960",
-			SerialNumber:     fmt.Sprintf("S4FANX0M%06d", c.ID),
-			FirmwareRev:      c.FW.Kind.String(),
-			TotalCapacityGB:  c.Spec.CapacityGB,
-			NumNamespaces:    1,
-			MaxTransferBytes: 128 << 10,
-		})
-	})
+	c.submitAdmin(c.cmdProcess+c.fabric.Upstream(c.ID, 4096), adminCmd{op: adminIdentify, onIdentify: done})
 }
 
 // SMARTLog is the subset of the SMART / health log page the model tracks.
@@ -762,12 +841,5 @@ type SMARTLog struct {
 // not itself stall media (it returns the shadow copy), but it reflects how
 // often the firmware's internal collection ran.
 func (c *Controller) GetLogPage(done func(SMARTLog)) {
-	c.eng.Schedule(c.cmdProcess+c.fabric.Upstream(c.ID, 512), func() {
-		done(SMARTLog{
-			PowerOnIOs:    c.stats.Reads + c.stats.Writes,
-			SMARTWindows:  c.stats.SMARTWindows,
-			MediaBlocked:  c.stats.SMARTBlockedIOs,
-			FirmwareBuild: c.FW.Kind.String(),
-		})
-	})
+	c.submitAdmin(c.cmdProcess+c.fabric.Upstream(c.ID, 512), adminCmd{op: adminLogPage, onLog: done})
 }

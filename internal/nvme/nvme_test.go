@@ -302,3 +302,51 @@ func TestUnknownOpcodePanics(t *testing.T) {
 	}()
 	eng.RunUntil(sim.Time(sim.Millisecond))
 }
+
+// TestAdminCommandsShareOneQueue: admin commands in flight together each
+// complete once, at their own instant — out of submission order, and in
+// submission order when due at the same instant — and once the
+// admin queue is warm a log-page read allocates nothing.
+func TestAdminCommandsShareOneQueue(t *testing.T) {
+	eng, c := newSSD(t, noSMART())
+	var order []string
+	var at []sim.Time
+	note := func(name string) {
+		order = append(order, name)
+		at = append(at, eng.Now())
+	}
+	c.Format(func() { note("format-1") })
+	c.Identify(func(id IdentifyController) { note("identify " + id.SerialNumber) })
+	c.GetLogPage(func(SMARTLog) { note("log-1") })
+	c.Format(nil)
+	c.GetLogPage(func(SMARTLog) { note("log-2") })
+	c.Format(func() { note("format-2") })
+	eng.RunUntil(sim.Time(sim.Second))
+	want := []string{"identify S4FANX0M000000", "log-1", "log-2", "format-1", "format-2"}
+	if len(order) != len(want) {
+		t.Fatalf("completions %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("completions %v, want %v", order, want)
+		}
+	}
+	if at[0] == 0 || at[1] <= at[0] || at[2] <= at[1] ||
+		at[3] != sim.Time(200*sim.Millisecond) || at[4] != at[3] {
+		t.Fatalf("completion instants %v", at)
+	}
+	if len(c.admin) != 0 || c.Stats().Formats != 3 {
+		t.Fatalf("%d admin commands left queued, %d formats counted; want 0 and 3",
+			len(c.admin), c.Stats().Formats)
+	}
+
+	onLog := func(SMARTLog) {}
+	logPage := func() {
+		c.GetLogPage(onLog)
+		eng.RunUntil(eng.Now().Add(sim.Millisecond))
+	}
+	logPage()
+	if avg := testing.AllocsPerRun(50, logPage); avg > 0 {
+		t.Fatalf("GetLogPage allocates %.2f per call once warm, want 0", avg)
+	}
+}

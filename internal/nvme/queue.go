@@ -22,8 +22,10 @@ type QueuePairStats struct {
 	// kernel underneath a passthrough queue to retry them: the tenant
 	// sees every one.
 	Errors int64
-	// Dropped counts commands submitted while the device was offline —
-	// no CQE will ever arrive, and no host timeout fires on this path.
+	// Dropped counts commands the device lost while offline — at the
+	// doorbell, in the SQ, or before the CQE was posted. No CQE will ever
+	// arrive, and no host timeout fires on this path. Once the pair has
+	// drained, Submitted = Completed + Dropped.
 	Dropped int64
 }
 
@@ -75,34 +77,34 @@ func (q *QueuePair) getReq(done func(Result)) *qpReq {
 
 // onDone reaps one CQE into the pair's accounting and hands the raw result
 // to the tenant. Non-success statuses pass straight through: there is no
-// kernel retry on this path.
+// kernel retry on this path. A drop notice only counts the loss and
+// releases the carrier: unlike the kernel path there is no timeout tier
+// watching, so the tenant's I/O is simply gone.
 func (r *qpReq) onDone(res Result) {
 	q := r.q
-	q.stats.Completed++
-	if res.Status != StatusSuccess {
-		q.stats.Errors++
-	}
 	done := r.done
 	// Release before the callback: done may submit the next command, and
 	// the freed carrier is then reused immediately with no allocation.
 	r.done = nil
 	q.free = append(q.free, r)
+	if res.Dropped {
+		q.stats.Dropped++
+		return
+	}
+	q.stats.Completed++
+	if res.Status != StatusSuccess {
+		q.stats.Errors++
+	}
 	done(res)
 }
 
 // Submit rings the pair's doorbell. The command is tagged with the pair's
 // queue ID and goes straight into the controller's staged pipeline; done
-// fires when the tenant reaps the CQE from its own CQ (no IRQ, no kernel).
+// fires when the tenant reaps the CQE from its own CQ (no IRQ, no kernel),
+// and never for a command the device drops (see onDone).
 func (q *QueuePair) Submit(cmd Command, done func(Result)) {
 	cmd.Queue = q.ID
 	q.stats.Submitted++
-	if q.c.offline {
-		// The doorbell write lands nowhere. Unlike the kernel path there
-		// is no timeout tier watching: the tenant's I/O is simply gone.
-		q.c.stats.DroppedCmds++
-		q.stats.Dropped++
-		return
-	}
 	q.c.Submit(cmd, q.getReq(done).doneFn)
 }
 
