@@ -34,8 +34,13 @@ func stageOf(res Result, now sim.Time) dropStage {
 // while reads, writes and flushes sit at each pipeline stage (one window
 // during an SQ stall, so commands wait in the SQ); every command must
 // settle once, the notices must match the DroppedCmds count, and each
-// notice must carry its command and submission instant.
+// notice must carry its command and submission instant. Two more reads
+// meet an offline flip at their fetch instant: one flip due before the
+// fetch event loses its read in the SQ; one due after it finds the read
+// fetched, its media read started at the fetch instant, and loses it
+// before the CQE.
 func TestEveryCommandSettlesOnce(t *testing.T) {
+	fd := fetchDelay(t)
 	eng, c := newSSD(t, noSMART())
 	type sent struct {
 		cmd   Command
@@ -45,21 +50,22 @@ func TestEveryCommandSettlesOnce(t *testing.T) {
 		stage dropStage // of a drop notice
 	}
 	const n = 900
-	cmds := make([]sent, n)
-	for i := range cmds {
-		i := i
-		eng.At(sim.Time(i)*sim.Time(2*sim.Microsecond), func() {
-			s := &cmds[i]
-			s.cmd = Command{Op: Opcode(i % 3), LBA: int64(i), Bytes: 4096}
-			s.at = eng.Now()
-			c.Submit(s.cmd, func(res Result) {
-				s.calls++
-				s.res = res
-				if res.Dropped {
-					s.stage = stageOf(res, eng.Now())
-				}
-			})
+	cmds := make([]sent, n+2)
+	submit := func(i int, op Opcode) {
+		s := &cmds[i]
+		s.cmd = Command{Op: op, LBA: int64(i), Bytes: 4096}
+		s.at = eng.Now()
+		c.Submit(s.cmd, func(res Result) {
+			s.calls++
+			s.res = res
+			if res.Dropped {
+				s.stage = stageOf(res, eng.Now())
+			}
 		})
+	}
+	for i := 0; i < n; i++ {
+		i := i
+		eng.At(sim.Time(i)*sim.Time(2*sim.Microsecond), func() { submit(i, Opcode(i%3)) })
 	}
 	offline := func(from, to sim.Duration) {
 		eng.At(sim.Time(from), func() { c.SetOffline(true) })
@@ -69,6 +75,15 @@ func TestEveryCommandSettlesOnce(t *testing.T) {
 	offline(600*sim.Microsecond, 605*sim.Microsecond)
 	eng.At(sim.Time(1000*sim.Microsecond), func() { c.StallSubmissionQueues(100 * sim.Microsecond) })
 	offline(1050*sim.Microsecond, 1200*sim.Microsecond)
+	// The fetch-instant flips, on an idle fabric: the first is scheduled
+	// after its read's fetch event, the second before.
+	afterFetch, beforeFetch := n, n+1
+	eng.At(sim.Time(3*sim.Millisecond), func() {
+		submit(afterFetch, OpRead)
+		offline(3*sim.Millisecond+fd, 3100*sim.Microsecond)
+	})
+	offline(3200*sim.Microsecond+fd, 3300*sim.Microsecond)
+	eng.At(sim.Time(3200*sim.Microsecond), func() { submit(beforeFetch, OpRead) })
 
 	before := c.Stats().DroppedCmds
 	eng.RunUntil(sim.Time(100 * sim.Millisecond))
@@ -94,6 +109,14 @@ func TestEveryCommandSettlesOnce(t *testing.T) {
 		}
 		notices++
 		seen[s.cmd.Op][s.stage]++
+	}
+	if a := cmds[afterFetch].res; !a.Dropped || a.FetchedAt != sim.Time(3*sim.Millisecond+fd) ||
+		a.MediaStartAt != a.FetchedAt || cmds[afterFetch].stage != inFlight {
+		t.Fatalf("read fetched as the drive drops: %+v; want fetched at %v, media started then, lost in flight",
+			a, 3*sim.Millisecond+fd)
+	}
+	if b := cmds[beforeFetch]; !b.res.Dropped || b.res.FetchedAt != 0 || b.stage != inSQ {
+		t.Fatalf("read whose fetch follows the drop: %+v; want lost in the SQ", b.res)
 	}
 	if got := c.Stats().DroppedCmds - before; got != notices {
 		t.Fatalf("DroppedCmds rose by %d, but %d drop notices fired", got, notices)

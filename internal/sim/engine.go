@@ -184,6 +184,20 @@ func (e *Engine) Now() Time { return e.now }
 // Steps reports how many events have fired so far.
 func (e *Engine) Steps() uint64 { return e.stepped }
 
+// DueNow reports whether a pending entry may be due at the current
+// instant: the lane event or a store head keyed at or before now. It is
+// conservative — a stale timer entry or canceled event keyed at now
+// counts — but never misses a live event due now. When it reports false,
+// a zero-delay Schedule would take the lane and fire next, so a callback
+// may run that step inline as its last action instead.
+func (e *Engine) DueNow() bool {
+	now := e.now
+	return e.lane != nil && e.lane.when <= now ||
+		e.whead != nil && e.whead.when <= now ||
+		len(e.near) > 0 && e.near[0].when <= now ||
+		len(e.far) > 0 && e.far[0].when <= now
+}
+
 // Pending reports the number of queue entries: live events plus entries
 // not yet discarded — canceled events and the stale queue entries of
 // re-armed or canceled timers, which are settled only when they reach

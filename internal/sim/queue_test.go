@@ -51,8 +51,9 @@ type queueHarness struct {
 	stopReq bool
 	budget  int
 	// inWheel, inSpill and inFar count checks that found the wheel, the
-	// near (spill) heap and the far heap non-empty.
-	inWheel, inSpill, inFar int
+	// near (spill) heap and the far heap non-empty; dueLive counts checks
+	// that found a live event due at now.
+	inWheel, inSpill, inFar, dueLive int
 }
 
 func newQueueHarness(t *testing.T, seed uint64, timers int) *queueHarness {
@@ -125,6 +126,7 @@ func (h *queueHarness) callback(id int) func() {
 		h.now = m.when
 		h.fired++
 		h.checkArmed()
+		h.checkDue("fire")
 		if h.budget > 0 {
 			if h.budget--; h.budget == 0 {
 				h.e.Stop()
@@ -133,6 +135,7 @@ func (h *queueHarness) callback(id int) func() {
 		}
 		for k := h.r.Intn(3); k > 0; k-- {
 			h.op(true)
+			h.checkDue("op in callback")
 		}
 	}
 }
@@ -299,7 +302,20 @@ func (h *queueHarness) check(what string) {
 		h.t.Fatalf("after %s: Pending() = %d below %d live events", what, h.e.Pending(), len(h.live))
 	}
 	h.checkArmed()
+	h.checkDue(what)
 	h.checkHeaps(what)
+}
+
+// checkDue verifies DueNow's soundness: it reports true whenever a live
+// event is due at now. It may also report true with none (a stale timer
+// key at now), so only this direction is checked.
+func (h *queueHarness) checkDue(what string) {
+	if m := h.min(); m != nil && m.when <= h.now {
+		h.dueLive++
+		if !h.e.DueNow() {
+			h.t.Fatalf("after %s: DueNow() = false with callback %d due at %v, now %v", what, m.id, m.when, h.now)
+		}
+	}
 }
 
 // checkHeaps verifies the engine's queue layout: both heaps are
@@ -488,6 +504,9 @@ func TestQueueMatchesReferenceOrder(t *testing.T) {
 			t.Fatalf("seed %d did not use every store: wheel %d, spill heap %d, far heap %d checks",
 				seed, h.inWheel, h.inSpill, h.inFar)
 		}
+		if h.dueLive == 0 {
+			t.Fatalf("seed %d never had a live event due at now: DueNow went unchecked", seed)
+		}
 		if turns := h.now >> slotShift / wheelSlots; turns < 2 {
 			t.Fatalf("seed %d ended at %v: the wheel turned %d times, want >= 2", seed, h.now, turns)
 		}
@@ -609,6 +628,92 @@ func TestMinLaneDemotion(t *testing.T) {
 	e.ScheduleAt(20, func() {})
 	if e.lane != nil || e.wlen != 2 {
 		t.Fatalf("pooled event behind the wheel head: lane %v, wlen %d; want no lane, 2", e.lane, e.wlen)
+	}
+}
+
+// TestDueNowSeesEveryStore: DueNow reports an entry due at now wherever
+// it waits — the lane, the wheel, the near (spill) heap, the far heap —
+// and a stale timer entry keyed at now, though the timer's real deadline
+// is later; once the last entry due now has fired, it reports false.
+func TestDueNowSeesEveryStore(t *testing.T) {
+	noop := func() {}
+	// expectDue checks that the case put its entry where it meant to, and
+	// that DueNow sees it there.
+	expectDue := func(name string, e *Engine, where func() bool) {
+		t.Helper()
+		if !where() {
+			t.Fatalf("%s: the entry due now is not where the case puts it", name)
+		}
+		if !e.DueNow() {
+			t.Fatalf("%s: DueNow() = false with an entry due at %v", name, e.Now())
+		}
+	}
+
+	// The lane: a zero-delay Schedule on an empty queue.
+	e := NewEngine()
+	e.Schedule(0, noop)
+	expectDue("lane", e, func() bool { return e.lane != nil && e.lane.when == 0 })
+	e.Step()
+	if e.DueNow() {
+		t.Fatal("lane: DueNow() = true after the only event fired")
+	}
+
+	// The wheel: a pinned event never takes the lane.
+	e = NewEngine()
+	e.At(0, noop)
+	expectDue("wheel", e, func() bool { return e.lane == nil && e.whead != nil && e.whead.when == 0 })
+	e.Step()
+	if e.DueNow() {
+		t.Fatal("wheel: DueNow() = true after the only event fired")
+	}
+
+	// The spill heap: slot 0 is full of later entries, so the entry due
+	// now spills, and the wheel head is not due.
+	e = NewEngine()
+	for k := 1; k <= bucketCap; k++ {
+		e.At(Time(k), noop)
+	}
+	e.At(0, noop)
+	expectDue("spill heap", e, func() bool {
+		return e.lane == nil && e.whead.when == 1 && len(e.near) == 1 && e.near[0].when == 0
+	})
+	e.Step()
+	if e.DueNow() {
+		t.Fatal("spill heap: DueNow() = true with only later entries left")
+	}
+
+	// The far heap: two entries filed farSpan ahead; while the first
+	// fires, the second is due at now.
+	e = NewEngine()
+	var inFire, afterLast bool
+	e.At(Time(farSpan), func() {
+		expectDue("far heap", e, func() bool {
+			return e.lane == nil && e.whead == nil && len(e.near) == 0 && len(e.far) == 1
+		})
+		inFire = true
+	})
+	e.At(Time(farSpan), func() { afterLast = !e.DueNow() })
+	e.Run()
+	if !inFire || !afterLast {
+		t.Fatalf("far heap: checked in the first fire %v, DueNow() false in the last %v", inFire, afterLast)
+	}
+
+	// A stale timer key: the timer re-armed later keeps its entry keyed at
+	// 10, so DueNow is conservatively true at 10 though nothing live is
+	// due; the entry, re-keyed, leaves nothing due once settled.
+	e = NewEngine()
+	tm := e.NewTimer()
+	var stale bool
+	e.At(10, func() { stale = e.DueNow() })
+	tm.ArmAt(10, noop)
+	tm.ArmAt(80, noop)
+	e.Step()
+	if !stale {
+		t.Fatal("stale timer key at now: DueNow() = false, want the conservative true")
+	}
+	e.RunUntil(10)
+	if e.DueNow() {
+		t.Fatal("stale timer key: DueNow() = true once the entry was re-keyed to 80")
 	}
 }
 
