@@ -403,7 +403,7 @@ func BenchmarkWritePath(b *testing.B) {
 // (64 SSDs, default kernel, one QD1 FIO thread per device). Every
 // figure, ablation, and sweep in this repository is a multiple of this
 // number, so it is tracked per commit in BENCH_engine.json like the
-// parallel and write-path benches. The afaperf rules (`afalint -perf`)
+// parallel and write-path benches. afalint's hot-set rules (DESIGN.md §8)
 // police the hot set this benchmark exercises; EXPERIMENTS.md records
 // the before/after of the PR-6 hot-path overhaul.
 func BenchmarkEngineThroughput(b *testing.B) {

@@ -1,7 +1,10 @@
 // Command afalint enforces the simulator's determinism contract: the
 // property that the same seed always yields the same latency
 // distributions, which every figure and A/B kernel comparison in this
-// reproduction depends on.
+// reproduction depends on. One pass runs every rule of its three
+// families: the determinism contract itself (DESIGN.md §5), the
+// hot-set performance contract (§8), and the state-integrity contract
+// for pooled objects, Reset() and Snapshot()/Clone() methods (§10).
 //
 // Usage:
 //
@@ -15,25 +18,12 @@
 //	afalint -json ./...           # findings as JSON
 //	afalint -gha ./...            # findings as GitHub Actions annotations
 //
-//	# run the afaperf performance family (hot-set rules) instead of the
-//	# determinism contract; optionally cross-check hotalloc candidates
-//	# against compiler escape analysis:
-//	afalint -perf ./...
-//	go build -gcflags='-m -m' ./... 2>escape.txt
-//	afalint -perf -escape-data escape.txt ./...
-//
-//	# run the state-integrity family instead: must-assign field
-//	# coverage for pooled objects, Reset() methods, and
-//	# Snapshot()/Clone() methods, plus package-level-state and
-//	# use-after-recycle checks (ledger: lint_state.baseline):
-//	afalint -state ./...
-//	afalint -state -baseline lint_state.baseline ./...
-//
 //	# lint a bare directory (e.g. the fixture corpus) as if it were
 //	# the named package; the import path controls rule scoping:
 //	afalint -as repro/internal/sim ./internal/lint/testdata/nogoroutine
 //
-//	# record today's findings as accepted debt, then run against it:
+//	# record today's findings as accepted debt, then run against it
+//	# (the module's ledger is lint.baseline at its root):
 //	afalint -write-baseline lint.baseline ./...
 //	afalint -baseline lint.baseline ./...
 //
@@ -41,7 +31,8 @@
 // position so output is byte-stable across runs; the exit status is 0
 // when clean (or when every finding is covered by the -baseline file),
 // 1 when findings remain, and 2 on a usage or load error. Baseline
-// entries no current finding matches are reported as stale on stderr.
+// entries for the linted packages that no current finding matches are
+// reported as stale on stderr.
 // A finding is suppressed permanently by annotating the offending line
 // (or the line above) with:
 //
@@ -55,6 +46,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,63 +55,77 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, lints, writes findings to
+// stdout and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("afalint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		asJSON        = flag.Bool("json", false, "emit findings as a JSON array")
-		asGHA         = flag.Bool("gha", false, "emit findings as GitHub Actions ::error annotations")
-		listRules     = flag.Bool("rules", false, "describe the determinism rules and exit")
-		asDoc         = flag.Bool("doc", false, "emit the rule table as markdown and exit")
-		asPath        = flag.String("as", "", "lint a single directory under this import path (scope override)")
-		baselinePath  = flag.String("baseline", "", "filter findings through this baseline file; stale entries warn on stderr")
-		writeBaseline = flag.String("write-baseline", "", "record current findings to this baseline file and exit")
-		perf          = flag.Bool("perf", false, "run the afaperf hot-set performance rules instead of the determinism contract")
-		state         = flag.Bool("state", false, "run the state-integrity rules (pool/reset/snapshot field coverage) instead of the determinism contract")
-		escapeData    = flag.String("escape-data", "", "with -perf: narrow hotalloc to sites in this `go build -gcflags=-m` output")
+		asJSON        = fs.Bool("json", false, "emit findings as a JSON array")
+		asGHA         = fs.Bool("gha", false, "emit findings as GitHub Actions ::error annotations")
+		listRules     = fs.Bool("rules", false, "describe every rule and exit")
+		asDoc         = fs.Bool("doc", false, "emit the rule table as markdown and exit")
+		asPath        = fs.String("as", "", "lint a single directory under this import path (scope override)")
+		baselinePath  = fs.String("baseline", "", "filter findings through this baseline file; stale entries warn on stderr")
+		writeBaseline = fs.String("write-baseline", "", "record current findings to this baseline file and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "afalint:", err)
+		return 2
+	}
 
 	if *listRules {
-		for _, fam := range ruleFamilies() {
-			fmt.Printf("%s:\n", fam.title)
-			for _, r := range fam.rules {
-				fmt.Printf("  %-14s %s\n", r.Name(), r.Doc())
+		for _, fam := range lint.Families() {
+			fmt.Fprintf(stdout, "%s:\n", fam.Title)
+			for _, r := range fam.Rules {
+				fmt.Fprintf(stdout, "  %-14s %s\n", r.Name(), r.Doc())
 			}
 		}
-		return
+		return 0
 	}
 	if *asDoc {
-		fmt.Print(ruleDoc())
-		return
+		fmt.Fprint(stdout, ruleDoc())
+		return 0
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	root, modPath, err := lint.FindModule(cwd)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	loader := lint.NewLoader(root, modPath)
 
 	var selected []*lint.Package
 	if *asPath != "" {
 		if len(patterns) != 1 || strings.HasSuffix(patterns[0], "...") {
-			fatal(fmt.Errorf("-as requires exactly one directory argument"))
+			return fail(fmt.Errorf("-as requires exactly one directory argument"))
 		}
 		p, err := loader.LoadDir(patterns[0], *asPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		selected = []*lint.Package{p}
 	} else {
 		pkgs, err := loader.LoadModule()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		for _, p := range pkgs {
 			if matchesAny(p, patterns, root, modPath, cwd) {
@@ -128,86 +134,65 @@ func main() {
 		}
 	}
 	if len(selected) == 0 {
-		fatal(fmt.Errorf("no packages match %v", patterns))
+		return fail(fmt.Errorf("no packages match %v", patterns))
 	}
 
-	if *perf && *state {
-		fatal(fmt.Errorf("-perf and -state are mutually exclusive; run them as separate passes"))
-	}
-	rules := lint.AllRules()
-	var esc *lint.EscapeIndex
-	switch {
-	case *perf:
-		rules = lint.PerfRules()
-		if *escapeData != "" {
-			data, err := os.ReadFile(*escapeData)
-			if err != nil {
-				fatal(err)
-			}
-			esc = lint.ParseEscapeOutput(data)
-			fmt.Fprintf(os.Stderr, "afalint: escape data covers %d allocation site(s)\n", esc.Len())
-		}
-	case *state:
-		rules = lint.StateRules()
-	}
-	if !*perf && *escapeData != "" {
-		fatal(fmt.Errorf("-escape-data only applies with -perf"))
-	}
-
-	findings := lint.RunWithEscape(selected, rules, esc)
-	// Run sorts, but output order is this command's contract with CI
-	// diffing and the baseline file: keep it byte-stable here regardless
-	// of how the library evolves.
-	lint.SortFindings(findings)
+	findings := lint.Run(selected, lint.Rules()) // sorted: output is byte-stable
 
 	if *writeBaseline != "" {
 		if err := os.WriteFile(*writeBaseline, lint.WriteBaseline(findings, root), 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "afalint: recorded %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
+		fmt.Fprintf(stderr, "afalint: recorded %d finding(s) to %s\n", len(findings), *writeBaseline)
+		return 0
 	}
 	if *baselinePath != "" {
 		data, err := os.ReadFile(*baselinePath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		b, err := lint.ParseBaseline(data)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		kept, suppressed, stale := b.Filter(findings, root)
+		kept, suppressed, stale := b.Filter(findings, root, selected)
 		for _, s := range stale {
-			fmt.Fprintf(os.Stderr, "afalint: stale baseline entry (fixed? delete it): %s\n", s)
+			fmt.Fprintf(stderr, "afalint: stale baseline entry (fixed? delete it): %s\n", s)
 		}
 		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "afalint: %d finding(s) covered by baseline %s\n", suppressed, *baselinePath)
+			fmt.Fprintf(stderr, "afalint: %d finding(s) covered by baseline %s\n", suppressed, *baselinePath)
 		}
 		findings = kept
 	}
 
 	switch {
 	case *asJSON:
-		enc := json.NewEncoder(os.Stdout)
+		// A clean run prints [] rather than null, so JSON consumers
+		// always get an array.
+		if findings == nil {
+			findings = []lint.Finding{}
+		}
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(findings); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	case *asGHA:
 		for _, f := range findings {
-			fmt.Println(ghaAnnotation(f, root))
+			fmt.Fprintln(stdout, ghaAnnotation(f, root))
 		}
 	default:
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {
 		if !*asJSON {
-			fmt.Fprintf(os.Stderr, "afalint: %d finding(s)\n", len(findings))
+			fmt.Fprintf(stderr, "afalint: %d finding(s)\n", len(findings))
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // ghaAnnotation renders one finding as a GitHub Actions workflow
@@ -216,47 +201,23 @@ func main() {
 // against the checkout). The message escaping follows the workflow
 // command spec: %, CR, and LF in the free text.
 func ghaAnnotation(f lint.Finding, root string) string {
-	file := f.Pos.Filename
-	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
 	esc := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A")
 	return fmt.Sprintf("::error file=%s,line=%d,col=%d,title=afalint/%s::%s",
-		file, f.Pos.Line, f.Pos.Column, f.Rule, esc.Replace(f.Msg))
-}
-
-// ruleFamily groups one rule set under its banner for -rules and -doc.
-type ruleFamily struct {
-	title string
-	rules []lint.Rule
-}
-
-func ruleFamilies() []ruleFamily {
-	return []ruleFamily{
-		{"determinism contract (default)", lint.AllRules()},
-		{"performance contract (-perf)", lint.PerfRules()},
-		{"state-integrity contract (-state)", lint.StateRules()},
-	}
+		lint.RelPath(f.Pos.Filename, root), f.Pos.Line, f.Pos.Column, f.Rule, esc.Replace(f.Msg))
 }
 
 // ruleDoc renders the rule table as markdown, the generated half of the
-// rule documentation in README.md and DESIGN.md §5/§8. Both families
-// share one table; the scope column says where each rule applies.
+// rule documentation in README.md; DESIGN.md §5/§8/§10 document each
+// rule's scope and rationale. All three families share one table; the
+// scope column says where each rule applies.
 func ruleDoc() string {
 	var sb strings.Builder
 	sb.WriteString("| Rule | Scope | What it enforces |\n")
 	sb.WriteString("|------|-------|------------------|\n")
-	for _, fam := range ruleFamilies() {
-		for _, r := range fam.rules {
-			sb.WriteString(fmt.Sprintf("| `%s` | %s | %s |\n", r.Name(), r.Scope(), r.Doc()))
-		}
+	for _, r := range lint.Rules() {
+		sb.WriteString(fmt.Sprintf("| `%s` | %s | %s |\n", r.Name(), r.Scope(), r.Doc()))
 	}
 	return sb.String()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "afalint:", err)
-	os.Exit(2)
 }
 
 // matchesAny reports whether package p matches one of the patterns.

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"fmt"
+	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -31,13 +33,19 @@ type Baseline struct {
 // non-empty, relativizes the file path so baselines are stable across
 // checkouts.
 func baselineKey(f Finding, root string) string {
-	file := f.Pos.Filename
+	return fmt.Sprintf("%s: %s [%s]", RelPath(f.Pos.Filename, root), f.Msg, f.Rule)
+}
+
+// RelPath is file relative to root, or file itself when it does not
+// lie under root, in slash form: how ledger keys and CI annotations
+// name a file.
+func RelPath(file, root string) string {
 	if root != "" {
 		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = filepath.ToSlash(rel)
+			file = rel
 		}
 	}
-	return fmt.Sprintf("%s: %s [%s]", file, f.Msg, f.Rule)
+	return filepath.ToSlash(file)
 }
 
 // ParseBaseline parses baseline file contents.
@@ -62,8 +70,11 @@ func ParseBaseline(data []byte) (*Baseline, error) {
 // Filter partitions findings into those not covered by the baseline
 // (returned) and those consumed by it. It also returns the stale
 // entries: baseline lines no current finding matched, which should be
-// deleted from the file.
-func (b *Baseline) Filter(findings []Finding, root string) (kept []Finding, suppressed int, stale []string) {
+// deleted from the file. Only a line the run could have matched can be
+// stale: one whose file lies in the directory of a package in pkgs
+// (the packages the findings came from), or whose file no longer
+// exists under root. A partial run leaves every other line alone.
+func (b *Baseline) Filter(findings []Finding, root string, pkgs []*Package) (kept []Finding, suppressed int, stale []string) {
 	remaining := map[string]int{}
 	for _, k := range b.order {
 		remaining[k] = b.counts[k]
@@ -77,10 +88,23 @@ func (b *Baseline) Filter(findings []Finding, root string) (kept []Finding, supp
 		}
 		kept = append(kept, f)
 	}
+	dirs := map[string]bool{}
+	for _, p := range pkgs {
+		dirs[path.Clean(RelPath(p.Dir, root))] = true
+	}
 	for _, k := range b.order {
-		if remaining[k] > 0 {
-			stale = append(stale, k)
+		if remaining[k] == 0 {
+			continue
 		}
+		file, _, _ := strings.Cut(k, ": ")
+		name := filepath.FromSlash(file)
+		if !filepath.IsAbs(name) {
+			name = filepath.Join(root, name)
+		}
+		if _, err := os.Stat(name); err == nil && !dirs[path.Dir(file)] {
+			continue
+		}
+		stale = append(stale, k)
 	}
 	return kept, suppressed, stale
 }

@@ -23,7 +23,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, suppressed, stale := b.Filter(findings, "/repo")
+	kept, suppressed, stale := b.Filter(findings, "/repo", nil)
 	if len(kept) != 0 || suppressed != 3 || len(stale) != 0 {
 		t.Errorf("round trip: kept=%v suppressed=%d stale=%v, want 0/3/0", kept, suppressed, stale)
 	}
@@ -41,7 +41,7 @@ func TestBaselineLineDriftInsensitive(t *testing.T) {
 	moved := orig
 	moved.Pos.Line = 99
 	moved.Pos.Column = 1
-	kept, suppressed, _ := b.Filter([]Finding{moved}, "/repo")
+	kept, suppressed, _ := b.Filter([]Finding{moved}, "/repo", nil)
 	if len(kept) != 0 || suppressed != 1 {
 		t.Errorf("moved finding not suppressed: kept=%v", kept)
 	}
@@ -57,7 +57,7 @@ func TestBaselineNewAndStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := bfinding("/repo/new.go", "rngstream", "stream captured")
-	kept, suppressed, stale := b.Filter([]Finding{fresh}, "/repo")
+	kept, suppressed, stale := b.Filter([]Finding{fresh}, "/repo", nil)
 	if len(kept) != 1 || suppressed != 0 {
 		t.Errorf("fresh finding must be kept: kept=%v suppressed=%d", kept, suppressed)
 	}
@@ -74,7 +74,7 @@ func TestBaselineDuplicateCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, suppressed, _ := b.Filter([]Finding{f, f}, "/repo")
+	kept, suppressed, _ := b.Filter([]Finding{f, f}, "/repo", nil)
 	if suppressed != 1 || len(kept) != 1 {
 		t.Errorf("multiset semantics violated: suppressed=%d kept=%v", suppressed, kept)
 	}

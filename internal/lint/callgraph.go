@@ -44,9 +44,6 @@ type Program struct {
 	// hot is the lazily computed hot set (hotset.go) the perf rule
 	// family consults.
 	hot *hotSet
-	// escape, when non-nil, is compiler escape-analysis output the
-	// hotalloc rule cross-checks its syntactic candidates against.
-	escape *EscapeIndex
 }
 
 // NewProgram assembles the call graph over pkgs. Packages outside pkgs

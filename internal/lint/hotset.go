@@ -29,8 +29,7 @@
 // The over-approximation is deliberate: a function that schedules work
 // may also run cold setup code, and a shared helper called from both a
 // hot and a cold path is analyzed as hot. False positives are absorbed
-// by //afalint:allow annotations or the lint_perf.baseline ledger, the
-// same debt machinery the determinism rules use.
+// by //afalint:allow annotations or the lint.baseline ledger.
 package lint
 
 import (

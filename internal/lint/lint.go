@@ -1,55 +1,33 @@
 // Package lint is afalint's rule engine: a pure-stdlib static analyzer
 // that enforces the simulator's determinism contract.
 //
-// The contract (DESIGN.md "Determinism contract") is what makes the
-// reproduction meaningful: the same seed must always yield the same
-// latency distributions, so every figure and A/B kernel comparison is
-// exactly reproducible. The rules mechanically exclude the ways
-// nondeterminism leaks into Go programs:
+// The contract (DESIGN.md §5) is what makes the reproduction
+// meaningful: the same seed must always yield the same latency
+// distributions, so every figure and A/B kernel comparison is exactly
+// reproducible. One pass runs three rule families, listed by Families
+// and documented rule by rule in each Rule's Doc, `afalint -rules`,
+// and DESIGN.md:
 //
-//   - wallclock:     no wall-clock reads (time.Now, time.Sleep, ...);
-//     simulated time comes from sim.Engine only.
-//   - globalrand:    no math/rand or math/rand/v2 outside internal/rng;
-//     all stochastic behaviour flows through the seeded,
-//     release-stable xoshiro streams.
-//   - maporder:      no iteration over maps in non-test internal code
-//     unless the keys are collected and sorted first.
-//   - nogoroutine:   no goroutines, channels, select, or sync in the
-//     single-threaded sim-core packages, and no sim-core import of the
-//     orchestration tier (internal/runner) — the one sanctioned home
-//     for concurrency, which sits strictly above the event loop.
-//   - floatcompare:  no ==/!= on floats and no float map keys in
-//     sim-core code.
-//
-// On top of the per-file rules, a module-wide call graph (callgraph.go)
-// powers the whole-program rules added in v2:
-//
-//   - reachwallclock: no call chain from a sim-core exported function
-//     to a wall-clock read or os host state, however indirect.
-//   - reachrand:      no call chain from a sim-core exported function
-//     to math/rand, math/rand/v2, or crypto/rand.
-//   - exhaustive:     a switch over a sim-core enum type covers every
-//     declared constant or has an explicit default.
-//   - simtime:        unit safety on sim.Time/sim.Duration arithmetic
-//     (no Time+Time, no Time*k, no raw ≥1e6 ns literals).
-//   - rngstream:      rng streams used in a runner.Map job are created
-//     inside the job closure and never escape it.
-//
-// Two further families run under their own flags: the afaperf hot-set
-// performance rules (`afalint -perf`, perf.go) and the state-integrity
-// rules (`afalint -state`, state.go/fieldgraph.go) — must-assign field
-// coverage for pooled objects, Reset() methods, and Snapshot()/Clone()
-// methods, plus the package-level-state and use-after-recycle checks
-// that protect per-job isolation and the planned snapshot/branch
-// machinery.
+//   - determinism (§5): per-file rules against the ways nondeterminism
+//     leaks into Go programs (wall clock, global rand, map order,
+//     concurrency and float equality in the sim core), plus
+//     whole-program rules over a module-wide call graph
+//     (callgraph.go): reachability from sim-core entry points to the
+//     wall clock or entropy, enum exhaustiveness, sim-time unit safety,
+//     and rng-stream ownership in runner.Map jobs;
+//   - performance (§8, perf.go): per-event costs in the hot set;
+//   - state integrity (§10, state.go/fieldgraph.go): must-assign field
+//     coverage for pooled objects, Reset() and Snapshot()/Clone()
+//     methods, package-level state, and use after recycle.
 //
 // A finding on a given line is suppressed by the directive
 //
 //	//afalint:allow <rule> [<rule>...] [-- reason]
 //
 // placed either on the same line or on the line immediately above.
-// The self-check test in this package runs every rule over the whole
-// module, so `go test ./...` permanently enforces the contract.
+// The self-check test in this package runs every rule of every family
+// over the whole module, so `go test ./...` permanently enforces the
+// contracts.
 package lint
 
 import (
@@ -82,9 +60,36 @@ type Rule interface {
 	Check(p *Package) []Finding
 }
 
-// AllRules returns every rule in canonical order: the per-file rules
+// Family is one rule family under its documentation banner: the
+// determinism contract (DESIGN.md §5), the performance contract (§8),
+// or the state-integrity contract (§10).
+type Family struct {
+	Title string
+	Rules []Rule
+}
+
+// Families returns the three rule families in canonical order.
+func Families() []Family {
+	return []Family{
+		{"determinism contract (DESIGN.md §5)", determinismRules()},
+		{"performance contract (DESIGN.md §8)", perfRules()},
+		{"state-integrity contract (DESIGN.md §10)", stateRules()},
+	}
+}
+
+// Rules returns every rule of every family in canonical order: the
+// one rule set afalint and the self-check run.
+func Rules() []Rule {
+	var out []Rule
+	for _, fam := range Families() {
+		out = append(out, fam.Rules...)
+	}
+	return out
+}
+
+// determinismRules returns the determinism family: the per-file rules
 // of v1, then the call-graph and type-driven rules of v2.
-func AllRules() []Rule {
+func determinismRules() []Rule {
 	return []Rule{
 		wallclockRule{},
 		globalrandRule{},
@@ -109,16 +114,7 @@ const AllowDirective = "//afalint:allow"
 // narrows what the reach* rules can see; the self-check and CI always
 // run the whole module.
 func Run(pkgs []*Package, rules []Rule) []Finding {
-	return RunWithEscape(pkgs, rules, nil)
-}
-
-// RunWithEscape is Run with compiler escape-analysis output attached:
-// when esc is non-nil the hotalloc rule narrows its syntactic
-// allocation candidates to the sites the compiler confirmed escape to
-// the heap. The determinism rules ignore esc entirely.
-func RunWithEscape(pkgs []*Package, rules []Rule, esc *EscapeIndex) []Finding {
 	prog := NewProgram(pkgs)
-	prog.escape = esc
 	for _, p := range pkgs {
 		p.prog = prog
 	}

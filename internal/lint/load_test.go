@@ -55,7 +55,7 @@ func TestLoadDirTypeErrors(t *testing.T) {
 	}
 	// Partial type info must not crash any rule, including the
 	// call-graph construction behind the reach rules.
-	_ = Run([]*Package{p}, AllRules())
+	_ = Run([]*Package{p}, Rules())
 }
 
 // TestLoadDirEmptyPackage pins the empty-directory error path: a

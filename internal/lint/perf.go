@@ -6,11 +6,11 @@
 // measurable throughput tax (the BenchmarkEngineThroughput 2.4×
 // recovery in EXPERIMENTS.md came from exactly these findings).
 //
-// The family runs as `afalint -perf`, separately from the determinism
-// contract: perf findings are advisory pressure with a debt ledger
-// (lint_perf.baseline), not invariants — a justified hot-path
-// allocation is annotated //afalint:allow hotalloc -- <reason> and
-// stays.
+// The family runs in the same afalint pass as the determinism
+// contract, but unlike it may carry recorded debts in the one ledger
+// (lint.baseline): a perf finding is pressure, not an invariant — a
+// justified hot-path allocation is annotated
+// //afalint:allow hotalloc -- <reason> and stays.
 package lint
 
 import (
@@ -19,8 +19,8 @@ import (
 	"go/types"
 )
 
-// PerfRules returns the afaperf family in canonical order.
-func PerfRules() []Rule {
+// perfRules returns the afaperf family in canonical order.
+func perfRules() []Rule {
 	return []Rule{
 		hotallocRule{},
 		hotifaceRule{},
@@ -38,16 +38,17 @@ const perfScope = "hot set (internal/)"
 // hotallocRule flags syntactic allocation sites in hot functions:
 // escaping closures (a func literal capturing variables allocates on
 // every evaluation), &T{} and new(T), and method values (x.M used as a
-// value allocates a bound-method closure). With -escape-data the
-// candidates are cross-checked against the compiler's own escape
-// analysis and only confirmed heap allocations survive.
+// value allocates a bound-method closure). The candidates are a
+// conservative superset of what the compiler moves to the heap: a
+// site escape analysis keeps on the stack is still reported, and is
+// excused with //afalint:allow or the ledger.
 type hotallocRule struct{}
 
 func (hotallocRule) Name() string  { return "hotalloc" }
 func (hotallocRule) Scope() string { return perfScope }
 
 func (hotallocRule) Doc() string {
-	return "no per-event allocation in hot functions: escaping closures, &T{}/new, method values; cross-checked against -gcflags=-m escape output when given"
+	return "no per-event allocation in hot functions: escaping closures, &T{}/new, method values"
 }
 
 func (hotallocRule) Check(p *Package) []Finding {
@@ -69,12 +70,6 @@ func (hotallocRule) Check(p *Package) []Finding {
 			}
 			return true
 		})
-		report := func(pos token.Pos, format string, args ...any) {
-			if esc := p.prog.escape; esc != nil && !esc.EscapesAt(p.Fset.Position(pos)) {
-				return
-			}
-			out = append(out, p.finding("hotalloc", pos, format, args...))
-		}
 		ast.Inspect(h.decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
@@ -82,20 +77,20 @@ func (hotallocRule) Check(p *Package) []Finding {
 					return true
 				}
 				if captured := p.firstCapture(n, h.decl); captured != "" {
-					report(n.Pos(), "closure capturing %s allocates per event in %s (%s); bind the callback once or use a pooled carrier",
-						captured, funcDisplayName(h.fn), h.info.via())
+					out = append(out, p.finding("hotalloc", n.Pos(), "closure capturing %s allocates per event in %s (%s); bind the callback once or use a pooled carrier",
+						captured, funcDisplayName(h.fn), h.info.via()))
 				}
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
 					if cl, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
-						report(n.Pos(), "&%s{} allocates per event in %s (%s); pool or reuse the object",
-							types.ExprString(cl.Type), funcDisplayName(h.fn), h.info.via())
+						out = append(out, p.finding("hotalloc", n.Pos(), "&%s{} allocates per event in %s (%s); pool or reuse the object",
+							types.ExprString(cl.Type), funcDisplayName(h.fn), h.info.via()))
 					}
 				}
 			case *ast.CallExpr:
 				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "new" && p.isBuiltin(id) && len(n.Args) == 1 {
-					report(n.Pos(), "new(%s) allocates per event in %s (%s); pool or reuse the object",
-						types.ExprString(n.Args[0]), funcDisplayName(h.fn), h.info.via())
+					out = append(out, p.finding("hotalloc", n.Pos(), "new(%s) allocates per event in %s (%s); pool or reuse the object",
+						types.ExprString(n.Args[0]), funcDisplayName(h.fn), h.info.via()))
 				}
 			case *ast.SelectorExpr:
 				if called[n] {
@@ -114,8 +109,8 @@ func (hotallocRule) Check(p *Package) []Finding {
 				if tv, found := p.Info.Types[n.X]; found && tv.IsType() {
 					return true
 				}
-				report(n.Pos(), "method value %s.%s allocates a bound-method closure per event in %s (%s); bind it once at construction",
-					types.ExprString(n.X), n.Sel.Name, funcDisplayName(h.fn), h.info.via())
+				out = append(out, p.finding("hotalloc", n.Pos(), "method value %s.%s allocates a bound-method closure per event in %s (%s); bind it once at construction",
+					types.ExprString(n.X), n.Sel.Name, funcDisplayName(h.fn), h.info.via()))
 			}
 			return true
 		})

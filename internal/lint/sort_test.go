@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-func fakePosition(file string, line int) token.Position {
-	return token.Position{Filename: file, Line: line, Column: 1}
-}
-
 func mkFinding(file string, line, col int, rule, msg string) Finding {
 	return Finding{Rule: rule, Msg: msg, Pos: token.Position{Filename: file, Line: line, Column: col}}
 }

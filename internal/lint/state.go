@@ -24,8 +24,8 @@
 //     the statement that released it back to the freelist
 //     (use-after-recycle).
 //
-// The family runs as `afalint -state` with its own debt ledger
-// (lint_state.baseline). A field that intentionally survives recycling
+// The family runs in the one afalint pass; its accepted debts sit in
+// the shared ledger (lint.baseline). A field that intentionally survives recycling
 // is annotated //afalint:sticky -- <reason> on its declaration.
 package lint
 
@@ -36,8 +36,8 @@ import (
 	"strings"
 )
 
-// StateRules returns the state-integrity family in canonical order.
-func StateRules() []Rule {
+// stateRules returns the state-integrity family in canonical order.
+func stateRules() []Rule {
 	return []Rule{
 		resetcoverRule{},
 		snapshotcoverRule{},

@@ -18,7 +18,7 @@ import (
 func TestStateFixtures(t *testing.T) {
 	p := loadFixture(t, "state", "repro/internal/sim")
 	var got []string
-	for _, f := range Run([]*Package{p}, StateRules()) {
+	for _, f := range Run([]*Package{p}, stateRules()) {
 		got = append(got, fmt.Sprintf("%s:%d %s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Rule))
 	}
 	sort.Strings(got)
@@ -42,7 +42,7 @@ func TestStateFindingsNameTheField(t *testing.T) {
 		"gauge":       "errs",
 		"prober":      "y",
 	}
-	findings := Run([]*Package{p}, StateRules())
+	findings := Run([]*Package{p}, stateRules())
 	for owner, field := range wantFields {
 		found := false
 		for _, f := range findings {
@@ -62,7 +62,7 @@ func TestStateFindingsNameTheField(t *testing.T) {
 // sim-core and stats, not command-line tools.
 func TestStateScopedOut(t *testing.T) {
 	p := loadFixture(t, "state", "repro/cmd/sim")
-	if got := Run([]*Package{p}, StateRules()); len(got) != 0 {
+	if got := Run([]*Package{p}, stateRules()); len(got) != 0 {
 		t.Errorf("state rules fired outside their scope: %v", got)
 	}
 }

@@ -297,7 +297,7 @@ func TestPropertyMappingConsistent(t *testing.T) {
 }
 
 // TestFormatFieldPolicy is the new-field tripwire for Device's reset
-// contract (afalint -state, resetcover): every field of Device must be
+// contract (afalint resetcover): every field of Device must be
 // explicitly classified as either restored by Format (zeroed back to
 // the FOB state) or preserved across it (//afalint:sticky on the
 // declaration). Adding a field without deciding — and asserting — its

@@ -269,7 +269,7 @@ type Controller struct {
 	// badLBAs is the injected-media-error set. A small slice with linear
 	// scans, not a map: media errors are injected in handfuls, and the
 	// per-slice lookup sits on the mediaStart hot path where map hashing
-	// costs more than scanning a few entries (afalint -perf hotmap).
+	// costs more than scanning a few entries (afalint hotmap).
 	badLBAs      []int64
 	offline      bool
 	sqStallUntil sim.Time

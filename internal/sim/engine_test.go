@@ -428,7 +428,7 @@ func TestTimerRearmAtNowSupersedesOldDeadline(t *testing.T) {
 }
 
 // TestPooledRecycleClearsFn is a white-box check of the freelist's
-// state-integrity contract (afalint -state, resetcover/poolescape):
+// state-integrity contract (afalint resetcover/poolescape):
 // every path that returns a pooled event to e.free must drop the fn
 // closure reference first, so captured memory is not pinned until the
 // next reuse, and push must reinitialize every field on reacquisition.

@@ -35,7 +35,7 @@ func populateHistogram(t *testing.T, h *Histogram) {
 }
 
 // TestHistogramResetRestoresConstructedState is the reflection-based
-// new-field tripwire for Histogram.Reset (afalint -state, resetcover):
+// new-field tripwire for Histogram.Reset (afalint resetcover):
 // populate every field, reset, and require zero-equivalence with a
 // freshly constructed histogram — field by field, so the failure names
 // the leak.

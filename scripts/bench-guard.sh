@@ -7,7 +7,7 @@
 # BenchmarkTenantMux once, compares the fresh figures against the
 # committed ones, and fails if any lost more than BENCH_GUARD_THRESHOLD
 # percent (default 20) — catching hot-path regressions that slip past
-# `afalint -perf`'s static rules (an O(n) scan that grew, an event
+# afalint's static hot-set rules (an O(n) scan that grew, an event
 # storm) before they land. Guarded figures:
 #
 #   events_per_sec of the first row (headline-64ssd) — the closed-loop

@@ -6,19 +6,21 @@
 #                  fixtures under internal/lint/testdata, whose
 #                  positional `want:` comments pin column layouts;
 #   vet          — stdlib static checks;
-#   afalint      — the determinism contract (DESIGN.md §5): no wall
-#                  clock, no global rand, no map-order dependence, no
-#                  concurrency or float equality in the sim core, no
-#                  sim-core import of the orchestration tier (§7);
-#   afalint -perf — the performance contract (§8): no new hot-path
-#                  allocation, interface dispatch, defer, growth
-#                  append, or map traffic beyond the recorded debts
-#                  in lint_perf.baseline;
-#   afalint -state — the state-integrity contract (§10): pooled types,
-#                  Reset() methods, and Snapshot()/Clone() methods
-#                  must cover every mutable field, no package-level
-#                  vars in sim-core, no use-after-release of pooled
-#                  pointers, beyond the debts in lint_state.baseline;
+#   afalint      — one pass of all nineteen rules against the one debt
+#                  ledger, lint.baseline: the determinism contract
+#                  (DESIGN.md §5: no wall clock, no global rand, no
+#                  map-order dependence, no concurrency or float
+#                  equality in the sim core, no sim-core import of the
+#                  orchestration tier, §7), the performance contract
+#                  (§8: no new hot-path allocation, interface
+#                  dispatch, defer, growth append, or map traffic) and
+#                  the state-integrity contract (§10: pooled types,
+#                  Reset() and Snapshot()/Clone() methods cover every
+#                  mutable field, no package-level vars in sim-core, no
+#                  use-after-release of pooled pointers). The same
+#                  pass runs again inside the suite below as
+#                  internal/lint's self-check, beside cmd/afalint's
+#                  test that README's rule table matches `afalint -doc`;
 #   race+shuffle — the full suite once, under the race detector with
 #                  test order shuffled: the sim core is single-threaded
 #                  by contract and the runner tier merges in submission
@@ -56,9 +58,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
-go run ./cmd/afalint ./...
-go run ./cmd/afalint -perf -baseline lint_perf.baseline ./...
-go run ./cmd/afalint -state -baseline lint_state.baseline ./...
+go run ./cmd/afalint -baseline lint.baseline ./...
 go test -race -shuffle=on ./...
 go test -race -count=1 -run 'TestParallelDeterminism|TestMap' ./internal/core/ ./internal/runner/
 diff <(scripts/report-digests.sh -parallel 1) <(scripts/report-digests.sh -parallel 4)
