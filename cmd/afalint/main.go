@@ -117,7 +117,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(patterns) != 1 || strings.HasSuffix(patterns[0], "...") {
 			return fail(fmt.Errorf("-as requires exactly one directory argument"))
 		}
-		p, err := loader.LoadDir(patterns[0], *asPath)
+		// Rooted at the working directory, so file names and ledger keys
+		// come out module-relative wherever the command runs from.
+		dir := patterns[0]
+		if !filepath.IsAbs(dir) {
+			dir = filepath.Join(cwd, dir)
+		}
+		p, err := loader.LoadDir(dir, *asPath)
 		if err != nil {
 			return fail(err)
 		}

@@ -29,6 +29,9 @@ func fixture(t *testing.T, dir string) string {
 func TestRun(t *testing.T) {
 	clean := fixture(t, "nogoroutine") // silent outside internal/
 	dirty := fixture(t, "globalrand")  // one globalrand finding
+	// The same directory as the test's working directory, cmd/afalint,
+	// names it.
+	relDirty := filepath.Join("..", "..", "internal", "lint", "testdata", "globalrand")
 	tmp := t.TempDir()
 	exact := filepath.Join(tmp, "exact.baseline")
 	if code := run([]string{"-write-baseline", exact, "-as", "repro/internal/fixture", dirty}, &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
@@ -71,6 +74,10 @@ func TestRun(t *testing.T) {
 		{name: "stale entries only for linted packages", args: []string{"-baseline", wider, "-as", "repro/internal/fixture", dirty}, code: 0,
 			stderr:    regexp.MustCompile(`stale baseline entry \(fixed\? delete it\): internal/lint/testdata/globalrand/globalrand\.go: fixed long ago \[globalrand\]`),
 			stderrNot: "internal/raid"},
+		{name: "relative directory from a subdirectory keys the ledger from the root", args: []string{"-baseline", exact, "-as", "repro/internal/fixture", relDirty}, code: 0,
+			stderr: regexp.MustCompile(`1 finding\(s\) covered by baseline`), stderrNot: "stale"},
+		{name: "relative directory from a subdirectory annotates from the root", args: []string{"-gha", "-as", "repro/internal/fixture", relDirty}, code: 1,
+			stdout: regexp.MustCompile(`^::error file=internal/lint/testdata/globalrand/globalrand\.go,line=6,col=2,`)},
 		{name: "removed -perf", args: []string{"-perf", "./..."}, code: 2},
 		{name: "removed -state", args: []string{"-state", "./..."}, code: 2},
 		{name: "removed -escape-data", args: []string{"-escape-data", "escape.txt", "./..."}, code: 2},

@@ -61,14 +61,49 @@ func TestRequestCarrierLifetime(t *testing.T) {
 				t.Fatalf("hedge wins %d, late sub-I/Os %d: the workload must leave stragglers behind",
 					res.HedgeWins, res.LateSubIOs)
 			}
-			got := fmt.Sprintf("req=%d sub=%d late=%d hedged=%d wins=%d degraded=%d failed=%d errs=%d strag=%v p=%v max=%d n=%d avg=%.1f",
-				res.Requests, res.SubIOs, res.LateSubIOs, res.HedgedReads, res.HedgeWins,
-				res.DegradedReads, res.FailedRequests, res.SubIOErrors, res.StragglerSSD,
-				res.Ladder.P, res.Ladder.Max, res.Ladder.N, res.Ladder.Avg)
-			if got != tc.want {
+			if got := fingerprint(res); got != tc.want {
 				t.Fatalf("fingerprint changed:\n got  %s\n want %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// fingerprint renders a read client's counters and latency ladder.
+func fingerprint(res *Result) string {
+	return fmt.Sprintf("req=%d sub=%d late=%d hedged=%d wins=%d degraded=%d failed=%d errs=%d strag=%v p=%v max=%d n=%d avg=%.1f",
+		res.Requests, res.SubIOs, res.LateSubIOs, res.HedgedReads, res.HedgeWins,
+		res.DegradedReads, res.FailedRequests, res.SubIOErrors, res.StragglerSSD,
+		res.Ladder.P, res.Ladder.Max, res.Ladder.N, res.Ladder.Avg)
+}
+
+// TestMootHedgeFiresNoEvent: on a healthy 8+1 array every request
+// finishes long before a 1 s hedge deadline, so arming that deadline
+// must cost no engine event at all. The run with hedging armed and the
+// run with hedging off take the same steps and give the same results,
+// also after the clock has passed every deadline the first run armed.
+func TestMootHedgeFiresNoEvent(t *testing.T) {
+	run := func(q float64) (uint64, string) {
+		eng, k := newRig(t, 2, 9)
+		res := Run(eng, k, []ClientSpec{{
+			Stripe: []int{0, 1, 2, 3, 4, 5, 6, 7}, CPU: 1, QD: 4, Runtime: 100 * sim.Millisecond,
+			Tol:  &Tolerance{ParitySSD: 8, HedgeQuantile: q, HedgeMin: sim.Second, MinSamples: 100},
+			Seed: 1,
+		}})[0]
+		if res.HedgedReads != 0 || res.Requests < 1000 {
+			t.Fatalf("hedge quantile %v: %d requests, %d hedged; want many, none hedged",
+				q, res.Requests, res.HedgedReads)
+		}
+		eng.RunUntil(eng.Now().Add(2 * sim.Second))
+		return eng.Steps(), fingerprint(res)
+	}
+	armedSteps, armed := run(0.99)
+	offSteps, off := run(0)
+	if armed != off {
+		t.Fatalf("an armed hedge that never fires changed the results:\n armed %s\n off   %s", armed, off)
+	}
+	if armedSteps != offSteps {
+		t.Fatalf("armed-but-moot hedging took %d engine steps, hedging off %d: moot deadlines fired",
+			armedSteps, offSteps)
 	}
 }
 
@@ -100,13 +135,100 @@ func TestStripedReadSteadyStateAllocs(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("%.0f allocs per 5ms window of ~%d requests, want 0", avg, reqs/(windows+1))
 	}
-	// Every carrier on the freelist is idle: nothing still owes it a
-	// callback, and none is listed twice.
+	checkFreeReqs(t, c)
+}
+
+// checkFreeReqs: every carrier on the freelist is idle — nothing still
+// owes it a callback, its hedge deadline is disarmed — and none is
+// listed twice.
+func checkFreeReqs(t *testing.T, c *Client) {
+	t.Helper()
 	seen := map[*request]bool{}
 	for _, r := range c.freeReqs {
-		if r.holds != 0 || seen[r] {
-			t.Fatalf("freelist carrier with holds %d (duplicate %v)", r.holds, seen[r])
+		if r.holds != 0 || r.hedge.Armed() || seen[r] {
+			t.Fatalf("freelist carrier with holds %d, hedge armed %v (duplicate %v)",
+				r.holds, r.hedge.Armed(), seen[r])
 		}
 		seen[r] = true
 	}
+}
+
+// FuzzReadCarrier runs a striped 4+1 read client through a random mix
+// of a slow member, transient error rates on a data member and the
+// parity member, hedge settings and, when timeouts is set, the kernel's
+// timeout policy and health tracker. The client issues for 20 ms at QD
+// 1–8; once it has drained and its stragglers have landed:
+//   - every issued request was reaped exactly once;
+//   - every carrier on the freelist is idle (no holds, hedge deadline
+//     disarmed) and listed once;
+//   - no hedge deadline fired on a settled request (hedgeFire panics).
+//
+// The committed corpus under testdata/fuzz makes plain `go test` replay
+// it; the nightly workflow fuzzes it for new inputs.
+func FuzzReadCarrier(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, qd, slow, factor, errData, errParity, quantile uint8,
+		hedgeMinUS uint16, timeouts bool) {
+		var eng *sim.Engine
+		var k *kernel.Kernel
+		if timeouts {
+			eng, k = newAdaptiveRig(t, 2, 5, kernel.DefaultTimeoutPolicy())
+		} else {
+			eng, k = newRig(t, 2, 5)
+		}
+		if factor > 1 {
+			k.SSDs[int(slow)%5].SetReadSlowdown(float64(factor % 64))
+		}
+		k.SSDs[int(slow+1)%4].SetTransientErrorRate(float64(errData) / 1024)
+		k.SSDs[4].SetTransientErrorRate(float64(errParity) / 1024)
+		tol := &Tolerance{ParitySSD: 4, HedgeMin: sim.Duration(hedgeMinUS) * sim.Microsecond, MinSamples: 50}
+		if quantile > 0 {
+			tol.HedgeQuantile = 0.5 + 0.49*float64(quantile)/255
+		}
+		const runtime = 20 * sim.Millisecond
+		c := New(eng, k, ClientSpec{
+			Stripe: []int{0, 1, 2, 3}, CPU: 1, QD: 1 + int(qd%8), Runtime: runtime,
+			Tol: tol, Seed: seed,
+		})
+
+		// Count issues and reaps through the client's bound thread
+		// bursts: a request is its carrier at its issue instant, since a
+		// carrier is reissued only after its reap and a later instant.
+		type issue struct {
+			r  *request
+			at sim.Time
+		}
+		issued := 0
+		reaped := map[issue]bool{}
+		issueWindow, reapAll := c.issueWindowFn, c.reapAllFn
+		c.issueWindowFn = func() {
+			before := c.inflight
+			issueWindow()
+			issued += c.inflight - before
+		}
+		c.reapAllFn = func() {
+			for _, cr := range c.completed {
+				r := cr.(*request)
+				key := issue{r, r.issuedAt}
+				if reaped[key] {
+					t.Fatalf("request issued at %v reaped twice", r.issuedAt)
+				}
+				reaped[key] = true
+			}
+			reapAll()
+		}
+		drained := false
+		c.Start(func(*Result) { drained = true })
+		eng.RunUntil(sim.Time(runtime + sim.Second))
+
+		if !drained || c.inflight != 0 {
+			t.Fatalf("client drained %v with %d requests in flight", drained, c.inflight)
+		}
+		if len(reaped) != issued {
+			t.Fatalf("%d requests issued, %d reaped", issued, len(reaped))
+		}
+		if got := c.res.Requests + c.res.FailedRequests; got != int64(issued) {
+			t.Fatalf("%d requests issued, %d served or failed", issued, got)
+		}
+		checkFreeReqs(t, c)
+	})
 }

@@ -273,15 +273,21 @@ type request struct {
 	// usedParity: the one reconstruction slot is taken (degraded or hedge).
 	usedParity    bool
 	parityPending bool
-	hedgeArmed    bool
 	done          bool
 
 	// holds counts what still owes this carrier a visit: the client's
 	// reap, each outstanding sub-I/O and parity read (stragglers after a
-	// hedge win included), and a scheduled hedge. The last release
-	// returns it to the freelist. A callback that never comes (a command
+	// hedge win included). The last release returns it to the freelist.
+	// The hedge deadline takes no hold: finish and useParity cancel it,
+	// and the reap hold outlives finish, so a carrier is never free
+	// while its hedge is armed. A callback that never comes (a command
 	// dropped with no timeout policy armed) leaves the carrier garbage.
 	holds int
+
+	// hedge is the carrier's hedge deadline, re-armed per request. A
+	// deadline the request outlives is canceled rather than left to fire
+	// as a no-op event.
+	hedge *sim.Timer
 
 	subFns        []func(kernel.Completion) // one per stripe position
 	degradedFn    func(kernel.Completion)
@@ -302,11 +308,12 @@ func (c *Client) newReq() *request {
 	r := &request{c: c} //afalint:allow hotalloc -- freelist miss only; amortized across carrier reuses
 	r.subFns = make([]func(kernel.Completion), len(c.spec.Stripe))
 	for i := range r.subFns {
-		r.subFns[i] = func(comp kernel.Completion) { r.subDone(i, comp); r.release() } //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+		r.subFns[i] = func(comp kernel.Completion) { r.subDone(i, &comp); r.release() } //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 	}
 	r.degradedFn = r.degradedDone //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 	r.hedgeParityFn = r.hedgeDone //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 	r.hedgeFireFn = r.hedgeFire   //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+	r.hedge = c.eng.NewTimer()
 	return r
 }
 
@@ -338,7 +345,6 @@ func (c *Client) getReq(lba int64) *request {
 	r.failed = false
 	r.usedParity = false
 	r.parityPending = false
-	r.hedgeArmed = false
 	r.done = false
 	// One hold per sub-I/O plus the client's reap, taken before any
 	// submit so no completion can release the carrier early.
@@ -448,8 +454,13 @@ func (c *Client) issueCost() sim.Duration {
 }
 
 func (c *Client) issueWindow() {
-	now := c.eng.Now()
-	if now >= c.deadline {
+	if c.eng.Now() >= c.deadline {
+		// Requests that finished during this burst found the thread
+		// running and left the reap to it.
+		if len(c.completed) > 0 {
+			c.task.Exec(c.reapCost(len(c.completed)), c.reapAllFn)
+			return
+		}
 		c.finishIfDrained()
 		return
 	}
@@ -525,7 +536,7 @@ func (c *Client) hedgeDelayFor(ssd int) sim.Duration {
 
 // subDone runs in softirq context for the data sub-I/O at stripe
 // position i.
-func (r *request) subDone(i int, comp kernel.Completion) {
+func (r *request) subDone(i int, comp *kernel.Completion) {
 	c := r.c
 	if c.done {
 		return
@@ -567,6 +578,7 @@ func (r *request) useParity(hedge bool) {
 	c := r.c
 	r.usedParity = true
 	r.parityPending = true
+	r.hedge.Cancel()
 	if hedge {
 		c.res.HedgedReads++
 	} else {
@@ -581,11 +593,11 @@ func (r *request) useParity(hedge bool) {
 	c.k.SubmitIO(c.task.CPU(), c.spec.Tol.ParitySSD, cmd, done)
 }
 
-func (r *request) degradedDone(comp kernel.Completion) { r.parityDone(comp, false); r.release() }
-func (r *request) hedgeDone(comp kernel.Completion)    { r.parityDone(comp, true); r.release() }
+func (r *request) degradedDone(comp kernel.Completion) { r.parityDone(&comp, false); r.release() }
+func (r *request) hedgeDone(comp kernel.Completion)    { r.parityDone(&comp, true); r.release() }
 
 // parityDone runs in softirq context for the reconstruction read.
-func (r *request) parityDone(comp kernel.Completion, hedge bool) {
+func (r *request) parityDone(comp *kernel.Completion, hedge bool) {
 	c := r.c
 	if c.done {
 		return
@@ -620,7 +632,9 @@ func (r *request) parityDone(comp kernel.Completion, hedge bool) {
 }
 
 // progress completes the request when nothing is outstanding, and arms
-// the hedge when only the straggler remains.
+// the hedge when only the straggler remains. It arms at most once per
+// request: remaining reaches 1 in exactly one subDone, and any later
+// call with one sub-I/O left comes from parityDone, after useParity.
 func (r *request) progress() {
 	c := r.c
 	if r.remaining == 0 && !r.parityPending {
@@ -628,8 +642,7 @@ func (r *request) progress() {
 		return
 	}
 	if r.remaining == 1 && !r.parityPending && !r.usedParity && !r.failed &&
-		!r.hedgeArmed && c.spec.Tol != nil && c.spec.Tol.HedgeQuantile > 0 {
-		r.hedgeArmed = true
+		c.spec.Tol != nil && c.spec.Tol.HedgeQuantile > 0 {
 		var delay sim.Duration
 		if len(c.spec.Stripe) <= 64 && r.pendingMask != 0 {
 			// Exactly one bit set: the straggler. Hedge at its deadline.
@@ -641,17 +654,20 @@ func (r *request) progress() {
 		if now := c.eng.Now(); fireAt < now {
 			fireAt = now
 		}
-		r.holds++
-		c.eng.ScheduleAt(fireAt, r.hedgeFireFn)
+		r.hedge.ArmAt(fireAt, r.hedgeFireFn)
 	}
 }
 
 // hedgeFire is the hedge deadline: fire the speculative parity read
-// unless the request no longer needs it.
+// unless the kernel is overloaded. Every path that makes the hedge moot
+// (finish, or useParity claiming the parity slot) cancels the deadline
+// first, so it only ever fires for a live straggler.
 func (r *request) hedgeFire() {
 	c := r.c
 	switch {
 	case c.done || r.done || r.usedParity || r.remaining == 0:
+		panic(fmt.Sprintf("raid: hedge deadline fired on a settled request (done %v, parity %v, remaining %d)",
+			r.done, r.usedParity, r.remaining))
 	case c.k.Overloaded():
 		// Past the in-flight watermark the hedge is load we can
 		// refuse: the straggler still answers eventually.
@@ -659,7 +675,6 @@ func (r *request) hedgeFire() {
 	default:
 		r.useParity(true)
 	}
-	r.release()
 }
 
 // finish hands the request to the client thread for reaping. A sleeping
@@ -668,6 +683,7 @@ func (r *request) hedgeFire() {
 func (r *request) finish() {
 	c := r.c
 	r.done = true
+	r.hedge.Cancel()
 	if !r.failed && r.lastSSD >= 0 {
 		c.stragglers[r.lastSSD]++
 	}
