@@ -134,7 +134,7 @@ func idCtrl(sys *core.System, dev int) {
 
 func smartLog(sys *core.System, dev int) {
 	// Put some traffic on the device first so the counters mean something.
-	sys.SSDs[dev].Submit(nvme.Command{Op: nvme.OpRead, LBA: 1}, func(nvme.Result) {})
+	sys.SSDs[dev].SubmitTo(nvme.Command{Op: nvme.OpRead, LBA: 1}, nvme.ReceiverFunc(func(*nvme.Result) {}))
 	sys.Eng.RunUntil(sys.Eng.Now().Add(sim.Millisecond))
 	sys.SSDs[dev].GetLogPage(func(log nvme.SMARTLog) {
 		fmt.Printf("Smart Log for NVME device nvme%d\n", dev)

@@ -185,9 +185,9 @@ type Job struct {
 
 	// Bound-method values allocate a closure each time they're evaluated,
 	// and the submit/complete/reap cycle evaluates one per I/O; bind them
-	// once instead.
-	onCompleteFn func(kernel.Completion)
-	onQPResultFn func(nvme.Result)
+	// once instead; wrapping one in a ReceiverFunc allocates nothing.
+	onCompleteTo kernel.Receiver
+	onQPResultTo nvme.Receiver
 	reapFn       func()
 	submitFn     func()
 	pollSpinFn   func()
@@ -228,8 +228,8 @@ func New(eng *sim.Engine, k *kernel.Kernel, spec JobSpec) *Job {
 		j.qp = k.SSDs[spec.SSD].CreateQueuePair()
 	}
 	j.spin = spec.Passthrough || k.Mode() == kernel.CompletePolling
-	j.onCompleteFn = j.onComplete
-	j.onQPResultFn = j.onQPResult
+	j.onCompleteTo = kernel.ReceiverFunc(j.onComplete)
+	j.onQPResultTo = nvme.ReceiverFunc(j.onQPResult)
 	j.reapFn = j.reap
 	j.submitFn = j.submitWindow
 	j.pollSpinFn = j.pollSpin
@@ -305,9 +305,9 @@ func (j *Job) submitWindow() {
 		if j.qp != nil {
 			// Passthrough: ring the tenant-owned doorbell; the kernel
 			// never sees this command.
-			j.qp.Submit(cmd, j.onQPResultFn)
+			j.qp.Submit(cmd, j.onQPResultTo)
 		} else {
-			j.k.SubmitIO(j.task.CPU(), j.spec.SSD, cmd, j.onCompleteFn)
+			j.k.SubmitIOTo(j.task.CPU(), j.spec.SSD, cmd, j.onCompleteTo)
 		}
 	}
 	if j.spin {
@@ -352,18 +352,19 @@ func (j *Job) pollSpin() {
 // onQPResult is a passthrough CQE landing in the tenant-owned CQ: no
 // interrupt, no kernel — the spinning thread finds it on its next poll
 // iteration. The raw device status passes straight through.
-func (j *Job) onQPResult(res nvme.Result) {
+func (j *Job) onQPResult(res *nvme.Result) {
 	j.pending = append(j.pending, kernel.Completion{
-		Result:      res,
+		Result:      *res,
 		DeliveredAt: j.eng.Now(),
 		Status:      res.Status,
 	})
 }
 
 // onComplete runs in softirq context on the delivery CPU (or inline in
-// polling mode, where the spinning thread reaps it).
-func (j *Job) onComplete(c kernel.Completion) {
-	j.pending = append(j.pending, c)
+// polling mode, where the spinning thread reaps it). Appending to pending
+// is the one copy of the Completion the completion path makes.
+func (j *Job) onComplete(c *kernel.Completion) {
+	j.pending = append(j.pending, *c)
 	if j.k.Mode() == kernel.CompletePolling {
 		return
 	}

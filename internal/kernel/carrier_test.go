@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/irq"
 	"repro/internal/nvme"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -38,6 +39,91 @@ func TestManagedSteadyStateAllocs(t *testing.T) {
 	}
 	if st := r.k.IOStats(); st.Timeouts != 0 {
 		t.Fatalf("timeouts = %d on a healthy drive", st.Timeouts)
+	}
+}
+
+// TestCompletionPathsAllocateNothing: every hand-off fills the kernel's
+// one Completion and passes it by pointer, so once the carrier freelists
+// are warm no completion path allocates: not the untolerant interrupt
+// path (local or remote delivery), polling, a coalesced batch, or the
+// abort the timeout path synthesizes. A record built on the stack and
+// passed by pointer through the receiver would escape and show here.
+func TestCompletionPathsAllocateNothing(t *testing.T) {
+	stall := TimeoutPolicy{Timeout: 100 * sim.Microsecond, AbortCost: 10 * sim.Microsecond}
+	cases := []struct {
+		name     string
+		setup    func(t *testing.T, r *rig) int // returns the submitting CPU
+		pol      TimeoutPolicy
+		batch    int  // commands per I/O round
+		remote   bool // expected delivery
+		timedOut bool // expected outcome: a synthesized abort
+	}{
+		{name: "interrupt-local", batch: 1, setup: func(*testing.T, *rig) int { return 1 }},
+		{name: "interrupt-remote", batch: 1, remote: true, setup: func(t *testing.T, r *rig) int {
+			// Scatter the vectors as irqbalance does at boot, taking the
+			// first layout that puts a vector off its queue CPU, and
+			// submit from that queue.
+			ncpu := r.sch.NumCPUs()
+			for seed := uint64(1); seed <= 16; seed++ {
+				ic := irq.New(r.eng, r.sch, irq.Config{NumSSDs: 1, NumCPUs: ncpu, Seed: seed, StartBalanced: true})
+				for q := 0; q < ncpu; q++ {
+					if ic.EffectiveCPU(0, q) != q {
+						r.k.IRQ = ic
+						return q
+					}
+				}
+			}
+			t.Fatal("no irqbalance layout scattered a vector off its queue CPU")
+			return 0
+		}},
+		{name: "polling", batch: 1, setup: func(_ *testing.T, r *rig) int {
+			r.k.mode = CompletePolling
+			return 1
+		}},
+		{name: "coalesced", batch: 4, setup: func(_ *testing.T, r *rig) int {
+			r.k.SetCoalescing(Coalescing{Threshold: 4, Timeout: 20 * sim.Microsecond})
+			return 1
+		}},
+		{name: "timeout-abort", batch: 1, pol: stall, timedOut: true, setup: func(*testing.T, *rig) int { return 1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTimeoutRig(t, tc.pol)
+			cpu := tc.setup(t, r)
+			ssd := r.k.SSDs[0]
+			cmd := nvme.Command{Op: nvme.OpRead, LBA: 1}
+			delivered := 0
+			onDone := ReceiverFunc(func(c *Completion) {
+				if c.Delivery.Remote != tc.remote || c.TimedOut != tc.timedOut {
+					t.Fatalf("remote %v, timed out %v; want %v, %v", c.Delivery.Remote, c.TimedOut, tc.remote, tc.timedOut)
+				}
+				delivered++
+			})
+			io := func() {
+				if tc.timedOut {
+					// Hold the command in the SQ past its deadline; its
+					// CQE lands late, after the abort surfaced it.
+					ssd.StallSubmissionQueues(300 * sim.Microsecond)
+				}
+				for i := 0; i < tc.batch; i++ {
+					r.k.SubmitIOTo(cpu, 0, cmd, onDone)
+				}
+				r.eng.RunUntil(r.eng.Now().Add(sim.Millisecond))
+			}
+			for i := 0; i < 16; i++ {
+				io()
+			}
+			if avg := testing.AllocsPerRun(200, io); avg > 0 {
+				t.Fatalf("%.2f allocations per I/O round in steady state, want 0", avg)
+			}
+			if want := (16 + 1 + 200) * tc.batch; delivered != want {
+				t.Fatalf("delivered %d, want %d", delivered, want)
+			}
+			if st := r.k.IOStats(); tc.timedOut && st.LateCompletions != int64(delivered) {
+				t.Fatalf("%d late CQEs for %d aborts", st.LateCompletions, delivered)
+			}
+			checkFreelists(t, r.k)
+		})
 	}
 }
 
@@ -420,9 +506,16 @@ func TestDroppedAttemptReleasedOnce(t *testing.T) {
 // policy, bit 2 arms retry budgets, bit 3 an overload watermark, and the
 // high four bits add faults. Once the drive is back and the burst has
 // drained:
-//   - each managed command's done has fired exactly once, and the
-//     untolerant host's done at most once, with every other command
+//   - each managed command's receiver has been called exactly once, and
+//     the untolerant host's at most once, with every other command
 //     dropped by the device;
+//   - every delivered Completion describes the command it was issued
+//     for, with no field left over from the previous hand-off through
+//     the kernel's one shared record: its Op and LBA, the submitting CPU
+//     as Cmd.Queue, drive 0, the submit instant, delivery now, no retry
+//     or timeout on the untolerant host, at most MaxRetries retries and
+//     a timeout only as an abort on the managed one, and no wake penalty
+//     when polling;
 //   - every deadline that fired was answered by a late CQE or a drop,
 //     so late completions count only real CQEs;
 //   - no carrier is on its freelist twice or holds stale state, and
@@ -480,22 +573,45 @@ func FuzzCarrierLifetime(f *testing.F) {
 			ssd.SetTransientErrorRate(0)
 		})
 
+		polling := r.k.mode == CompletePolling
 		n := 16 + rnd.Intn(49)
 		calls := make([]int, n)
 		for i := range calls {
 			i := i
 			cmd := nvme.Command{Op: nvme.Opcode(rnd.Intn(3)), LBA: int64(rnd.Intn(64))}
 			cpu := rnd.Intn(2)
-			r.eng.At(at(), func() {
-				r.k.SubmitIO(cpu, 0, cmd, func(Completion) { calls[i]++ })
+			submitAt := at()
+			check := ReceiverFunc(func(c *Completion) {
+				calls[i]++
+				res := &c.Result
+				switch {
+				case res.Cmd.Op != cmd.Op || res.Cmd.LBA != cmd.LBA:
+					t.Fatalf("command %d: delivered op %v LBA %d, submitted op %v LBA %d",
+						i, res.Cmd.Op, res.Cmd.LBA, cmd.Op, cmd.LBA)
+				case res.Cmd.Queue != cpu || c.Delivery.SSD != 0:
+					t.Fatalf("command %d: queue %d, drive %d; submitted on CPU %d to drive 0",
+						i, res.Cmd.Queue, c.Delivery.SSD, cpu)
+				case res.SubmittedAt != submitAt || c.DeliveredAt != r.eng.Now():
+					t.Fatalf("command %d: submitted %v, delivered %v; want %v, %v",
+						i, res.SubmittedAt, c.DeliveredAt, submitAt, r.eng.Now())
+				case !managed && (c.Retries != 0 || c.TimedOut):
+					t.Fatalf("command %d: %d retries, timed out %v with no timeout policy",
+						i, c.Retries, c.TimedOut)
+				case managed && (c.Retries > pol.MaxRetries || c.TimedOut && c.Status != nvme.StatusAborted):
+					t.Fatalf("command %d: %d retries (max %d), timed out %v with status %v",
+						i, c.Retries, pol.MaxRetries, c.TimedOut, c.Status)
+				case polling && c.WakePenalty != 0:
+					t.Fatalf("command %d: polled completion carries wake penalty %v", i, c.WakePenalty)
+				}
 			})
+			r.eng.At(submitAt, func() { r.k.SubmitIOTo(cpu, 0, cmd, check) })
 		}
 		r.eng.RunUntil(sim.Time(200 * sim.Millisecond))
 
 		delivered := 0
 		for i, c := range calls {
 			if c > 1 || (managed && c != 1) {
-				t.Fatalf("command %d: done fired %d times", i, c)
+				t.Fatalf("command %d: receiver called %d times", i, c)
 			}
 			delivered += c
 		}

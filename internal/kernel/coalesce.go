@@ -58,8 +58,8 @@ type pendingCQE struct {
 	to  sink
 }
 
-func (c *coalescer) add(res nvme.Result, to sink) {
-	c.pending = append(c.pending, pendingCQE{res: res, to: to})
+func (c *coalescer) add(res *nvme.Result, to sink) {
+	c.pending = append(c.pending, pendingCQE{res: *res, to: to})
 	if len(c.pending) >= c.k.coalesce.Threshold {
 		c.flush()
 		return
@@ -110,19 +110,11 @@ func (k *Kernel) getCoalDelivery() *coalDelivery {
 func (d *coalDelivery) onDelivery(del irq.Delivery) {
 	k := d.k
 	penalty := k.IRQ.WakePenalty(del)
-	now := k.eng.Now()
 	for i := range d.batch {
 		p := &d.batch[i]
 		to := p.to
 		p.to = sink{}
-		comp := Completion{
-			Result:      p.res,
-			Delivery:    del,
-			WakePenalty: penalty,
-			DeliveredAt: now,
-			Status:      p.res.Status,
-		}
-		to.complete(&comp)
+		k.handOff(to, k.fillComp(&p.res, del, penalty))
 		penalty = 0
 	}
 	d.batch = d.batch[:0]

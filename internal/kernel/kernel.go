@@ -101,6 +101,11 @@ type Kernel struct {
 	inflight   int
 	overloaded bool
 
+	// comp is the one Completion every hand-off fills and passes by
+	// pointer (see Receiver); handing is set while a receiver holds it.
+	comp    Completion
+	handing bool
+
 	// freeReqs recycles per-I/O completion carriers (see kioReq); a plain
 	// slice keeps reuse order deterministic.
 	freeReqs []*kioReq
@@ -227,29 +232,56 @@ type Completion struct {
 	TimedOut bool
 }
 
-// SubmitIO sends a command to an SSD on behalf of a thread currently on
-// CPU submitCPU, and invokes done in interrupt (softirq) context when it
-// completes. The caller charges Costs().Submit to the submitting thread's
-// burst; done typically Execs the thread's completion burst and wakes it.
+// Receiver takes one I/O's completion. The *Completion points at a
+// record the kernel owns and refills for every hand-off: it is valid only
+// during the call, and a receiver that needs any of it later copies it
+// out.
+type Receiver interface {
+	OnCompletion(c *Completion)
+}
+
+// ReceiverFunc adapts a function to Receiver.
+type ReceiverFunc func(c *Completion)
+
+// OnCompletion calls f(c).
+func (f ReceiverFunc) OnCompletion(c *Completion) { f(c) }
+
+// completionFunc adapts SubmitIO's by-value done to Receiver. A func
+// value is pointer-shaped, so the conversion to the interface allocates
+// nothing.
+type completionFunc func(Completion)
+
+func (f completionFunc) OnCompletion(c *Completion) { f(*c) }
+
+// SubmitIO is SubmitIOTo with a by-value done adapted to Receiver.
+func (k *Kernel) SubmitIO(submitCPU, ssd int, cmd nvme.Command, done func(Completion)) {
+	k.SubmitIOTo(submitCPU, ssd, cmd, completionFunc(done))
+}
+
+// SubmitIOTo sends a command to an SSD on behalf of a thread currently
+// on CPU submitCPU, and passes the completion to to in interrupt
+// (softirq) context. The caller charges Costs().Submit to the submitting
+// thread's burst; to typically Execs the thread's completion burst and
+// wakes it.
 // When the kernel was built with a TimeoutPolicy, the command runs under
 // per-attempt deadlines with abort + bounded-backoff retry; otherwise a
 // command to a dead device never completes, as on an untuned host.
-func (k *Kernel) SubmitIO(submitCPU, ssd int, cmd nvme.Command, done func(Completion)) {
+func (k *Kernel) SubmitIOTo(submitCPU, ssd int, cmd nvme.Command, to Receiver) {
 	if ssd < 0 || ssd >= len(k.SSDs) {
 		panic(fmt.Sprintf("kernel: ssd %d out of range", ssd))
 	}
+	cmd.Queue = submitCPU
 	if k.timeout.Enabled() {
-		k.submitManaged(submitCPU, ssd, cmd, done)
+		k.submitManaged(ssd, cmd, to)
 		return
 	}
-	k.submitOnce(submitCPU, ssd, cmd, sink{done: done})
+	k.submitOnce(ssd, cmd, sink{done: to})
 }
 
 // sink is where one CQE's Completion goes: the managed attempt it
-// settles, by pointer, or else the caller's done, which receives the one
-// copy the path makes.
+// settles, or else the caller's receiver.
 type sink struct {
-	done func(Completion)
+	done Receiver
 	att  *attReq
 }
 
@@ -258,35 +290,71 @@ func (s sink) complete(c *Completion) {
 		s.att.onComp(c)
 		return
 	}
-	s.done(*c)
+	s.done.OnCompletion(c)
 }
 
 // dropped tells the managed attempt that its command was lost and no CQE
-// will come. On the untolerant path the caller's done hears nothing: with
-// no timeout policy the host waits forever.
+// will come. On the untolerant path the caller's receiver hears nothing:
+// with no timeout policy the host waits forever.
 func (s sink) dropped() {
 	if s.att != nil {
 		s.att.onDrop()
 	}
 }
 
-// kioReq carries one I/O's host-side completion state from the device
-// CQE through interrupt delivery. Requests are recycled through the
-// kernel's freelist with their callbacks bound once, so the per-I/O
-// submit path allocates nothing (the closures this replaces were among
-// the top allocation sites).
-type kioReq struct {
-	k         *Kernel
-	submitCPU int
-	ssd       int
-	res       nvme.Result
-	to        sink
+// claimComp takes the kernel's one Completion for a hand-off; handOff
+// passes it on and gives it back. Hand-offs never nest: each runs to its
+// receiver's return before the next CQE, interrupt or abort is
+// processed, and a receiver that submits only queues work (a drop notice
+// at the doorbell builds no Completion). A nested claim would overwrite
+// the record an outer receiver is still reading, so it panics.
+func (k *Kernel) claimComp() *Completion {
+	if k.handing {
+		panic("kernel: nested completion hand-off")
+	}
+	k.handing = true
+	return &k.comp
+}
 
-	onResFn   func(nvme.Result)
+// fillComp claims the kernel's Completion and fills it from a CQE and
+// its delivery. Every field is assigned, so nothing of the previous
+// hand-off survives.
+func (k *Kernel) fillComp(res *nvme.Result, d irq.Delivery, penalty sim.Duration) *Completion {
+	c := k.claimComp()
+	c.Result = *res
+	c.Delivery = d
+	c.WakePenalty = penalty
+	c.DeliveredAt = k.eng.Now()
+	c.Status = res.Status
+	c.Retries = 0
+	c.TimedOut = false
+	return c
+}
+
+// handOff passes the claimed Completion to its sink and releases it.
+func (k *Kernel) handOff(to sink, c *Completion) {
+	to.complete(c)
+	k.handing = false
+}
+
+// kioReq carries one I/O's host-side completion state from the device
+// CQE through interrupt delivery, and is the device's Receiver for the
+// command. Requests are recycled through the kernel's freelist with
+// their delivery callback bound once, so the per-I/O submit path
+// allocates nothing (the closures this replaces were among the top
+// allocation sites). The submitting CPU is res.Cmd.Queue.
+type kioReq struct {
+	k   *Kernel
+	ssd int
+	// res holds the CQE from the device's hand-off until the interrupt
+	// delivers it: the device recycles its own carrier on return.
+	res nvme.Result //afalint:sticky -- written by OnResult before onDelivery reads it; no other path reads it
+	to  sink
+
 	onDelivFn func(irq.Delivery)
 }
 
-func (k *Kernel) getReq(submitCPU, ssd int, to sink) *kioReq {
+func (k *Kernel) getReq(ssd int, to sink) *kioReq {
 	var r *kioReq
 	if n := len(k.freeReqs); n > 0 {
 		r = k.freeReqs[n-1]
@@ -294,10 +362,8 @@ func (k *Kernel) getReq(submitCPU, ssd int, to sink) *kioReq {
 		k.freeReqs = k.freeReqs[:n-1]
 	} else {
 		r = &kioReq{k: k}          //afalint:allow hotalloc -- freelist miss only; amortized across carrier reuses
-		r.onResFn = r.onResult     //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 		r.onDelivFn = r.onDelivery //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 	}
-	r.submitCPU = submitCPU
 	r.ssd = ssd
 	r.to = to
 	return r
@@ -305,54 +371,46 @@ func (k *Kernel) getReq(submitCPU, ssd int, to sink) *kioReq {
 
 func (k *Kernel) putReq(r *kioReq) {
 	r.to = sink{}
-	r.res = nvme.Result{}
 	k.freeReqs = append(k.freeReqs, r)
 }
 
-// submitOnce is the raw single-attempt submit path. A command dropped by
-// an offline device never completes, but the device's drop notice returns
-// its carrier to the freelist (see onResult).
-func (k *Kernel) submitOnce(submitCPU, ssd int, cmd nvme.Command, to sink) {
-	cmd.Queue = submitCPU
-	r := k.getReq(submitCPU, ssd, to)
-	k.SSDs[ssd].Submit(cmd, r.onResFn)
+// submitOnce is the raw single-attempt submit path; cmd.Queue is the
+// submitting CPU. A command dropped by an offline device never
+// completes, but the device's drop notice returns its carrier to the
+// freelist (see OnResult).
+func (k *Kernel) submitOnce(ssd int, cmd nvme.Command, to sink) {
+	k.SSDs[ssd].SubmitTo(cmd, k.getReq(ssd, to))
 }
 
-// onResult is the device CQE landing on the host, or the device's drop
+// OnResult is the device CQE landing on the host, or the device's drop
 // notice for a command it lost.
-func (r *kioReq) onResult(res nvme.Result) {
+func (r *kioReq) OnResult(res *nvme.Result) {
 	k := r.k
+	to := r.to
 	if res.Dropped {
 		// No CQE, so no interrupt, coalescing or poll: on every completion
 		// path the carrier goes straight back to the freelist.
-		to := r.to
 		k.putReq(r)
 		to.dropped()
 		return
 	}
+	cpu := res.Cmd.Queue
 	switch k.mode {
 	case CompletePolling:
 		// The polling thread spins on the CQ: no interrupt, no wake
 		// penalty. Delivery is synthesized as local.
-		to := r.to
-		comp := Completion{
-			Result:      res,
-			Delivery:    irq.Delivery{SSD: r.ssd, Queue: r.submitCPU, Executed: r.submitCPU},
-			DeliveredAt: k.eng.Now(),
-			Status:      res.Status,
-		}
+		c := k.fillComp(res, irq.Delivery{SSD: r.ssd, Queue: cpu, Executed: cpu}, 0)
 		k.putReq(r)
-		to.complete(&comp)
+		k.handOff(to, c)
 	default:
 		if k.coalesce.Enabled() {
-			to := r.to
-			ssd, queue := r.ssd, r.submitCPU
+			ssd := r.ssd
 			k.putReq(r)
-			k.coalescerFor(ssd, queue).add(res, to)
+			k.coalescerFor(ssd, cpu).add(res, to)
 			return
 		}
-		r.res = res
-		k.IRQ.Deliver(r.ssd, r.submitCPU, r.onDelivFn)
+		r.res = *res
+		k.IRQ.Deliver(r.ssd, cpu, r.onDelivFn)
 	}
 }
 
@@ -360,13 +418,7 @@ func (r *kioReq) onResult(res nvme.Result) {
 func (r *kioReq) onDelivery(d irq.Delivery) {
 	k := r.k
 	to := r.to
-	comp := Completion{
-		Result:      r.res,
-		Delivery:    d,
-		WakePenalty: k.IRQ.WakePenalty(d),
-		DeliveredAt: k.eng.Now(),
-		Status:      r.res.Status,
-	}
+	c := k.fillComp(&r.res, d, k.IRQ.WakePenalty(d))
 	k.putReq(r)
-	to.complete(&comp)
+	k.handOff(to, c)
 }

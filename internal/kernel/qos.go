@@ -47,14 +47,14 @@ type ClassIOStats struct {
 	Errors    int64 // completions delivered with a non-OK status
 }
 
-// SubmitIOClass is SubmitIO with class accounting: it tags the command's
+// SubmitIOClass is SubmitIOTo with class accounting: it tags the command's
 // kernel-side counters with the tenant's QoS class and then follows the
 // exact same submit path. Admission control happens above this call (in
 // the multiplexer's token buckets); by the time an I/O reaches here it
 // has been admitted and is serviced like any other.
-func (k *Kernel) SubmitIOClass(submitCPU, ssd int, class QoSClass, cmd nvme.Command, done func(Completion)) {
+func (k *Kernel) SubmitIOClass(submitCPU, ssd int, class QoSClass, cmd nvme.Command, to Receiver) {
 	k.iostats.Class[class].Submitted++
-	k.SubmitIO(submitCPU, ssd, cmd, done)
+	k.SubmitIOTo(submitCPU, ssd, cmd, to)
 }
 
 // NoteClassCompletion records the outcome of a class-tagged I/O. The

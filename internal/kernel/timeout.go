@@ -180,22 +180,22 @@ func (k *Kernel) Timeout() TimeoutPolicy { return k.timeout }
 // (which were the managed path's dominant allocation sites): mngReq holds
 // the per-command state for the whole retry chain, attReq the per-attempt
 // race between the deadline timer and the CQE.
-func (k *Kernel) submitManaged(submitCPU, ssd int, cmd nvme.Command, done func(Completion)) {
-	m := k.getMng(submitCPU, ssd, cmd, done)
+func (k *Kernel) submitManaged(ssd int, cmd nvme.Command, done Receiver) {
+	m := k.getMng(ssd, cmd, done)
 	k.noteInflight(1)
 	m.issue()
 }
 
-// mngReq is the per-command managed-path carrier: it lives from SubmitIO
+// mngReq is the per-command managed-path carrier: it lives from SubmitIOTo
 // until the completion (or final failure) is surfaced, across every retry.
+// cmd.Queue is the submitting CPU.
 type mngReq struct {
-	k         *Kernel
-	submitCPU int
-	ssd       int
-	cmd       nvme.Command
-	attempt   int
-	first     sim.Time
-	done      func(Completion)
+	k       *Kernel
+	ssd     int
+	cmd     nvme.Command
+	attempt int
+	first   sim.Time
+	done    Receiver
 
 	retryFn func() // bound once: re-issue after backoff
 }
@@ -220,7 +220,7 @@ type attReq struct {
 	abortFn   func()
 }
 
-func (k *Kernel) getMng(submitCPU, ssd int, cmd nvme.Command, done func(Completion)) *mngReq {
+func (k *Kernel) getMng(ssd int, cmd nvme.Command, done Receiver) *mngReq {
 	var m *mngReq
 	if n := len(k.freeMng); n > 0 {
 		m = k.freeMng[n-1]
@@ -230,7 +230,6 @@ func (k *Kernel) getMng(submitCPU, ssd int, cmd nvme.Command, done func(Completi
 		m = &mngReq{k: k}   //afalint:allow hotalloc -- freelist miss only; amortized across carrier reuses
 		m.retryFn = m.issue //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 	}
-	m.submitCPU = submitCPU
 	m.ssd = ssd
 	m.cmd = cmd
 	m.attempt = 0
@@ -278,7 +277,7 @@ func (m *mngReq) issue() {
 	k := m.k
 	a := k.getAtt(m)
 	a.timer.Arm(k.attemptTimeout(), a.timeoutFn)
-	k.submitOnce(m.submitCPU, m.ssd, m.cmd, sink{att: a})
+	k.submitOnce(m.ssd, m.cmd, sink{att: a})
 }
 
 // attemptTimeout is the effective per-attempt deadline: the policy's
@@ -375,19 +374,24 @@ func (a *attReq) abort() {
 		// back-pointer now so the straggler only touches per-attempt state.
 		a.m = nil
 	}
-	comp := Completion{
+	// The synthesized abort is a hand-off like a CQE's: it fills the
+	// kernel's one Completion, never a stack value, whose address would
+	// escape through the receiver and allocate per abort.
+	c := k.claimComp()
+	*c = Completion{
 		Result: nvme.Result{
 			Cmd: m.cmd, SubmittedAt: m.first, Status: nvme.StatusAborted,
 		},
 		Status:   nvme.StatusAborted,
 		TimedOut: true,
 	}
-	m.retryOrFail(&comp)
+	m.retryOrFail(c)
+	k.handing = false
 }
 
-// onComp is the attempt's CQE landing on the host. comp is only read or
-// amended in place on its way to the caller's done; it does not outlive
-// the call.
+// onComp is the attempt's CQE landing on the host. comp is the kernel's
+// one Completion, only read or amended in place on its way to the
+// caller's receiver; it does not outlive the call.
 func (a *attReq) onComp(comp *Completion) {
 	k := a.k
 	if a.settled {
@@ -444,7 +448,7 @@ func (m *mngReq) deliver(comp *Completion) {
 	k.noteInflight(-1)
 	done := m.done
 	k.putMng(m)
-	done(*comp)
+	done.OnCompletion(comp)
 }
 
 // retryOrFail re-issues the command after backoff, or surfaces failed

@@ -9,7 +9,7 @@
 //
 //   - anchors: functions that *are* the loop or a per-I/O entry —
 //     sim.(Engine).Step/Run/RunUntil, stats.(Histogram).Record,
-//     nvme.(Controller).Submit, kernel.(Kernel).SubmitIO — matched by
+//     nvme.(Controller).Submit/SubmitTo, kernel.(Kernel).SubmitIO/SubmitIOTo — matched by
 //     (package-path tail, receiver, name) so fixtures loaded with
 //     `-as repro/internal/sim` participate;
 //   - scheduler callers: any function with a call-graph edge to a
@@ -56,6 +56,10 @@ var hotAnchors = []hotSpec{
 	{"stats", "Histogram", "Record"},
 	{"nvme", "Controller", "Submit"},
 	{"kernel", "Kernel", "SubmitIO"},
+	// The pointer-form submit paths the by-value Submit/SubmitIO adapt;
+	// anchored on their own so they stay hot once the adapters go.
+	{"nvme", "Controller", "SubmitTo"},
+	{"kernel", "Kernel", "SubmitIOTo"},
 	// The open-loop tenant multiplexer's per-slot and per-arrival entry
 	// points. tickSlot would be rooted anyway through its Timer.ArmAt
 	// re-arm, but the anchor keeps the wheel hot even if the re-arm

@@ -133,11 +133,24 @@ func TestEveryCommandSettlesOnce(t *testing.T) {
 	}
 }
 
-// TestResultSize: Dropped sits in BlockedBySMART's padding, so a Result —
-// copied once per CQE on every completion path — stays 88 bytes.
+// TestResultSize: Dropped sits in BlockedBySMART's padding, so a Result
+// stays 88 bytes. The controller hands each one to its Receiver in place,
+// by pointer into its carrier; the kernel copies it once into its
+// carrier to wait for the interrupt, and once more into the Completion it
+// hands up, on every completion path.
 func TestResultSize(t *testing.T) {
 	if s := unsafe.Sizeof(Result{}); s != 88 {
 		t.Fatalf("Result is %d bytes, want 88", s)
+	}
+}
+
+// TestIOReqSize: every in-flight command holds one ioReq, and the
+// freelist keeps one more than were ever in flight at once (a command's
+// carrier goes back only after its receiver returns). The Result carries
+// the command, so the carrier holds no second copy of it: 152 bytes.
+func TestIOReqSize(t *testing.T) {
+	if s := unsafe.Sizeof(ioReq{}); s != 152 {
+		t.Fatalf("ioReq is %d bytes, want 152", s)
 	}
 }
 
@@ -150,7 +163,7 @@ func TestQueuePairCountsEveryDrop(t *testing.T) {
 	eng, c := newSSD(t, noSMART())
 	q := c.CreateQueuePair()
 	reaped := 0
-	onDone := func(Result) { reaped++ }
+	onDone := ReceiverFunc(func(*Result) { reaped++ })
 	// In flight: fetched by ~3 µs, CQE due at ~30 µs.
 	q.Submit(Command{Op: OpRead, LBA: 1}, onDone)
 	eng.RunUntil(sim.Time(10 * sim.Microsecond))

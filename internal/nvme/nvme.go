@@ -477,7 +477,7 @@ func (c *Controller) healLBA(lba int64) {
 // SetOffline drops (true) or recovers (false) the whole device. While
 // offline, submitted commands are lost without a CQE — exactly the failure
 // mode the host-side timeout machinery exists for. Each lost command's
-// done receives a drop notice (Result.Dropped) instead.
+// receiver gets a drop notice (Result.Dropped) instead.
 func (c *Controller) SetOffline(offline bool) { c.offline = offline }
 
 // Offline reports whether the device is currently dropped.
@@ -497,17 +497,38 @@ func (c *Controller) StallSubmissionQueues(d sim.Duration) {
 // slowFactor is the effective NAND read multiplier.
 func (c *Controller) slowFactor() float64 { return c.readSlow * c.stormSlow }
 
+// Receiver takes a submitted command's CQE or drop notice. The *Result
+// points into the controller's command carrier, which is recycled as
+// soon as the call returns: it is valid only during the call, and a
+// receiver that needs any of it later copies it out.
+type Receiver interface {
+	OnResult(res *Result)
+}
+
+// ReceiverFunc adapts a function to Receiver.
+type ReceiverFunc func(res *Result)
+
+// OnResult calls f(res).
+func (f ReceiverFunc) OnResult(res *Result) { f(res) }
+
+// resultFunc adapts Submit's by-value callback to Receiver. A func value
+// is pointer-shaped, so the conversion to the interface allocates
+// nothing.
+type resultFunc func(Result)
+
+func (f resultFunc) OnResult(res *Result) { f(*res) }
+
 // ioReq carries one in-flight command through the controller's staged
 // pipeline (fetch → media → upstream → CQE). Requests are recycled
 // through the controller's freelist and their stage callbacks are bound
 // once at creation, so steady-state command traffic schedules every stage
 // without allocating: the old continuation-passing closures were the
-// single largest entry in the allocation profile.
+// single largest entry in the allocation profile. res.Cmd is the command
+// itself; the receiver reads res in place.
 type ioReq struct {
-	c    *Controller
-	cmd  Command
-	res  Result
-	done func(Result)
+	c   *Controller
+	res Result
+	to  Receiver
 
 	fetchedFn   func()
 	mediaFn     func()
@@ -517,7 +538,7 @@ type ioReq struct {
 }
 
 // getReq pops a recycled request (or builds one) and primes it for cmd.
-func (c *Controller) getReq(cmd Command, done func(Result)) *ioReq {
+func (c *Controller) getReq(cmd Command, to Receiver) *ioReq {
 	var r *ioReq
 	if n := len(c.freeReqs); n > 0 {
 		r = c.freeReqs[n-1]
@@ -531,33 +552,42 @@ func (c *Controller) getReq(cmd Command, done func(Result)) *ioReq {
 		r.writeDoneFn = r.writeDone //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 		r.completeFn = r.complete   //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 	}
-	r.cmd = cmd
-	r.res = Result{Cmd: cmd, SubmittedAt: c.eng.Now()}
-	r.done = done
+	// Zero, then set: a non-zero composite literal assigned through a
+	// pointer is built in a temporary and then copied.
+	r.res = Result{}
+	r.res.Cmd = cmd
+	r.res.SubmittedAt = c.eng.Now()
+	r.to = to
 	return r
 }
 
-// putReq returns a request to the freelist. The caller must have copied
-// out anything it still needs.
+// putReq returns a request to the freelist once its receiver has
+// returned.
 func (c *Controller) putReq(r *ioReq) {
-	r.done = nil
+	r.to = nil
 	c.freeReqs = append(c.freeReqs, r)
 }
 
-// Submit issues a command. done fires exactly once: when the CQE has been
-// posted and the MSI-X interrupt would be raised, or with a drop notice
-// (Result.Dropped) at the instant an offline device loses the command —
-// at the doorbell, in the SQ, or before its CQE is posted. A notice is not
-// a CQE: it schedules no event and raises no interrupt, so recovery stays
-// the host's job (kernel timeout), but the host can reclaim whatever it
-// held for the command. The host-side interrupt path is the caller's job
-// (the kernel package routes it through package irq).
+// Submit issues a command with a by-value completion callback; it is
+// SubmitTo with done adapted to Receiver.
 func (c *Controller) Submit(cmd Command, done func(Result)) {
+	c.SubmitTo(cmd, resultFunc(done))
+}
+
+// SubmitTo issues a command. to receives exactly one call: when the CQE
+// has been posted and the MSI-X interrupt would be raised, or with a drop
+// notice (Result.Dropped) at the instant an offline device loses the
+// command — at the doorbell, in the SQ, or before its CQE is posted. A
+// notice is not a CQE: it schedules no event and raises no interrupt, so
+// recovery stays the host's job (kernel timeout), but the host can
+// reclaim whatever it held for the command. The host-side interrupt path
+// is the caller's job (the kernel package routes it through package irq).
+func (c *Controller) SubmitTo(cmd Command, to Receiver) {
 	now := c.eng.Now()
 	if cmd.Bytes == 0 {
 		cmd.Bytes = 4096
 	}
-	r := c.getReq(cmd, done)
+	r := c.getReq(cmd, to)
 	if c.offline {
 		// The device is gone: the doorbell write lands nowhere.
 		r.drop()
@@ -591,7 +621,7 @@ func (r *ioReq) fetched() {
 		c.eng.Schedule(c.cqePost+c.fabric.Upstream(c.ID, 16), r.completeFn)
 		return
 	}
-	switch r.cmd.Op {
+	switch r.res.Cmd.Op {
 	case OpRead:
 		c.stats.Reads++
 		r.mediaRead()
@@ -602,7 +632,7 @@ func (r *ioReq) fetched() {
 		c.stats.Flushes++
 		c.eng.Schedule(50*sim.Microsecond, r.completeFn)
 	default:
-		panic(fmt.Sprintf("nvme: unknown opcode %d", r.cmd.Op))
+		panic(fmt.Sprintf("nvme: unknown opcode %d", r.res.Cmd.Op))
 	}
 }
 
@@ -633,14 +663,14 @@ func (r *ioReq) mediaStart() {
 	r.res.MediaStartAt = c.eng.Now()
 	// Large commands stripe across consecutive slices; dies proceed in
 	// parallel, so the slowest slice governs.
-	slices := (r.cmd.Bytes + 4095) / 4096
+	slices := (r.res.Cmd.Bytes + 4095) / 4096
 	if slices < 1 {
 		slices = 1
 	}
 	var nandDelay sim.Duration
 	bad := false
 	for i := 0; i < slices; i++ {
-		lba := r.cmd.LBA + int64(i)
+		lba := r.res.Cmd.LBA + int64(i)
 		if c.lbaBad(lba) {
 			bad = true
 		}
@@ -666,7 +696,7 @@ func (r *ioReq) mediaStart() {
 func (r *ioReq) nandDone() {
 	c := r.c
 	r.res.MediaDoneAt = c.eng.Now()
-	up := c.fabric.Upstream(c.ID, r.cmd.Bytes) + c.cqePost
+	up := c.fabric.Upstream(c.ID, r.res.Cmd.Bytes) + c.cqePost
 	c.eng.Schedule(up, r.completeFn)
 }
 
@@ -685,7 +715,7 @@ func (r *ioReq) bufferedWrite() {
 	// Rewriting an uncorrectable LBA heals it: the program lands on a
 	// fresh page and the mapping moves (how a RAID repair-write fixes a
 	// bad sector).
-	c.healLBA(r.cmd.LBA)
+	c.healLBA(r.res.Cmd.LBA)
 	admit := now.Add(stall)
 	if c.writeNextFree > admit {
 		admit = c.writeNextFree
@@ -707,15 +737,14 @@ func (r *ioReq) writeDone() {
 	// waits) are hidden by the cache, but foreground GC stalls the cache
 	// drain and pushes out subsequent admissions — the used-state latency
 	// spikes of the paper's future-work study.
-	_, gc := c.Flash.WriteWithGC(r.cmd.LBA)
+	_, gc := c.Flash.WriteWithGC(r.res.Cmd.LBA)
 	if gc > 0 {
 		c.writeNextFree = c.writeNextFree.Add(gc)
 	}
 	r.complete()
 }
 
-// complete posts the CQE, releases the request, and hands the result to
-// the host.
+// complete posts the CQE and hands the result to the host in place.
 func (r *ioReq) complete() {
 	c := r.c
 	if c.offline {
@@ -724,23 +753,22 @@ func (r *ioReq) complete() {
 		return
 	}
 	r.res.CompletedAt = c.eng.Now()
-	r.res.Cmd = r.cmd
-	res, done := r.res, r.done
-	// Release before the callback: done may submit the next command, and
-	// the freed request is then reused immediately with no allocation.
+	// Release after the callback: the receiver reads r.res in place. A
+	// command it submits meanwhile takes another carrier, so the
+	// freelist holds one more than were ever in flight at once.
+	r.to.OnResult(&r.res)
 	c.putReq(r)
-	done(res)
 }
 
-// drop loses the command to an offline device: it is counted, the request
-// released, and done handed the drop notice in place of a CQE.
+// drop loses the command to an offline device: it is counted, the
+// receiver handed the drop notice in place of a CQE, and the request
+// released.
 func (r *ioReq) drop() {
 	c := r.c
 	c.stats.DroppedCmds++
-	res, done := r.res, r.done
-	res.Dropped = true
+	r.res.Dropped = true
+	r.to.OnResult(&r.res)
 	c.putReq(r)
-	done(res)
 }
 
 // Format executes the NVMe format admin command: all mappings are

@@ -53,39 +53,38 @@ func (c *Controller) CreateQueuePair() *QueuePair {
 }
 
 // qpReq carries one passthrough submission so the per-pair completion
-// accounting runs without allocating a wrapper closure per I/O. The
-// callback is bound once at creation, as in the controller's ioReq.
+// accounting runs without allocating a wrapper closure per I/O: it is the
+// controller's Receiver for the command, and forwards the result to the
+// tenant's.
 type qpReq struct {
-	q      *QueuePair
-	done   func(Result)
-	doneFn func(Result)
+	q  *QueuePair
+	to Receiver
 }
 
-func (q *QueuePair) getReq(done func(Result)) *qpReq {
+func (q *QueuePair) getReq(to Receiver) *qpReq {
 	var r *qpReq
 	if n := len(q.free); n > 0 {
 		r = q.free[n-1]
 		q.free[n-1] = nil
 		q.free = q.free[:n-1]
 	} else {
-		r = &qpReq{q: q}    //afalint:allow hotalloc -- freelist miss only; amortized across carrier reuses
-		r.doneFn = r.onDone //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+		r = &qpReq{q: q} //afalint:allow hotalloc -- freelist miss only; amortized across carrier reuses
 	}
-	r.done = done
+	r.to = to
 	return r
 }
 
-// onDone reaps one CQE into the pair's accounting and hands the raw result
-// to the tenant. Non-success statuses pass straight through: there is no
-// kernel retry on this path. A drop notice only counts the loss and
+// OnResult reaps one CQE into the pair's accounting and hands the raw
+// result to the tenant. Non-success statuses pass straight through: there
+// is no kernel retry on this path. A drop notice only counts the loss and
 // releases the carrier: unlike the kernel path there is no timeout tier
 // watching, so the tenant's I/O is simply gone.
-func (r *qpReq) onDone(res Result) {
+func (r *qpReq) OnResult(res *Result) {
 	q := r.q
-	done := r.done
-	// Release before the callback: done may submit the next command, and
+	to := r.to
+	// Release before the callback: to may submit the next command, and
 	// the freed carrier is then reused immediately with no allocation.
-	r.done = nil
+	r.to = nil
 	q.free = append(q.free, r)
 	if res.Dropped {
 		q.stats.Dropped++
@@ -95,17 +94,19 @@ func (r *qpReq) onDone(res Result) {
 	if res.Status != StatusSuccess {
 		q.stats.Errors++
 	}
-	done(res)
+	to.OnResult(res)
 }
 
 // Submit rings the pair's doorbell. The command is tagged with the pair's
-// queue ID and goes straight into the controller's staged pipeline; done
-// fires when the tenant reaps the CQE from its own CQ (no IRQ, no kernel),
-// and never for a command the device drops (see onDone).
-func (q *QueuePair) Submit(cmd Command, done func(Result)) {
+// queue ID and goes straight into the controller's staged pipeline; to
+// receives the result when the tenant reaps the CQE from its own CQ (no
+// IRQ, no kernel), and never for a command the device drops (see
+// qpReq.OnResult). As with Controller.SubmitTo, the *Result is valid only
+// during the call.
+func (q *QueuePair) Submit(cmd Command, to Receiver) {
 	cmd.Queue = q.ID
 	q.stats.Submitted++
-	q.c.Submit(cmd, q.getReq(done).doneFn)
+	q.c.SubmitTo(cmd, q.getReq(to))
 }
 
 // Stats returns a copy of the per-pair counters.

@@ -289,9 +289,9 @@ type request struct {
 	// as a no-op event.
 	hedge *sim.Timer
 
-	subFns        []func(kernel.Completion) // one per stripe position
-	degradedFn    func(kernel.Completion)
-	hedgeParityFn func(kernel.Completion)
+	subFns        []kernel.Receiver // one per stripe position
+	degradedFn    kernel.Receiver
+	hedgeParityFn kernel.Receiver
 	hedgeFireFn   func()
 }
 
@@ -306,13 +306,13 @@ func (r *request) reaped()               { r.release() }
 // Every completion callback releases its hold after handling.
 func (c *Client) newReq() *request {
 	r := &request{c: c} //afalint:allow hotalloc -- freelist miss only; amortized across carrier reuses
-	r.subFns = make([]func(kernel.Completion), len(c.spec.Stripe))
+	r.subFns = make([]kernel.Receiver, len(c.spec.Stripe))
 	for i := range r.subFns {
-		r.subFns[i] = func(comp kernel.Completion) { r.subDone(i, &comp); r.release() } //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+		r.subFns[i] = kernel.ReceiverFunc(func(comp *kernel.Completion) { r.subDone(i, comp); r.release() }) //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 	}
-	r.degradedFn = r.degradedDone //afalint:allow hotalloc -- stage callback bound once per pooled carrier
-	r.hedgeParityFn = r.hedgeDone //afalint:allow hotalloc -- stage callback bound once per pooled carrier
-	r.hedgeFireFn = r.hedgeFire   //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+	r.degradedFn = kernel.ReceiverFunc(r.degradedDone) //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+	r.hedgeParityFn = kernel.ReceiverFunc(r.hedgeDone) //afalint:allow hotalloc -- stage callback bound once per pooled carrier
+	r.hedgeFireFn = r.hedgeFire                        //afalint:allow hotalloc -- stage callback bound once per pooled carrier
 	r.hedge = c.eng.NewTimer()
 	return r
 }
@@ -503,7 +503,7 @@ func (c *Client) issueRead() {
 			req.pendingMask |= 1 << uint(i)
 		}
 		cmd := nvme.Command{Op: nvme.OpRead, LBA: lba, Bytes: 4096}
-		c.k.SubmitIO(c.task.CPU(), ssd, cmd, req.subFns[i])
+		c.k.SubmitIOTo(c.task.CPU(), ssd, cmd, req.subFns[i])
 	}
 }
 
@@ -590,11 +590,11 @@ func (r *request) useParity(hedge bool) {
 		done = r.hedgeParityFn
 	}
 	r.holds++
-	c.k.SubmitIO(c.task.CPU(), c.spec.Tol.ParitySSD, cmd, done)
+	c.k.SubmitIOTo(c.task.CPU(), c.spec.Tol.ParitySSD, cmd, done)
 }
 
-func (r *request) degradedDone(comp kernel.Completion) { r.parityDone(&comp, false); r.release() }
-func (r *request) hedgeDone(comp kernel.Completion)    { r.parityDone(&comp, true); r.release() }
+func (r *request) degradedDone(comp *kernel.Completion) { r.parityDone(comp, false); r.release() }
+func (r *request) hedgeDone(comp *kernel.Completion)    { r.parityDone(comp, true); r.release() }
 
 // parityDone runs in softirq context for the reconstruction read.
 func (r *request) parityDone(comp *kernel.Completion, hedge bool) {

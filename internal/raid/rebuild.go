@@ -76,8 +76,8 @@ type Rebuilder struct {
 	// them once at construction.
 	issueStripeFn func()
 	issueWriteFn  func()
-	readDoneFn    func(kernel.Completion)
-	writeDoneFn   func(kernel.Completion)
+	readDoneFn    kernel.Receiver
+	writeDoneFn   kernel.Receiver
 	nextStripeFn  func()
 }
 
@@ -106,8 +106,8 @@ func NewRebuilder(eng *sim.Engine, k *kernel.Kernel, spec RebuildSpec) *Rebuilde
 	rb.readTargets = append(append([]int{}, spec.Survivors...), spec.Parity)
 	rb.issueStripeFn = rb.issueStripe
 	rb.issueWriteFn = rb.issueWrite
-	rb.readDoneFn = rb.readDone
-	rb.writeDoneFn = rb.writeDone
+	rb.readDoneFn = kernel.ReceiverFunc(rb.readDone)
+	rb.writeDoneFn = kernel.ReceiverFunc(rb.writeDone)
 	rb.nextStripeFn = rb.nextStripe
 	return rb
 }
@@ -157,12 +157,12 @@ func (rb *Rebuilder) issueStripe() {
 	for _, ssd := range rb.readTargets {
 		rb.res.Reads++
 		cmd := nvme.Command{Op: nvme.OpRead, LBA: lba, Bytes: 4096}
-		rb.k.SubmitIO(rb.task.CPU(), ssd, cmd, rb.readDoneFn)
+		rb.k.SubmitIOTo(rb.task.CPU(), ssd, cmd, rb.readDoneFn)
 	}
 }
 
 // readDone runs in softirq context for each reconstruction read.
-func (rb *Rebuilder) readDone(comp kernel.Completion) {
+func (rb *Rebuilder) readDone(comp *kernel.Completion) {
 	if comp.WakePenalty > 0 {
 		rb.task.AddPenalty(comp.WakePenalty)
 	}
@@ -189,11 +189,11 @@ func (rb *Rebuilder) readDone(comp kernel.Completion) {
 func (rb *Rebuilder) issueWrite() {
 	rb.res.Writes++
 	cmd := nvme.Command{Op: nvme.OpWrite, LBA: rb.stripe, Bytes: 4096}
-	rb.k.SubmitIO(rb.task.CPU(), rb.spec.Target, cmd, rb.writeDoneFn)
+	rb.k.SubmitIOTo(rb.task.CPU(), rb.spec.Target, cmd, rb.writeDoneFn)
 }
 
 // writeDone runs in softirq context for the target write.
-func (rb *Rebuilder) writeDone(comp kernel.Completion) {
+func (rb *Rebuilder) writeDone(comp *kernel.Completion) {
 	if comp.WakePenalty > 0 {
 		rb.task.AddPenalty(comp.WakePenalty)
 	}

@@ -90,7 +90,7 @@ func (r *writeReq) reaped()               {}
 // deadCompletion reports whether a completion indicates a missing member
 // (the command timed out or was aborted) rather than a live device
 // returning an error.
-func deadCompletion(comp kernel.Completion) bool {
+func deadCompletion(comp *kernel.Completion) bool {
 	return comp.TimedOut || comp.Status == nvme.StatusAborted
 }
 
@@ -160,17 +160,17 @@ func (c *Client) issueWrite() {
 	}
 }
 
-func (r *writeReq) submitRead(ssd int, done func(kernel.Completion)) {
+func (r *writeReq) submitRead(ssd int, done kernel.ReceiverFunc) {
 	c := r.c
 	c.res.RMWReads++
 	cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: 4096}
-	c.k.SubmitIO(c.task.CPU(), ssd, cmd, done)
+	c.k.SubmitIOTo(c.task.CPU(), ssd, cmd, done)
 }
 
 // stale reports (and accounts) a phase-1 CQE whose request has moved on —
 // a mode switch or hedge already stranded this read. A successful answer
 // from a suspect member still clears the suspicion.
-func (r *writeReq) stale(ssd int, comp kernel.Completion) bool {
+func (r *writeReq) stale(ssd int, comp *kernel.Completion) bool {
 	c := r.c
 	if c.done {
 		return true
@@ -190,7 +190,7 @@ func (r *writeReq) stale(ssd int, comp kernel.Completion) bool {
 }
 
 // oldDataRead runs in softirq context for the RMW old-data pre-read.
-func (r *writeReq) oldDataRead(comp kernel.Completion) {
+func (r *writeReq) oldDataRead(comp *kernel.Completion) {
 	c := r.c
 	if r.stale(r.target, comp) {
 		return
@@ -225,7 +225,7 @@ func (r *writeReq) oldDataRead(comp kernel.Completion) {
 }
 
 // oldParityRead runs in softirq context for the RMW old-parity pre-read.
-func (r *writeReq) oldParityRead(comp kernel.Completion) {
+func (r *writeReq) oldParityRead(comp *kernel.Completion) {
 	c := r.c
 	if r.stale(c.spec.Parity, comp) {
 		return
@@ -268,9 +268,9 @@ func (r *writeReq) issuePeerReads() {
 		n++
 		c.res.RMWReads++
 		cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: 4096}
-		c.k.SubmitIO(c.task.CPU(), ssd, cmd, func(comp kernel.Completion) {
+		c.k.SubmitIOTo(c.task.CPU(), ssd, cmd, kernel.ReceiverFunc(func(comp *kernel.Completion) {
 			r.peerRead(ssd, comp)
-		})
+		}))
 	}
 	r.readsLeft = n
 	if n == 0 {
@@ -281,7 +281,7 @@ func (r *writeReq) issuePeerReads() {
 }
 
 // peerRead runs in softirq context for each reconstruction read.
-func (r *writeReq) peerRead(ssd int, comp kernel.Completion) {
+func (r *writeReq) peerRead(ssd int, comp *kernel.Completion) {
 	c := r.c
 	if c.done {
 		return
@@ -336,14 +336,14 @@ func (r *writeReq) startWrites() {
 	case modeRMW, modeReconstruct:
 		r.dataPending = true
 		c.res.DataWrites++
-		c.k.SubmitIO(c.task.CPU(), r.target, r.writeCmd(), r.dataWritten)
+		c.k.SubmitIOTo(c.task.CPU(), r.target, r.writeCmd(), kernel.ReceiverFunc(r.dataWritten))
 		r.submitParity(false)
 	case modeParityLog:
 		r.submitParity(false)
 	case modeUnprotected:
 		r.dataPending = true
 		c.res.DataWrites++
-		c.k.SubmitIO(c.task.CPU(), r.target, r.writeCmd(), r.dataWritten)
+		c.k.SubmitIOTo(c.task.CPU(), r.target, r.writeCmd(), kernel.ReceiverFunc(r.dataWritten))
 	default:
 		panic(fmt.Sprintf("raid: write phase 2 in mode %d", int(r.mode)))
 	}
@@ -353,13 +353,13 @@ func (r *writeReq) submitParity(dup bool) {
 	c := r.c
 	r.parityInFlight++
 	c.res.ParityWrites++
-	c.k.SubmitIO(c.task.CPU(), c.spec.Parity, r.writeCmd(), func(comp kernel.Completion) {
+	c.k.SubmitIOTo(c.task.CPU(), c.spec.Parity, r.writeCmd(), kernel.ReceiverFunc(func(comp *kernel.Completion) {
 		r.parityWritten(comp, dup)
-	})
+	}))
 }
 
 // dataWritten runs in softirq context for the new-data write.
-func (r *writeReq) dataWritten(comp kernel.Completion) {
+func (r *writeReq) dataWritten(comp *kernel.Completion) {
 	c := r.c
 	if c.done {
 		return
@@ -394,7 +394,7 @@ func (r *writeReq) dataWritten(comp kernel.Completion) {
 // (dup marks the hedge duplicate). Parity writes are idempotent: once
 // parityLanded is set, any further successful CQE is suppressed as a
 // duplicate completion.
-func (r *writeReq) parityWritten(comp kernel.Completion, dup bool) {
+func (r *writeReq) parityWritten(comp *kernel.Completion, dup bool) {
 	c := r.c
 	if c.done {
 		return
