@@ -19,7 +19,8 @@ import (
 	"repro/internal/stats"
 )
 
-// RW is the workload pattern.
+// RW is the workload pattern. The empty pattern means RandRead; any
+// other value must be one of the three below.
 type RW string
 
 // Supported patterns.
@@ -28,6 +29,16 @@ const (
 	RandWrite RW = "randwrite"
 	SeqRead   RW = "read"
 )
+
+// check rejects a pattern that is not one of the three; the empty
+// pattern means RandRead.
+func (rw RW) check() error {
+	switch rw {
+	case "", RandRead, RandWrite, SeqRead:
+		return nil
+	}
+	return fmt.Errorf("unknown rw pattern %q (want %q, %q or %q)", string(rw), RandRead, RandWrite, SeqRead)
+}
 
 // JobSpec describes one FIO job: a single workload thread bound to one raw
 // NVMe block device.
@@ -80,6 +91,9 @@ func (s JobSpec) Validate() error {
 	}
 	if s.SSD < 0 {
 		return fmt.Errorf("fio: job %q: ssd index must be non-negative, got %d", s.Name, s.SSD)
+	}
+	if err := s.RW.check(); err != nil {
+		return fmt.Errorf("fio: job %q: %v", s.Name, err)
 	}
 	return nil
 }

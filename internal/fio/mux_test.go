@@ -2,6 +2,8 @@ package fio
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/kernel"
@@ -229,6 +231,8 @@ func TestMuxValidation(t *testing.T) {
 		{"bad-ssd", TenantSpec{SSD: 9, Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 10}}},
 		{"bad-class", TenantSpec{SSD: 0, Class: 7, Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 10}}},
 		{"bad-kind", TenantSpec{SSD: 0, Arrival: ArrivalSpec{Kind: 42, Rate: 10}}},
+		{"misspelled-rw", TenantSpec{SSD: 0, RW: "randwrte", Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 10}}},
+		{"unknown-rw", TenantSpec{SSD: 0, RW: "write", Arrival: ArrivalSpec{Kind: ArrivalPoisson, Rate: 10}}},
 	} {
 		name, spec := tc.name, tc.spec
 		t.Run(name, func(t *testing.T) {
@@ -239,5 +243,74 @@ func TestMuxValidation(t *testing.T) {
 			}()
 			m.AddTenant(spec)
 		})
+	}
+}
+
+// TestNewMultiplexerRejectsBadConfig: a config that would fail deep in
+// the run, or quietly stand for a default, panics at construction with
+// one line naming the setting; zero values keep meaning the defaults.
+func TestNewMultiplexerRejectsBadConfig(t *testing.T) {
+	r := newRig(t, 2, 1, kernel.CompleteInterrupt, nvme.FirmwareNoSMART)
+	withClass := func(c ClassConfig) MuxConfig {
+		var cfg MuxConfig
+		cfg.Class[kernel.ClassThroughput] = c
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  MuxConfig
+		want string
+	}{
+		{"cpu-out-of-range", MuxConfig{CPUs: []int{0, 99}}, "CPUs"},
+		{"negative-cpu", MuxConfig{CPUs: []int{-1}}, "CPUs"},
+		{"negative-runtime", MuxConfig{Runtime: -sim.Millisecond}, "Runtime"},
+		{"negative-rate", withClass(ClassConfig{Rate: -1}), "Rate"},
+		{"nan-rate", withClass(ClassConfig{Rate: math.NaN()}), "Rate"},
+		{"infinite-rate", withClass(ClassConfig{Rate: math.Inf(1)}), "Rate"},
+		{"unknown-policy", withClass(ClassConfig{Rate: 100, Policy: 7}), "Policy"},
+		{"negative-policy", withClass(ClassConfig{Policy: -1}), "Policy"},
+		{"negative-queue-limit", withClass(ClassConfig{Rate: 100, Policy: AdmitQueue, QueueLimit: -1}), "QueueLimit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatalf("NewMultiplexer(%+v) did not panic", tc.cfg)
+				}
+				if s, ok := p.(string); !ok || !strings.Contains(s, tc.want) || strings.Contains(s, "\n") {
+					t.Fatalf("panic %q is not one line naming %s", p, tc.want)
+				}
+			}()
+			NewMultiplexer(r.eng, r.k, tc.cfg)
+		})
+	}
+
+	// Zero values still mean the defaults.
+	m := NewMultiplexer(r.eng, r.k, withClass(ClassConfig{Rate: 100, Policy: AdmitQueue}))
+	if m.cfg.Runtime != 2*sim.Second || len(m.cfg.CPUs) != 2 || len(m.classes[kernel.ClassThroughput].queue) != 1024 {
+		t.Fatalf("defaults not applied: runtime %v, CPUs %v, queue %d",
+			m.cfg.Runtime, m.cfg.CPUs, len(m.classes[kernel.ClassThroughput].queue))
+	}
+}
+
+// TestAddTenantAllocatesOnlyPages: registering 10,000 tenants allocates
+// one tenant page per 256 tenants plus a small constant (the page
+// index's growth) — no per-tenant stream, label or record copy.
+func TestAddTenantAllocatesOnlyPages(t *testing.T) {
+	r := newRig(t, 2, 1, kernel.CompleteInterrupt, nvme.FirmwareNoSMART)
+	const n = 10_000
+	spec := TenantSpec{SSD: 0, RW: RandWrite, Arrival: ArrivalSpec{Kind: ArrivalMMPP, Rate: 10}}
+	cfg := MuxConfig{Name: "allocs", Seed: 1}
+	boot := testing.AllocsPerRun(3, func() { NewMultiplexer(r.eng, r.k, cfg) })
+	full := testing.AllocsPerRun(3, func() {
+		m := NewMultiplexer(r.eng, r.k, cfg)
+		for i := 0; i < n; i++ {
+			m.AddTenant(spec)
+		}
+	})
+	pages := (n + tenantPageSize - 1) / tenantPageSize
+	t.Logf("%d AddTenant calls: %.0f allocations for %d pages", n, full-boot, pages)
+	if got := full - boot; got > float64(pages+16) {
+		t.Fatalf("%d AddTenant calls made %.0f allocations, want at most %d pages + 16", n, got, pages)
 	}
 }

@@ -13,8 +13,12 @@ import (
 // queue depth, block size, and runtime with errors that name the field.
 func TestJobSpecValidate(t *testing.T) {
 	valid := JobSpec{Name: "ok", IODepth: 4, BS: 4096, Runtime: sim.Second}
-	if err := valid.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	for _, rw := range []RW{"", RandRead, RandWrite, SeqRead} {
+		s := valid
+		s.RW = rw
+		if err := s.Validate(); err != nil {
+			t.Fatalf("valid spec with rw %q rejected: %v", rw, err)
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -28,6 +32,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{"zero-runtime", func(s *JobSpec) { s.Runtime = 0 }, "runtime"},
 		{"negative-runtime", func(s *JobSpec) { s.Runtime = -sim.Second }, "runtime"},
 		{"negative-ssd", func(s *JobSpec) { s.SSD = -1 }, "ssd"},
+		{"misspelled-rw", func(s *JobSpec) { s.RW = "randwrte" }, "rw"},
+		{"unknown-rw", func(s *JobSpec) { s.RW = "write" }, "rw"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := valid

@@ -229,7 +229,8 @@ func TestMustAssignSoundProperty(t *testing.T) {
 	srcOf := make([]string, nFuncs)
 	for i := 0; i < nFuncs; i++ {
 		budget := 12
-		bodies[i] = genBody(root.DeriveIndexed(uint64(i)), 0, &budget)
+		child := root.DeriveIndexed(uint64(i))
+		bodies[i] = genBody(&child, 0, &budget)
 		var fb strings.Builder
 		fmt.Fprintf(&fb, "func fn%d(o *obj, k int) {\n", i)
 		renderBody(&fb, bodies[i], "\t")

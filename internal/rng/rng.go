@@ -36,6 +36,12 @@ func splitMix64(x *uint64) uint64 {
 // New returns a stream seeded from seed. Streams with different seeds are
 // statistically independent.
 func New(seed uint64) *Stream {
+	st := seeded(seed)
+	return &st
+}
+
+// seeded returns the stream New(seed) points to, by value.
+func seeded(seed uint64) Stream {
 	st := Stream{seed: seed}
 	x := seed
 	for i := range st.s {
@@ -45,7 +51,7 @@ func New(seed uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &st
+	return st
 }
 
 // hashString is FNV-1a, used to fold component labels into seeds.
@@ -82,9 +88,11 @@ func NewLabeled(seed uint64, label string) *Stream {
 // Like Derive it mixes seed material, not evolving state, so child i is
 // the same stream no matter how much the parent or its siblings have
 // drawn. The index is golden-ratio mixed before the xor so adjacent
-// indices land in unrelated seed neighborhoods.
-func (r *Stream) DeriveIndexed(i uint64) *Stream {
-	return New(r.seed ^ (i+1)*0x9e3779b97f4a7c15)
+// indices land in unrelated seed neighborhoods. The child is returned
+// by value, so an owner can build it in place in its own array without
+// a heap allocation.
+func (r *Stream) DeriveIndexed(i uint64) Stream {
+	return seeded(r.seed ^ (i+1)*0x9e3779b97f4a7c15)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
