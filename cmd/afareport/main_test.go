@@ -28,7 +28,7 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 		format   string // "" = text
 		ablate   string
 		wantErr  string // "" = accepted
-		wantN    int    // entries selected when accepted
+		wantN    int    // reports selected when accepted
 	}{
 		{name: "negative ssds", ssds: -2, runtime: rt, seeds: 1, wantErr: "-ssds must be >= 1, got -2"},
 		{name: "zero ssds", ssds: 0, runtime: rt, seeds: 1, wantErr: "-ssds must be >= 1, got 0"},
@@ -47,34 +47,34 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 			wantErr: "-solo-runs must be >= 0, got -1"},
 		{name: "negative parallel", ssds: 16, runtime: rt, seeds: 1, parallel: -1, figs: []int{6},
 			wantErr: "-parallel must be >= 0, got -1"},
-		{name: "parallel 0 is one per CPU", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}},
+		{name: "parallel 0 is one per CPU", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, wantN: 1},
 		{name: "fig 10 on one SSD", ssds: 1, runtime: rt, seeds: 1, figs: []int{6, 10},
 			wantErr: "-fig 10 needs -ssds >= 2, got 1"},
-		{name: "fig 10 on two SSDs", ssds: 2, runtime: rt, seeds: 1, figs: []int{10}},
+		{name: "fig 10 on two SSDs", ssds: 2, runtime: rt, seeds: 1, figs: []int{10}, wantN: 1},
 		{name: "all below stripe", ssds: 4, runtime: rt, seeds: 1, all: true, wantErr: "needs -ssds >= 9"},
 		{name: "faults at stripe+parity", ssds: 9, runtime: rt, seeds: 1, ablate: "faults", wantN: 1},
 		{name: "tail on a small fleet", ssds: 9, runtime: rt, seeds: 1, ablate: "tail", wantN: 1},
-		{name: "all", ssds: 16, runtime: rt, seeds: 3, all: true, wantN: len(ablations)},
+		{name: "all", ssds: 16, runtime: rt, seeds: 3, all: true, wantN: len(reports)},
 		{name: "no ablation", ssds: 16, runtime: rt, seeds: 1},
 		{name: "xml format", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, format: "xml",
 			wantErr: `unknown -format "xml" (have text, json, csv)`},
 		{name: "misspelt json", ssds: 16, runtime: rt, seeds: 1, format: "jsno",
 			wantErr: `unknown -format "jsno"`},
-		{name: "csv format", ssds: 16, runtime: rt, seeds: 1, figs: []int{10}, format: "csv"},
+		{name: "csv format", ssds: 16, runtime: rt, seeds: 1, figs: []int{10}, format: "csv", wantN: 1},
 		{name: "unknown figure after a valid one", ssds: 16, runtime: rt, seeds: 1, figs: []int{6, 99},
 			wantErr: "unknown figure 99 (have 6-14)"},
 		{name: "figure below range", ssds: 16, runtime: rt, seeds: 1, figs: []int{5},
 			wantErr: "unknown figure 5 (have 6-14)"},
-		{name: "figure 14", ssds: 16, runtime: rt, seeds: 1, figs: []int{14}},
+		{name: "figure 14", ssds: 16, runtime: rt, seeds: 1, figs: []int{14}, wantN: 1},
 		{name: "table 3", ssds: 16, runtime: rt, seeds: 1, table: 3,
 			wantErr: "unknown table 3 (have 1 and 2)"},
 		{name: "table 3 after a valid figure", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, table: 3,
 			wantErr: "unknown table 3 (have 1 and 2)"},
 		{name: "negative table", ssds: 16, runtime: rt, seeds: 1, table: -1,
 			wantErr: "unknown table -1 (have 1 and 2)"},
-		{name: "table 2", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, table: 2},
-		{name: "json figures", ssds: 16, runtime: rt, seeds: 1, figs: []int{6, 12, 13}, format: "json"},
-		{name: "csv figures", ssds: 16, runtime: rt, seeds: 1, figs: []int{10, 12}, format: "csv"},
+		{name: "table 2", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, table: 2, wantN: 2},
+		{name: "json figures", ssds: 16, runtime: rt, seeds: 1, figs: []int{6, 12, 13}, format: "json", wantN: 3},
+		{name: "csv figures", ssds: 16, runtime: rt, seeds: 1, figs: []int{10, 12}, format: "csv", wantN: 2},
 		{name: "json with table", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, table: 2, format: "json",
 			wantErr: "-format json covers figures only"},
 		{name: "csv with headline", ssds: 16, runtime: rt, seeds: 1, headline: true, format: "csv",
@@ -99,7 +99,7 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 					t.Fatalf("rejected: %v", err)
 				}
 				if len(got) != tc.wantN {
-					t.Fatalf("selected %d entries, want %d", len(got), tc.wantN)
+					t.Fatalf("selected %d reports, want %d", len(got), tc.wantN)
 				}
 				return
 			}
@@ -117,10 +117,15 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 // smallest fleet every entry accepts: none may panic or write nothing.
 func TestEveryAblationRuns(t *testing.T) {
 	o := core.ExpOptions{Runtime: 20 * sim.Millisecond, Seed: 2018, NumSSDs: raidSSDs, SoloRuns: 1, Parallel: 2}
-	for _, a := range ablations {
-		t.Run(a.name, func(t *testing.T) {
+	for _, r := range reports {
+		if r.flag != "ablate" {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			a.run(&buf, o)
+			if err := r.run(&buf, settings{o: o}); err != nil {
+				t.Fatal(err)
+			}
 			if buf.Len() == 0 {
 				t.Fatal("wrote nothing")
 			}

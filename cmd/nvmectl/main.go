@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -26,44 +28,63 @@ import (
 )
 
 func main() {
-	fs := flag.NewFlagSet("nvmectl", flag.ExitOnError)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one command and returns the exit code: 2 for a usage
+// error, reported as one line on stderr before anything boots, 1 if the
+// command fails, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nvmectl", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a parse error is reported as one line below
 	ssds := fs.Int("ssds", 64, "number of SSDs in the array")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	cfgName := fs.String("config", "irq", "kernel config: default|chrt|isolcpus|irq|expfw")
 	dev := fs.Int("dev", -1, "target device index")
 
-	if len(os.Args) < 2 {
-		usage()
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
-	cmd := os.Args[1]
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+	cmd := args[0]
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			usage(stderr)
+			fs.SetOutput(stderr)
+			fs.PrintDefaults()
+			return 0
+		}
+		fmt.Fprintln(stderr, "nvmectl:", err)
+		return 2
 	}
 	cfg, err := resolve(cmd, *cfgName, *ssds, *dev)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvmectl:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "nvmectl:", err)
+		return 2
 	}
 
 	sys := core.NewSystem(core.Options{NumSSDs: *ssds, Seed: *seed, Config: cfg})
 
 	switch cmd {
 	case "list":
-		list(sys)
+		if err := list(stdout, sys); err != nil {
+			fmt.Fprintln(stderr, "nvmectl:", err)
+			return 1
+		}
 	case "id-ctrl":
-		idCtrl(sys, *dev)
+		idCtrl(stdout, sys, *dev)
 	case "smart-log":
-		smartLog(sys, *dev)
+		smartLog(stdout, sys, *dev)
 	case "format":
-		format(sys, *dev)
+		format(stdout, sys, *dev)
 	case "profile":
-		profile(sys, *dev)
+		profile(stdout, sys, *dev)
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: nvmectl <list|id-ctrl|smart-log|format|profile> [flags]")
-	os.Exit(2)
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: nvmectl <list|id-ctrl|smart-log|format|profile> [flags]")
 }
 
 // resolve checks the command and its flags before anything boots, and
@@ -104,58 +125,58 @@ func resolve(cmd, cfgName string, ssds, dev int) (core.Config, error) {
 	return cfg, nil
 }
 
-func list(sys *core.System) {
-	fmt.Printf("%-12s %-16s %-14s %10s %8s\n", "Node", "Model", "Serial", "Capacity", "FW")
+func list(w io.Writer, sys *core.System) error {
+	fmt.Fprintf(w, "%-12s %-16s %-14s %10s %8s\n", "Node", "Model", "Serial", "Capacity", "FW")
 	for i, d := range sys.SSDs {
 		var id nvme.IdentifyController
 		got := false
 		d.Identify(func(x nvme.IdentifyController) { id = x; got = true })
 		sys.Eng.RunUntil(sys.Eng.Now().Add(sim.Millisecond))
 		if !got {
-			fmt.Fprintf(os.Stderr, "identify of nvme%d timed out\n", i)
-			os.Exit(1)
+			return fmt.Errorf("identify of nvme%d timed out", i)
 		}
-		fmt.Printf("/dev/nvme%-3d %-16s %-14s %7dGB %8s\n",
+		fmt.Fprintf(w, "/dev/nvme%-3d %-16s %-14s %7dGB %8s\n",
 			i, id.ModelNumber, id.SerialNumber, id.TotalCapacityGB, id.FirmwareRev)
 	}
+	return nil
 }
 
-func idCtrl(sys *core.System, dev int) {
+func idCtrl(w io.Writer, sys *core.System, dev int) {
 	sys.SSDs[dev].Identify(func(id nvme.IdentifyController) {
-		fmt.Printf("mn        : %s\n", id.ModelNumber)
-		fmt.Printf("sn        : %s\n", id.SerialNumber)
-		fmt.Printf("fr        : %s\n", id.FirmwareRev)
-		fmt.Printf("tnvmcap   : %d GB\n", id.TotalCapacityGB)
-		fmt.Printf("nn        : %d\n", id.NumNamespaces)
-		fmt.Printf("mdts      : %d KiB\n", id.MaxTransferBytes/1024)
+		fmt.Fprintf(w, "mn        : %s\n", id.ModelNumber)
+		fmt.Fprintf(w, "sn        : %s\n", id.SerialNumber)
+		fmt.Fprintf(w, "fr        : %s\n", id.FirmwareRev)
+		fmt.Fprintf(w, "tnvmcap   : %d GB\n", id.TotalCapacityGB)
+		fmt.Fprintf(w, "nn        : %d\n", id.NumNamespaces)
+		fmt.Fprintf(w, "mdts      : %d KiB\n", id.MaxTransferBytes/1024)
 	})
 	sys.Eng.RunUntil(sys.Eng.Now().Add(sim.Millisecond))
 }
 
-func smartLog(sys *core.System, dev int) {
+func smartLog(w io.Writer, sys *core.System, dev int) {
 	// Put some traffic on the device first so the counters mean something.
 	sys.SSDs[dev].SubmitTo(nvme.Command{Op: nvme.OpRead, LBA: 1}, nvme.ReceiverFunc(func(*nvme.Result) {}))
 	sys.Eng.RunUntil(sys.Eng.Now().Add(sim.Millisecond))
 	sys.SSDs[dev].GetLogPage(func(log nvme.SMARTLog) {
-		fmt.Printf("Smart Log for NVME device nvme%d\n", dev)
-		fmt.Printf("power_on_ios            : %d\n", log.PowerOnIOs)
-		fmt.Printf("smart_windows           : %d\n", log.SMARTWindows)
-		fmt.Printf("ios_blocked_by_smart    : %d\n", log.MediaBlocked)
-		fmt.Printf("firmware_build          : %s\n", log.FirmwareBuild)
+		fmt.Fprintf(w, "Smart Log for NVME device nvme%d\n", dev)
+		fmt.Fprintf(w, "power_on_ios            : %d\n", log.PowerOnIOs)
+		fmt.Fprintf(w, "smart_windows           : %d\n", log.SMARTWindows)
+		fmt.Fprintf(w, "ios_blocked_by_smart    : %d\n", log.MediaBlocked)
+		fmt.Fprintf(w, "firmware_build          : %s\n", log.FirmwareBuild)
 	})
 	sys.Eng.RunUntil(sys.Eng.Now().Add(sim.Millisecond))
 }
 
-func format(sys *core.System, dev int) {
+func format(w io.Writer, sys *core.System, dev int) {
 	done := false
 	sys.SSDs[dev].Format(func() { done = true })
 	for !done {
 		sys.Eng.RunUntil(sys.Eng.Now().Add(100 * sim.Millisecond))
 	}
-	fmt.Printf("Success formatting namespace 1 of /dev/nvme%d (device is FOB)\n", dev)
+	fmt.Fprintf(w, "Success formatting namespace 1 of /dev/nvme%d (device is FOB)\n", dev)
 }
 
-func profile(sys *core.System, dev int) {
+func profile(w io.Writer, sys *core.System, dev int) {
 	spec := core.RunSpec{Runtime: 200 * sim.Millisecond}
 	if dev >= 0 {
 		// Single-device profile: solo geometry on that SSD.
@@ -167,7 +188,7 @@ func profile(sys *core.System, dev int) {
 		if r == nil {
 			continue
 		}
-		fmt.Printf("nvme%-3d %s\n", i, r.Ladder.String())
+		fmt.Fprintf(w, "nvme%-3d %s\n", i, r.Ladder.String())
 	}
 }
 

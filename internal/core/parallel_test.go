@@ -119,10 +119,11 @@ func writeRAIDRuns(t *testing.T, buf *bytes.Buffer, runs []RAIDRun) {
 }
 
 // TestParallelDeterminism is the tentpole guarantee of the runner
-// layer, wired into scripts/check.sh under -race: the exported reports
-// of every fan-out experiment are byte-identical between the serial
-// reference order (-parallel 1) and an oversubscribed pool
-// (-parallel 8), regardless of goroutine scheduling.
+// layer: the exported reports of every fan-out experiment are
+// byte-identical between the serial reference order (-parallel 1) and
+// an oversubscribed pool (-parallel 8), regardless of goroutine
+// scheduling. scripts/check.sh runs it under -race with the rest of
+// the suite.
 func TestParallelDeterminism(t *testing.T) {
 	serial := sweepOpts()
 	serial.Parallel = 1

@@ -25,26 +25,19 @@
 #                  test order shuffled: the sim core is single-threaded
 #                  by contract and the runner tier merges in submission
 #                  order, so the detector must be silent, and no test
-#                  may depend on state another test left behind. One
-#                  pass covers what used to be three (-race, -shuffle,
-#                  and a fault/kernel/raid re-run): the fault, timeout,
-#                  write-path, and rebuild tests all live in the suite
-#                  this runs, and -shuffle=on implies -count=1 so
-#                  nothing is served from the test cache.
-#   parallel     — the serial-vs-parallel determinism cross-check re-run
-#                  under -race: exported reports of every fan-out —
-#                  including the write ablation and its rebuild stream —
-#                  must be byte-identical at -parallel 1 and 8.
-#   report digests — the same contract at the CLI: every output
-#                  scripts/report-digests.sh fingerprints (the
-#                  figures, Table II, the headline, every -ablate
-#                  entry, the JSON/CSV figure renderers, the examples
-#                  and nvmectl's commands) hashes identically with
-#                  afareport at -parallel 1 and 4.
-#   ablations    — no separate step: the race+shuffle pass runs
-#                  cmd/afareport's TestEveryAblationRuns, which drives
-#                  every -ablate registry entry end to end at a small
-#                  scale (9 SSDs, 20 ms) through the CLI's report path.
+#                  may depend on state another test left behind.
+#                  -shuffle=on implies -count=1, so nothing is served
+#                  from the test cache. The suite holds the determinism
+#                  and report gates: internal/core's
+#                  TestParallelDeterminism (exported reports of every
+#                  fan-out byte-identical at -parallel 1 and 8),
+#                  cmd/afareport's TestReportDigests (every figure,
+#                  Table II, the headline, the JSON/CSV renderers and
+#                  every -ablate entry against the committed
+#                  testdata/report-digests.txt; under -race at
+#                  -parallel 4 only, plain `go test` adds -parallel 1),
+#                  the examples' Output blocks and nvmectl's golden
+#                  outputs, and cmd/afareport's TestEveryAblationRuns.
 #   bench tests  — the benchmark module's own tests (bench/ is a
 #                  separate Go module, so ./... above skips it).
 set -euo pipefail
@@ -60,6 +53,4 @@ fi
 go vet ./...
 go run ./cmd/afalint -baseline lint.baseline ./...
 go test -race -shuffle=on ./...
-go test -race -count=1 -run 'TestParallelDeterminism|TestMap' ./internal/core/ ./internal/runner/
-diff <(scripts/report-digests.sh -parallel 1) <(scripts/report-digests.sh -parallel 4)
 (cd bench && go test ./...)
