@@ -76,8 +76,14 @@ type Event struct {
 	Detail string
 }
 
+// String renders the event as one trace line; an empty Detail adds no
+// trailing separator.
 func (e Event) String() string {
-	return fmt.Sprintf("%v ssd=%d %s %s", e.At, e.SSD, e.Kind, e.Detail)
+	s := fmt.Sprintf("%v ssd=%d %s", e.At, e.SSD, e.Kind)
+	if e.Detail != "" {
+		s += " " + e.Detail
+	}
+	return s
 }
 
 // Injector applies a Plan to a fleet. Construction validates the plan and

@@ -79,6 +79,23 @@ func TestInjectorRecordsTrace(t *testing.T) {
 	}
 }
 
+// TestEventString pins the trace line format: an event without detail
+// ends at its kind, with no trailing space.
+func TestEventString(t *testing.T) {
+	at := sim.Time(0).Add(125 * sim.Millisecond)
+	for _, tc := range []struct {
+		e    fault.Event
+		want string
+	}{
+		{fault.Event{At: at, SSD: 0, Kind: "drop"}, "125.000ms ssd=0 drop"},
+		{fault.Event{At: at, SSD: 2, Kind: "bad-lba", Detail: "lba=3"}, "125.000ms ssd=2 bad-lba lba=3"},
+	} {
+		if got := tc.e.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 func contains(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {
