@@ -86,6 +86,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	o := core.ExpOptions{
 		Runtime:  sim.Duration(runtime.Nanoseconds()),

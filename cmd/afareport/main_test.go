@@ -113,6 +113,25 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestRunRejectsStrayArgument: flag parsing stops at the first
+// positional argument, so a stray one would hide every flag after it.
+// run refuses it with exit 2 and one line on stderr before anything
+// runs.
+func TestRunRejectsStrayArgument(t *testing.T) {
+	for _, args := range []string{"-table 1 extra -ssds 2", "extra -table 1"} {
+		var stdout, stderr strings.Builder
+		if code := run(strings.Fields(args), &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: stdout %q, want nothing", args, stdout.String())
+		}
+		if msg := stderr.String(); msg != "unexpected argument \"extra\"\n" {
+			t.Errorf("%q: stderr %q, want one line naming \"extra\"", args, msg)
+		}
+	}
+}
+
 // TestEveryAblationRuns drives each registry entry end to end at the
 // smallest fleet every entry accepts: none may panic or write nothing.
 func TestEveryAblationRuns(t *testing.T) {

@@ -57,6 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "nvmectl:", err)
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "nvmectl: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	cfg, err := resolve(cmd, *cfgName, *ssds, *dev)
 	if err != nil {
 		fmt.Fprintln(stderr, "nvmectl:", err)

@@ -116,6 +116,7 @@ func TestRunRejectsUsageErrors(t *testing.T) {
 		{name: "no command", args: "", wantErr: "usage: nvmectl <list|id-ctrl|smart-log|format|profile> [flags]"},
 		{name: "unknown command", args: "reset -ssds 4 -dev 0", wantErr: `nvmectl: unknown command "reset"`},
 		{name: "unknown flag", args: "list -ssd 4", wantErr: "nvmectl: flag provided but not defined: -ssd"},
+		{name: "stray argument", args: "list extra -ssds 2", wantErr: `nvmectl: unexpected argument "extra"`},
 		{name: "bad ssds", args: "list -ssds 0", wantErr: "nvmectl: -ssds must be >= 1, got 0"},
 		{name: "bad dev", args: "profile -ssds 4 -dev 99", wantErr: "nvmectl: profile: -dev must be in [0,4), got 99"},
 	}

@@ -16,7 +16,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/nvme"
@@ -199,13 +198,6 @@ func (in *Injector) arm(p Profile) {
 	}
 }
 
-// Trace returns the failure trace: every imposed transition in the order
-// it fired. Deterministic for a given (seed, Plan): the engine's FIFO
-// tie-break fixes the order of simultaneous transitions.
-func (in *Injector) Trace() []Event {
-	return append([]Event(nil), in.events...)
-}
-
 // TraceString renders the failure trace one event per line — the
 // byte-comparable artifact the determinism property test asserts on.
 func (in *Injector) TraceString() string {
@@ -230,20 +222,5 @@ func PeriodicStalls(phase sim.Time, period, dur sim.Duration, horizon sim.Time) 
 	for t := phase; t < horizon; t = t.Add(period) {
 		out = append(out, Window{At: t, For: dur})
 	}
-	return out
-}
-
-// Merge combines plans; profiles for the same SSD are kept separate (the
-// injector applies them independently).
-func Merge(plans ...Plan) Plan {
-	var out Plan
-	for _, p := range plans {
-		out.Profiles = append(out.Profiles, p.Profiles...)
-	}
-	// Keep a canonical order so TraceString is stable regardless of how
-	// the caller assembled the plan.
-	sort.SliceStable(out.Profiles, func(i, j int) bool {
-		return out.Profiles[i].SSD < out.Profiles[j].SSD
-	})
 	return out
 }

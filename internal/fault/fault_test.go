@@ -152,17 +152,3 @@ func TestPeriodicStallsRejectsNonPositivePeriod(t *testing.T) {
 		t.Fatalf("negative period produced %d windows", len(ws))
 	}
 }
-
-func TestMergeCanonicalizesOrder(t *testing.T) {
-	a := fault.Plan{Profiles: []fault.Profile{{SSD: 5}, {SSD: 1}}}
-	b := fault.Plan{Profiles: []fault.Profile{{SSD: 3}}}
-	m := fault.Merge(a, b)
-	if len(m.Profiles) != 3 {
-		t.Fatalf("profiles = %d", len(m.Profiles))
-	}
-	for i, want := range []int{1, 3, 5} {
-		if m.Profiles[i].SSD != want {
-			t.Fatalf("profile %d is SSD %d, want %d", i, m.Profiles[i].SSD, want)
-		}
-	}
-}

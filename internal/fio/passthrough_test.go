@@ -134,7 +134,7 @@ func TestPassthroughFirmwareStallSurfaces(t *testing.T) {
 	const stall = 2 * sim.Millisecond
 	for _, passthrough := range []bool{false, true} {
 		r := newTolerantRig(t, 2, 1, pol)
-		r.eng.After(20*sim.Millisecond, func() {
+		r.eng.Schedule(20*sim.Millisecond, func() {
 			r.k.SSDs[0].StallSubmissionQueues(stall)
 		})
 		res := runOne(r, JobSpec{

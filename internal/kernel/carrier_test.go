@@ -248,7 +248,7 @@ func TestManagedOutcomesReachCaller(t *testing.T) {
 		{name: "transient-then-retry", pol: DefaultTimeoutPolicy(),
 			fault: func(r *rig) {
 				r.k.SSDs[0].SetTransientErrorRate(1.0)
-				r.eng.After(100*sim.Microsecond, func() { r.k.SSDs[0].SetTransientErrorRate(0) })
+				r.eng.Schedule(100*sim.Microsecond, func() { r.k.SSDs[0].SetTransientErrorRate(0) })
 			},
 			status: nvme.StatusSuccess, retries: 1},
 		{name: "timeout-exhausted", pol: fast,
@@ -276,7 +276,7 @@ func TestManagedOutcomesReachCaller(t *testing.T) {
 				r.k.SetCoalescing(p.coalesce)
 				var got []Completion
 				var deliveredAt sim.Time
-				r.eng.At(submitAt, func() {
+				r.eng.ScheduleAt(submitAt, func() {
 					tc.fault(r)
 					r.k.SubmitIO(1, 0, nvme.Command{Op: nvme.OpRead, LBA: 1}, func(c Completion) {
 						got = append(got, c)
@@ -453,11 +453,11 @@ func TestDroppedAttemptReleasedOnce(t *testing.T) {
 			start := r.eng.Now()
 			for _, f := range tc.faults {
 				f := f
-				r.eng.At(start.Add(f.at), func() { f.run(ssd) })
+				r.eng.ScheduleAt(start.Add(f.at), func() { f.run(ssd) })
 			}
 			var got []Completion
 			onDone := func(c Completion) { got = append(got, c) }
-			r.eng.At(start, func() {
+			r.eng.ScheduleAt(start, func() {
 				r.k.SubmitIO(1, 0, nvme.Command{Op: nvme.OpRead, LBA: 1}, onDone)
 			})
 
@@ -559,16 +559,16 @@ func FuzzCarrierLifetime(f *testing.F) {
 			from, d := at(), span()
 			switch rnd.Intn(3) {
 			case 0:
-				r.eng.At(from, func() { ssd.SetOffline(true) })
-				r.eng.At(from.Add(d), func() { ssd.SetOffline(false) })
+				r.eng.ScheduleAt(from, func() { ssd.SetOffline(true) })
+				r.eng.ScheduleAt(from.Add(d), func() { ssd.SetOffline(false) })
 			case 1:
-				r.eng.At(from, func() { ssd.StallSubmissionQueues(d) })
+				r.eng.ScheduleAt(from, func() { ssd.StallSubmissionQueues(d) })
 			default:
-				r.eng.At(from, func() { ssd.SetTransientErrorRate(1) })
-				r.eng.At(from.Add(d), func() { ssd.SetTransientErrorRate(0) })
+				r.eng.ScheduleAt(from, func() { ssd.SetTransientErrorRate(1) })
+				r.eng.ScheduleAt(from.Add(d), func() { ssd.SetTransientErrorRate(0) })
 			}
 		}
-		r.eng.At(sim.Time(window+sim.Millisecond), func() {
+		r.eng.ScheduleAt(sim.Time(window+sim.Millisecond), func() {
 			ssd.SetOffline(false)
 			ssd.SetTransientErrorRate(0)
 		})
@@ -604,7 +604,7 @@ func FuzzCarrierLifetime(f *testing.F) {
 					t.Fatalf("command %d: polled completion carries wake penalty %v", i, c.WakePenalty)
 				}
 			})
-			r.eng.At(submitAt, func() { r.k.SubmitIOTo(cpu, 0, cmd, check) })
+			r.eng.ScheduleAt(submitAt, func() { r.k.SubmitIOTo(cpu, 0, cmd, check) })
 		}
 		r.eng.RunUntil(sim.Time(200 * sim.Millisecond))
 

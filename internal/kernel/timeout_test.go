@@ -241,7 +241,7 @@ func TestTransientErrorsRetryWithoutAbort(t *testing.T) {
 	r := newTimeoutRig(t, pol)
 	r.k.SSDs[0].SetTransientErrorRate(1.0)
 	// Heal the device after the first attempt has failed.
-	r.eng.After(100*sim.Microsecond, func() { r.k.SSDs[0].SetTransientErrorRate(0) })
+	r.eng.Schedule(100*sim.Microsecond, func() { r.k.SSDs[0].SetTransientErrorRate(0) })
 
 	var comp Completion
 	got := false
@@ -499,7 +499,7 @@ func TestWriteRetryDropOutRecovery(t *testing.T) {
 		r := newTimeoutRig(t, pol)
 		r.k.SSDs[0].SetOffline(true)
 		// Back online while the retry ladder is still climbing.
-		r.eng.After(200*sim.Microsecond, func() { r.k.SSDs[0].SetOffline(false) })
+		r.eng.Schedule(200*sim.Microsecond, func() { r.k.SSDs[0].SetOffline(false) })
 
 		var comp Completion
 		got := false
@@ -535,7 +535,7 @@ func TestWriteRetryDropOutRecovery(t *testing.T) {
 		short.MaxRetries = 1
 		r := newTimeoutRig(t, short)
 		r.k.SSDs[0].SetOffline(true)
-		r.eng.After(5*sim.Millisecond, func() { r.k.SSDs[0].SetOffline(false) })
+		r.eng.Schedule(5*sim.Millisecond, func() { r.k.SSDs[0].SetOffline(false) })
 
 		var comp Completion
 		got := false

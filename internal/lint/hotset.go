@@ -13,9 +13,9 @@
 //     (package-path tail, receiver, name) so fixtures loaded with
 //     `-as repro/internal/sim` participate;
 //   - scheduler callers: any function with a call-graph edge to a
-//     scheduling primitive (sim.(Engine).Schedule/At/..., (Timer).Arm,
-//     sim.NewTicker, sched.(Task).Exec, sched.(CPU).Steal). Creation-site
-//     attribution folds a scheduled closure's callees into the function
+//     scheduling primitive (sim.(Engine).Schedule/ScheduleAt,
+//     (Timer).Arm/ArmAt, sim.NewTicker, sched.(Task).Exec,
+//     sched.(CPU).Steal). Creation-site attribution folds a scheduled closure's callees into the function
 //     that built the closure, so charging that function is the only way
 //     to see inside the callback. Constructors (New*/Start*/init) are
 //     exempt from this source: they arm timers once at setup, and their
@@ -84,9 +84,6 @@ var hotAnchors = []hotSpec{
 var hotSchedulers = []hotSpec{
 	{"sim", "Engine", "Schedule"},
 	{"sim", "Engine", "ScheduleAt"},
-	{"sim", "Engine", "At"},
-	{"sim", "Engine", "After"},
-	{"sim", "Engine", "Reschedule"},
 	{"sim", "Timer", "Arm"},
 	{"sim", "Timer", "ArmAt"},
 	{"sim", "", "NewTicker"},

@@ -12,10 +12,9 @@ type Engine struct{ now Time }
 // Step is a hot-set anchor: the event loop itself.
 func (e *Engine) Step() bool { return false }
 
-// Schedule and After are scheduling primitives: a function that hands
-// either of them a callback becomes a hot root.
+// Schedule is a scheduling primitive: a function that hands it a
+// callback becomes a hot root.
 func (e *Engine) Schedule(d Duration, fn func()) {}
-func (e *Engine) After(d Duration, fn func())    {}
 
 // NewEngine exists to prove the constructor exemption: it references a
 // scheduling primitive but must NOT become a hot root, so the defer

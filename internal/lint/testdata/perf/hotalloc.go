@@ -14,7 +14,7 @@ func AllocHot(e *Engine, n int) {
 		_ = &payload{}
 	})
 	// A capture-free literal is a static function: no allocation.
-	e.After(1, func() { noop() })
+	e.Schedule(1, func() { noop() })
 }
 
 func allocCold() {

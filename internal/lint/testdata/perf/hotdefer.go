@@ -1,7 +1,7 @@
 package fixture
 
 func DeferHot(e *Engine) {
-	e.After(1, deferee)
+	e.Schedule(1, deferee)
 }
 
 func deferee() {

@@ -95,11 +95,6 @@ func (g Geometry) SlicesPerPage() int { return g.PageSize / g.SliceSize }
 // SlicesPerBlock reports how many host slices fit one block.
 func (g Geometry) SlicesPerBlock() int { return g.SlicesPerPage() * g.PagesPerBlock }
 
-// RawBytes reports the raw flash capacity.
-func (g Geometry) RawBytes() int64 {
-	return int64(g.Blocks()) * int64(g.PagesPerBlock) * int64(g.PageSize)
-}
-
 // Timing holds raw NAND and channel timings. The defaults are calibrated so
 // a 4 KiB random read costs ~20 µs inside the device; the NVMe controller
 // adds ~5 µs, matching the paper's 25 µs standalone read.

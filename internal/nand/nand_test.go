@@ -38,7 +38,7 @@ func TestGeometryValidate(t *testing.T) {
 
 func TestTableIGeometryCapacity(t *testing.T) {
 	g := TableIGeometry()
-	raw := g.RawBytes()
+	raw := int64(g.Blocks()) * int64(g.PagesPerBlock) * int64(g.PageSize)
 	// Must be near 1.03 TB raw for a 960 GB drive with ~7% OP.
 	if raw < 1000e9 || raw > 1100e9 {
 		t.Fatalf("raw capacity = %.1f GB, want ≈1030", float64(raw)/1e9)

@@ -65,25 +65,25 @@ func TestEveryCommandSettlesOnce(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		eng.At(sim.Time(i)*sim.Time(2*sim.Microsecond), func() { submit(i, Opcode(i%3)) })
+		eng.ScheduleAt(sim.Time(i)*sim.Time(2*sim.Microsecond), func() { submit(i, Opcode(i%3)) })
 	}
 	offline := func(from, to sim.Duration) {
-		eng.At(sim.Time(from), func() { c.SetOffline(true) })
-		eng.At(sim.Time(to), func() { c.SetOffline(false) })
+		eng.ScheduleAt(sim.Time(from), func() { c.SetOffline(true) })
+		eng.ScheduleAt(sim.Time(to), func() { c.SetOffline(false) })
 	}
 	offline(200*sim.Microsecond, 260*sim.Microsecond)
 	offline(600*sim.Microsecond, 605*sim.Microsecond)
-	eng.At(sim.Time(1000*sim.Microsecond), func() { c.StallSubmissionQueues(100 * sim.Microsecond) })
+	eng.ScheduleAt(sim.Time(1000*sim.Microsecond), func() { c.StallSubmissionQueues(100 * sim.Microsecond) })
 	offline(1050*sim.Microsecond, 1200*sim.Microsecond)
 	// The fetch-instant flips, on an idle fabric: the first is scheduled
 	// after its read's fetch event, the second before.
 	afterFetch, beforeFetch := n, n+1
-	eng.At(sim.Time(3*sim.Millisecond), func() {
+	eng.ScheduleAt(sim.Time(3*sim.Millisecond), func() {
 		submit(afterFetch, OpRead)
 		offline(3*sim.Millisecond+fd, 3100*sim.Microsecond)
 	})
 	offline(3200*sim.Microsecond+fd, 3300*sim.Microsecond)
-	eng.At(sim.Time(3200*sim.Microsecond), func() { submit(beforeFetch, OpRead) })
+	eng.ScheduleAt(sim.Time(3200*sim.Microsecond), func() { submit(beforeFetch, OpRead) })
 
 	before := c.Stats().DroppedCmds
 	eng.RunUntil(sim.Time(100 * sim.Millisecond))

@@ -77,7 +77,7 @@ func TestFetchInstantEventRunsBeforeMedia(t *testing.T) {
 	var res Result
 	c.Submit(Command{Op: OpRead, LBA: 9}, func(r Result) { res = r })
 	ranAt, readsBefore := sim.Time(-1), int64(-1)
-	eng.At(eng.Now().Add(fd), func() {
+	eng.ScheduleAt(eng.Now().Add(fd), func() {
 		ranAt, readsBefore = eng.Now(), c.Flash.Stats().HostReads
 		c.MarkBadLBA(9)
 	})
@@ -126,8 +126,8 @@ func TestControllerMixFingerprint(t *testing.T) {
 	cs[2].SetReadSlowdown(1.5)
 	cs[2].MarkBadLBA(17)
 	offline := func(from, to sim.Duration) {
-		eng.At(sim.Time(from), func() { cs[3].SetOffline(true) })
-		eng.At(sim.Time(to), func() { cs[3].SetOffline(false) })
+		eng.ScheduleAt(sim.Time(from), func() { cs[3].SetOffline(true) })
+		eng.ScheduleAt(sim.Time(to), func() { cs[3].SetOffline(false) })
 	}
 	offline(1*sim.Millisecond, 1300*sim.Microsecond)
 	offline(4*sim.Millisecond, 4050*sim.Microsecond)
@@ -163,7 +163,7 @@ func TestControllerMixFingerprint(t *testing.T) {
 		}
 		at := sim.Time(r.Int63n(16_000)) * sim.Time(500*sim.Nanosecond)
 		toggle := cmd.Op == OpRead && i%8 == 0
-		eng.At(at, func() {
+		eng.ScheduleAt(at, func() {
 			c.Submit(cmd, func(res Result) {
 				done++
 				if toggle && res.FetchedAt == at.Add(fd) {
@@ -187,7 +187,7 @@ func TestControllerMixFingerprint(t *testing.T) {
 				}
 			})
 			if toggle {
-				eng.At(at.Add(fd), func() { c.SetStormFactor(4 - c.stormSlow) })
+				eng.ScheduleAt(at.Add(fd), func() { c.SetStormFactor(4 - c.stormSlow) })
 			}
 		})
 	}

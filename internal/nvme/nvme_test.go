@@ -115,7 +115,7 @@ func TestNoSMARTFirmwareNeverBlocks(t *testing.T) {
 			}
 			n++
 			if n < 2000 {
-				eng.After(30*sim.Microsecond, issue)
+				eng.Schedule(30*sim.Microsecond, issue)
 			}
 		})
 	}
@@ -146,7 +146,7 @@ func TestIncrementalFirmwareTinyStalls(t *testing.T) {
 			}
 			n++
 			if n < 100000 {
-				eng.After(30*sim.Microsecond, issue)
+				eng.Schedule(30*sim.Microsecond, issue)
 			}
 		})
 	}

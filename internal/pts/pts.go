@@ -91,29 +91,6 @@ type Result struct {
 	Slope     float64
 }
 
-// Average reports the mean of the measurement window ending at SteadyAt
-// (or of the last window if steady state was not reached).
-func (r Result) Average(window int) float64 {
-	end := len(r.Rounds)
-	if r.Steady {
-		end = r.SteadyAt
-	}
-	start := end - window
-	if start < 0 {
-		start = 0
-	}
-	sum := 0.0
-	n := 0
-	for _, y := range r.Rounds[start:end] {
-		sum += y
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Run executes the measurement loop: measure(round) produces one round's
 // tracked value; rounds continue until the criteria hold or maxRounds is
 // hit. PTS-E requires at least Window rounds and allows up to 25 before

@@ -80,9 +80,6 @@ func TestRunStopsAtSteadyState(t *testing.T) {
 	if res.SteadyAt < 5 || res.SteadyAt > 9 {
 		t.Fatalf("steady at round %d", res.SteadyAt)
 	}
-	if got := res.Average(5); math.Abs(got-105) > 10 {
-		t.Fatalf("window average = %v", got)
-	}
 }
 
 func TestRunGivesUpAtMaxRounds(t *testing.T) {

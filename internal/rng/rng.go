@@ -179,26 +179,3 @@ func (r *Stream) LogNormalMean(mean, sigma float64) float64 {
 	mu := math.Log(mean) - sigma*sigma/2
 	return r.LogNormal(mu, sigma)
 }
-
-// Pareto returns a Pareto(alpha) draw with the given minimum xm.
-// Used for rare heavy-tail kernel noise.
-func (r *Stream) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Perm fills a permutation of [0, n) (Fisher–Yates).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -177,31 +176,6 @@ func TestLogNormalMeanTargetsMean(t *testing.T) {
 	}
 }
 
-func TestParetoMinimum(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 100000; i++ {
-		v := r.Pareto(10, 2)
-		if v < 10 {
-			t.Fatalf("Pareto(xm=10) returned %v < xm", v)
-		}
-	}
-}
-
-func TestParetoTailHeavierThanExp(t *testing.T) {
-	r := New(18)
-	const n = 200000
-	exceed := 0
-	for i := 0; i < n; i++ {
-		if r.Pareto(10, 1.5) > 200 {
-			exceed++
-		}
-	}
-	// P(X > 200) = (10/200)^1.5 ≈ 0.0112 → ≈ 2236 of 200k.
-	if exceed < 1800 || exceed > 2800 {
-		t.Fatalf("Pareto tail exceedances = %d, want ≈2236", exceed)
-	}
-}
-
 func TestBool(t *testing.T) {
 	r := New(19)
 	hits := 0
@@ -223,29 +197,5 @@ func TestUniform(t *testing.T) {
 		if v < 5 || v >= 8 {
 			t.Fatalf("Uniform(5,8) = %v out of range", v)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := New(seed)
-		p := r.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermZero(t *testing.T) {
-	if p := New(1).Perm(0); len(p) != 0 {
-		t.Fatalf("Perm(0) = %v", p)
 	}
 }

@@ -26,7 +26,7 @@ func TestMapMatchesSerial(t *testing.T) {
 		var total sim.Duration
 		for k := 0; k < 50; k++ {
 			d := sim.Duration(r.Intn(1000) + 1)
-			eng.After(d, func() { total += d })
+			eng.Schedule(d, func() { total += d })
 			eng.Run()
 		}
 		return fmt.Sprintf("job%d seed%d total%d now%d", i, seed, total, eng.Now())

@@ -77,7 +77,7 @@ func (io *ioThread) pumpQD1(serviceTime sim.Duration) {
 	var cycle func()
 	cycle = func() {
 		io.latencies = append(io.latencies, io.eng.Now().Sub(io.wakeAt))
-		io.eng.After(serviceTime, func() {
+		io.eng.Schedule(serviceTime, func() {
 			io.wakeAt = io.eng.Now()
 			io.task.Exec(io.burst, cycle)
 			io.s.Wake(io.task)

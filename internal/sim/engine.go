@@ -56,8 +56,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (t Time) String() string { return Duration(t).String() }
 
-// Event is a scheduled callback. The zero value is not usable; events are
-// created through Engine.At and Engine.After.
+// Event is a scheduled callback: a Schedule/ScheduleAt event drawn from
+// the engine's freelist, or the queue entry embedded in a Timer. The
+// zero value is not usable.
 type Event struct {
 	when Time
 	seq  uint64
@@ -65,18 +66,13 @@ type Event struct {
 	// tm marks a Timer's queue entry. Its (when, seq) is only a lower
 	// bound on the timer's real deadline, which the Timer itself holds;
 	// fn is the timer's callback, nil while it is disarmed.
-	tm *Timer //afalint:sticky -- set once by NewTimer; pooled events never carry one
+	tm *Timer //afalint:sticky -- set once by NewTimer; freelist events never carry one
 	// index says where the entry is queued: its heap index (>= 0),
 	// notQueued, inLane, or at or below wheelBase its wheel slab
-	// position. An int32 beside the three flags keeps Event at 40 bytes,
-	// so a Timer fits a 64-byte allocation; one padding byte is left.
-	index    int32
-	canceled bool
-	// pooled marks events created by Schedule/ScheduleAt: their pointers
-	// are never handed to callers, so after firing they return to the
-	// engine's freelist. At/After events are pinned — callers may retain
-	// them for Cancel/Reschedule — and are never recycled.
-	pooled bool
+	// position. An int32 beside the far flag keeps Event at 40 bytes,
+	// so a Timer fits a 64-byte allocation; three padding bytes are
+	// left.
+	index int32
 	// far marks an entry filed farSpan or more ahead of the clock: it
 	// sits in the far heap. A near entry sits in the wheel, or in the
 	// near heap when its wheel bucket was full.
@@ -90,12 +86,6 @@ const (
 	// wheelBase and below: a wheel entry at slab position wheelBase-index.
 	wheelBase = -3
 )
-
-// When reports the instant the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
 // a simulation is a single-threaded, deterministic computation.
@@ -117,7 +107,7 @@ type Engine struct {
 	now  Time
 	near []*Event // binary min-heap: near entries whose wheel bucket was full
 	far  []*Event // binary min-heap of entries filed >= farSpan ahead
-	lane *Event   // the min lane: one pooled event outside the queue, or nil
+	lane *Event   // the min lane: one Schedule/ScheduleAt event outside the queue, or nil
 	// wheel holds the other near entries, allocated on the first one
 	// filed; whead is its minimum entry (nil when empty) and wlen its
 	// size.
@@ -126,7 +116,6 @@ type Engine struct {
 	wlen    int
 	seq     uint64
 	stepped uint64
-	stopped bool
 	// free recycles fired Schedule/ScheduleAt events. A plain slice, not a
 	// sync.Pool: the engine is single-threaded and the determinism contract
 	// forbids any scheduler-dependent reuse order.
@@ -186,10 +175,11 @@ func (e *Engine) Steps() uint64 { return e.stepped }
 
 // DueNow reports whether a pending entry may be due at the current
 // instant: the lane event or a store head keyed at or before now. It is
-// conservative — a stale timer entry or canceled event keyed at now
-// counts — but never misses a live event due now. When it reports false,
-// a zero-delay Schedule would take the lane and fire next, so a callback
-// may run that step inline as its last action instead.
+// conservative — the stale entry of a re-armed or canceled timer keyed
+// at now counts — but never misses a live event due now. When it
+// reports false, a zero-delay Schedule would take the lane and fire
+// next, so a callback may run that step inline as its last action
+// instead.
 func (e *Engine) DueNow() bool {
 	now := e.now
 	return e.lane != nil && e.lane.when <= now ||
@@ -198,10 +188,9 @@ func (e *Engine) DueNow() bool {
 		len(e.far) > 0 && e.far[0].when <= now
 }
 
-// Pending reports the number of queue entries: live events plus entries
-// not yet discarded — canceled events and the stale queue entries of
-// re-armed or canceled timers, which are settled only when they reach
-// the head.
+// Pending reports the number of queue entries: live events plus the
+// stale entries of re-armed or canceled timers, which are settled only
+// when they reach the head.
 func (e *Engine) Pending() int {
 	n := len(e.near) + len(e.far) + e.wlen
 	if e.lane != nil {
@@ -210,32 +199,30 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// push enqueues an event, either recycled from the freelist (pooled) or
-// freshly allocated (pinned).
-func (e *Engine) push(t Time, fn func(), pooled bool) *Event {
+// push enqueues an event, recycled from the freelist or, on a miss,
+// freshly allocated.
+func (e *Engine) push(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	var ev *Event
-	if n := len(e.free); pooled && n > 0 {
+	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{} //afalint:allow hotalloc -- freelist miss or pinned event; pooled events amortize this across reuses
+		ev = &Event{} //afalint:allow hotalloc -- freelist miss; events amortize this across reuses
 	}
 	ev.when = t
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.canceled = false
-	ev.pooled = pooled
 	ev.far = false
 	ev.index = notQueued // until the lane or file below queues it
 	e.seq++
-	// A pooled event that sorts before the lane and all three queue
-	// heads takes the lane. Its seq is the newest, so it sorts before
-	// the lane event only at a strictly earlier instant.
-	if l := e.lane; pooled && (l == nil || t < l.when) &&
+	// An event that sorts before the lane and all three queue heads
+	// takes the lane. Its seq is the newest, so it sorts before the lane
+	// event only at a strictly earlier instant.
+	if l := e.lane; (l == nil || t < l.when) &&
 		(e.whead == nil || lessEv(ev, e.whead)) &&
 		(len(e.near) == 0 || lessEv(ev, e.near[0])) &&
 		(len(e.far) == 0 || lessEv(ev, e.far[0])) {
@@ -247,7 +234,6 @@ func (e *Engine) push(t Time, fn func(), pooled bool) *Event {
 	} else {
 		e.file(ev)
 	}
-	return ev
 }
 
 // file queues ev, which is in neither the lane nor the queue, by how
@@ -364,109 +350,51 @@ func (w *wheel) minFrom(s int) *Event {
 	return m
 }
 
-// dequeue takes a queued event out of the wheel, the lane or its heap.
+// dequeue takes a head — the lane event, the wheel head or a heap root —
+// out of the queue.
 func (e *Engine) dequeue(ev *Event) {
 	switch i := ev.index; {
 	case i <= wheelBase:
 		e.wheelRemove(ev)
 	case i == inLane:
 		e.lane = nil
-		ev.index = notQueued
 	default:
-		removeAt(e.heapOf(ev), int(i))
-		ev.index = notQueued
+		popRoot(e.heapOf(ev))
 	}
+	ev.index = notQueued
 }
 
-// At schedules fn to run at the absolute instant t. Scheduling in the past
-// panics: that is always a model bug. The returned event may be retained
-// for Cancel or Reschedule; use ScheduleAt when it won't be.
-func (e *Engine) At(t Time, fn func()) *Event {
-	return e.push(t, fn, false)
-}
-
-// After schedules fn to run d after the current instant. A negative d panics.
-func (e *Engine) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return e.push(e.now.Add(d), fn, false)
-}
-
-// Schedule is the fire-and-forget form of After: the event cannot be
-// canceled or rescheduled, which lets the engine recycle it after it fires
-// instead of allocating a fresh one per call. Per-I/O paths should prefer
-// it; the recycling is a plain per-engine freelist, so determinism is
-// unaffected.
+// Schedule runs fn d after the current instant; a negative d panics.
+// The event cannot be withdrawn — a deadline that may be canceled is a
+// Timer — so the engine recycles it once it fires: steady-state
+// scheduling allocates nothing, and the recycling is a plain per-engine
+// freelist, so determinism is unaffected.
 func (e *Engine) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	e.push(e.now.Add(d), fn, true)
+	e.push(e.now.Add(d), fn)
 }
 
-// ScheduleAt is the fire-and-forget form of At.
+// ScheduleAt runs fn at the absolute instant t, like Schedule. Scheduling
+// in the past panics: that is always a model bug.
 func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.push(t, fn, true)
-}
-
-// Cancel prevents a pending event from firing. Canceling an event that has
-// already fired or been canceled is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil {
-		return
-	}
-	queued := !ev.canceled && ev.index != notQueued
-	ev.canceled = true
-	if !queued {
-		return
-	}
-	e.dequeue(ev)
-	// Pooled pointers are never handed to callers, so a canceled pooled
-	// event can go straight back to the freelist. Pinned events keep fn:
-	// Reschedule on a canceled event re-arms with the same callback.
-	e.recycle(ev)
-}
-
-// recycle returns a pooled event that left the queue to the freelist,
-// dropping its closure so captured memory is not pinned until the slot's
-// next reuse. Pinned events are left alone.
-func (e *Engine) recycle(ev *Event) {
-	if ev.pooled {
-		ev.fn = nil
-		e.free = append(e.free, ev)
-	}
-}
-
-// Reschedule moves a pending event to a new absolute instant. If the event
-// already fired or was canceled, a fresh event is scheduled with the same
-// callback.
-func (e *Engine) Reschedule(ev *Event, t Time) *Event {
-	e.Cancel(ev)
-	return e.At(t, ev.fn)
+	e.push(t, fn)
 }
 
 // next settles the queue and returns the event that fires next without
 // removing it, or nil when nothing is pending. The candidate is the
 // smallest-keyed of the wheel, near heap and far heap heads. Settling
-// discards canceled events and disarmed timer entries and re-keys a
-// stale timer entry to its timer's real deadline — sifted down inside
-// its heap, or re-filed, possibly into the far heap, from the wheel —
-// until the candidate's key is exact; since every queued key is at
-// least its store's head key and at most its event's real one, the
-// smaller of the candidate and the lane is then the true (when, seq)
-// minimum. The lane is returned without settling when it sorts before
-// the candidate's key.
+// discards disarmed timer entries and re-keys a stale timer entry to
+// its timer's real deadline — sifted down inside its heap, or re-filed,
+// possibly into the far heap, from the wheel — until the candidate's
+// key is exact; since every queued key is at least its store's head
+// key and at most its event's real one, the smaller of the candidate
+// and the lane is then the true (when, seq) minimum. The lane is
+// returned without settling when it sorts before the candidate's key.
 func (e *Engine) next() *Event {
 	for {
 		l := e.lane
-		if l != nil && l.canceled {
-			// A tombstone Cancel's fast path missed (marked directly).
-			e.lane = nil
-			l.index = notQueued
-			e.recycle(l)
-			continue
-		}
 		h := e.whead
 		if len(e.near) > 0 && (h == nil || lessEv(e.near[0], h)) {
 			h = e.near[0]
@@ -480,30 +408,25 @@ func (e *Engine) next() *Event {
 		if l != nil && lessEv(l, h) {
 			return l
 		}
-		if tm := h.tm; tm != nil {
-			switch {
-			case h.fn == nil:
-				e.dequeue(h)
-			case h.seq != tm.seq:
-				if h.index <= wheelBase {
-					e.wheelRemove(h)
-					h.when, h.seq = tm.at, tm.seq
-					e.file(h)
-				} else {
-					h.when, h.seq = tm.at, tm.seq
-					siftDown(*e.heapOf(h), 0)
-				}
-			default:
-				return h
-			}
-			continue
+		tm := h.tm
+		if tm == nil {
+			return h
 		}
-		if h.canceled {
+		switch {
+		case h.fn == nil:
 			e.dequeue(h)
-			e.recycle(h)
-			continue
+		case h.seq != tm.seq:
+			if h.index <= wheelBase {
+				e.wheelRemove(h)
+				h.when, h.seq = tm.at, tm.seq
+				e.file(h)
+			} else {
+				h.when, h.seq = tm.at, tm.seq
+				siftDown(*e.heapOf(h), 0)
+			}
+		default:
+			return h
 		}
-		return h
 	}
 }
 
@@ -515,11 +438,12 @@ func (e *Engine) fire(ev *Event) {
 	}
 	e.now = ev.when
 	e.stepped++
+	// Dropping fn disarms a timer while its callback runs, and keeps a
+	// freelist event from pinning its closure's captures until reuse.
 	fn := ev.fn
-	if ev.tm != nil {
-		ev.fn = nil // the timer is disarmed while its callback runs
-	} else {
-		e.recycle(ev)
+	ev.fn = nil
+	if ev.tm == nil {
+		e.free = append(e.free, ev)
 	}
 	fn()
 }
@@ -534,33 +458,26 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty or Stop is called.
+// Run fires events until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to t.
-// Events scheduled at exactly t do fire. A Stop leaves the clock at the
-// last fired event, so the events still due by t can fire later.
+// Events scheduled at exactly t do fire.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		ev := e.next()
 		if ev == nil || ev.when > t {
 			break
 		}
 		e.fire(ev)
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 	}
 }
-
-// Stop makes the current Run or RunUntil return after the in-flight event
-// callback completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Timer is a reusable cancelable event for callers that keep at most one
 // deadline outstanding at a time (a CPU's burst completion, a ticker's
@@ -577,9 +494,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // heap entry stays in the heap it was filed in across re-arms; a wheel
 // entry re-keyed at the head is filed again by its new deadline, as is
 // a fresh arm after the entry left the queue. Each arm draws a fresh seq
-// exactly as a fresh event would, so fire order is that of a
-// cancel-and-reschedule. The zero value is not usable; create through
-// Engine.NewTimer.
+// exactly as a Schedule would, so a timer fires where an event
+// scheduled by the same call would. The zero value is not usable;
+// create through Engine.NewTimer.
 type Timer struct {
 	eng *Engine
 	ev  Event  // the queue entry (ev.index == notQueued when not queued) and callback
@@ -676,11 +593,10 @@ func siftUp(q []*Event, i int) {
 	ev.index = int32(i)
 }
 
-// siftDown restores heap order below i; it reports whether i moved.
-func siftDown(q []*Event, i int) bool {
+// siftDown restores heap order below i.
+func siftDown(q []*Event, i int) {
 	n := len(q)
 	ev := q[i]
-	start := i
 	for {
 		left := 2*i + 1
 		if left >= n {
@@ -701,24 +617,19 @@ func siftDown(q []*Event, i int) bool {
 	}
 	q[i] = ev
 	ev.index = int32(i)
-	return i > start
 }
 
-// removeAt removes the event at index i of the heap *hp: the root when
-// it fires or is settled, any entry on Engine.Cancel's fast path (so a
-// canceled event costs O(log n) now instead of a dead tombstone later).
-func removeAt(hp *[]*Event, i int) {
+// popRoot removes the root of the heap *hp, the entry that fires or is
+// settled: the last entry takes its place and sifts down.
+func popRoot(hp *[]*Event) {
 	q := *hp
 	n := len(q) - 1
-	moved := q[n]
+	last := q[n]
 	q[n] = nil
 	q = q[:n]
 	*hp = q
-	if i != n {
-		q[i] = moved
-		moved.index = int32(i)
-		if !siftDown(q, i) {
-			siftUp(q, i)
-		}
+	if n > 0 {
+		q[0] = last
+		siftDown(q, 0)
 	}
 }

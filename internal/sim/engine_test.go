@@ -18,9 +18,9 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.After(30*Microsecond, func() { got = append(got, 3) })
-	e.After(10*Microsecond, func() { got = append(got, 1) })
-	e.After(20*Microsecond, func() { got = append(got, 2) })
+	e.Schedule(30*Microsecond, func() { got = append(got, 3) })
+	e.Schedule(10*Microsecond, func() { got = append(got, 1) })
+	e.Schedule(20*Microsecond, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -38,7 +38,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(Time(5*Microsecond), func() { got = append(got, i) })
+		e.ScheduleAt(Time(5*Microsecond), func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := range got {
@@ -50,14 +50,14 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.After(10*Microsecond, func() {})
+	e.Schedule(10*Microsecond, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(Time(5*Microsecond), func() {})
+	e.ScheduleAt(Time(5*Microsecond), func() {})
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -67,79 +67,14 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.After(10*Microsecond, func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-	// Canceling twice, or canceling nil, must be harmless.
-	e.Cancel(ev)
-	e.Cancel(nil)
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	evs := make([]*Event, 20)
-	for i := 0; i < 20; i++ {
-		i := i
-		evs[i] = e.After(Duration(i+1)*Microsecond, func() { got = append(got, i) })
-	}
-	for i := 0; i < 20; i += 2 {
-		e.Cancel(evs[i])
-	}
-	e.Run()
-	if len(got) != 10 {
-		t.Fatalf("got %d events, want 10", len(got))
-	}
-	for _, v := range got {
-		if v%2 == 0 {
-			t.Fatalf("canceled event %d fired", v)
-		}
-	}
-}
-
-func TestReschedule(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	ev := e.After(10*Microsecond, func() { at = e.Now() })
-	e.Reschedule(ev, Time(50*Microsecond))
-	e.Run()
-	if at != Time(50*Microsecond) {
-		t.Fatalf("rescheduled event fired at %v, want 50µs", at)
-	}
-}
-
-func TestRescheduleFiredEvent(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	ev := e.After(10*Microsecond, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("n = %d, want 1", n)
-	}
-	e.Reschedule(ev, Time(20*Microsecond))
-	e.Run()
-	if n != 2 {
-		t.Fatalf("rescheduling a fired event should schedule fresh; n = %d, want 2", n)
-	}
+	e.Schedule(-1, func() {})
 }
 
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	for i := 1; i <= 5; i++ {
-		e.After(Duration(i)*Millisecond, func() { got = append(got, e.Now()) })
+		e.Schedule(Duration(i)*Millisecond, func() { got = append(got, e.Now()) })
 	}
 	e.RunUntil(Time(3 * Millisecond))
 	if len(got) != 3 {
@@ -161,28 +96,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	for i := 1; i <= 10; i++ {
-		e.After(Duration(i)*Microsecond, func() {
-			n++
-			if n == 4 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if n != 4 {
-		t.Fatalf("Run continued after Stop: n = %d, want 4", n)
-	}
-	// Run again resumes.
-	e.Run()
-	if n != 10 {
-		t.Fatalf("second Run: n = %d, want 10", n)
-	}
-}
-
 func TestEventsScheduledDuringRun(t *testing.T) {
 	e := NewEngine()
 	depth := 0
@@ -190,10 +103,10 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	rec = func() {
 		depth++
 		if depth < 100 {
-			e.After(Microsecond, rec)
+			e.Schedule(Microsecond, rec)
 		}
 	}
-	e.After(Microsecond, rec)
+	e.Schedule(Microsecond, rec)
 	e.Run()
 	if depth != 100 {
 		t.Fatalf("chained depth = %d, want 100", depth)
@@ -206,7 +119,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestStepsCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.After(Microsecond, func() {})
+		e.Schedule(Microsecond, func() {})
 	}
 	e.Run()
 	if e.Steps() != 7 {
@@ -226,7 +139,7 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 			if Time(dd) > maxT {
 				maxT = Time(dd)
 			}
-			e.After(dd, func() { fired = append(fired, e.Now()) })
+			e.Schedule(dd, func() { fired = append(fired, e.Now()) })
 		}
 		e.Run()
 		for i := 1; i < len(fired); i++ {
@@ -338,52 +251,6 @@ func TestTickerBadPeriodPanics(t *testing.T) {
 	NewTicker(e, 0, func(Time) {})
 }
 
-// TestRunUntilDrainsCanceledHeadPastT pins RunUntil's tombstone-drain
-// contract: a canceled event at the head of the queue is discarded even
-// when its timestamp lies beyond t, and the clock still lands exactly on
-// t. Cancel normally removes events eagerly, so the tombstone is built
-// white-box — the drain branch must keep working if a future Cancel
-// strategy leaves canceled events queued.
-func TestRunUntilDrainsCanceledHeadPastT(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(Time(50*Microsecond), func() { fired = true })
-	ev.canceled = true // white-box tombstone: still queued, head of heap
-
-	e.RunUntil(Time(20 * Microsecond))
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0 (tombstone not drained)", e.Pending())
-	}
-	if e.Now() != Time(20*Microsecond) {
-		t.Fatalf("Now() = %v, want 20µs", e.Now())
-	}
-}
-
-// TestRunUntilDrainsTombstoneBeforeLiveEvent: the tombstone drain only
-// discards canceled heads — a live event beyond t stays queued.
-func TestRunUntilDrainsTombstoneBeforeLiveEvent(t *testing.T) {
-	e := NewEngine()
-	ev := e.At(Time(50*Microsecond), func() {})
-	ev.canceled = true // white-box tombstone at the head
-	liveFired := false
-	e.At(Time(60*Microsecond), func() { liveFired = true })
-
-	e.RunUntil(Time(20 * Microsecond))
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1 (live event must survive)", e.Pending())
-	}
-	if e.Now() != Time(20*Microsecond) {
-		t.Fatalf("Now() = %v, want 20µs", e.Now())
-	}
-	e.Run()
-	if !liveFired {
-		t.Fatal("live event behind the tombstone never fired")
-	}
-}
-
 // TestTimerArmAtCurrentInstantFIFO: arming a timer at the current
 // instant assigns a fresh sequence number, so it fires after events
 // already queued at that same instant — the (when, seq) FIFO contract
@@ -392,7 +259,7 @@ func TestTimerArmAtCurrentInstantFIFO(t *testing.T) {
 	e := NewEngine()
 	tm := e.NewTimer()
 	var got []string
-	e.At(Time(10*Microsecond), func() {
+	e.ScheduleAt(Time(10*Microsecond), func() {
 		e.ScheduleAt(e.Now(), func() { got = append(got, "event") })
 		tm.ArmAt(e.Now(), func() { got = append(got, "timer") })
 	})
@@ -411,7 +278,7 @@ func TestTimerRearmAtNowSupersedesOldDeadline(t *testing.T) {
 	tm := e.NewTimer()
 	var got []string
 	tm.ArmAt(Time(100*Microsecond), func() { got = append(got, "stale") })
-	e.At(Time(10*Microsecond), func() {
+	e.ScheduleAt(Time(10*Microsecond), func() {
 		e.ScheduleAt(e.Now(), func() { got = append(got, "first") })
 		tm.ArmAt(e.Now(), func() { got = append(got, "rearmed") })
 	})
@@ -428,10 +295,10 @@ func TestTimerRearmAtNowSupersedesOldDeadline(t *testing.T) {
 }
 
 // TestPooledRecycleClearsFn is a white-box check of the freelist's
-// state-integrity contract (afalint resetcover/poolescape):
-// every path that returns a pooled event to e.free must drop the fn
-// closure reference first, so captured memory is not pinned until the
-// next reuse, and push must reinitialize every field on reacquisition.
+// state-integrity contract (afalint resetcover/poolescape): fire must
+// drop a recycled event's fn closure reference before it returns the
+// event to e.free, so captured memory is not pinned until the next
+// reuse, and push must reinitialize every field on reacquisition.
 func TestPooledRecycleClearsFn(t *testing.T) {
 	t.Run("fired", func(t *testing.T) {
 		e := NewEngine()
@@ -447,63 +314,25 @@ func TestPooledRecycleClearsFn(t *testing.T) {
 			t.Error("fired pooled event kept its fn reference on the freelist")
 		}
 	})
-	t.Run("canceled", func(t *testing.T) {
-		e := NewEngine()
-		// Pooled pointers are never handed out by the public API, so
-		// reach the tombstone path directly through push.
-		ev := e.push(5, func() {}, true)
-		e.Cancel(ev)
-		if n := len(e.free); n != 1 {
-			t.Fatalf("freelist has %d events after cancel, want 1", n)
-		}
-		if ev.fn != nil {
-			t.Error("canceled pooled event kept its fn reference on the freelist")
-		}
-		if e.Pending() != 0 {
-			t.Errorf("queue still holds %d events after cancel", e.Pending())
-		}
-	})
-	t.Run("tombstone in Step", func(t *testing.T) {
-		e := NewEngine()
-		ev := e.push(5, func() {}, true)
-		ev.canceled = true // simulate a tombstone Cancel's fast path missed
-		if e.Step() {
-			t.Fatal("Step fired a canceled event")
-		}
-		if n := len(e.free); n != 1 {
-			t.Fatalf("freelist has %d events after tombstone drain, want 1", n)
-		}
-		if ev.fn != nil {
-			t.Error("drained tombstone kept its fn reference on the freelist")
-		}
-	})
-	t.Run("tombstone in RunUntil", func(t *testing.T) {
-		e := NewEngine()
-		ev := e.push(5, func() {}, true)
-		ev.canceled = true
-		e.RunUntil(10)
-		if n := len(e.free); n != 1 {
-			t.Fatalf("freelist has %d events after tombstone drain, want 1", n)
-		}
-		if ev.fn != nil {
-			t.Error("drained tombstone kept its fn reference on the freelist")
-		}
-		if e.Now() != 10 {
-			t.Errorf("clock at %v after RunUntil(10)", e.Now())
-		}
-	})
 	t.Run("reacquire reinitializes", func(t *testing.T) {
 		e := NewEngine()
-		ev := e.push(5, func() {}, true)
-		e.Cancel(ev)
-		ev2 := e.push(7, func() {}, true)
-		if ev2 != ev {
+		// Behind the timer's wheel entry the event files into the far
+		// heap, so it leaves through a fire with far set.
+		e.NewTimer().ArmAt(1, func() {})
+		e.ScheduleAt(Time(farSpan), func() {})
+		ev := e.far[0]
+		e.Run()
+		if n := len(e.free); n != 1 || e.free[0] != ev || !ev.far {
+			t.Fatalf("freelist %v after the far event fired, want [%p] with far set", e.free, ev)
+		}
+		e.Schedule(7, func() {})
+		// The queue is empty, so the reacquired event takes the min lane.
+		if e.lane != ev {
 			t.Fatal("freelist did not hand back the recycled event")
 		}
-		// The queue is empty, so the reacquired event takes the min lane.
-		if ev2.when != 7 || ev2.canceled || !ev2.pooled || ev2.fn == nil || ev2.index != inLane {
-			t.Errorf("recycled event not fully reinitialized: when=%v canceled=%v pooled=%v fn-nil=%v index=%d",
-				ev2.when, ev2.canceled, ev2.pooled, ev2.fn == nil, ev2.index)
+		if ev.when != Time(farSpan).Add(7) || ev.seq != 2 || ev.far || ev.fn == nil || ev.index != inLane {
+			t.Errorf("recycled event not fully reinitialized: when=%v seq=%d far=%v fn-nil=%v index=%d",
+				ev.when, ev.seq, ev.far, ev.fn == nil, ev.index)
 		}
 	})
 }

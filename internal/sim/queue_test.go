@@ -11,27 +11,22 @@ import (
 // lockstep through random mixes of every scheduling operation. The model
 // is a plain list of live callbacks; the next one to fire is the (when,
 // seq) minimum, with seq drawn exactly where the engine draws it (one per
-// push, arm or reschedule). Each firing callback checks that it is the
-// model's minimum, then performs more random operations from inside the
-// run, so zero-delay hand-offs, same-instant re-arms and lane demotions
-// all happen mid-step as they do in the simulator. About a third of the
-// delays straddle farSpan, so wheel and far-heap entries interleave in
-// time and timers re-arm across the split; many more collide in one
-// 64 ns wheel slot, so buckets overflow into the near (spill) heap; some
-// land on slot boundaries, at exactly now+farSpan-1, or anywhere in the
-// window, so the ring is sparse and wraps many times over a run.
+// Schedule, ScheduleAt or timer arm). Each firing callback checks that it
+// is the model's minimum, then performs more random operations from
+// inside the run, so zero-delay hand-offs, same-instant re-arms and lane
+// demotions all happen mid-step as they do in the simulator. About a
+// third of the delays straddle farSpan, so wheel and far-heap entries
+// interleave in time and timers re-arm across the split; many more
+// collide in one 64 ns wheel slot, so buckets overflow into the near
+// (spill) heap; some land on slot boundaries, at exactly
+// now+farSpan-1, or anywhere in the window, so the ring is sparse and
+// wraps many times over a run.
 
 type refEvent struct {
 	when  Time
 	seq   uint64
 	id    int
 	timer int // index into queueHarness.timers, -1 for plain events
-}
-
-type pinnedRef struct {
-	ev  *Event
-	ref *refEvent // nil once fired or canceled
-	id  int       // the callback's id, kept across Reschedule
 }
 
 type queueHarness struct {
@@ -41,15 +36,10 @@ type queueHarness struct {
 	now    Time
 	seq    uint64
 	live   []*refEvent
-	pinned []*pinnedRef
 	timers []*Timer
 	tref   []*refEvent // each timer's live deadline, nil when disarmed
 	nextID int
 	fired  int
-	// stopReq records that a callback called Stop during the current
-	// Run/RunUntil; budget, when positive, stops Run after that many fires.
-	stopReq bool
-	budget  int
 	// inWheel, inSpill and inFar count checks that found the wheel, the
 	// near (spill) heap and the far heap non-empty; dueLive counts checks
 	// that found a live event due at now.
@@ -65,12 +55,20 @@ func newQueueHarness(t *testing.T, seed uint64, timers int) *queueHarness {
 	return h
 }
 
+// maxLive bounds the live population. An op mix whose fires spawn
+// more than one event on average grows it without end; the bound makes
+// such a mix fail at once instead of running until the test times out.
+const maxLive = 5000
+
 // add records a new live callback at when and returns it; seq is drawn
 // here, in the same order as the engine's own draw.
 func (h *queueHarness) add(when Time, id, timer int) *refEvent {
 	ref := &refEvent{when: when, seq: h.seq, id: id, timer: timer}
 	h.seq++
 	h.live = append(h.live, ref)
+	if len(h.live) > maxLive {
+		h.t.Fatalf("live population passed %d: the op mix spawns more than one event per fire", maxLive)
+	}
 	return ref
 }
 
@@ -118,23 +116,12 @@ func (h *queueHarness) callback(id int) func() {
 		if m.timer >= 0 {
 			h.tref[m.timer] = nil
 		}
-		for _, p := range h.pinned {
-			if p.ref == m {
-				p.ref = nil
-			}
-		}
 		h.now = m.when
 		h.fired++
 		h.checkArmed()
 		h.checkDue("fire")
-		if h.budget > 0 {
-			if h.budget--; h.budget == 0 {
-				h.e.Stop()
-				h.stopReq = true
-			}
-		}
 		for k := h.r.Intn(3); k > 0; k-- {
-			h.op(true)
+			h.op()
 			h.checkDue("op in callback")
 		}
 	}
@@ -207,7 +194,10 @@ func (h *queueHarness) armTimer(i int, at Time, viaArm bool) {
 }
 
 // op performs one random operation on both the engine and the model.
-func (h *queueHarness) op(inCallback bool) {
+// Timer cancels outweigh arms so that, with the bursts, the live
+// population stays bounded: each fire runs one op on average, and the
+// ops spawn fewer than one event each.
+func (h *queueHarness) op() {
 	e := h.e
 	switch h.r.Intn(13) {
 	case 0:
@@ -220,56 +210,16 @@ func (h *queueHarness) op(inCallback bool) {
 		id := h.newID()
 		h.add(at, id, -1)
 		e.ScheduleAt(at, h.callback(id))
-	case 2, 3:
-		at := h.now.Add(h.delay())
-		id := h.newID()
-		ref := h.add(at, id, -1)
-		var ev *Event
-		if h.r.Bool(0.5) {
-			ev = e.At(at, h.callback(id))
-		} else {
-			ev = e.After(at.Sub(h.now), h.callback(id))
-		}
-		h.pinned = append(h.pinned, &pinnedRef{ev: ev, ref: ref, id: id})
-	case 4:
-		if len(h.pinned) == 0 {
-			return
-		}
-		p := h.pinned[h.r.Intn(len(h.pinned))]
-		if p.ref != nil {
-			h.kill(p.ref)
-			p.ref = nil
-		}
-		e.Cancel(p.ev)
-		if !p.ev.Canceled() {
-			h.t.Fatal("Canceled() = false after Cancel")
-		}
-	case 5:
-		if len(h.pinned) == 0 {
-			return
-		}
-		p := h.pinned[h.r.Intn(len(h.pinned))]
-		if p.ref != nil {
-			h.kill(p.ref)
-		}
-		at := h.now.Add(h.delay())
-		p.ref = h.add(at, p.id, -1)
-		p.ev = e.Reschedule(p.ev, at)
-	case 6, 7, 8:
+	case 2, 3, 4, 5:
 		i := h.r.Intn(len(h.timers))
 		h.armTimer(i, h.rearmTarget(i), h.r.Bool(0.5))
-	case 9, 10:
+	case 6, 7, 8, 9, 10, 11:
 		i := h.r.Intn(len(h.timers))
 		if ref := h.tref[i]; ref != nil {
 			h.kill(ref)
 			h.tref[i] = nil
 		}
 		h.timers[i].Cancel()
-	case 11:
-		if inCallback && h.r.Bool(0.2) {
-			e.Stop()
-			h.stopReq = true
-		}
 	case 12:
 		// A burst into one 64 ns slot, more than a bucket holds, so the
 		// overflow spills into the near heap.
@@ -438,7 +388,7 @@ func (h *queueHarness) drive(n int) {
 	for i := 0; i < n; i++ {
 		switch h.r.Intn(8) {
 		case 0, 1, 2:
-			h.op(false)
+			h.op()
 			h.check("op")
 		case 3, 4:
 			want := len(h.live) > 0
@@ -450,26 +400,26 @@ func (h *queueHarness) drive(n int) {
 			// Often short of the next deadline, so a stale timer entry
 			// at the head past t is common.
 			t := h.now.Add(Duration(h.r.Intn(30)))
-			h.stopReq = false
 			h.e.RunUntil(t)
-			if !h.stopReq {
-				if m := h.min(); m != nil && m.when <= t {
-					h.t.Fatalf("RunUntil(%v) left callback %d due at %v", t, m.id, m.when)
-				}
-				if h.now < t {
-					h.now = t
-				}
+			if m := h.min(); m != nil && m.when <= t {
+				h.t.Fatalf("RunUntil(%v) left callback %d due at %v", t, m.id, m.when)
+			}
+			if h.now < t {
+				h.now = t
 			}
 			h.check("RunUntil")
 		case 7:
-			h.stopReq = false
-			h.budget = 1 + h.r.Intn(20)
-			h.e.Run()
-			if !h.stopReq && len(h.live) > 0 {
-				h.t.Fatalf("Run returned with %d live events and no Stop", len(h.live))
+			// A burst of Steps, stopping early once the queue drains.
+			for k := 1 + h.r.Intn(20); k > 0; k-- {
+				want := len(h.live) > 0
+				if got := h.e.Step(); got != want {
+					h.t.Fatalf("Step() = %v in a burst with %d live events", got, len(h.live))
+				}
+				if !want {
+					break
+				}
 			}
-			h.budget = 0
-			h.check("Run")
+			h.check("Step burst")
 		}
 	}
 	// Drain: every live callback still fires, in order.
@@ -488,11 +438,11 @@ func (h *queueHarness) drive(n int) {
 }
 
 // TestQueueMatchesReferenceOrder is the differential property test of
-// the queue: over random mixes of Schedule, ScheduleAt, At, After,
-// Cancel, Reschedule, Stop and Timer Arm/ArmAt/Cancel with earlier,
-// later and same-instant re-arms, driven through Step, RunUntil and Run,
-// the engine fires callbacks in exactly the reference (when, seq) order
-// and agrees with the model on Now() and every timer's Armed().
+// the queue: over random mixes of Schedule, ScheduleAt and Timer
+// Arm/ArmAt/Cancel with earlier, later and same-instant re-arms, driven
+// through Step, Step bursts and RunUntil, the engine fires callbacks in
+// exactly the reference (when, seq) order and agrees with the model on
+// Now() and every timer's Armed().
 func TestQueueMatchesReferenceOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		h := newQueueHarness(t, seed, 1+int(seed%6))
@@ -562,8 +512,8 @@ func TestTimerSize(t *testing.T) {
 
 // TestEventSize: Event is the pooled carrier of every Schedule and the
 // entry embedded in every Timer, so its size shows in allocated bytes per
-// I/O. The three flags share the padding after index; one padding byte
-// is left for ROADMAP item 2's per-layer tag.
+// I/O. The far flag shares the padding after index; three padding bytes
+// are left for ROADMAP item 2's per-layer tag.
 func TestEventSize(t *testing.T) {
 	if s := unsafe.Sizeof(Event{}); s != 40 {
 		t.Fatalf("Event is %d bytes, want 40", s)
@@ -616,7 +566,8 @@ func TestMinLaneDemotion(t *testing.T) {
 		t.Fatal("earlier pooled event did not demote the lane into the wheel")
 	}
 	e.ScheduleAt(20, func() { got = append(got, 21) }) // same instant: the wheel, behind the lane
-	e.At(10, func() { got = append(got, 10) })
+	// A timer entry never takes the lane: it files into the wheel.
+	e.NewTimer().ArmAt(10, func() { got = append(got, 10) })
 	e.Run()
 	if len(got) != 4 || got[0] != 10 || got[1] != 20 || got[2] != 21 || got[3] != 30 {
 		t.Fatalf("fire order %v, want [10 20 21 30]", got)
@@ -624,7 +575,7 @@ func TestMinLaneDemotion(t *testing.T) {
 	// A pooled event due after the wheel head files behind it instead of
 	// taking the empty lane.
 	e = NewEngine()
-	e.At(10, func() {})
+	e.NewTimer().ArmAt(10, func() {})
 	e.ScheduleAt(20, func() {})
 	if e.lane != nil || e.wlen != 2 {
 		t.Fatalf("pooled event behind the wheel head: lane %v, wlen %d; want no lane, 2", e.lane, e.wlen)
@@ -637,6 +588,8 @@ func TestMinLaneDemotion(t *testing.T) {
 // is later; once the last entry due now has fired, it reports false.
 func TestDueNowSeesEveryStore(t *testing.T) {
 	noop := func() {}
+	// at files fn at when through a fresh timer, which never takes the lane.
+	at := func(e *Engine, when Time, fn func()) { e.NewTimer().ArmAt(when, fn) }
 	// expectDue checks that the case put its entry where it meant to, and
 	// that DueNow sees it there.
 	expectDue := func(name string, e *Engine, where func() bool) {
@@ -658,9 +611,9 @@ func TestDueNowSeesEveryStore(t *testing.T) {
 		t.Fatal("lane: DueNow() = true after the only event fired")
 	}
 
-	// The wheel: a pinned event never takes the lane.
+	// The wheel: a timer entry never takes the lane.
 	e = NewEngine()
-	e.At(0, noop)
+	at(e, 0, noop)
 	expectDue("wheel", e, func() bool { return e.lane == nil && e.whead != nil && e.whead.when == 0 })
 	e.Step()
 	if e.DueNow() {
@@ -671,9 +624,9 @@ func TestDueNowSeesEveryStore(t *testing.T) {
 	// now spills, and the wheel head is not due.
 	e = NewEngine()
 	for k := 1; k <= bucketCap; k++ {
-		e.At(Time(k), noop)
+		at(e, Time(k), noop)
 	}
-	e.At(0, noop)
+	at(e, 0, noop)
 	expectDue("spill heap", e, func() bool {
 		return e.lane == nil && e.whead.when == 1 && len(e.near) == 1 && e.near[0].when == 0
 	})
@@ -686,13 +639,13 @@ func TestDueNowSeesEveryStore(t *testing.T) {
 	// fires, the second is due at now.
 	e = NewEngine()
 	var inFire, afterLast bool
-	e.At(Time(farSpan), func() {
+	at(e, Time(farSpan), func() {
 		expectDue("far heap", e, func() bool {
 			return e.lane == nil && e.whead == nil && len(e.near) == 0 && len(e.far) == 1
 		})
 		inFire = true
 	})
-	e.At(Time(farSpan), func() { afterLast = !e.DueNow() })
+	at(e, Time(farSpan), func() { afterLast = !e.DueNow() })
 	e.Run()
 	if !inFire || !afterLast {
 		t.Fatalf("far heap: checked in the first fire %v, DueNow() false in the last %v", inFire, afterLast)
@@ -704,7 +657,7 @@ func TestDueNowSeesEveryStore(t *testing.T) {
 	e = NewEngine()
 	tm := e.NewTimer()
 	var stale bool
-	e.At(10, func() { stale = e.DueNow() })
+	e.ScheduleAt(10, func() { stale = e.DueNow() })
 	tm.ArmAt(10, noop)
 	tm.ArmAt(80, noop)
 	e.Step()
@@ -717,24 +670,6 @@ func TestDueNowSeesEveryStore(t *testing.T) {
 	}
 }
 
-// TestStopInRunUntilKeepsClock: a Stop mid-RunUntil leaves the clock at
-// the stopping event, so events due by t stay in the future and fire on
-// the next run.
-func TestStopInRunUntilKeepsClock(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.At(10, func() { n++; e.Stop() })
-	e.At(20, func() { n++ })
-	e.RunUntil(100)
-	if n != 1 || e.Now() != 10 {
-		t.Fatalf("after stopped RunUntil: n=%d Now()=%v, want 1, 10ns", n, e.Now())
-	}
-	e.RunUntil(100)
-	if n != 2 || e.Now() != 100 {
-		t.Fatalf("after resumed RunUntil: n=%d Now()=%v, want 2, 100ns", n, e.Now())
-	}
-}
-
 // TestWheelBucketSpills: the wheel is allocated on the first near
 // filing, not before; a slot takes bucketCap entries and the rest of a
 // burst into it spill into the near heap; all of them still fire in
@@ -742,14 +677,16 @@ func TestStopInRunUntilKeepsClock(t *testing.T) {
 func TestWheelBucketSpills(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(Time(farSpan), func() { got = append(got, -1) })
+	// at files fn at when through a fresh timer, which never takes the lane.
+	at := func(when Time, fn func()) { e.NewTimer().ArmAt(when, fn) }
+	at(Time(farSpan), func() { got = append(got, -1) })
 	if e.wheel != nil {
 		t.Fatal("a far-only queue allocated the wheel")
 	}
 	// Instants 191, 190, ..., 184 all key slot 2; two share 187.
-	for i, at := range []Time{191, 190, 189, 188, 187, 187, 186, 185} {
+	for i, when := range []Time{191, 190, 189, 188, 187, 187, 186, 185} {
 		i := i
-		e.At(at, func() { got = append(got, i) })
+		at(when, func() { got = append(got, i) })
 	}
 	if e.wheel == nil || e.wlen != bucketCap || len(e.near) != 8-bucketCap || len(e.far) != 1 {
 		t.Fatalf("wlen=%d near=%d far=%d, want %d in the wheel, %d spilled, 1 far",

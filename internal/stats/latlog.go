@@ -27,18 +27,6 @@ func (l *LatLog) Add(at, latency int64) {
 // Samples returns the stored samples in completion order.
 func (l *LatLog) Samples() []Sample { return l.samples }
 
-// SpikesAbove returns the samples whose latency exceeds threshold,
-// preserving order. Used to locate the periodic SMART spikes of Fig 10.
-func (l *LatLog) SpikesAbove(threshold int64) []Sample {
-	var out []Sample
-	for _, s := range l.samples {
-		if s.Latency > threshold {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // SpikeClusters groups spike samples whose completion times are within gap
 // of the previous spike and reports the start time of each cluster. The
 // periodic SMART windows of Fig 10 show up as clusters at a fixed period.

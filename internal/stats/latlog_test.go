@@ -14,18 +14,6 @@ func TestLatLogBasics(t *testing.T) {
 	}
 }
 
-func TestSpikesAbove(t *testing.T) {
-	l := NewLatLog()
-	l.Add(1, 30)
-	l.Add(2, 600)
-	l.Add(3, 31)
-	l.Add(4, 550)
-	spikes := l.SpikesAbove(100)
-	if len(spikes) != 2 || spikes[0].At != 2 || spikes[1].At != 4 {
-		t.Fatalf("spikes = %v", spikes)
-	}
-}
-
 func TestSpikeClustersFindsPeriod(t *testing.T) {
 	// Synthetic Fig 10: background at 30, spike windows at t=1e9 and t=3e9,
 	// each window containing several consecutive spikes.

@@ -61,26 +61,3 @@ func TestHistogramResetRestoresConstructedState(t *testing.T) {
 		t.Errorf("Count() = %d after Reset+Record", h.Count())
 	}
 }
-
-// TestHistogramSetResetRestoresConstructedState covers the delegating
-// HistogramSet.Reset the same way: every element back to constructed
-// state, structure (length, element identity) untouched.
-func TestHistogramSetResetRestoresConstructedState(t *testing.T) {
-	s := NewHistogramSet(3)
-	for i := 0; i < s.Len(); i++ {
-		populateHistogram(t, s.Hist(i))
-	}
-	before := make([]*Histogram, s.Len())
-	for i := range before {
-		before[i] = s.Hist(i)
-	}
-	s.Reset()
-	if !reflect.DeepEqual(s, NewHistogramSet(3)) {
-		t.Error("HistogramSet.Reset does not restore the constructed state; compare field by field with TestHistogramResetRestoresConstructedState")
-	}
-	for i := 0; i < s.Len(); i++ {
-		if s.Hist(i) != before[i] {
-			t.Errorf("Reset replaced histogram %d instead of resetting it in place", i)
-		}
-	}
-}
