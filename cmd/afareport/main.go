@@ -123,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s.parallel = runner.DefaultParallel()
 	}
 	for _, r := range selected {
-		if err := r.emit(stdout, s); err != nil {
+		if err := r.emit(stdout, stderr, s); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -235,10 +235,16 @@ func (r report) String() string {
 // emit prints the entry's banner and report, its seed sweep when -seeds
 // asks for one, and, for everything but the tables, the wall-clock
 // cost. Wall time is the one number -parallel is allowed to change;
-// everything above that line is seed-determined.
-func (r report) emit(w io.Writer, s settings) error {
+// everything above that line is seed-determined. In the json and csv
+// formats the banner and the wall-clock line go to stderr, so w carries
+// nothing but the data.
+func (r report) emit(w, stderr io.Writer, s settings) error {
 	t0 := time.Now() //afalint:allow wallclock -- wall-clock cost banner, not simulated time
-	fmt.Fprintf(w, "\n=== %s ===\n", r.banner)
+	note := w
+	if s.format != "text" {
+		note = stderr
+	}
+	fmt.Fprintf(note, "\n=== %s ===\n", r.banner)
 	if err := r.run(w, s); err != nil {
 		return err
 	}
@@ -248,7 +254,7 @@ func (r report) emit(w io.Writer, s settings) error {
 		core.WriteComparisonTable(w, append(sweep, core.MergeSweep("pooled", sweep)))
 	}
 	if r.flag != "table" {
-		fmt.Fprintf(w, "[%v wall, parallel=%d]\n", time.Since(t0).Round(time.Millisecond), s.parallel) //afalint:allow wallclock -- wall-clock cost banner
+		fmt.Fprintf(note, "[%v wall, parallel=%d]\n", time.Since(t0).Round(time.Millisecond), s.parallel) //afalint:allow wallclock -- wall-clock cost banner
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -128,6 +129,38 @@ func TestRunRejectsStrayArgument(t *testing.T) {
 		}
 		if msg := stderr.String(); msg != "unexpected argument \"extra\"\n" {
 			t.Errorf("%q: stderr %q, want one line naming \"extra\"", args, msg)
+		}
+	}
+}
+
+// TestMachineFormatsKeepStdoutPure: with -format json or csv the
+// banner and the wall-clock line go to stderr, so stdout is the data
+// alone and a JSON decoder reads -fig 6 back as one distribution.
+func TestMachineFormatsKeepStdoutPure(t *testing.T) {
+	for _, format := range []string{"json", "csv"} {
+		var stdout, stderr strings.Builder
+		args := strings.Fields("-fig 6 -ssds 4 -runtime 20ms -parallel 1 -format " + format)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d: %s", format, code, stderr.String())
+		}
+		if out := stdout.String(); strings.Contains(out, "===") || strings.Contains(out, " wall, ") {
+			t.Errorf("%s: stdout carries a banner:\n%s", format, out)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "=== Fig 6:") || !strings.Contains(msg, " wall, parallel=1]") {
+			t.Errorf("%s: stderr %q, want the banner and the wall-clock line", format, msg)
+		}
+		if format != "json" {
+			continue
+		}
+		if !json.Valid([]byte(stdout.String())) {
+			t.Fatalf("json: stdout is not one JSON document:\n%s", stdout.String())
+		}
+		d, err := core.ReadDistributionJSON(strings.NewReader(stdout.String()))
+		if err != nil {
+			t.Fatalf("json: decoding stdout: %v", err)
+		}
+		if d.Config != "default" || len(d.Ladders) != 4 {
+			t.Errorf("json: decoded config %q with %d ladders, want default with 4", d.Config, len(d.Ladders))
 		}
 	}
 }

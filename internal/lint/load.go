@@ -9,6 +9,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -257,7 +258,11 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	return tp, nil
 }
 
-// goFilesIn lists the .go files directly inside dir, sorted.
+// goFilesIn lists the .go files directly inside dir that the go tool
+// builds for this platform with no extra tags, sorted: build.Default's
+// MatchFile applies //go:build lines and _GOOS/_GOARCH name suffixes,
+// so a file pair split by a tag (race/!race) loads as one file, not as
+// a redeclaration.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -265,7 +270,14 @@ func goFilesIn(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasPrefix(e.Name(), ".") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			names = append(names, e.Name())
 		}
 	}

@@ -77,3 +77,18 @@ func TestLoadDirMissingDirectory(t *testing.T) {
 		t.Fatal("want an error for a nonexistent directory")
 	}
 }
+
+// TestLoadDirHonoursBuildConstraints: a file pair that declares one
+// name under //go:build race and !race builds with the go tool, so it
+// must load as one package without type errors, holding only the file
+// a plain build selects.
+func TestLoadDirHonoursBuildConstraints(t *testing.T) {
+	p := loadFixture(t, "buildtags", "repro/internal/buildtags")
+	var names []string
+	for _, f := range p.Files {
+		names = append(names, filepath.Base(p.Fset.File(f.Pos()).Name()))
+	}
+	if len(names) != 1 || names[0] != "norace.go" {
+		t.Errorf("loaded %v, want [norace.go]", names)
+	}
+}

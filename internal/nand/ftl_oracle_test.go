@@ -247,7 +247,7 @@ func (d *refDevice) Precondition(frac float64) {
 
 func (d *refDevice) LogicalSlices() int64 {
 	twin := Device{Geom: d.geom}
-	return twin.LogicalSlices()
+	return twin.addressable()
 }
 
 // compareFTL fails the test unless dev and ref hold the same counters,

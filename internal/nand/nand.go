@@ -233,6 +233,8 @@ type Device struct {
 	// was taken of: tests may retime a device after construction.
 	lnReadPage   float64      //afalint:sticky -- derived from Timing
 	lnReadPageOf sim.Duration //afalint:sticky -- derived from Timing
+
+	logicalSlices int64 //afalint:sticky -- derived from Geom
 }
 
 // NewDevice builds a device in the FOB state.
@@ -251,6 +253,7 @@ func NewDevice(eng *sim.Engine, g Geometry, tm Timing, seed uint64) *Device {
 		factor := d.rnd.Uniform(1-s, 1+s)
 		d.Timing.ReadPage = sim.Duration(float64(tm.ReadPage) * factor)
 	}
+	d.logicalSlices = d.addressable()
 	d.reset()
 	return d
 }
@@ -314,11 +317,14 @@ func (d *Device) FOB() bool { return len(d.mapping) == 0 }
 // Stats returns a copy of the FTL counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// LogicalSlices reports the addressable host slice count: 93% of raw
-// (the modeled product's ~7% over-provisioning), further capped so the
-// spare area always exceeds the GC trigger threshold — otherwise a small
-// device could be logically over-subscribed and GC could never converge.
-func (d *Device) LogicalSlices() int64 {
+// LogicalSlices reports the addressable host slice count.
+func (d *Device) LogicalSlices() int64 { return d.logicalSlices }
+
+// addressable computes LogicalSlices from Geom: 93% of raw (the modeled
+// product's ~7% over-provisioning), further capped so the spare area
+// always exceeds the GC trigger threshold — otherwise a small device
+// could be logically over-subscribed and GC could never converge.
+func (d *Device) addressable() int64 {
 	raw := int64(d.Geom.Blocks()) * int64(d.Geom.SlicesPerBlock())
 	headroomBlocks := int64(d.freeBlockLow() + d.Geom.Dies() + 2)
 	byHeadroom := raw - headroomBlocks*int64(d.Geom.SlicesPerBlock())

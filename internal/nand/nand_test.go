@@ -317,6 +317,8 @@ func TestFormatFieldPolicy(t *testing.T) {
 		// Derived from Timing, not FTL state.
 		"lnReadPage":   "preserved",
 		"lnReadPageOf": "preserved",
+		// Derived from Geom.
+		"logicalSlices": "preserved",
 		// The FTL proper: back to FOB.
 		"mapping":  "restored",
 		"written":  "restored",
@@ -348,6 +350,7 @@ func TestFormatFieldPolicy(t *testing.T) {
 	preGeom, preTiming := d.Geom, d.Timing
 	preEng, preRnd := d.eng, d.rnd
 	preLn, preLnOf := d.lnReadPage, d.lnReadPageOf
+	preLogical := d.logicalSlices
 	if preStats.HostWrites == 0 || d.FOB() || preLnOf == 0 {
 		t.Fatalf("workload did not exercise the FTL: stats = %+v", preStats)
 	}
@@ -374,6 +377,9 @@ func TestFormatFieldPolicy(t *testing.T) {
 	}
 	if math.Float64bits(d.lnReadPage) != math.Float64bits(preLn) || d.lnReadPageOf != preLnOf {
 		t.Error("Format dropped the ln(ReadPage) cache")
+	}
+	if d.logicalSlices != preLogical || preLogical != d.addressable() {
+		t.Errorf("Format changed logicalSlices: %d -> %d", preLogical, d.logicalSlices)
 	}
 }
 

@@ -439,16 +439,13 @@ func (c *Controller) SetStormFactor(factor float64) {
 // fault stream, so enabling errors on one device never perturbs another.
 func (c *Controller) SetTransientErrorRate(p float64) { c.transientRate = p }
 
-// MarkBadLBA makes reads of the slice return StatusMediaError until
-// ClearBadLBA (or Format, which discards the medium state entirely).
+// MarkBadLBA makes reads of the slice return StatusMediaError until a
+// write rewrites it (or Format, which discards the medium state entirely).
 func (c *Controller) MarkBadLBA(lba int64) {
 	if !c.lbaBad(lba) {
 		c.badLBAs = append(c.badLBAs, lba)
 	}
 }
-
-// ClearBadLBA removes an injected media error.
-func (c *Controller) ClearBadLBA(lba int64) { c.healLBA(lba) }
 
 // lbaBad reports whether lba carries an injected media error. Linear scan
 // over the (tiny) injected set; see the badLBAs field comment.
@@ -479,9 +476,6 @@ func (c *Controller) healLBA(lba int64) {
 // mode the host-side timeout machinery exists for. Each lost command's
 // receiver gets a drop notice (Result.Dropped) instead.
 func (c *Controller) SetOffline(offline bool) { c.offline = offline }
-
-// Offline reports whether the device is currently dropped.
-func (c *Controller) Offline() bool { return c.offline }
 
 // StallSubmissionQueues models a firmware lockup: the controller stops
 // fetching SQEs for d. Commands already fetched proceed; newly submitted

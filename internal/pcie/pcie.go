@@ -272,21 +272,6 @@ func (f *Fabric) check(ssd int) {
 	}
 }
 
-// Backlogs reports, without reserving anything, how far in the future each
-// stage on the path to ssd is booked: the device link, its inter-switch
-// link, and the uplink. Diagnostic.
-func (f *Fabric) Backlogs(ssd int) (dev, isl, up sim.Duration) {
-	f.check(ssd)
-	now := f.eng.Now()
-	b := func(l *Link) sim.Duration {
-		if l.nextFree > now {
-			return l.nextFree.Sub(now)
-		}
-		return 0
-	}
-	return b(f.DevLinks[ssd]), b(f.InterSwitch[f.lowerOf[ssd]]), b(f.Uplink)
-}
-
 // RoundTripOverhead reports the fixed fabric latency added to one I/O
 // (request down + data/completion up), excluding serialization: the
 // paper's "+5 µs through the switches".

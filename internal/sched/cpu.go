@@ -79,9 +79,6 @@ func (c *CPU) HostsIOBound() bool {
 // ID reports the CPU number.
 func (c *CPU) ID() int { return c.id }
 
-// Curr reports the task currently on the CPU (nil when idle).
-func (c *CPU) Curr() *Task { return c.curr }
-
 // NrRunnable counts runnable tasks including the running one.
 func (c *CPU) NrRunnable() int {
 	n := len(c.cfs) + len(c.rt)

@@ -145,9 +145,6 @@ func (t *Task) State() State { return t.state }
 // CPU reports the CPU the task is running on (or last ran on; -1 if never).
 func (t *Task) CPU() int { return t.cpu }
 
-// VRuntime exposes the CFS virtual runtime, for tests and tracing.
-func (t *Task) VRuntime() sim.Duration { return t.vruntime }
-
 // RunTime reports total CPU time consumed.
 func (t *Task) RunTime() sim.Duration { return t.runTime }
 
