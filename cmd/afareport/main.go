@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 2018, "experiment seed")
 		ssds     = fs.Int("ssds", 64, "number of SSDs")
 		solo     = fs.Int("solo-runs", 8, "runs merged for the Fig 13(d) single-thread row (paper: 64)")
-		format   = fs.String("format", "text", "output format for figure data: text | json | csv")
+		format   = fs.String("format", "text", "output format for figure data: text | json | csv (json writes one document per figure, back to back)")
 		parallel = fs.Int("parallel", 0, "worker pool width for independent runs; 0 = one per CPU (results are byte-identical at any width)")
 		seeds    = fs.Int("seeds", 1, "seed-sweep width for single-config figures 6-9 and 11 (seed, seed+1, ...; appends a pooled row)")
 	)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -162,6 +163,31 @@ func TestMachineFormatsKeepStdoutPure(t *testing.T) {
 		if d.Config != "default" || len(d.Ladders) != 4 {
 			t.Errorf("json: decoded config %q with %d ladders, want default with 4", d.Config, len(d.Ladders))
 		}
+	}
+}
+
+// TestMultiFigureJSONIsAStream pins that -format json with several
+// figures writes one JSON document per figure, back to back: stdout is
+// a stream that a decoder loop reads, not one document.
+func TestMultiFigureJSONIsAStream(t *testing.T) {
+	var stdout, stderr strings.Builder
+	args := strings.Fields("-fig 6,12 -ssds 4 -runtime 20ms -parallel 1 -format json")
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	dec := json.NewDecoder(strings.NewReader(stdout.String()))
+	docs := 0
+	for {
+		var doc json.RawMessage
+		if err := dec.Decode(&doc); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("document %d: %v", docs+1, err)
+		}
+		docs++
+	}
+	if docs != 2 {
+		t.Fatalf("stdout holds %d JSON documents, want 2 (one per figure)", docs)
 	}
 }
 

@@ -16,12 +16,22 @@ import (
 // histogram. Values are expected to be latencies in nanoseconds but any
 // positive int64 works. Each power of two is split into subBuckets linear
 // buckets, bounding relative quantile error to ~1/subBuckets (0.78% here).
+//
+// Storage is sparse: the buckets are grouped into chunks of chunkSize,
+// and a chunk exists only once one of its buckets has been recorded. A
+// latency distribution touches a few of the 44 octaves the layout
+// covers, so a histogram usually holds one 8 KB slab of chunks, not all
+// 38.9 KB of buckets.
 type Histogram struct {
-	counts []int64
-	total  int64
-	sum    float64
-	min    int64
-	max    int64
+	// chunks[c] counts buckets [c*chunkSize, (c+1)*chunkSize); nil until
+	// one of them is recorded.
+	chunks [numChunks]*[chunkSize]int64
+	// slab is the uncut rest of the slab that new chunks are cut from.
+	slab  []int64
+	total int64
+	sum   float64
+	min   int64
+	max   int64
 }
 
 const (
@@ -36,14 +46,20 @@ const (
 	// far beyond anything the model produces.
 	maxShift   = 36
 	numBuckets = subBuckets + maxShift*halfBuckets
+
+	// An octave is halfBuckets buckets, two chunks; the exact region is
+	// four. numBuckets is a whole number of chunks.
+	chunkBits = 6
+	chunkSize = 1 << chunkBits
+	numChunks = numBuckets / chunkSize
+	// slabChunks chunks make one 8 KB slab: any 8 consecutive octaves.
+	slabChunks = 16
 )
 
-// NewHistogram returns an empty histogram.
+// NewHistogram returns an empty histogram. It allocates no buckets until
+// the first Record.
 func NewHistogram() *Histogram {
-	return &Histogram{
-		counts: make([]int64, numBuckets),
-		min:    math.MaxInt64,
-	}
+	return &Histogram{min: math.MaxInt64}
 }
 
 // bucketIndex maps a positive value to its bucket.
@@ -77,10 +93,15 @@ func (h *Histogram) Record(v int64) {
 		v = 1
 	}
 	idx := bucketIndex(v)
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
+	if idx >= numBuckets {
+		idx = numBuckets - 1
 	}
-	h.counts[idx]++
+	ci := idx >> chunkBits
+	c := h.chunks[ci]
+	if c == nil {
+		c = h.newChunk(ci)
+	}
+	c[idx&(chunkSize-1)]++
 	h.total++
 	h.sum += float64(v)
 	if v < h.min {
@@ -89,6 +110,18 @@ func (h *Histogram) Record(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// newChunk cuts chunk ci from the slab, starting a new slab when the
+// current one is used up.
+func (h *Histogram) newChunk(ci int) *[chunkSize]int64 {
+	if len(h.slab) == 0 {
+		h.slab = make([]int64, slabChunks*chunkSize)
+	}
+	c := (*[chunkSize]int64)(h.slab)
+	h.slab = h.slab[chunkSize:]
+	h.chunks[ci] = c
+	return c
 }
 
 // Count reports the number of recorded observations.
@@ -131,23 +164,33 @@ func (h *Histogram) Quantile(q float64) int64 {
 		rank = 1
 	}
 	var seen int64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			// The bucket's lower edge keeps quantiles conservative and
-			// monotonic; clamp into [min, max] so a bucket edge below the
-			// exact minimum never leaks out.
-			v := bucketLow(i)
-			if v < h.min {
-				v = h.min
+	for ci, c := range &h.chunks {
+		if c == nil {
+			continue
+		}
+		for j, n := range c {
+			seen += n
+			if seen >= rank {
+				return h.bucketValue(ci<<chunkBits | j)
 			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
 		}
 	}
 	return h.max
+}
+
+// bucketValue reports a quantile that falls in bucket i. The bucket's
+// lower edge keeps quantiles conservative and monotonic; clamping into
+// [min, max] keeps a bucket edge below the exact minimum from leaking
+// out.
+func (h *Histogram) bucketValue(i int) int64 {
+	v := bucketLow(i)
+	if v < h.min {
+		v = h.min
+	}
+	if v > h.max {
+		v = h.max
+	}
+	return v
 }
 
 // Quantiles fills out[i] with Quantile(qs[i]) for ascending qs in one scan
@@ -170,31 +213,30 @@ func (h *Histogram) Quantiles(qs []float64, out []int64) {
 		return
 	}
 	var seen int64
-	for i, c := range h.counts {
-		if next == len(qs) || qs[next] >= 1 {
-			break
-		}
-		if c == 0 {
+scan:
+	for ci, c := range &h.chunks {
+		if c == nil {
 			continue
 		}
-		seen += c
-		for next < len(qs) && qs[next] < 1 {
-			rank := int64(math.Ceil(qs[next] * float64(h.total)))
-			if rank < 1 {
-				rank = 1
+		for j, n := range c {
+			if next == len(qs) || qs[next] >= 1 {
+				break scan
 			}
-			if seen < rank {
-				break
+			if n == 0 {
+				continue
 			}
-			v := bucketLow(i)
-			if v < h.min {
-				v = h.min
+			seen += n
+			for next < len(qs) && qs[next] < 1 {
+				rank := int64(math.Ceil(qs[next] * float64(h.total)))
+				if rank < 1 {
+					rank = 1
+				}
+				if seen < rank {
+					break
+				}
+				out[next] = h.bucketValue(ci<<chunkBits | j)
+				next++
 			}
-			if v > h.max {
-				v = h.max
-			}
-			out[next] = v
-			next++
 		}
 	}
 	for i := next; i < len(qs); i++ {
@@ -204,8 +246,17 @@ func (h *Histogram) Quantiles(qs []float64, out []int64) {
 
 // Merge adds all of o's observations into h.
 func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
+	for ci, oc := range &o.chunks {
+		if oc == nil {
+			continue
+		}
+		c := h.chunks[ci]
+		if c == nil {
+			c = h.newChunk(ci)
+		}
+		for j, n := range oc {
+			c[j] += n
+		}
 	}
 	h.total += o.total
 	h.sum += o.sum
@@ -219,11 +270,11 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Reset discards all observations.
+// Reset discards all observations and returns the histogram to its
+// constructed state: its slabs are dropped, not kept for reuse.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
+	h.chunks = [numChunks]*[chunkSize]int64{}
+	h.slab = nil
 	h.total = 0
 	h.sum = 0
 	h.min = math.MaxInt64

@@ -2,9 +2,11 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -243,4 +245,91 @@ func TestHistogramString(t *testing.T) {
 	if h.String() == "" {
 		t.Fatal("empty String()")
 	}
+}
+
+// bytesPerRun reports the heap bytes f allocates per call, averaged over
+// runs calls, on one P as testing.AllocsPerRun measures. Another
+// goroutine allocating during a measurement (a leftover of an earlier
+// test, say) can only add bytes, so the least of three measurements is
+// f's own.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return least
+}
+
+// TestHistogramFootprint pins what sparse storage costs: a new histogram
+// allocates its header and no buckets; values within any 8 consecutive
+// octaves allocate exactly one 8 KB slab; a ninth octave a second; and
+// a Record into a chunk already touched allocates nothing.
+func TestHistogramFootprint(t *testing.T) {
+	var keep *Histogram
+	newOnly := func() { keep = NewHistogram() }
+	if n := testing.AllocsPerRun(100, newOnly); n != 1 {
+		t.Fatalf("NewHistogram: %v allocs, want 1 (the header)", n)
+	}
+	header := bytesPerRun(100, newOnly)
+	// The header is rounded up to its size class, which wastes < 1/8.
+	if size := uint64(unsafe.Sizeof(Histogram{})); header < size || header > size+size/8 {
+		t.Fatalf("NewHistogram: %d B, want the %d B header rounded to its size class", header, size)
+	}
+	const slab = slabChunks * chunkSize * 8
+	if slab != 8192 {
+		t.Fatalf("slab = %d B, want 8 KB", slab)
+	}
+	if numChunks*chunkSize != numBuckets {
+		t.Fatalf("%d chunks of %d do not cover %d buckets", numChunks, chunkSize, numBuckets)
+	}
+	// One value per bucket of [2^lo, 2^(lo+octaves)), plus its top value.
+	span := func(lo, octaves int) []int64 {
+		var vs []int64
+		top := int64(1)<<(lo+octaves) - 1
+		for i := bucketIndex(int64(1) << lo); i < numBuckets && bucketLow(i) <= top; i++ {
+			vs = append(vs, bucketLow(i))
+		}
+		return append(vs, top)
+	}
+	for _, c := range []struct {
+		lo, octaves int
+		slabs       uint64
+	}{
+		{0, 8, 1}, {4, 8, 1}, {8, 8, 1}, {13, 8, 1}, {20, 8, 1}, {36, 8, 1},
+		{8, 9, 2}, {0, 44, 5},
+	} {
+		vs := span(c.lo, c.octaves)
+		record := func() {
+			h := NewHistogram()
+			for _, v := range vs {
+				h.Record(v)
+			}
+			keep = h
+		}
+		if n := testing.AllocsPerRun(20, record); n != float64(1+c.slabs) {
+			t.Errorf("[2^%d, 2^%d): %v allocs, want %d slab(s) plus the header", c.lo, c.lo+c.octaves, n, c.slabs)
+		}
+		if b := bytesPerRun(20, record); b != header+c.slabs*slab {
+			t.Errorf("[2^%d, 2^%d): %d B, want %d slab(s) plus the header, %d B", c.lo, c.lo+c.octaves, b, c.slabs, header+c.slabs*slab)
+		}
+	}
+
+	h := NewHistogram()
+	h.Record(60_000)
+	v := int64(60_000)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Record(v)
+		v ^= 1 << 8 // 60,000 and 60,256 are neighbouring buckets of one chunk
+	}); n != 0 {
+		t.Fatalf("Record into a touched chunk: %v allocs, want 0", n)
+	}
+	_ = keep
 }

@@ -17,17 +17,30 @@ func fieldValue(v reflect.Value) any {
 // reflection that it actually did — so a future field that Record does
 // not touch (and Reset therefore cannot be proven to restore by this
 // test alone) is flagged the day it is added, not the day a pooled
-// rerun silently reuses it.
+// rerun silently reuses it. Array fields are checked element by
+// element: one value per chunk makes every chunk pointer move, and 76
+// chunks take five slabs, so the slab field holds a partly cut one.
 func populateHistogram(t *testing.T, h *Histogram) {
 	t.Helper()
 	for _, v := range []int64{1, 7, 900, 1 << 20, 1 << 34} {
 		h.Record(v)
+	}
+	for ci := 0; ci < numChunks; ci++ {
+		h.Record(bucketLow(ci * chunkSize))
 	}
 	fresh := NewHistogram()
 	hv := reflect.ValueOf(h).Elem()
 	fv := reflect.ValueOf(fresh).Elem()
 	for i := 0; i < hv.NumField(); i++ {
 		name := hv.Type().Field(i).Name
+		if f := hv.Field(i); f.Kind() == reflect.Array {
+			for j := 0; j < f.Len(); j++ {
+				if reflect.DeepEqual(fieldValue(f.Index(j)), fieldValue(fv.Field(i).Index(j))) {
+					t.Errorf("populate did not move Histogram field %s[%d] off its constructed state; extend populateHistogram", name, j)
+				}
+			}
+			continue
+		}
 		if reflect.DeepEqual(fieldValue(hv.Field(i)), fieldValue(fv.Field(i))) {
 			t.Errorf("populate did not move Histogram field %s off its constructed state; extend populateHistogram (and check Reset covers the new field)", name)
 		}
