@@ -192,7 +192,7 @@ func RunLoadAblation(o ExpOptions) LoadAblation {
 	for _, arm := range []string{"open", "admit"} {
 		for _, f := range loadFracs {
 			cells = append(cells, loadCell{
-				name: fmt.Sprintf("load-%s-%d", arm, int(f*100+0.5)),
+				name: fmt.Sprintf("load-%s-%d", arm, int(float64(f*100)+0.5)),
 				arm:  arm,
 				frac: f,
 			})

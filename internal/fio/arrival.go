@@ -103,7 +103,8 @@ func (a *ArrivalSpec) nextGap(now sim.Time, st *arrivalState, rnd *rng.Stream) s
 		}
 	case ArrivalDiurnal:
 		phase := 2 * pi * float64(int64(now)%int64(diurnalPeriod)) / float64(diurnalPeriod)
-		rate = a.Rate * (1 + diurnalSwing*sinApprox(phase))
+		// float64(...) keeps arm64 from fusing the product into an FMA.
+		rate = a.Rate * (1 + float64(diurnalSwing*sinApprox(phase)))
 	default:
 		panic("fio: unnormalized ArrivalSpec")
 	}
@@ -126,5 +127,5 @@ func sinApprox(x float64) float64 {
 		x -= pi
 		sign = -1
 	}
-	return sign * 16 * x * (pi - x) / (5*pi*pi - 4*x*(pi-x))
+	return sign * 16 * x * (pi - x) / (5*pi*pi - float64(4*x*(pi-x)))
 }

@@ -88,9 +88,6 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 	var ifaceCalls []ifaceCall
 
 	for _, p := range pkgs {
-		if p.Info == nil {
-			continue
-		}
 		for _, f := range p.Files {
 			if p.IsTestFile(f) {
 				continue
@@ -181,9 +178,6 @@ type methodEntry struct {
 func moduleMethods(pkgs []*Package) []methodEntry {
 	var out []methodEntry
 	for _, p := range pkgs {
-		if p.Types == nil {
-			continue
-		}
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() { // Names() is sorted
 			tn, ok := scope.Lookup(name).(*types.TypeName)

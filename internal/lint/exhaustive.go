@@ -31,9 +31,6 @@ func (exhaustiveRule) Doc() string {
 }
 
 func (exhaustiveRule) Check(p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	var out []Finding
 	for _, f := range p.Files {
 		if p.IsTestFile(f) {

@@ -165,10 +165,12 @@ func (p *Program) HotSet() *hotSet {
 
 	// Roots, in deterministic (package, file, decl) order — the same
 	// traversal order buildCallGraph uses, so shortest-chain ties break
-	// identically on every run.
+	// identically on every run. Only internal packages root the set,
+	// the scope hotFuncs polices: a cmd/ or bench driver that calls
+	// every constructor once is not a per-event path.
 	var roots []*types.Func
 	for _, pkg := range p.Pkgs {
-		if pkg.Info == nil {
+		if !isInternal(pkg.Path) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -246,7 +248,7 @@ type hotDecl struct {
 // order. Perf rules only police internal packages: cmd/ and example
 // code never sits on the event loop.
 func (p *Package) hotFuncs() []hotDecl {
-	if p.prog == nil || p.Info == nil || !isInternal(p.Path) {
+	if p.prog == nil || !isInternal(p.Path) {
 		return nil
 	}
 	hs := p.prog.HotSet()

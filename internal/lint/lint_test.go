@@ -105,6 +105,61 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// TestCrossPackageFixtures loads each two-package fixture with one
+// loader, the entry under its synthetic path and the package it calls
+// under its own module path, and runs every rule over both at once:
+// the call graph must follow a static call and an interface dispatch
+// across the package boundary, with the whole chain in the message.
+func TestCrossPackageFixtures(t *testing.T) {
+	const own = "repro/internal/lint/testdata/"
+	cases := []struct {
+		name  string
+		pkgs  [][2]string // fixture directory, import path
+		chain *regexp.Regexp
+	}{
+		{"reachcross", [][2]string{{"reachcross", "repro/internal/fault"}, {"reachcross/entropy", own + "reachcross/entropy"}},
+			regexp.MustCompile(`fixture\.ProbeCross → entropy\.Read → rand\.Read`)},
+		{"ifacecross", [][2]string{{"ifacecross/nvme", own + "ifacecross/nvme"}, {"ifacecross/kernel", own + "ifacecross/kernel"}},
+			regexp.MustCompile(`hot via nvme\.\(Controller\)\.Submit → kernel\.\(req\)\.OnResult`)},
+	}
+	root, modPath, err := FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l := NewLoader(root, modPath)
+			var pkgs []*Package
+			var want []string
+			for _, pp := range c.pkgs {
+				p, err := l.LoadDir(filepath.Join("testdata", pp[0]), pp[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, terr := range p.TypeErrors {
+					t.Errorf("fixture type error: %v", terr)
+				}
+				pkgs = append(pkgs, p)
+				want = append(want, expectations(p)...)
+			}
+			var got []string
+			chained := false
+			for _, f := range Run(pkgs, Rules()) {
+				got = append(got, fmt.Sprintf("%s:%d %s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Rule))
+				chained = chained || c.chain.MatchString(f.Msg)
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("findings mismatch\n got: %v\nwant: %v", got, want)
+			}
+			if !chained {
+				t.Errorf("no finding carries the chain %v", c.chain)
+			}
+		})
+	}
+}
+
 // TestScopeExclusions re-loads fixtures under paths outside each
 // rule's scope and expects silence: nogoroutine and floatcompare only
 // police the sim-core packages, and internal/rng is the one place

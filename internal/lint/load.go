@@ -1,7 +1,9 @@
 // Package loading for afalint. Pure stdlib: packages are discovered by
 // walking the module tree, parsed with go/parser, and type-checked with
-// go/types. Module-local imports are resolved by recursively
-// type-checking the imported directory; standard-library imports are
+// go/types. Each module package is type-checked once, and its importers
+// receive that same *types.Package, so one call graph spans the
+// module. An import checks only the imported library; test files are
+// checked after their package's library. Standard-library imports are
 // compiled from GOROOT source (importer.ForCompiler "source"), so the
 // analyzer needs no build cache, network, or third-party dependency.
 package lint
@@ -36,11 +38,16 @@ type Package struct {
 	// syntax-only checks in that case.
 	Info *types.Info
 	// Types is the checked package object (library + in-package test
-	// files); its scope feeds the method-set and enum indexes. May be
-	// nil when the directory holds only external-test files.
+	// files), the same object every module importer receives; its scope
+	// feeds the method-set and enum indexes.
 	Types *types.Package
 	// TypeErrors collects type-check diagnostics (not lint findings).
 	TypeErrors []error
+
+	// checker is the package's one type-checker; tests and xtests hold
+	// the in-package and external test files LoadDir checks last.
+	checker       *types.Checker
+	tests, xtests []*ast.File
 
 	// prog is the whole-program view Run sets before rules execute.
 	prog *Program
@@ -54,36 +61,33 @@ func (p *Package) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.File(f.Pos()).Name(), "_test.go")
 }
 
-// typeOf returns the type of e, or nil when type information is
-// unavailable.
-func (p *Package) typeOf(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.TypeOf(e)
-}
+// typeOf returns the type of e, or nil when it has none (a type error).
+func (p *Package) typeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // Loader discovers, parses, and type-checks packages of one module.
 type Loader struct {
 	Root    string // absolute module root (directory holding go.mod)
 	ModPath string // module path from go.mod, e.g. "repro"
 
-	fset      *token.FileSet
-	std       types.ImporterFrom
-	imported  map[string]*types.Package
-	importing map[string]bool
+	fset *token.FileSet
+	std  types.Importer
+	// pkgs holds each module package loaded so far by import path (nil
+	// while its library is being checked). Only a package loaded from
+	// its own module directory enters it, so a directory loaded under
+	// an existing path (afalint -as) never stands in for the real
+	// package in its importers.
+	pkgs map[string]*Package
 }
 
 // NewLoader returns a loader for the module rooted at root.
 func NewLoader(root, modPath string) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
-		Root:      root,
-		ModPath:   modPath,
-		fset:      fset,
-		std:       importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		imported:  map[string]*types.Package{},
-		importing: map[string]bool{},
+		Root:    root,
+		ModPath: modPath,
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "source", nil),
+		pkgs:    map[string]*Package{},
 	}
 }
 
@@ -162,10 +166,61 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 }
 
 // LoadDir parses and type-checks the single directory dir as the
-// package with the given import path. Library and in-package test files
-// are checked together; external (_test package) files are checked as
-// their own unit against the same merged Info.
+// package with the given import path: its library files (unless an
+// importer already checked them), then its in-package test files
+// added to the same checker, then its external _test package against
+// the same merged Info. Tests are checked only here, never for an
+// import, since an external test may import a package that imports
+// its own.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
+	p, err := l.library(dir, path)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.tests) > 0 {
+		p.checker.Files(p.tests)
+	}
+	if len(p.xtests) > 0 {
+		types.NewChecker(l.config(p), l.fset, types.NewPackage(path+"_test", ""), p.Info).Files(p.xtests)
+	}
+	p.tests, p.xtests = nil, nil
+	return p, nil
+}
+
+// Import implements types.Importer: a module package is the one this
+// loader analyzes, its library checked on first import; everything
+// else is delegated to the GOROOT source importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if path != l.ModPath && !strings.HasPrefix(path, l.ModPath+"/") {
+		return l.std.Import(path)
+	}
+	p, err := l.library(l.dirOf(path), path)
+	if err != nil {
+		return nil, err
+	}
+	return p.Types, nil
+}
+
+// dirOf is the directory of the module package path.
+func (l *Loader) dirOf(path string) string {
+	return filepath.Join(l.Root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")))
+}
+
+// library parses dir as the package path and type-checks its library
+// files. A module package loaded from its own directory is checked
+// once, and every later importer receives that check.
+func (l *Loader) library(dir, path string) (*Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	own := abs == l.dirOf(path)
+	if p, ok := l.pkgs[path]; own && ok {
+		if p == nil {
+			return nil, fmt.Errorf("lint: import cycle through %s", path)
+		}
+		return p, nil
+	}
 	names, err := goFilesIn(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: reading package directory %s: %w", dir, err)
@@ -173,8 +228,8 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go source files in %s", dir)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset}
-	var lib, xtest []*ast.File
+	p := &Package{Path: path, Dir: dir, Fset: l.fset, Types: types.NewPackage(path, "")}
+	var lib []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -184,9 +239,12 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 			return nil, fmt.Errorf("lint: parsing %s: %w", path, err)
 		}
 		p.Files = append(p.Files, f)
-		if strings.HasSuffix(f.Name.Name, "_test") {
-			xtest = append(xtest, f)
-		} else {
+		switch {
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			p.xtests = append(p.xtests, f)
+		case strings.HasSuffix(name, "_test.go"):
+			p.tests = append(p.tests, f)
+		default:
 			lib = append(lib, f)
 		}
 	}
@@ -196,66 +254,25 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	cfg := &types.Config{
-		Importer: l,
-		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
+	// Check errors are accumulated through the config's Error; a
+	// package with type errors still gets partial Info and
+	// syntax-level rules still run.
+	p.checker = types.NewChecker(l.config(p), l.fset, p.Types, p.Info)
+	if own {
+		l.pkgs[path] = nil // marks the check in progress
+		defer func() { l.pkgs[path] = p }()
 	}
-	// Check errors are accumulated through cfg.Error; a package with type
-	// errors still gets partial Info and syntax-level rules still run.
-	if len(lib) > 0 {
-		p.Types, _ = cfg.Check(path, l.fset, lib, p.Info)
-	}
-	if len(xtest) > 0 {
-		cfg.Check(path+"_test", l.fset, xtest, p.Info)
-	}
+	p.checker.Files(lib)
 	return p, nil
 }
 
-// Import implements types.Importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, l.Root, 0)
-}
-
-// ImportFrom implements types.ImporterFrom: module-local packages are
-// type-checked from source (library files only, as an importer would
-// see them); everything else is delegated to the GOROOT source
-// importer.
-func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if path != l.ModPath && !strings.HasPrefix(path, l.ModPath+"/") {
-		return l.std.ImportFrom(path, dir, mode)
+// config is the type-checker configuration for p: module imports
+// through this loader, diagnostics into p.TypeErrors.
+func (l *Loader) config(p *Package) *types.Config {
+	return &types.Config{
+		Importer: l,
+		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}
-	if tp, ok := l.imported[path]; ok {
-		return tp, nil
-	}
-	if l.importing[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.importing[path] = true
-	defer func() { l.importing[path] = false }()
-
-	pkgDir := filepath.Join(l.Root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")))
-	names, err := goFilesIn(pkgDir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(pkgDir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	cfg := &types.Config{Importer: l}
-	tp, err := cfg.Check(path, l.fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking import %s: %w", path, err)
-	}
-	l.imported[path] = tp
-	return tp, nil
 }
 
 // goFilesIn lists the .go files directly inside dir that the go tool

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,5 +91,58 @@ func TestLoadDirHonoursBuildConstraints(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "norace.go" {
 		t.Errorf("loaded %v, want [norace.go]", names)
+	}
+}
+
+// TestOneCheckPerPackage: every module import of a loaded package is
+// the very *types.Package the loader checked for analysis, so a call or
+// an interface dispatch into another package resolves to the callee's
+// own objects.
+func TestOneCheckPerPackage(t *testing.T) {
+	sc := repoSelfCheck(t)
+	byPath := map[string]*types.Package{}
+	for _, p := range sc.pkgs {
+		byPath[p.Path] = p.Types
+	}
+	n := 0
+	for _, p := range sc.pkgs {
+		for _, imp := range p.Types.Imports() {
+			if q, ok := byPath[imp.Path()]; ok {
+				n++
+				if imp != q {
+					t.Errorf("%s imports a second check of %s", p.Path, imp.Path())
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no module package imports another")
+	}
+}
+
+// TestLoadDirAsKeepsRealPackage: a directory loaded under an existing
+// module path (afalint -as) does not stand in for that package; an
+// importer loaded afterwards still receives the real one.
+func TestLoadDirAsKeepsRealPackage(t *testing.T) {
+	l := moduleLoader(t)
+	fake, err := l.LoadDir(filepath.Join("testdata", "boundary"), "repro/internal/kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, err := l.Import("repro/internal/kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if real == fake.Types || real.Scope().Lookup("Kernel") == nil {
+		t.Fatal("Import returned the fixture loaded -as repro/internal/kernel")
+	}
+	fio, err := l.Import("repro/internal/fio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range fio.Imports() {
+		if imp.Path() == "repro/internal/kernel" && imp != real {
+			t.Error("fio imports a package other than the real repro/internal/kernel")
+		}
 	}
 }

@@ -146,9 +146,6 @@ func (p *Package) firstCapture(lit *ast.FuncLit, encl *ast.FuncDecl) string {
 // isBuiltin reports whether id resolves to a Go builtin (new, make,
 // append, delete, ...) rather than a shadowing declaration.
 func (p *Package) isBuiltin(id *ast.Ident) bool {
-	if p.Info == nil {
-		return false
-	}
 	_, ok := p.Info.Uses[id].(*types.Builtin)
 	return ok
 }

@@ -80,7 +80,7 @@ func (reachrandRule) Check(p *Package) []Finding {
 // direct=true marks sink families whose one-hop chains are another
 // rule's responsibility.
 func checkReach(p *Package, rule string, sink func(*types.Func) (string, bool)) []Finding {
-	if !isSimCore(p.Path) || p.prog == nil || p.Info == nil {
+	if !isSimCore(p.Path) || p.prog == nil {
 		return nil
 	}
 	var out []Finding

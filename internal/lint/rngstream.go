@@ -34,9 +34,6 @@ func (rngstreamRule) Doc() string {
 }
 
 func (rngstreamRule) Check(p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	var out []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

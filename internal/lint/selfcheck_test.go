@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,6 +121,39 @@ func TestRepoPassesAfalint(t *testing.T) {
 	for _, s := range sc.stale {
 		t.Errorf("stale lint.baseline entry (fixed? delete it): %s", s)
 	}
+}
+
+// TestHotSetSpansModule is the hot-set census over the whole module:
+// the set follows calls across package boundaries, so the FTL, the
+// PCIe fabric and the health tracker hold hot functions, and a device
+// completion reaches the kernel's receiver through nvme.Receiver.
+func TestHotSetSpansModule(t *testing.T) {
+	sc := repoSelfCheck(t)
+	hot := map[string]int{}
+	var complete *types.Func
+	for _, p := range sc.pkgs {
+		for _, h := range p.hotFuncs() {
+			hot[p.Types.Name()]++
+			if funcDisplayName(h.fn) == "nvme.(ioReq).complete" {
+				complete = h.fn
+			}
+		}
+	}
+	t.Logf("hot functions per package: %v", hot)
+	for _, name := range []string{"nand", "pcie", "health"} {
+		if hot[name] == 0 {
+			t.Errorf("no hot function in %s", name)
+		}
+	}
+	if complete == nil {
+		t.Fatal("nvme.(ioReq).complete is not hot")
+	}
+	for _, e := range sc.pkgs[0].prog.graph.callees(complete) {
+		if funcDisplayName(e.callee) == "kernel.(kioReq).OnResult" {
+			return
+		}
+	}
+	t.Error("no call-graph edge nvme.(ioReq).complete → kernel.(kioReq).OnResult")
 }
 
 // TestRepoObeysDeterminismContract fails on any determinism finding —

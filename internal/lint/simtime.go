@@ -36,9 +36,6 @@ func (simtimeRule) Doc() string {
 }
 
 func (simtimeRule) Check(p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	var out []Finding
 	for _, f := range p.Files {
 		if p.IsTestFile(f) {

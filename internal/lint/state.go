@@ -75,7 +75,7 @@ func (resetcoverRule) Doc() string {
 }
 
 func (resetcoverRule) Check(p *Package) []Finding {
-	if !isStateScope(p.Path) || p.Info == nil || p.Types == nil {
+	if !isStateScope(p.Path) {
 		return nil
 	}
 	g := p.fieldGraph()
@@ -214,7 +214,7 @@ func (snapshotcoverRule) Doc() string {
 }
 
 func (snapshotcoverRule) Check(p *Package) []Finding {
-	if !isStateScope(p.Path) || p.Info == nil || p.Types == nil {
+	if !isStateScope(p.Path) {
 		return nil
 	}
 	g := p.fieldGraph()
@@ -351,7 +351,7 @@ func (poolescapeRule) Doc() string {
 }
 
 func (poolescapeRule) Check(p *Package) []Finding {
-	if !isStateScope(p.Path) || p.Info == nil || p.Types == nil {
+	if !isStateScope(p.Path) {
 		return nil
 	}
 	g := p.fieldGraph()

@@ -49,12 +49,10 @@ func (wallclockRule) Check(p *Package) []Finding {
 			if !ok || !names[id.Name] || !wallclockBanned[sel.Sel.Name] {
 				return true
 			}
-			// With type info, skip identifiers that shadow the import.
-			if p.Info != nil {
-				if obj, found := p.Info.Uses[id]; found {
-					if pn, ok := obj.(*types.PkgName); !ok || pn.Imported().Path() != "time" {
-						return true
-					}
+			// Skip identifiers that shadow the import.
+			if obj, found := p.Info.Uses[id]; found {
+				if pn, ok := obj.(*types.PkgName); !ok || pn.Imported().Path() != "time" {
+					return true
 				}
 			}
 			out = append(out, p.finding("wallclock", sel.Pos(),

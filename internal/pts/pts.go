@@ -60,17 +60,18 @@ func (c Criteria) Check(rounds []float64) (steady bool, excursion, slope float64
 	}
 	excursion = (max - min) / avg
 
-	// Least-squares slope over x = 0..n-1.
+	// Least-squares slope over x = 0..n-1. float64(x*y) rounds each
+	// product alone, so arm64 cannot fuse it into an FMA.
 	n := float64(len(w))
 	var sx, sy, sxx, sxy float64
 	for i, y := range w {
 		x := float64(i)
 		sx += x
 		sy += y
-		sxx += x * x
-		sxy += x * y
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 	}
-	b := (n*sxy - sx*sy) / (n*sxx - sx*sx)
+	b := (float64(n*sxy) - float64(sx*sy)) / (float64(n*sxx) - float64(sx*sx))
 	slope = math.Abs(b) * (n - 1) / avg
 
 	steady = excursion <= c.MaxExcursion && slope <= c.MaxSlope

@@ -139,7 +139,9 @@ func (r *Stream) Bool(p float64) bool {
 
 // Uniform returns a uniform value in [lo, hi).
 func (r *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	// A float64(x*y) conversion rounds the product on its own, so arm64
+	// cannot fuse x*y + z into one FMA and draw differently from amd64.
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Exp returns an exponentially distributed value with the given mean.
@@ -160,7 +162,7 @@ func (r *Stream) Normal(mean, sigma float64) float64 {
 	}
 	v = r.Float64()
 	z := math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	return mean + sigma*z
+	return mean + float64(sigma*z)
 }
 
 // LogNormal returns a log-normally distributed value whose underlying
@@ -176,6 +178,6 @@ func (r *Stream) LogNormalMean(mean, sigma float64) float64 {
 	if mean <= 0 {
 		panic("rng: LogNormalMean with non-positive mean")
 	}
-	mu := math.Log(mean) - sigma*sigma/2
+	mu := math.Log(mean) - float64(sigma*sigma/2)
 	return r.LogNormal(mu, sigma)
 }

@@ -221,11 +221,8 @@ func (s *Scheduler) selectRQ(t *Task) *CPU {
 	// idle CPU starting at a deterministic pseudo-random offset (mimicking
 	// the kernel's lack of global ordering), else the least-loaded
 	// candidate; CPUs excluded by auto-isolation are a last resort.
-	avoid := func(c *CPU) bool {
-		return s.autoIsolate && c.HostsIOBound()
-	}
 	if t.cpu >= 0 {
-		if c := s.cpus[t.cpu]; !c.isolated && c.Idle() && !avoid(c) {
+		if c := s.cpus[t.cpu]; !c.isolated && c.Idle() && !s.avoids(c) {
 			return c
 		}
 	}
@@ -237,7 +234,7 @@ func (s *Scheduler) selectRQ(t *Task) *CPU {
 		if c.isolated {
 			continue
 		}
-		if avoid(c) {
+		if s.avoids(c) {
 			if leastAvoided == nil || c.NrRunnable() < leastAvoided.NrRunnable() {
 				leastAvoided = c
 			}
@@ -258,6 +255,12 @@ func (s *Scheduler) selectRQ(t *Task) *CPU {
 	}
 	// Everything is isolated (degenerate config): CPU of last resort.
 	return s.cpus[0]
+}
+
+// avoids reports whether the auto-isolation policy keeps unpinned
+// wake-ups off c.
+func (s *Scheduler) avoids(c *CPU) bool {
+	return s.autoIsolate && c.HostsIOBound()
 }
 
 // Stats summarize scheduler activity.
