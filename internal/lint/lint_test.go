@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -46,16 +47,31 @@ var fixtureCases = []struct {
 // the named rule on the same line.
 var wantMarker = regexp.MustCompile(`want:(\w+)`)
 
+// fixtureLoader is the one loader every loadFixture call shares, so
+// the GOROOT source importer checks each standard package once per test
+// binary rather than once per fixture. A fixture is loaded from a
+// directory other than its import path's, so it never enters the
+// loader's package cache and cannot change what another fixture sees;
+// the module packages fixtures import are checked once, as afalint
+// checks them. The lint tests do not run in parallel.
+var fixtureLoader = sync.OnceValues(func() (*Loader, error) {
+	root, modPath, err := FindModule(".")
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(root, modPath), nil
+})
+
 // loadFixture type-checks one testdata directory under the given
 // import path and fails the test on any load or type error — a fixture
 // that does not compile would silently weaken the type-driven rules.
 func loadFixture(t *testing.T, dir, path string) *Package {
 	t.Helper()
-	root, modPath, err := FindModule(".")
+	l, err := fixtureLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewLoader(root, modPath).LoadDir(filepath.Join("testdata", dir), path)
+	p, err := l.LoadDir(filepath.Join("testdata", dir), path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,6 +195,18 @@ const (
 	mapGrowth        = 4
 )
 
+// jitterBatch is how many read-jitter normals a device draws at once:
+// their transcendental chains then run side by side instead of one per
+// read.
+const jitterBatch = 32
+
+// jitterKey is the ReadPage and the bits of ReadJitterSigma that a
+// device's derived die times were taken at.
+type jitterKey struct {
+	readPage sim.Duration
+	sigma    uint64
+}
+
 // regionShift sizes the written-region filter: one bit per 4,096 host
 // slices, 7.5 KiB on a Table I device.
 const regionShift = 12
@@ -229,10 +241,15 @@ type Device struct {
 	// doc and TestFormatFieldPolicy), so reset must not zero them.
 	stats Stats //afalint:sticky -- counters survive Format by contract
 
-	// ln(Timing.ReadPage) for the read-jitter draw, and the ReadPage it
-	// was taken of: tests may retime a device after construction.
-	lnReadPage   float64      //afalint:sticky -- derived from Timing
-	lnReadPageOf sim.Duration //afalint:sticky -- derived from Timing
+	// Read jitter drawn a batch ahead of rnd: the last jitterLeft of
+	// jitterZ are the stream's next standard normals, and jitterTR holds
+	// the die times they give at jitterOf. Tests may retime a device
+	// after construction, so a new ReadPage or σ rebuilds jitterTR.
+	// Format leaves the lookahead alone, like rnd itself.
+	jitterZ    [jitterBatch]float64      //afalint:sticky -- stream state, like rnd
+	jitterTR   [jitterBatch]sim.Duration //afalint:sticky -- derived from jitterZ and Timing
+	jitterLeft int                       //afalint:sticky -- stream state, like rnd
+	jitterOf   jitterKey                 //afalint:sticky -- derived from Timing
 
 	logicalSlices int64 //afalint:sticky -- derived from Geom
 }
@@ -352,28 +369,39 @@ func (d *Device) occupyDie(die int, dur sim.Duration) sim.Time {
 	return d.dieFree[die]
 }
 
-// readDuration draws a read's die time. The jitter draw is
-// rnd.LogNormalMean(ReadPage, σ) with the logarithm cached.
+// readDuration draws a read's die time: rnd.LogNormalMean(ReadPage, σ)
+// bit for bit, taken from the lookahead. After NewDevice this is rnd's
+// only reader, so drawing a batch ahead changes no value a caller sees.
 func (d *Device) readDuration() sim.Duration {
 	tr := d.Timing.ReadPage
 	if s := d.Timing.ReadJitterSigma; s > 0 {
-		// float64(...) keeps arm64 from fusing the product into an FMA.
-		tr = sim.Duration(d.rnd.LogNormal(d.logReadPage()-float64(s*s/2), s))
+		if d.jitterLeft == 0 {
+			d.rnd.StdNormals(d.jitterZ[:])
+			d.jitterLeft = jitterBatch
+			d.jitterOf = jitterKey{} // σ > 0, so no live key is zero: rebuild below
+		}
+		if k := (jitterKey{tr, math.Float64bits(s)}); k != d.jitterOf {
+			d.deriveJitter(k, s)
+		}
+		tr = d.jitterTR[jitterBatch-d.jitterLeft]
+		d.jitterLeft--
 	}
 	xfer := sim.Duration(int64(d.Timing.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
 	return tr + xfer
 }
 
-// logReadPage returns ln(Timing.ReadPage), taken again only when
-// ReadPage changes.
-func (d *Device) logReadPage() float64 {
-	if tr := d.Timing.ReadPage; tr != d.lnReadPageOf || tr <= 0 {
-		if tr <= 0 {
-			panic("nand: read jitter with non-positive ReadPage")
-		}
-		d.lnReadPage, d.lnReadPageOf = math.Log(float64(tr)), tr
+// deriveJitter takes the die times of the unused normals at k, whose σ
+// is s: exp(ln ReadPage − σ²/2 + σz), LogNormalMean's draw on the same z.
+func (d *Device) deriveJitter(k jitterKey, s float64) {
+	if k.readPage <= 0 {
+		panic("nand: read jitter with non-positive ReadPage")
 	}
-	return d.lnReadPage
+	// float64(...) keeps arm64 from fusing the products into FMAs.
+	mu := math.Log(float64(k.readPage)) - float64(s*s/2)
+	for i := jitterBatch - d.jitterLeft; i < jitterBatch; i++ {
+		d.jitterTR[i] = sim.Duration(math.Exp(mu + float64(s*d.jitterZ[i])))
+	}
+	d.jitterOf = k
 }
 
 // Read services a 4 KiB host read of the given slice LBA and returns the

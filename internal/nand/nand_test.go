@@ -314,9 +314,12 @@ func TestFormatFieldPolicy(t *testing.T) {
 		"dieFree": "preserved",
 		// Counters survive Format by documented contract.
 		"stats": "preserved",
-		// Derived from Timing, not FTL state.
-		"lnReadPage":   "preserved",
-		"lnReadPageOf": "preserved",
+		// The read-jitter lookahead: rnd's next normals and the die
+		// times derived from them. Stream state, like rnd.
+		"jitterZ":    "preserved",
+		"jitterTR":   "preserved",
+		"jitterLeft": "preserved",
+		"jitterOf":   "preserved",
 		// Derived from Geom.
 		"logicalSlices": "preserved",
 		// The FTL proper: back to FOB.
@@ -349,9 +352,9 @@ func TestFormatFieldPolicy(t *testing.T) {
 	preDieFree := append([]sim.Time(nil), d.dieFree...)
 	preGeom, preTiming := d.Geom, d.Timing
 	preEng, preRnd := d.eng, d.rnd
-	preLn, preLnOf := d.lnReadPage, d.lnReadPageOf
+	preZ, preTR, preLeft, preOf := d.jitterZ, d.jitterTR, d.jitterLeft, d.jitterOf
 	preLogical := d.logicalSlices
-	if preStats.HostWrites == 0 || d.FOB() || preLnOf == 0 {
+	if preStats.HostWrites == 0 || d.FOB() || preLeft == 0 || preOf == (jitterKey{}) {
 		t.Fatalf("workload did not exercise the FTL: stats = %+v", preStats)
 	}
 
@@ -375,8 +378,8 @@ func TestFormatFieldPolicy(t *testing.T) {
 	if d.eng != preEng || d.rnd != preRnd {
 		t.Error("Format rebound the engine or rng stream")
 	}
-	if math.Float64bits(d.lnReadPage) != math.Float64bits(preLn) || d.lnReadPageOf != preLnOf {
-		t.Error("Format dropped the ln(ReadPage) cache")
+	if !reflect.DeepEqual(d.jitterZ, preZ) || d.jitterTR != preTR || d.jitterLeft != preLeft || d.jitterOf != preOf {
+		t.Error("Format changed the read-jitter lookahead")
 	}
 	if d.logicalSlices != preLogical || preLogical != d.addressable() {
 		t.Errorf("Format changed logicalSlices: %d -> %d", preLogical, d.logicalSlices)
@@ -601,21 +604,64 @@ func TestWritePastLogicalSpaceMapsNothing(t *testing.T) {
 	}()
 }
 
-// The ln(ReadPage) cache follows a retimed device: every draw equals
-// rng's LogNormalMean on the current ReadPage, bit for bit.
-func TestReadJitterFollowsRetiming(t *testing.T) {
-	eng := sim.NewEngine()
+// jitterStep retimes a device, then reads draws die times from it.
+type jitterStep struct {
+	draws    int
+	readPage sim.Duration
+	sigma    float64
+}
+
+// requireJitterTwin runs steps on a device and holds every draw to
+// rng's LogNormalMean(ReadPage, σ) on a same-seed twin's stream, bit for
+// bit, so the lookahead may neither skip, reorder nor misprice a draw.
+// A step with σ = 0 draws nothing from either stream. It returns the
+// jittered draws checked.
+func requireJitterTwin(t *testing.T, seed uint64, steps []jitterStep) int {
+	t.Helper()
 	tm := MLC3DTiming()
-	d := NewDevice(eng, TinyGeometry(), tm, 3)
-	twin := NewDevice(sim.NewEngine(), TinyGeometry(), tm, 3)
+	d := NewDevice(sim.NewEngine(), TinyGeometry(), tm, seed)
+	twin := NewDevice(sim.NewEngine(), TinyGeometry(), tm, seed)
 	xfer := sim.Duration(int64(tm.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
-	for i, rp := range []sim.Duration{d.Timing.ReadPage, 3 * d.Timing.ReadPage, 3 * d.Timing.ReadPage, 1} {
-		d.Timing.ReadPage = rp
-		want := sim.Duration(twin.rnd.LogNormalMean(float64(rp), tm.ReadJitterSigma)) + xfer
-		if got := d.readDuration(); got != want {
-			t.Fatalf("draw %d at ReadPage %v: %v, want %v", i, rp, got, want)
+	n := 0
+	for i, st := range steps {
+		d.Timing.ReadPage, d.Timing.ReadJitterSigma = st.readPage, st.sigma
+		for j := 0; j < st.draws; j++ {
+			want := st.readPage
+			if st.sigma > 0 {
+				want = sim.Duration(twin.rnd.LogNormalMean(float64(st.readPage), st.sigma))
+				n++
+			}
+			if got := d.readDuration(); got != want+xfer {
+				t.Fatalf("step %d (ReadPage %v, σ %v), draw %d (%d jittered so far): %v, want %v",
+					i, st.readPage, st.sigma, j, n, got, want+xfer)
+			}
 		}
 	}
+	return n
+}
+
+// The read-jitter lookahead follows a retimed device: every draw equals
+// rng's LogNormalMean on the current ReadPage and σ, bit for bit,
+// across batch boundaries, after a retiming at a boundary and inside a
+// batch, and through a σ → 0 → σ stretch that must not draw.
+func TestReadJitterFollowsRetiming(t *testing.T) {
+	rp := NewDevice(sim.NewEngine(), TinyGeometry(), MLC3DTiming(), 3).Timing.ReadPage
+	s := MLC3DTiming().ReadJitterSigma
+	steps := []jitterStep{
+		{jitterBatch, rp, s},     // the first batch, whole
+		{5, 3 * rp, s},           // retimed at a batch boundary
+		{4, rp, s},               // retimed inside a batch
+		{3, rp, 0},               // σ → 0 draws nothing …
+		{2, rp, s},               // … and σ resumes the same lookahead
+		{3, rp, 2 * s},           // a new σ inside a batch
+		{jitterBatch + 5, 1, s},  // the shortest ReadPage, across a boundary
+		{jitterBatch, rp + 1, s}, // a 1 ns retiming
+	}
+	if n := requireJitterTwin(t, 3, steps); n < 3*jitterBatch {
+		t.Fatalf("schedule checked %d jittered draws, want at least %d (three batches)", n, 3*jitterBatch)
+	}
+
+	d := NewDevice(sim.NewEngine(), TinyGeometry(), MLC3DTiming(), 3)
 	d.Timing.ReadPage = 0
 	defer func() {
 		if recover() == nil {
@@ -623,6 +669,47 @@ func TestReadJitterFollowsRetiming(t *testing.T) {
 		}
 	}()
 	d.readDuration()
+}
+
+// FuzzReadJitter holds the read-jitter lookahead to its twin stream
+// under a fuzzed seed, σ and retiming schedule. Each schedule byte is
+// one step: its low five bits are the draws, its top three pick the
+// retiming (none, base ReadPage, 3× base, 1 ns, +1 ns, σ = 0, the
+// fuzzed σ, half of it).
+func FuzzReadJitter(f *testing.F) {
+	f.Add(uint64(3), uint16(82), []byte{0x10, 0x45, 0xa4, 0xa3, 0xc2, 0xe3, 0x75, 0x30})
+	f.Add(uint64(0), uint16(41), []byte{0x1f, 0x1f, 0x61, 0x8f, 0xb0, 0xdf})
+	f.Add(uint64(1<<63), uint16(1023), []byte{0x00, 0x20, 0x40, 0x60, 0x80, 0xa0, 0xc0, 0xe0})
+	f.Fuzz(func(t *testing.T, seed uint64, sigma uint16, schedule []byte) {
+		if len(schedule) > 256 {
+			schedule = schedule[:256]
+		}
+		fuzzed := float64(sigma%1024) / 1024
+		base := NewDevice(sim.NewEngine(), TinyGeometry(), MLC3DTiming(), seed).Timing.ReadPage
+		st := jitterStep{readPage: base, sigma: fuzzed}
+		steps := make([]jitterStep, 0, len(schedule))
+		for _, b := range schedule {
+			switch b >> 5 {
+			case 1:
+				st.readPage = base
+			case 2:
+				st.readPage = 3 * base
+			case 3:
+				st.readPage = 1
+			case 4:
+				st.readPage++
+			case 5:
+				st.sigma = 0
+			case 6:
+				st.sigma = fuzzed
+			case 7:
+				st.sigma = fuzzed / 2
+			}
+			st.draws = int(b & 0x1f)
+			steps = append(steps, st)
+		}
+		requireJitterTwin(t, seed, steps)
+	})
 }
 
 // TestFTLFootprint bounds the FTL's heap after 5,000 uniformly random

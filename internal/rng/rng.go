@@ -165,6 +165,34 @@ func (r *Stream) Normal(mean, sigma float64) float64 {
 	return mean + float64(sigma*z)
 }
 
+// stdNormalChunk is how many uniform pairs StdNormals holds on the stack
+// at once.
+const stdNormalChunk = 16
+
+// StdNormals fills dst with standard normal values: dst[i] is the z of
+// the i-th of len(dst) successive Normal calls, so mean + float64(sigma*z)
+// equals that call's Normal(mean, sigma) bit for bit. The uniforms are
+// drawn in Normal's order, the u == 0 retry included, and only then are
+// the Box–Muller transforms taken, each an independent chain, so a CPU
+// can overlap them where back-to-back Normal calls run one after another.
+func (r *Stream) StdNormals(dst []float64) {
+	var v [stdNormalChunk]float64
+	for len(dst) > 0 {
+		n := min(len(dst), stdNormalChunk)
+		for i := range n {
+			var u float64
+			for u == 0 {
+				u = r.Float64()
+			}
+			dst[i], v[i] = u, r.Float64()
+		}
+		for i := range n {
+			dst[i] = math.Sqrt(-2*math.Log(dst[i])) * math.Cos(2*math.Pi*v[i])
+		}
+		dst = dst[n:]
+	}
+}
+
 // LogNormal returns a log-normally distributed value whose underlying
 // normal has parameters mu and sigma.
 func (r *Stream) LogNormal(mu, sigma float64) float64 {

@@ -199,3 +199,39 @@ func TestUniform(t *testing.T) {
 		}
 	}
 }
+
+// TestStdNormalsMatchNormal holds every StdNormals batch to the
+// successive Normal(mean, sigma) draws of a twin stream, bit for bit,
+// and leaves both streams at the same position. The lengths straddle
+// the stack chunk, and one stream starts in a state whose first
+// uniform is 0, so the u == 0 retry is taken inside a batch.
+func TestStdNormalsMatchNormal(t *testing.T) {
+	zeroFirst := Stream{s: [4]uint64{0x1234, 0, 0x5678, 0x9abc}}
+	if z := zeroFirst; z.Float64() != 0 {
+		t.Fatal("fixture state does not draw u == 0 first")
+	}
+	for _, st := range []struct {
+		name  string
+		start Stream
+	}{{"seed 21", *New(21)}, {"u == 0 first", zeroFirst}} {
+		name, a, b := st.name, st.start, st.start
+		for _, n := range []int{1, 7, stdNormalChunk, stdNormalChunk + 1, 3*stdNormalChunk + 5, 0, 2} {
+			z := make([]float64, n)
+			a.StdNormals(z)
+			for i, zi := range z {
+				for _, ms := range [][2]float64{{0, 1}, {9.5, 0.08}} {
+					c := b // Normal(mean, sigma) consumes the same uniforms whatever the parameters
+					want := c.Normal(ms[0], ms[1])
+					if got := ms[0] + float64(ms[1]*zi); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, batch of %d, draw %d: mean %v + sigma %v * z = %v, Normal = %v",
+							name, n, i, ms[0], ms[1], got, want)
+					}
+				}
+				b.Normal(0, 1)
+			}
+			if a.s != b.s {
+				t.Fatalf("%s: after a batch of %d the streams sit at different positions", name, n)
+			}
+		}
+	}
+}
