@@ -24,7 +24,8 @@ const digestFile = "testdata/report-digests.txt"
 type digestRun struct{ name, args string }
 
 // digestRuns are the figures, Table II and the headline, the JSON and
-// CSV renderers, then one run per -ablate entry.
+// CSV renderers, one run per -ablate entry, then the two -seeds paths:
+// a single-configuration figure's sweep and an ablation's sweep tail.
 func digestRuns() []digestRun {
 	runs := []digestRun{
 		{"figs", "-fig 6,7,8,9,11,12 -headline"},
@@ -35,7 +36,9 @@ func digestRuns() []digestRun {
 	for _, name := range ablationNames() {
 		runs = append(runs, digestRun{"ablate-" + name, "-ablate " + name})
 	}
-	return runs
+	return append(runs,
+		digestRun{"fig6-seeds2", "-fig 6 -seeds 2"},
+		digestRun{"ablate-hedging-seeds2", "-ablate hedging -seeds 2"})
 }
 
 // wallLine matches the wall-clock banner, the one line -parallel and
