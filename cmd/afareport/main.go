@@ -36,7 +36,9 @@
 // -seeds N reruns the single-configuration figures (6-9 and 11) at N
 // derived seeds (seed, seed+1, …) in parallel and appends a pooled row
 // merging all N fleets; sweep member i reproduces standalone with
-// -seed <seed+i>.
+// -seed <seed+i>. The writes, hedging, load and iopath ablations append
+// the same sweep of one arm of their table. -seeds N with no selected
+// report that sweeps is a usage error.
 package main
 
 import (
@@ -78,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		solo     = fs.Int("solo-runs", 8, "runs merged for the Fig 13(d) single-thread row (paper: 64)")
 		format   = fs.String("format", "text", "output format for figure data: text | json | csv (json writes one document per figure, back to back)")
 		parallel = fs.Int("parallel", 0, "worker pool width for independent runs; 0 = one per CPU (results are byte-identical at any width)")
-		seeds    = fs.Int("seeds", 1, "seed-sweep width for single-config figures 6-9 and 11 (seed, seed+1, ...; appends a pooled row)")
+		seeds    = fs.Int("seeds", 1, "seed-sweep width for single-config figures 6-9 and 11 and the writes, hedging, load and iopath ablations (seed, seed+1, ...; appends a pooled row)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -145,8 +147,8 @@ func resolve(o core.ExpOptions, seeds int, all bool, figs []int, table int, head
 		return nil, fmt.Errorf("-ssds must be >= 1, got %d", o.NumSSDs)
 	case o.Runtime <= 0:
 		return nil, fmt.Errorf("-runtime must be > 0, got %v", time.Duration(o.Runtime))
-	case o.SoloRuns < 0:
-		return nil, fmt.Errorf("-solo-runs must be >= 0, got %d", o.SoloRuns)
+	case o.SoloRuns < 1:
+		return nil, fmt.Errorf("-solo-runs must be >= 1, got %d", o.SoloRuns)
 	case o.Parallel < 0:
 		return nil, fmt.Errorf("-parallel must be >= 0, got %d", o.Parallel)
 	case format != "text" && format != "json" && format != "csv":
@@ -194,6 +196,9 @@ func resolve(o core.ExpOptions, seeds int, all bool, figs []int, table int, head
 			return nil, fmt.Errorf("%s needs -ssds >= %d, got %d", r, r.minSSDs, o.NumSSDs)
 		}
 	}
+	if seeds > 1 && len(selected) > 0 && !slices.ContainsFunc(selected, report.sweeps) {
+		return nil, fmt.Errorf("-seeds %d would be ignored: only figures 6-9 and 11 and -ablate writes, hedging, load and iopath sweep", seeds)
+	}
 	return selected, nil
 }
 
@@ -215,14 +220,19 @@ type report struct {
 	flag, name string
 	banner     string
 	run        func(w io.Writer, s settings) error
-	// sweep, when set, is an ablation's single-distribution form: with
-	// -seeds N the report appends its N-seed sweep and pooled merge under
+	// dist, set instead of run, is a single-configuration figure: with
+	// -seeds N it reports the N-seed sweep and its pooled merge instead.
+	dist func(core.ExpOptions) core.Distribution
+	// sweep, when set, names an arm of the ablation's table: with -seeds
+	// N the report appends that arm's N-seed sweep and pooled merge under
 	// caption.
-	sweep   func(core.ExpOptions) core.Distribution
-	caption string
+	sweep, caption string
 	// minSSDs is the smallest fleet the entry runs on.
 	minSSDs int
 }
+
+// sweeps reports whether -seeds changes the entry's report.
+func (r report) sweeps() bool { return r.dist != nil || r.sweep != "" }
 
 // String names the entry the way its errors do.
 func (r report) String() string {
@@ -245,12 +255,16 @@ func (r report) emit(w, stderr io.Writer, s settings) error {
 		note = stderr
 	}
 	fmt.Fprintf(note, "\n=== %s ===\n", r.banner)
-	if err := r.run(w, s); err != nil {
+	run := r.run
+	if r.dist != nil {
+		run = figure(r.dist)
+	}
+	if err := run(w, s); err != nil {
 		return err
 	}
-	if s.seeds > 1 && r.sweep != nil {
+	if s.seeds > 1 && r.sweep != "" {
 		fmt.Fprintf(w, "\n%s, %d-seed sweep (pooled last):\n", r.caption, s.seeds)
-		sweep := core.RunSeedSweep(s.o, s.seeds, r.sweep)
+		sweep := core.SweepArm(s.o, s.seeds, r.name, r.sweep)
 		core.WriteComparisonTable(w, append(sweep, core.MergeSweep("pooled", sweep)))
 	}
 	if r.flag != "table" {
@@ -268,19 +282,19 @@ const raidSSDs = core.FaultStripeWidth + 1
 // names.
 var reports = []report{
 	{flag: "fig", name: "6", banner: "Fig 6: latency distributions, default configuration",
-		run: figure(core.RunFig6)},
+		dist: core.RunFig6},
 	{flag: "fig", name: "7", banner: "Fig 7: + FIO at SCHED_FIFO 99 (chrt)",
-		run: figure(core.RunFig7)},
+		dist: core.RunFig7},
 	{flag: "fig", name: "8", banner: "Fig 8: + CPU isolation boot options",
-		run: figure(core.RunFig8)},
+		dist: core.RunFig8},
 	{flag: "fig", name: "9", banner: "Fig 9: + IRQ affinity pinned (identical setup to Fig 13(a))",
-		run: figure(core.RunFig9)},
+		dist: core.RunFig9},
 	{flag: "fig", name: "10", banner: "Fig 10: latency scatter, 32 SSDs, periodic SMART spikes",
 		run: writeFig10,
 		// Fig 10 logs the first half of the fleet: one SSD logs none.
 		minSSDs: 2},
 	{flag: "fig", name: "11", banner: "Fig 11: experimental firmware (SMART disabled)",
-		run: figure(core.RunFig11)},
+		dist: core.RunFig11},
 	{flag: "fig", name: "12", banner: "Fig 12: comparison of four system configurations",
 		run: figures(core.RunFig12)},
 	{flag: "fig", name: "13", banner: "Fig 13/14: latency vs number of SSDs per physical CPU core",
@@ -307,18 +321,18 @@ var reports = []report{
 		run: experiment(core.RunRecoverySeries, core.WriteRecoverySeries), minSSDs: raidSSDs},
 	{flag: "ablate", name: "writes", banner: "Extension: RMW write path — clean / degraded / +rebuild / +tolerance",
 		run: experiment(core.RunWriteAblation, core.WriteWriteAblation), minSSDs: raidSSDs,
-		sweep: core.RunWriteLadder, caption: "tolerant-arm write ladder"},
+		sweep: "tolerant", caption: "tolerant-arm write ladder"},
 	{flag: "ablate", name: "hedging", banner: "Extension: hedging policy — static quantile vs per-drive adaptive vs adaptive+budgets",
 		run: experiment(core.RunHedgingAblation, core.WriteHedgingAblation), minSSDs: raidSSDs,
-		sweep: core.RunHedgeLadder, caption: "adaptive+budgets read ladder"},
+		sweep: "adaptive+budgets", caption: "adaptive+budgets read ladder"},
 	{flag: "ablate", name: "load", banner: "Extension: open-loop offered-load ladder — the load-vs-tail knee, with/without QoS admission",
 		run:   experiment(core.RunLoadAblation, core.WriteLoadAblation),
-		sweep: core.RunLoadLadder, caption: "admission-arm per-class ladders at 110% load"},
+		sweep: "load-admit-110", caption: "admission-arm per-class ladders at 110% load"},
 	{flag: "ablate", name: "iopath", banner: "Extension: low-latency I/O path — {irq, coalesced, polling, passthrough} × {flash, ull}",
 		run: experiment(core.RunIOPathAblation, core.WriteIOPathAblation),
 		// The grid's transient-error probe sits on SSD 1.
 		minSSDs: 2,
-		sweep:   core.RunIOPathLadder, caption: "ull passthrough per-SSD ladders"},
+		sweep:   "ull/passthrough", caption: "ull passthrough per-SSD ladders"},
 }
 
 // lookup finds the entry flag and name select.

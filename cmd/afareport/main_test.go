@@ -21,7 +21,7 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 		ssds     int
 		runtime  sim.Duration
 		seeds    int
-		solo     int
+		solo     *int // nil = the flag's default, 8
 		parallel int
 		all      bool
 		figs     []int
@@ -45,8 +45,18 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 			wantErr: `ablation "hedging" needs -ssds >= 9, got 8`},
 		{name: "iopath on one SSD", ssds: 1, runtime: rt, seeds: 1, ablate: "iopath",
 			wantErr: `ablation "iopath" needs -ssds >= 2, got 1`},
-		{name: "negative solo runs", ssds: 8, runtime: rt, seeds: 1, solo: -1, figs: []int{13},
-			wantErr: "-solo-runs must be >= 0, got -1"},
+		{name: "negative solo runs", ssds: 8, runtime: rt, seeds: 1, solo: intp(-1), figs: []int{13},
+			wantErr: "-solo-runs must be >= 1, got -1"},
+		{name: "zero solo runs", ssds: 8, runtime: rt, seeds: 1, solo: intp(0), figs: []int{13},
+			wantErr: "-solo-runs must be >= 1, got 0"},
+		{name: "seeds on a figure that does not sweep", ssds: 16, runtime: rt, seeds: 3, figs: []int{12},
+			wantErr: "-seeds 3 would be ignored"},
+		{name: "seeds on an ablation that does not sweep", ssds: 16, runtime: rt, seeds: 3, ablate: "fw",
+			wantErr: "-seeds 3 would be ignored"},
+		{name: "seeds on tables and the headline", ssds: 16, runtime: rt, seeds: 2, table: 2, headline: true,
+			wantErr: "-seeds 2 would be ignored"},
+		{name: "seeds on a sweeping figure", ssds: 16, runtime: rt, seeds: 3, figs: []int{12, 6}, wantN: 2},
+		{name: "seeds on a sweeping ablation", ssds: 16, runtime: rt, seeds: 3, ablate: "load", wantN: 1},
 		{name: "negative parallel", ssds: 16, runtime: rt, seeds: 1, parallel: -1, figs: []int{6},
 			wantErr: "-parallel must be >= 0, got -1"},
 		{name: "parallel 0 is one per CPU", ssds: 16, runtime: rt, seeds: 1, figs: []int{6}, wantN: 1},
@@ -90,7 +100,10 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := core.ExpOptions{Runtime: tc.runtime, NumSSDs: tc.ssds, SoloRuns: tc.solo, Parallel: tc.parallel}
+			o := core.ExpOptions{Runtime: tc.runtime, NumSSDs: tc.ssds, SoloRuns: 8, Parallel: tc.parallel}
+			if tc.solo != nil {
+				o.SoloRuns = *tc.solo
+			}
 			format := tc.format
 			if format == "" {
 				format = "text"
@@ -114,6 +127,8 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 		})
 	}
 }
+
+func intp(n int) *int { return &n }
 
 // TestRunRejectsStrayArgument: flag parsing stops at the first
 // positional argument, so a stray one would hide every flag after it.
@@ -192,7 +207,9 @@ func TestMultiFigureJSONIsAStream(t *testing.T) {
 }
 
 // TestEveryAblationRuns drives each registry entry end to end at the
-// smallest fleet every entry accepts: none may panic or write nothing.
+// smallest fleet every entry accepts, with a two-seed sweep where the
+// entry has one: none may panic or write nothing, and every sweep must
+// name an arm of its ablation's table.
 func TestEveryAblationRuns(t *testing.T) {
 	o := core.ExpOptions{Runtime: 20 * sim.Millisecond, Seed: 2018, NumSSDs: raidSSDs, SoloRuns: 1, Parallel: 2}
 	for _, r := range reports {
@@ -201,7 +218,7 @@ func TestEveryAblationRuns(t *testing.T) {
 		}
 		t.Run(r.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := r.run(&buf, settings{o: o}); err != nil {
+			if err := r.emit(&buf, io.Discard, settings{o: o, format: "text", seeds: 2}); err != nil {
 				t.Fatal(err)
 			}
 			if buf.Len() == 0 {

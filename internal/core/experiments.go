@@ -87,15 +87,6 @@ func (o ExpOptions) systemOptions(cfg Config) Options {
 	return opt
 }
 
-// stockOpts applies the defaults and boots the stock housekeeping
-// periods (TimeScale 1): the RAID ablations and the iopath grid compare
-// tolerance policies and completion paths, not rare-event rates.
-func stockOpts(o ExpOptions) ExpOptions {
-	o = o.withDefaults()
-	o.TimeScale = 1
-	return o
-}
-
 func (o ExpOptions) newSystem(cfg Config) *System {
 	return NewSystem(o.systemOptions(cfg))
 }
@@ -104,15 +95,13 @@ func (o ExpOptions) newSystem(cfg Config) *System {
 // configuration with the Fig 5 geometry — the common shape of Figs 6-9
 // and 11.
 func RunLatencyDistribution(cfg Config, o ExpOptions) Distribution {
-	return runFIOArm(o, fioArm{name: cfg.Name, cfg: cfg}).Distribution
+	return runArm(o, arm{name: cfg.Name, cfg: cfg, load: fleet{}}).fio.Distribution
 }
 
-// runDistributions measures one latency distribution per configuration.
-// Each config is an independent run (own System, engine, rng streams),
-// so the batch fans out across o.Parallel workers; results come back in
-// config order, identical to the serial loop.
+// runDistributions measures one latency distribution per configuration,
+// each the default QD1 randread fleet in an arm named after the config.
 func runDistributions(o ExpOptions, cfgs []Config) []Distribution {
-	return distributions(runFIOArms(o, cfgArms(cfgs)))
+	return pooled(o, each(cfgs, func(cfg Config) arm { return arm{name: cfg.Name, cfg: cfg, load: fleet{}} }))
 }
 
 // RunFig6 reproduces Fig 6: latency distributions of 64 SSDs under the
@@ -238,35 +227,16 @@ func RunFig13(o ExpOptions) []Distribution {
 
 	// Every (row, geometry) pair is a fresh boot (the paper reran fio on
 	// disjoint SSD sets), so the whole Table II matrix — including the 64
-	// solo runs of the 13(d) row — is one flat batch of independent arms.
-	rows := TableII()
-	var arms []fioArm
-	var rowOf []int
-	for ri, row := range rows {
+	// solo runs of the 13(d) row — is one flat batch of independent arms,
+	// each named after its row so that a row's runs pool into one
+	// distribution.
+	var arms []arm
+	for _, row := range TableII() {
 		for _, g := range geoms(row) {
-			arms = append(arms, fioArm{name: cfg.Name, cfg: cfg, spec: RunSpec{Geometry: g}})
-			rowOf = append(rowOf, ri)
+			arms = append(arms, arm{name: "fig" + row.Fig, cfg: cfg, load: fleet{spec: RunSpec{Geometry: g}}})
 		}
 	}
-	runs := runFIOArms(o, arms)
-
-	// Merge in submission order: arms (and therefore ladders) appear
-	// exactly where the serial loop would have put them.
-	out := make([]Distribution, len(rows))
-	for ri, row := range rows {
-		var ladders []stats.Ladder
-		for ai, r := range runs {
-			if rowOf[ai] == ri {
-				ladders = append(ladders, r.Ladders...)
-			}
-		}
-		out[ri] = Distribution{
-			Config:  fmt.Sprintf("fig%s", row.Fig),
-			Ladders: ladders,
-			Summary: stats.Summarize(ladders),
-		}
-	}
-	return out
+	return pooled(o, arms)
 }
 
 // Headline quantifies the abstract's claim: mean and standard deviation of
@@ -370,31 +340,16 @@ func RunPTSLatencyTest(cfg Config, o ExpOptions, roundLen sim.Duration, maxRound
 // arms keep the caller's compressed housekeeping periods. The baseline
 // and the clients are independent boots and fan out as one batch.
 func RunTailAtScale(cfg Config, widths []int, o ExpOptions) (perSSD FIORun, clients []RAIDRun) {
-	o = o.withDefaults()
-	// Job 0 is the per-SSD baseline; job i is the client of widths[i-1].
-	arms := make([]raidArm, 1+len(widths))
-	for i, w := range widths {
+	// Arm 0 is the per-SSD baseline; arm i is the client of widths[i-1].
+	arms := []arm{{name: cfg.Name, cfg: cfg, load: fleet{}}}
+	for _, w := range widths {
 		if w < 1 {
 			panic(fmt.Sprintf("core: stripe width %d < 1", w))
 		}
-		arms[i+1] = raidArm{name: fmt.Sprintf("stripe-%d", w), cfg: cfg, width: w}
+		arms = append(arms, arm{name: fmt.Sprintf("stripe-%d", w), cfg: cfg, load: stripe{width: w}})
 	}
-	type tailRun struct {
-		perSSD FIORun
-		client RAIDRun
-	}
-	runs := runner.Map(o.runnerOpts(), arms, func(i int, a raidArm) tailRun {
-		if i == 0 {
-			return tailRun{perSSD: runFIOArm(o, fioArm{name: cfg.Name, cfg: cfg})}
-		}
-		client, _ := runRAIDArm(o, a)
-		return tailRun{client: client}
-	})
-	clients = make([]RAIDRun, len(widths))
-	for i := range clients {
-		clients[i] = runs[i+1].client
-	}
-	return runs[0].perSSD, clients
+	runs := runArms(o, arms)
+	return runs[0].fio, each(runs[1:], func(r armRun) RAIDRun { return r.raid })
 }
 
 // P99Amplification is how much worse a striped client's 99th percentile
@@ -419,17 +374,15 @@ func RunCoalescingAblation(o ExpOptions) []FIORun {
 	co.Name = "coalesce-4"
 	co.Coalesce = kernel.Coalescing{Threshold: 4, Timeout: 100 * sim.Microsecond}
 
-	arms := cfgArms([]Config{base, co})
-	for i := range arms {
-		arms[i].spec.IODepth = 8
-	}
-	return runFIOArms(o, arms)
+	qd8 := fleet{spec: RunSpec{IODepth: 8}}
+	runs := runArms(o, []arm{{name: base.Name, cfg: base, load: qd8}, {name: co.Name, cfg: co, load: qd8}})
+	return each(runs, func(r armRun) FIORun { return r.fio })
 }
 
 // WriteCoalescingAblation renders the arms' comparison table and the
 // interrupts each spent per I/O.
 func WriteCoalescingAblation(w io.Writer, runs []FIORun) {
-	WriteComparisonTable(w, distributions(runs))
+	WriteComparisonTable(w, each(runs, func(r FIORun) Distribution { return r.Distribution }))
 	rates := make([]string, len(runs))
 	for i, r := range runs {
 		rates[i] = fmt.Sprintf("%.2f", float64(r.IRQs())/float64(r.IOs))
@@ -483,10 +436,10 @@ func RunUsedStateStudy(o ExpOptions) []Distribution {
 			d.Flash.Precondition(usedFillFraction)
 		}
 	}
-	return distributions(runFIOArms(o, []fioArm{
-		{name: "fob", cfg: cfg, spec: spec},
-		{name: "used", cfg: cfg, spec: spec, prep: precondition},
-	}))
+	return pooled(o, []arm{
+		{name: "fob", cfg: cfg, load: fleet{spec: spec}},
+		{name: "used", cfg: cfg, load: fleet{spec: spec, prep: precondition}},
+	})
 }
 
 // UsedStateGeom returns the geometry for the used-state study: small

@@ -46,12 +46,13 @@ func DemoFaultPlan(horizon sim.Duration) fault.Plan {
 // of waiting for it. The three arms are independent boots and fan out in
 // parallel.
 func RunFaultAblation(o ExpOptions) []RAIDRun {
-	return runRAIDArms(o, []raidArm{
-		{name: "clean", cfg: IRQAffinity()},
-		{name: "faulted", cfg: IRQAffinity(), plan: DemoFaultPlan},
+	g := grid{stock: true, arms: []arm{
+		{name: "clean", cfg: IRQAffinity(), load: stripe{}},
+		{name: "faulted", cfg: IRQAffinity(), plan: DemoFaultPlan, load: stripe{}},
 		{name: "tolerant", cfg: FaultTolerance(), plan: DemoFaultPlan,
-			tol: raid.DefaultTolerance(FaultStripeWidth)},
-	})
+			load: stripe{tol: raid.DefaultTolerance(FaultStripeWidth)}},
+	}}
+	return each(g.run(o), func(r armRun) RAIDRun { return r.raid })
 }
 
 // RecoveryResult is the drop-out/recovery time series: per-window maximum
@@ -76,7 +77,7 @@ func RunRecoverySeries(o ExpOptions) RecoveryResult {
 	o = stockOpts(o)
 	dropAt := sim.Time(0).Add(o.Runtime / 4)
 	recoverAt := sim.Time(0).Add(3 * o.Runtime / 4)
-	run, end := runRAIDArm(o, raidArm{
+	run := runArm(o, arm{
 		name: "recovery",
 		cfg:  FaultTolerance(),
 		plan: func(sim.Duration) fault.Plan {
@@ -84,12 +85,11 @@ func RunRecoverySeries(o ExpOptions) RecoveryResult {
 				{SSD: 0, DropAt: dropAt, RecoverAt: recoverAt},
 			}}
 		},
-		client: raid.ClientSpec{LatLog: true},
-		tol:    raid.DefaultTolerance(FaultStripeWidth),
+		load: stripe{client: raid.ClientSpec{LatLog: true}, tol: raid.DefaultTolerance(FaultStripeWidth)},
 	})
 	return RecoveryResult{
-		RAIDRun:   run,
-		Buckets:   stats.Bucketize(run.Log.Samples(), int64(end), 48, 500_000),
+		RAIDRun:   run.raid,
+		Buckets:   stats.Bucketize(run.raid.Log.Samples(), int64(run.end), 48, 500_000),
 		DropAt:    dropAt,
 		RecoverAt: recoverAt,
 	}
@@ -98,7 +98,9 @@ func RunRecoverySeries(o ExpOptions) RecoveryResult {
 // WriteFaultAblation renders the three-arm comparison: the ladders side
 // by side, then the tolerance counters.
 func WriteFaultAblation(w io.Writer, runs []RAIDRun) {
-	writeRAIDTable(w, runs, 12, 16, 10, []raidCounter{
+	writeSideBySide(w, 10, 12, "lat(µs)", raidNames(runs), raidRungs(runs))
+	fmt.Fprintln(w)
+	writeSideBySide(w, 16, 10, "counter", raidNames(runs), counterRows(runs, []counter[RAIDRun]{
 		{"requests", func(r RAIDRun) int64 { return r.Requests }},
 		{"failed", func(r RAIDRun) int64 { return r.FailedRequests }},
 		{"sub-I/O errors", func(r RAIDRun) int64 { return r.SubIOErrors }},
@@ -108,7 +110,7 @@ func WriteFaultAblation(w io.Writer, runs []RAIDRun) {
 		{"kern timeouts", func(r RAIDRun) int64 { return r.IOStats.Timeouts }},
 		{"kern retries", func(r RAIDRun) int64 { return r.IOStats.Retries }},
 		{"kern exhausted", func(r RAIDRun) int64 { return r.IOStats.Exhausted }},
-	})
+	}))
 }
 
 // WriteRecoverySeries renders the outage time series: max latency per

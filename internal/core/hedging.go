@@ -61,11 +61,21 @@ func DemoHedgePlan(horizon sim.Duration) fault.Plan {
 // stream from the replacement instant — the same competing-rebuild
 // setting as the write ablation, so the arms differ only in hedging
 // policy (cfg and adaptive).
-func hedgeArm(name string, cfg Config, adaptive bool) raidArm {
+func hedgeArm(name string, cfg Config, adaptive bool) arm {
 	tol := raid.DefaultTolerance(FaultStripeWidth)
 	tol.Adaptive = adaptive
-	return raidArm{name: name, cfg: cfg, plan: DemoHedgePlan, client: raid.ClientSpec{QD: 4},
-		rebuild: true, tol: tol}
+	return arm{name: name, cfg: cfg, plan: DemoHedgePlan,
+		load: stripe{client: raid.ClientSpec{QD: 4}, rebuild: true, tol: tol}}
+}
+
+// hedgeGrid is the hedging ablation's three arms. A seed sweep reruns
+// the adaptive+budgets arm, the full control plane, as "hedge-ladder".
+func hedgeGrid() grid {
+	return grid{stock: true, rerun: "hedge-ladder", arms: []arm{
+		hedgeArm("static", FaultTolerance(), false),
+		hedgeArm("adaptive", AdaptiveTolerance(), true),
+		hedgeArm("adaptive+budgets", AdaptiveBudgets(), true),
+	}}
 }
 
 // RunHedgingAblation measures the client-visible striped-read ladder
@@ -84,26 +94,16 @@ func hedgeArm(name string, cfg Config, adaptive bool) raidArm {
 // baseline, not raced constantly). The three arms are independent boots
 // fanned out in parallel.
 func RunHedgingAblation(o ExpOptions) []RAIDRun {
-	return runRAIDArms(o, []raidArm{
-		hedgeArm("static", FaultTolerance(), false),
-		hedgeArm("adaptive", AdaptiveTolerance(), true),
-		hedgeArm("adaptive+budgets", AdaptiveBudgets(), true),
-	})
-}
-
-// RunHedgeLadder is the sweepable single-distribution form of the full
-// control-plane arm: DemoHedgePlan, the rebuild stream, and adaptive
-// hedging with budgets at one seed, returning the read ladder for
-// RunSeedSweep pooling (n seeds read as one n-client fleet).
-func RunHedgeLadder(o ExpOptions) Distribution {
-	return raidLadder(o, "hedging-adaptive-budgets", hedgeArm("hedge-ladder", AdaptiveBudgets(), true))
+	return each(hedgeGrid().run(o), func(r armRun) RAIDRun { return r.raid })
 }
 
 // WriteHedgingAblation renders the three-arm comparison: the ladders
 // side by side, the hedging and kernel counters, then the end-of-run
 // health-tracker view of the fleet for the arms that ran one.
 func WriteHedgingAblation(w io.Writer, runs []RAIDRun) {
-	writeRAIDTable(w, runs, 16, 18, 16, []raidCounter{
+	writeSideBySide(w, 10, 16, "lat(µs)", raidNames(runs), raidRungs(runs))
+	fmt.Fprintln(w)
+	writeSideBySide(w, 18, 16, "counter", raidNames(runs), counterRows(runs, []counter[RAIDRun]{
 		{"requests", func(r RAIDRun) int64 { return r.Requests }},
 		{"failed", func(r RAIDRun) int64 { return r.FailedRequests }},
 		{"sub-I/O errors", func(r RAIDRun) int64 { return r.SubIOErrors }},
@@ -118,7 +118,7 @@ func WriteHedgingAblation(w io.Writer, runs []RAIDRun) {
 		{"budget exhausted", func(r RAIDRun) int64 { return r.IOStats.RetryBudgetExhausted }},
 		{"shed to reconst", func(r RAIDRun) int64 { return r.IOStats.ShedToReconstruct }},
 		{"overload entries", func(r RAIDRun) int64 { return r.IOStats.OverloadEntered }},
-	})
+	}))
 
 	for _, r := range runs {
 		if r.Drives == nil {

@@ -71,11 +71,11 @@ func TestHedgingAblationShape(t *testing.T) {
 	}
 }
 
-// TestHedgeLadderShape pins the sweepable form: one pooled distribution
-// named for the full control-plane arm, ready for RunSeedSweep.
+// TestHedgeLadderShape pins the swept form of the full control-plane
+// arm: one client ladder per seed, labelled for the arm.
 func TestHedgeLadderShape(t *testing.T) {
-	d := RunHedgeLadder(sweepOpts())
-	if d.Config != "hedging-adaptive-budgets" {
+	d := SweepArm(sweepOpts(), 1, "hedging", "adaptive+budgets")[0]
+	if d.Config != "hedging-adaptive-budgets#7" {
 		t.Errorf("Config = %q", d.Config)
 	}
 	if len(d.Ladders) != 1 {

@@ -86,11 +86,11 @@ func TestIOPathOrdering(t *testing.T) {
 	}
 }
 
-// TestIOPathLadderShape pins the sweepable form: one pooled
-// distribution for the fastest arm, ready for RunSeedSweep.
+// TestIOPathLadderShape pins the swept form of the fastest cell: its
+// per-SSD ladders per seed, labelled for the cell.
 func TestIOPathLadderShape(t *testing.T) {
-	d := RunIOPathLadder(sweepOpts())
-	if d.Config != "iopath-ull-passthrough" {
+	d := SweepArm(sweepOpts(), 1, "iopath", "ull/passthrough")[0]
+	if d.Config != "iopath-ull-passthrough#7" {
 		t.Errorf("Config = %q", d.Config)
 	}
 	if len(d.Ladders) == 0 || d.Summary.N == 0 {

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/fio"
 	"repro/internal/kernel"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -72,8 +71,8 @@ func loadClassOf(i int) kernel.QoSClass {
 // one pinned FIO thread per SSD at QD loadProbeQD, summed across the
 // fleet. This is the "100%" the load ladder is scaled against.
 func MeasureCapacity(o ExpOptions) float64 {
-	probe := fioArm{name: "capacity", cfg: IRQAffinity(), spec: RunSpec{IODepth: loadProbeQD}}
-	return runFIOArm(o, probe).IOPS
+	probe := arm{name: "capacity", cfg: IRQAffinity(), load: fleet{spec: RunSpec{IODepth: loadProbeQD}}}
+	return runArm(o, probe).fio.IOPS
 }
 
 // LoadRun is one (rung, arm) cell of the load ablation: the
@@ -103,14 +102,14 @@ type LoadAblation struct {
 // loadMuxConfig assembles the multiplexer for one rung: admission
 // budgets are fixed absolute rates provisioned from capacity (they do
 // not scale with the rung — an operator provisions once).
-func loadMuxConfig(name, arm string, capacity float64, sys *System, runtime sim.Duration, seed uint64) fio.MuxConfig {
+func loadMuxConfig(name, admission string, capacity float64, sys *System, runtime sim.Duration, seed uint64) fio.MuxConfig {
 	cfg := fio.MuxConfig{
 		Name:    name,
 		Runtime: runtime,
 		Seed:    seed,
 		CPUs:    sys.Host.WorkloadCPUs(),
 	}
-	if arm == "admit" {
+	if admission == "admit" {
 		cfg.Class[kernel.ClassThroughput] = fio.ClassConfig{
 			Rate:   admitTPShare * capacity,
 			Policy: fio.AdmitThrottle,
@@ -160,19 +159,48 @@ func addLoadTenants(m *fio.Multiplexer, numSSDs int, offered float64) {
 	}
 }
 
-// runLoadRung boots one system and runs the tenant mix at frac ×
-// capacity offered load on one arm: "open", or "admit" with the
-// admission budgets.
-func runLoadRung(name, arm string, frac, capacity float64, o ExpOptions) LoadRun {
-	sys := o.newSystem(IRQAffinity())
+// tenants is the open-loop workload: the standard tenant mix at frac ×
+// capacity offered load on one arm, "open", or "admit" with the
+// admission budgets. Capacity 0 probes it first at the run's own seed.
+type tenants struct {
+	admission      string
+	frac, capacity float64
+}
+
+func (t tenants) run(o ExpOptions, sys *System, name string) armRun {
+	capacity := t.capacity
+	if capacity == 0 {
+		capacity = MeasureCapacity(o)
+	}
 	// Settle the system (daemons started, balancer run) like RunFIO's
 	// warmup before arrivals begin.
 	sys.Eng.RunUntil(sys.Eng.Now().Add(50 * sim.Millisecond))
-	cfg := loadMuxConfig(name, arm, capacity, sys, o.Runtime, o.Seed)
-	m := fio.NewMultiplexer(sys.Eng, sys.Kernel, cfg)
-	offered := frac * capacity
+	m := fio.NewMultiplexer(sys.Eng, sys.Kernel, loadMuxConfig(name, t.admission, capacity, sys, o.Runtime, o.Seed))
+	offered := t.frac * capacity
 	addLoadTenants(m, len(sys.SSDs), offered)
-	return LoadRun{MuxResult: *m.Run(), Arm: arm, Frac: frac, OfferedRate: offered}
+	run := LoadRun{MuxResult: *m.Run(), Arm: t.admission, Frac: t.frac, OfferedRate: offered}
+	ladders := make([]stats.Ladder, 0, kernel.NumQoSClasses)
+	for c := range run.Class {
+		ladders = append(ladders, run.Class[c].Ladder)
+	}
+	return armRun{mux: run, ladders: ladders, end: sys.Eng.Now()}
+}
+
+// loadGrid is the rung × arm grid against capacity (0: each run probes
+// its own), arm-major, each cell named load-<arm>-<percent>. A seed
+// sweep reruns a cell as "load-ladder".
+func loadGrid(capacity float64) grid {
+	g := grid{rerun: "load-ladder"}
+	for _, admission := range []string{"open", "admit"} {
+		for _, f := range loadFracs {
+			g.arms = append(g.arms, arm{
+				name: fmt.Sprintf("load-%s-%d", admission, int(float64(f*100)+0.5)),
+				cfg:  IRQAffinity(),
+				load: tenants{admission: admission, frac: f, capacity: capacity},
+			})
+		}
+	}
+	return g
 }
 
 // RunLoadAblation measures the load-vs-tail curve: the capacity probe
@@ -181,27 +209,9 @@ func runLoadRung(name, arm string, frac, capacity float64, o ExpOptions) LoadRun
 // cell is an independent boot; all multiplexer state is built inside
 // the worker.
 func RunLoadAblation(o ExpOptions) LoadAblation {
-	o = o.withDefaults()
 	capacity := MeasureCapacity(o)
-
-	type loadCell struct {
-		name, arm string
-		frac      float64
-	}
-	cells := make([]loadCell, 0, 2*len(loadFracs))
-	for _, arm := range []string{"open", "admit"} {
-		for _, f := range loadFracs {
-			cells = append(cells, loadCell{
-				name: fmt.Sprintf("load-%s-%d", arm, int(float64(f*100)+0.5)),
-				arm:  arm,
-				frac: f,
-			})
-		}
-	}
-	runs := runner.Map(o.runnerOpts(), cells, func(_ int, c loadCell) LoadRun {
-		return runLoadRung(c.name, c.arm, c.frac, capacity, o)
-	})
-	return LoadAblation{Capacity: capacity, Runs: runs}
+	runs := loadGrid(capacity).run(o)
+	return LoadAblation{Capacity: capacity, Runs: each(runs, func(r armRun) LoadRun { return r.mux })}
 }
 
 // Knee locates the hockey stick in one arm: the pre-knee baseline is
@@ -226,21 +236,6 @@ func (a LoadAblation) Knee(arm string) (frac float64, ratio float64, ok bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// RunLoadLadder is the sweepable single-distribution form: the
-// admission arm at 110% offered load, returning the three per-class
-// ladders for RunSeedSweep pooling.
-func RunLoadLadder(o ExpOptions) Distribution {
-	o = o.withDefaults()
-	capacity := MeasureCapacity(o)
-	res := runLoadRung("load-ladder", "admit", 1.1, capacity, o)
-	ladders := make([]stats.Ladder, 0, kernel.NumQoSClasses)
-	for c := range res.Class {
-		ladders = append(ladders, res.Class[c].Ladder)
-	}
-	return Distribution{Config: "load-admit-110", Ladders: ladders,
-		Summary: stats.Summarize(ladders)}
 }
 
 // WriteLoadAblation renders the grid: per-arm rung tables (arrival

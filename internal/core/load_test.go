@@ -115,18 +115,18 @@ func TestLoadAblationKnee(t *testing.T) {
 	t.Logf("load ablation:\n%s", out)
 }
 
-// TestLoadLadderShape: the sweepable form returns one ladder per QoS
-// class and is deterministic at a fixed seed.
+// TestLoadLadderShape: the swept admission cell at 110% returns one
+// ladder per QoS class and is deterministic at a fixed seed.
 func TestLoadLadderShape(t *testing.T) {
 	o := loadOpts()
-	d := RunLoadLadder(o)
+	d := SweepArm(o, 1, "load", "load-admit-110")[0]
 	if len(d.Ladders) != kernel.NumQoSClasses {
 		t.Fatalf("ladder count = %d, want %d", len(d.Ladders), kernel.NumQoSClasses)
 	}
-	if d.Config != "load-admit-110" {
+	if d.Config != "load-admit-110#7" {
 		t.Fatalf("config = %q", d.Config)
 	}
-	again := RunLoadLadder(o)
+	again := SweepArm(o, 1, "load", "load-admit-110")[0]
 	if d.Summary != again.Summary {
 		t.Error("same-seed load ladders differ")
 	}

@@ -25,30 +25,10 @@ func WriteDistributionTable(w io.Writer, d Distribution) {
 // WriteComparisonTable renders several Distributions side by side (Fig 12 /
 // Fig 14 style): one block for means, one for standard deviations.
 func WriteComparisonTable(w io.Writer, ds []Distribution) {
-	fmt.Fprintf(w, "%-10s", "mean(µs)")
-	for _, d := range ds {
-		fmt.Fprintf(w, " %12s", d.Config)
-	}
+	names := cells(ds, "%s", func(d Distribution) any { return d.Config })
+	writeSideBySide(w, 10, 12, "mean(µs)", names, rungRows(ds, func(d Distribution, i int) float64 { return d.Summary.Mean[i] }))
 	fmt.Fprintln(w)
-	for r := 0; r < stats.NumRungs; r++ {
-		fmt.Fprintf(w, "%-10s", stats.LadderLabels[r])
-		for _, d := range ds {
-			fmt.Fprintf(w, " %12.1f", d.Summary.Mean[r]/1e3)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "\n%-10s", "std(µs)")
-	for _, d := range ds {
-		fmt.Fprintf(w, " %12s", d.Config)
-	}
-	fmt.Fprintln(w)
-	for r := 0; r < stats.NumRungs; r++ {
-		fmt.Fprintf(w, "%-10s", stats.LadderLabels[r])
-		for _, d := range ds {
-			fmt.Fprintf(w, " %12.1f", d.Summary.Std[r]/1e3)
-		}
-		fmt.Fprintln(w)
-	}
+	writeSideBySide(w, 10, 12, "std(µs)", names, rungRows(ds, func(d Distribution, i int) float64 { return d.Summary.Std[i] }))
 }
 
 // WriteTableII renders Table II.

@@ -1,6 +1,6 @@
 // Write-path fault experiments: the four-arm degraded-write ablation
 // (clean RMW, degraded, degraded + rebuild, degraded + rebuild +
-// tolerance) and the pooled write-tail ladder for seed sweeps. The
+// tolerance), whose tolerant arm is the write-tail seed-sweep unit. The
 // paper's tail events (SMART windows, GC storms) hit writes hardest;
 // these runners measure what the RAID small-write penalty and a member
 // outage do to the client-visible write ladder, and how much the
@@ -66,12 +66,16 @@ func writeRebuildSpec(o ExpOptions, cpu int) raid.RebuildSpec {
 // member.
 var writeClient = raid.ClientSpec{Workload: raid.WorkloadWrite, Parity: FaultStripeWidth}
 
-// tolerantWriteArm is the full write tolerance stack under DemoWritePlan
-// with the rebuild stream racing it: the ablation's "tolerant" arm and,
-// renamed, the RunWriteLadder sweep unit.
-func tolerantWriteArm(name string) raidArm {
-	return raidArm{name: name, cfg: FaultTolerance(), plan: DemoWritePlan, client: writeClient,
-		rebuild: true, tol: raid.DefaultTolerance(FaultStripeWidth)}
+// writeGrid is the write ablation's four arms. A seed sweep reruns the
+// tolerant arm as "write-ladder".
+func writeGrid() grid {
+	return grid{stock: true, rerun: "write-ladder", arms: []arm{
+		{name: "clean", cfg: IRQAffinity(), load: stripe{client: writeClient}},
+		{name: "degraded", cfg: FaultTolerance(), plan: DemoWritePlan, load: stripe{client: writeClient}},
+		{name: "rebuild", cfg: FaultTolerance(), plan: DemoWritePlan, load: stripe{client: writeClient, rebuild: true}},
+		{name: "tolerant", cfg: FaultTolerance(), plan: DemoWritePlan, load: stripe{client: writeClient,
+			rebuild: true, tol: raid.DefaultTolerance(FaultStripeWidth)}},
+	}}
 }
 
 // RunWriteAblation measures the client-visible RMW write ladder in four
@@ -95,27 +99,16 @@ func tolerantWriteArm(name string) raidArm {
 // commands, so a host with no timeout at all would simply hang —
 // "untolerant" here means no RAID-level tolerance.
 func RunWriteAblation(o ExpOptions) []RAIDRun {
-	return runRAIDArms(o, []raidArm{
-		{name: "clean", cfg: IRQAffinity(), client: writeClient},
-		{name: "degraded", cfg: FaultTolerance(), plan: DemoWritePlan, client: writeClient},
-		{name: "rebuild", cfg: FaultTolerance(), plan: DemoWritePlan, client: writeClient, rebuild: true},
-		tolerantWriteArm("tolerant"),
-	})
-}
-
-// RunWriteLadder is the sweepable single-distribution form of the
-// tolerant write arm: the full fault plan, rebuild stream, and tolerance
-// stack at one seed, returning the write ladder for RunSeedSweep
-// pooling (n seeds read as one n-client fleet).
-func RunWriteLadder(o ExpOptions) Distribution {
-	return raidLadder(o, "writes-tolerant", tolerantWriteArm("write-ladder"))
+	return each(writeGrid().run(o), func(r armRun) RAIDRun { return r.raid })
 }
 
 // WriteWriteAblation renders the four-arm comparison: ladders side by
 // side, then the write-path and kernel counters, then the rebuild
 // streams' progress.
 func WriteWriteAblation(w io.Writer, runs []RAIDRun) {
-	writeRAIDTable(w, runs, 12, 18, 10, []raidCounter{
+	writeSideBySide(w, 10, 12, "lat(µs)", raidNames(runs), raidRungs(runs))
+	fmt.Fprintln(w)
+	writeSideBySide(w, 18, 10, "counter", raidNames(runs), counterRows(runs, []counter[RAIDRun]{
 		{"requests", func(r RAIDRun) int64 { return r.Requests }},
 		{"failed", func(r RAIDRun) int64 { return r.FailedRequests }},
 		{"sub-I/O errors", func(r RAIDRun) int64 { return r.SubIOErrors }},
@@ -135,7 +128,7 @@ func WriteWriteAblation(w io.Writer, runs []RAIDRun) {
 		{"kern wr timeouts", func(r RAIDRun) int64 { return r.IOStats.WriteTimeouts }},
 		{"kern retries", func(r RAIDRun) int64 { return r.IOStats.Retries }},
 		{"kern exhausted", func(r RAIDRun) int64 { return r.IOStats.Exhausted }},
-	})
+	}))
 
 	for _, r := range runs {
 		if r.Rebuild == nil {

@@ -97,13 +97,13 @@ func TestWriteChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestWriteLadderSweepParallelIdentical runs the pooled tolerant-write
-// ladder sweep serially and over an oversubscribed pool: the exported
+// TestWriteLadderSweepParallelIdentical runs the tolerant write arm's
+// seed sweep serially and over an oversubscribed pool: the exported
 // bytes must match.
 func TestWriteLadderSweepParallelIdentical(t *testing.T) {
 	export := func(o ExpOptions) []byte {
 		var buf bytes.Buffer
-		sweep := RunSeedSweep(o, 3, RunWriteLadder)
+		sweep := SweepArm(o, 3, "writes", "tolerant")
 		if err := WriteDistributionsJSON(&buf, sweep); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestWriteLadderSweepParallelIdentical(t *testing.T) {
 		t.Fatalf("write-ladder sweep diverged: serial %d bytes, parallel %d bytes",
 			len(a), len(b))
 	}
-	if d := RunSeedSweep(serial, 3, RunWriteLadder); d[0].Config != "writes-tolerant#7" {
+	if d := SweepArm(serial, 3, "writes", "tolerant"); d[0].Config != "writes-tolerant#7" {
 		t.Fatalf("sweep tag = %q", d[0].Config)
 	}
 }

@@ -6,6 +6,10 @@
 #                  fixtures under internal/lint/testdata, whose
 #                  positional `want:` comments pin column layouts;
 #   vet          — stdlib static checks;
+#   bench build  — the benchmark module (bench/, a separate Go module
+#                  that ./... skips) compiles and vets against this
+#                  tree, so a change to internal/core that breaks it
+#                  fails here, not only in a benchmark run;
 #   afalint      — one pass of all nineteen rules against the one debt
 #                  ledger, lint.baseline: the determinism contract
 #                  (DESIGN.md §5: no wall clock, no global rand, no
@@ -51,6 +55,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
+(cd bench && go build ./... && go vet ./...)
 go run ./cmd/afalint -baseline lint.baseline ./...
 go test -race -shuffle=on ./...
 (cd bench && go test ./...)
