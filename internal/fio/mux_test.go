@@ -195,26 +195,38 @@ func TestMuxAdmissionThrottle(t *testing.T) {
 }
 
 // TestMuxSteadyStateAllocs: after warmup, advancing the mux must not
-// allocate on the arrival/submit/complete path.
+// allocate on the arrival/submit/complete path, at any tenant
+// population. The aggregate rate stays at 40k arrivals/s, so only the
+// population varies: 100,000 tenants is the open-mux scale.
 func TestMuxSteadyStateAllocs(t *testing.T) {
-	r := newRig(t, 4, 4, kernel.CompleteInterrupt, nvme.FirmwareNoSMART)
-	m := NewMultiplexer(r.eng, r.k, MuxConfig{Runtime: 10 * sim.Second, Seed: 13})
-	addTenants(m, 200, 4, kernel.ClassThroughput, ArrivalSpec{Kind: ArrivalMMPP, Rate: 200})
-	m.Start(nil)
-	// Warm up: freelists fill, wheel slots and histograms reach their
-	// steady footprint.
-	r.eng.RunUntil(r.eng.Now().Add(300 * sim.Millisecond))
-	before := m.Result()
-	_ = before
-	avg := testing.AllocsPerRun(20, func() {
-		r.eng.RunUntil(r.eng.Now().Add(10 * sim.Millisecond))
-	})
-	// Each 10ms window carries ~400 arrivals; a handful of allocations
-	// per window (slice growth tails) is indistinguishable from zero
-	// per-arrival cost, but per-arrival allocation would show up as
-	// hundreds.
-	if avg > 10 {
-		t.Fatalf("steady-state allocations: %.1f per 10ms window (want ~0 per arrival)", avg)
+	const aggregate = 40_000.0 // arrivals per second
+	for _, tenants := range []int{200, 10_000, 100_000} {
+		t.Run(fmt.Sprint(tenants), func(t *testing.T) {
+			r := newRig(t, 4, 4, kernel.CompleteInterrupt, nvme.FirmwareNoSMART)
+			m := NewMultiplexer(r.eng, r.k, MuxConfig{Runtime: 10 * sim.Second, Seed: 13})
+			addTenants(m, tenants, 4, kernel.ClassThroughput, ArrivalSpec{Kind: ArrivalMMPP, Rate: aggregate / float64(tenants)})
+			m.Start(nil)
+			// Warm up: freelists fill, wheel slots and histograms reach
+			// their steady footprint.
+			r.eng.RunUntil(r.eng.Now().Add(300 * sim.Millisecond))
+			cs := &m.classes[kernel.ClassThroughput]
+			offered := cs.offered
+			avg := testing.AllocsPerRun(20, func() {
+				r.eng.RunUntil(r.eng.Now().Add(10 * sim.Millisecond))
+			})
+			// AllocsPerRun runs 21 windows (one warm-up); a measurement
+			// over windows that carry no arrivals would prove nothing.
+			if n := cs.offered - offered; n < 21*100 {
+				t.Fatalf("%d arrivals in 21 windows, want ~8,400", n)
+			}
+			// Each 10ms window carries ~400 arrivals; a handful of
+			// allocations per window (slice growth tails) is
+			// indistinguishable from zero per-arrival cost, but
+			// per-arrival allocation would show up as hundreds.
+			if avg > 10 {
+				t.Fatalf("steady-state allocations: %.1f per 10ms window (want ~0 per arrival)", avg)
+			}
+		})
 	}
 }
 
