@@ -37,8 +37,9 @@
 // derived seeds (seed, seed+1, …) in parallel and appends a pooled row
 // merging all N fleets; sweep member i reproduces standalone with
 // -seed <seed+i>. The writes, hedging, load and iopath ablations append
-// the same sweep of one arm of their table. -seeds N with no selected
-// report that sweeps is a usage error.
+// the same sweep of one arm of their table. -seeds N with a selected
+// report that does not sweep is a usage error; -all sweeps the reports
+// that can.
 package main
 
 import (
@@ -196,8 +197,11 @@ func resolve(o core.ExpOptions, seeds int, all bool, figs []int, table int, head
 			return nil, fmt.Errorf("%s needs -ssds >= %d, got %d", r, r.minSSDs, o.NumSSDs)
 		}
 	}
-	if seeds > 1 && len(selected) > 0 && !slices.ContainsFunc(selected, report.sweeps) {
-		return nil, fmt.Errorf("-seeds %d would be ignored: only figures 6-9 and 11 and -ablate writes, hedging, load and iopath sweep", seeds)
+	// -all sweeps what it can; an explicit selection must sweep whole.
+	if seeds > 1 && !all {
+		if i := slices.IndexFunc(selected, func(r report) bool { return !r.sweeps() }); i >= 0 {
+			return nil, fmt.Errorf("-seeds %d would be ignored by %s: only figures 6-9 and 11 and -ablate writes, hedging, load and iopath sweep", seeds, selected[i])
+		}
 	}
 	return selected, nil
 }

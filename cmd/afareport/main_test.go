@@ -55,7 +55,11 @@ func TestResolveRejectsBadOptions(t *testing.T) {
 			wantErr: "-seeds 3 would be ignored"},
 		{name: "seeds on tables and the headline", ssds: 16, runtime: rt, seeds: 2, table: 2, headline: true,
 			wantErr: "-seeds 2 would be ignored"},
-		{name: "seeds on a sweeping figure", ssds: 16, runtime: rt, seeds: 3, figs: []int{12, 6}, wantN: 2},
+		{name: "seeds on a sweeping figure", ssds: 16, runtime: rt, seeds: 3, figs: []int{12, 6},
+			wantErr: "-seeds 3 would be ignored by -fig 12"},
+		{name: "seeds on a mix led by a sweeping figure", ssds: 16, runtime: rt, seeds: 2, figs: []int{6, 12},
+			wantErr: "-seeds 2 would be ignored by -fig 12"},
+		{name: "seeds on sweeping figures", ssds: 16, runtime: rt, seeds: 2, figs: []int{6, 7}, wantN: 2},
 		{name: "seeds on a sweeping ablation", ssds: 16, runtime: rt, seeds: 3, ablate: "load", wantN: 1},
 		{name: "negative parallel", ssds: 16, runtime: rt, seeds: 1, parallel: -1, figs: []int{6},
 			wantErr: "-parallel must be >= 0, got -1"},

@@ -106,70 +106,6 @@ func WriteFig10CSV(w io.Writer, r Fig10Result) error {
 	return cw.Error()
 }
 
-// ParallelBenchRow is one serial-vs-parallel wall-clock measurement of
-// an experiment fan-out (bench_test.go's BenchmarkParallelSpeedup);
-// BENCH_parallel.json holds a list of them.
-type ParallelBenchRow struct {
-	// Experiment names the fan-out being timed, e.g. "fig12+fig13".
-	Experiment string `json:"experiment"`
-	// Parallel is the worker-pool width of the parallel arm
-	// (runner.DefaultParallel when the flag was 0).
-	Parallel int `json:"parallel"`
-	// SerialMs/ParallelMs are wall-clock, not simulated, times.
-	SerialMs   float64 `json:"serial_ms"`
-	ParallelMs float64 `json:"parallel_ms"`
-	// Speedup is SerialMs / ParallelMs.
-	Speedup float64 `json:"speedup_x"`
-}
-
-// WriteParallelBenchJSON emits the speedup summary as indented JSON,
-// through the same export path the distribution reports use.
-func WriteParallelBenchJSON(w io.Writer, rows []ParallelBenchRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// EngineBenchRow is one engine-throughput measurement: how many
-// discrete events per wall-clock second the simulator's inner loop
-// sustains on a given configuration (bench_test.go's
-// BenchmarkEngineThroughput); BENCH_engine.json holds a list of them.
-// Events/sec multiplies every figure and sweep the repository runs, so
-// its trajectory is archived per commit like the other BENCH files.
-type EngineBenchRow struct {
-	// Experiment names the driven workload, e.g. "headline-64ssd".
-	Experiment string `json:"experiment"`
-	NumSSDs    int    `json:"num_ssds"`
-	// Events is the number of engine steps the run fired.
-	Events int64 `json:"events"`
-	// IOs is the number of I/Os completed across all jobs.
-	IOs int64 `json:"ios"`
-	// WallMs is host wall-clock time for the run, not simulated time.
-	WallMs float64 `json:"wall_ms"`
-	// EventsPerSec is the headline metric: Events / (WallMs/1000).
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Arrivals / ArrivalsPerSec are set by the open-loop multiplexer
-	// benchmarks (BenchmarkTenantMux): offered arrivals processed and
-	// the wall-clock rate they were processed at. Zero (omitted) for
-	// closed-loop rows.
-	Arrivals       int64   `json:"arrivals,omitempty"`
-	ArrivalsPerSec float64 `json:"arrivals_per_sec,omitempty"`
-	// MeanLatNs is the mean simulated completion latency of the row's
-	// workload in nanoseconds — set by the I/O-path rows
-	// (BenchmarkIOPathLatency), where the figure under guard is the
-	// latency itself rather than a wall-clock rate. Zero (omitted) for
-	// throughput rows.
-	MeanLatNs float64 `json:"mean_lat_ns,omitempty"`
-}
-
-// WriteEngineBenchJSON emits the engine-throughput summary as indented
-// JSON, through the same export path the other BENCH files use.
-func WriteEngineBenchJSON(w io.Writer, rows []EngineBenchRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
 // ReadDistributionJSON parses what WriteDistributionJSON wrote — round-trip
 // support for external tooling and tests.
 func ReadDistributionJSON(rd io.Reader) (Distribution, error) {

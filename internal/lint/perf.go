@@ -3,8 +3,8 @@
 // simulator computes, these guard *how fast* it can compute it: the
 // engine retires millions of events per simulated second, so a single
 // allocation, dynamic dispatch, or map hash on the per-event path is a
-// measurable throughput tax (the BenchmarkEngineThroughput 2.4×
-// recovery in EXPERIMENTS.md came from exactly these findings).
+// measurable throughput tax (the 2.4× engine-throughput recovery in
+// EXPERIMENTS.md came from exactly these findings).
 //
 // The family runs in the same afalint pass as the determinism
 // contract, but unlike it may carry recorded debts in the one ledger

@@ -80,83 +80,6 @@ func (l *Link) reserve(at sim.Time, n int) (wait, wire sim.Duration) {
 // BusyTime reports the cumulative time the link spent transferring.
 func (l *Link) BusyTime() sim.Duration { return l.busy }
 
-// Switch is one 96-lane/24-port fabric switch.
-type Switch struct {
-	Name  string
-	Lanes int
-	Ports int
-}
-
-// Slot is one physical PCIe slot of the array.
-type Slot struct {
-	Index  int
-	Uplink int  // which of the 3 host uplinks the slot is statically wired to
-	IsHost bool // true for the 3 uplink slots
-}
-
-// Topology describes the full array fabric: the static structure the BIOS
-// enumerates.
-type Topology struct {
-	Switches []Switch
-	Slots    []Slot
-}
-
-// ArrayTopology returns the paper's fabric: 7 switches, 64 slots total
-// (61 for devices, 3 for uplinks), devices statically partitioned across
-// the 3 uplinks.
-func ArrayTopology() *Topology {
-	t := &Topology{}
-	for i := 0; i < 7; i++ {
-		level := "upper"
-		if i >= 3 {
-			level = "lower"
-		}
-		t.Switches = append(t.Switches, Switch{
-			Name:  fmt.Sprintf("psw%d-%s", i, level),
-			Lanes: 96,
-			Ports: 24,
-		})
-	}
-	for i := 0; i < 64; i++ {
-		s := Slot{Index: i}
-		if i < 3 {
-			s.IsHost = true
-			s.Uplink = i
-		} else {
-			// 61 device slots statically spread across the 3 uplinks:
-			// 21, 20, 20.
-			s.Uplink = (i - 3) % 3
-		}
-		t.Slots = append(t.Slots, s)
-	}
-	return t
-}
-
-// DeviceSlots lists the non-host slots wired to the given uplink.
-func (t *Topology) DeviceSlots(uplink int) []Slot {
-	var out []Slot
-	for _, s := range t.Slots {
-		if !s.IsHost && s.Uplink == uplink {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// SSDsPerCarrier is how many M.2 SSDs one carrier card holds (Fig 3).
-const SSDsPerCarrier = 4
-
-// MaxSSDs reports the array's maximum SSD population (the paper's 244).
-func (t *Topology) MaxSSDs() int {
-	n := 0
-	for _, s := range t.Slots {
-		if !s.IsHost {
-			n++
-		}
-	}
-	return n * SSDsPerCarrier
-}
-
 // Fabric is the dynamic model of one host's view of the array: the x16
 // uplink, the inter-switch links, and a x4 link per SSD.
 type Fabric struct {

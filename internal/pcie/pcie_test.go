@@ -7,54 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestArrayTopologyShape(t *testing.T) {
-	top := ArrayTopology()
-	if len(top.Switches) != 7 {
-		t.Fatalf("switches = %d, want 7", len(top.Switches))
-	}
-	for _, sw := range top.Switches {
-		if sw.Lanes != 96 || sw.Ports != 24 {
-			t.Fatalf("switch %s is %d-lane/%d-port, want 96/24", sw.Name, sw.Lanes, sw.Ports)
-		}
-	}
-	if len(top.Slots) != 64 {
-		t.Fatalf("slots = %d, want 64", len(top.Slots))
-	}
-	hosts, devices := 0, 0
-	for _, s := range top.Slots {
-		if s.IsHost {
-			hosts++
-		} else {
-			devices++
-		}
-	}
-	if hosts != 3 || devices != 61 {
-		t.Fatalf("hosts=%d devices=%d, want 3/61", hosts, devices)
-	}
-}
-
-func TestStaticUplinkPartition(t *testing.T) {
-	top := ArrayTopology()
-	total := 0
-	for u := 0; u < 3; u++ {
-		n := len(top.DeviceSlots(u))
-		total += n
-		if n < 20 || n > 21 {
-			t.Fatalf("uplink %d has %d device slots, want 20-21", u, n)
-		}
-	}
-	if total != 61 {
-		t.Fatalf("partition covers %d slots, want 61", total)
-	}
-}
-
-func TestMaxSSDsIsQuarterPetabyteClass(t *testing.T) {
-	top := ArrayTopology()
-	if got := top.MaxSSDs(); got != 244 {
-		t.Fatalf("MaxSSDs = %d, want 244 (61 slots × 4 M.2)", got)
-	}
-}
-
 func TestUplinkBandwidthIs16GBps(t *testing.T) {
 	f := NewFabric(sim.NewEngine(), Options{NumSSDs: 64})
 	bw := f.Uplink.Bandwidth()

@@ -2,9 +2,11 @@
 # Extended tier-1 gate: everything CI needs to trust a change.
 #
 #   build        — the module compiles;
-#   gofmt        — every Go source is gofmt-clean, except the afalint
-#                  fixtures under internal/lint/testdata, whose
-#                  positional `want:` comments pin column layouts;
+#   gofmt        — every Go source (all of it lives under cmd, examples,
+#                  internal and bench; the root holds none) is
+#                  gofmt-clean, except the afalint fixtures under
+#                  internal/lint/testdata, whose positional `want:`
+#                  comments pin column layouts;
 #   vet          — stdlib static checks;
 #   bench build  — the benchmark module (bench/, a separate Go module
 #                  that ./... skips) compiles and vets against this
@@ -48,7 +50,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go build ./...
-unformatted=$(gofmt -l cmd examples internal bench ./*.go | grep -v '^internal/lint/testdata/' || true)
+unformatted=$(gofmt -l cmd examples internal bench | grep -v '^internal/lint/testdata/' || true)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: these files need formatting:" >&2
 	echo "$unformatted" >&2
