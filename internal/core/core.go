@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/health"
 	"repro/internal/irq"
 	"repro/internal/kernel"
 	"repro/internal/nand"
@@ -304,15 +303,11 @@ func NewSystem(opt Options) *System {
 		ic.PinAll()
 	}
 
-	kcfg := kernel.Config{
+	k := kernel.New(eng, kernel.Config{
 		Sched: sch, IRQ: ic, SSDs: ssds, Mode: cfg.Mode,
-		Coalesce: cfg.Coalesce, Timeout: cfg.Timeout, Seed: opt.Seed,
-	}
-	if cfg.Health {
-		hc := health.DefaultConfig()
-		kcfg.Health = &hc
-	}
-	k := kernel.New(eng, kcfg)
+		Coalesce: cfg.Coalesce, Timeout: cfg.Timeout, Health: cfg.Health,
+		Seed: opt.Seed,
+	})
 	k.StartDaemons(opt.Daemons)
 
 	sys := &System{

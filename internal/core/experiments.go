@@ -37,9 +37,9 @@ type ExpOptions struct {
 	// EXPERIMENTS.md: compression moves tail events to lower percentile
 	// rungs because they occupy a larger fraction of a shorter run.
 	TimeScale float64
-	// Geom overrides the NAND geometry (the used-state study needs a small
-	// one; see UsedStateGeom).
-	Geom nand.Geometry
+	// geom overrides the NAND geometry; only the used-state study sets
+	// it, to UsedStateGeom.
+	geom nand.Geometry
 	// Parallel bounds how many independent sim runs are in flight when an
 	// experiment fans out over configurations, geometries, or sweep seeds
 	// (see internal/runner). 0 means one worker per CPU
@@ -76,7 +76,7 @@ func (o ExpOptions) withDefaults() ExpOptions {
 // systemOptions boots cfg at the experiment's scale, compressing the
 // rare-event periodicity by TimeScale (1 boots the stock periods).
 func (o ExpOptions) systemOptions(cfg Config) Options {
-	opt := Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg, Geom: o.Geom}
+	opt := Options{NumSSDs: o.NumSSDs, Seed: o.Seed, Config: cfg, Geom: o.geom}
 	if o.TimeScale > 0 && o.TimeScale != 1 {
 		fw := nvme.DefaultFirmware()
 		fw.Kind = cfg.Firmware
@@ -320,7 +320,7 @@ func RunPTSLatencyTest(cfg Config, o ExpOptions, roundLen sim.Duration, maxRound
 	sys.FormatAll() // purge
 
 	var rep PTSReport
-	rep.Result = pts.Run(pts.DefaultCriteria(), maxRounds, func(round int) float64 {
+	rep.Result = pts.Run(maxRounds, func(round int) float64 {
 		res := sys.RunFIO(RunSpec{Runtime: roundLen, Warmup: sim.Millisecond})
 		d := NewDistribution(cfg.Name, res)
 		rep.Rounds = append(rep.Rounds, PTSRound{
@@ -416,9 +416,7 @@ const usedFillFraction = 0.9
 // It returns the FOB baseline, then the preconditioned distribution.
 func RunUsedStateStudy(o ExpOptions) []Distribution {
 	o = o.withDefaults()
-	if o.Geom.Channels == 0 {
-		o.Geom = UsedStateGeom()
-	}
+	o.geom = UsedStateGeom()
 	// Cap the run so the FOB baseline's fill stays within the small
 	// device's logical capacity; a longer FOB run would wrap and start
 	// garbage-collecting too, erasing the contrast being measured.

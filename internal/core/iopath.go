@@ -113,9 +113,7 @@ func WriteIOPathAblation(w io.Writer, runs []FIORun) {
 	for d, dev := range IOPathDevices {
 		arms := runs[d*len(IOPathArms) : (d+1)*len(IOPathArms)]
 		fmt.Fprintf(w, "%s device, per-SSD QD1 randread (pooled ladders):\n", dev)
-		rows := []tableRow{{"mean", cells(arms, "%.1f", func(r FIORun) any { return r.Mean() / 1e3 })}}
-		rows = append(rows, rungRows(arms, func(r FIORun, i int) float64 { return r.Pooled.Rung(i) })...)
-		rows = append(rows, tableRow{"max", cells(arms, "%.1f", func(r FIORun) any { return float64(r.Pooled.Max) / 1e3 })})
+		rows := rungRows(arms, func(r FIORun, i int) float64 { return r.Pooled.Rung(i) })
 		writeSideBySide(w, 10, 14, "lat(µs)", IOPathArms, rows)
 		fmt.Fprintln(w)
 		rows = counterRows(arms, []counter[FIORun]{

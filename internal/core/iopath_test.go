@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 // TestIOPathAblationShape pins the structural contract of the I/O-path
 // grid at quick-test scale: cell order (device-major), per-arm path
@@ -48,6 +52,21 @@ func TestIOPathAblationShape(t *testing.T) {
 				if r.Retried == 0 {
 					t.Errorf("%s: kernel arm retried nothing against the fault probe", r.Config)
 				}
+			}
+		}
+	}
+
+	// Each rendered table (a blank-line-separated block) names a row once.
+	var buf bytes.Buffer
+	WriteIOPathAblation(&buf, runs)
+	for _, block := range strings.Split(buf.String(), "\n\n") {
+		seen := map[string]bool{}
+		for _, line := range strings.Split(block, "\n") {
+			if f := strings.Fields(line); len(f) > 0 {
+				if seen[f[0]] {
+					t.Errorf("row %q repeats in table:\n%s", f[0], block)
+				}
+				seen[f[0]] = true
 			}
 		}
 	}

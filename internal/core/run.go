@@ -42,9 +42,6 @@ func (r RunSpec) withDefaults(s *System) RunSpec {
 	if r.RW == "" {
 		r.RW = fio.RandRead
 	}
-	if r.BS == 0 {
-		r.BS = 4096
-	}
 	if r.IODepth == 0 {
 		r.IODepth = 1
 	}

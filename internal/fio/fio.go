@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/kernel"
+	"repro/internal/nand"
 	"repro/internal/nvme"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -75,7 +76,7 @@ type JobSpec struct {
 
 // Validate rejects specs that cannot describe a runnable job. It is
 // strict about zero values — callers that want the documented defaults
-// (BS 4096, IODepth 1, Runtime 2s) go through New, which fills them
+// (BS one slice, IODepth 1, Runtime 2s) go through New, which fills them
 // before validating; a spec that still carries a zero or negative queue
 // depth, block size, or runtime at validation time is a bug in the
 // caller, not a request for a default.
@@ -101,7 +102,7 @@ func (s JobSpec) Validate() error {
 // withDefaults fills zero fields.
 func (s JobSpec) withDefaults() JobSpec {
 	if s.BS == 0 {
-		s.BS = 4096
+		s.BS = nand.SliceBytes
 	}
 	if s.IODepth == 0 {
 		s.IODepth = 1
@@ -232,11 +233,7 @@ func New(eng *sim.Engine, k *kernel.Kernel, spec JobSpec) *Job {
 		j.res.Phases = &PhaseReport{}
 	}
 	j.logicalSz = k.SSDs[spec.SSD].Flash.LogicalSlices()
-	prio := spec.RTPrio
-	if spec.Class == sched.ClassCFS {
-		prio = 0
-	}
-	j.task = k.Sched.NewTask("fio/"+spec.Name, spec.Class, prio, spec.CPUsAllowed)
+	j.task = k.Sched.NewTask("fio/"+spec.Name, spec.Class, spec.RTPrio, spec.CPUsAllowed)
 	j.pending = make([]kernel.Completion, 0, spec.IODepth)
 	if spec.Passthrough {
 		j.qp = k.SSDs[spec.SSD].CreateQueuePair()
@@ -279,7 +276,7 @@ func (j *Job) submitCost(n int) sim.Duration {
 
 // nextLBA picks the next target block.
 func (j *Job) nextLBA() int64 {
-	slices := int64(j.spec.BS / 4096)
+	slices := int64(j.spec.BS / nand.SliceBytes)
 	if slices < 1 {
 		slices = 1
 	}

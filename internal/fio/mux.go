@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"repro/internal/kernel"
+	"repro/internal/nand"
 	"repro/internal/nvme"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -58,7 +59,7 @@ type ClassConfig struct {
 type TenantSpec struct {
 	SSD     int
 	RW      RW
-	BS      int // default 4096
+	BS      int // default one slice, nand.SliceBytes
 	Class   kernel.QoSClass
 	Arrival ArrivalSpec
 }
@@ -366,7 +367,7 @@ func (m *Multiplexer) AddTenant(spec TenantSpec) {
 		panic(fmt.Sprintf("fio: tenant SSD %d out of range", spec.SSD))
 	}
 	if spec.BS == 0 {
-		spec.BS = 4096
+		spec.BS = nand.SliceBytes
 	}
 	if spec.BS < 0 {
 		panic(fmt.Sprintf("fio: tenant BS %d invalid", spec.BS))
@@ -375,7 +376,7 @@ func (m *Multiplexer) AddTenant(spec TenantSpec) {
 		panic(fmt.Sprintf("fio: tenant class %d invalid", spec.Class))
 	}
 	idx := m.n
-	slices := int64(spec.BS / 4096)
+	slices := int64(spec.BS / nand.SliceBytes)
 	if slices < 1 {
 		slices = 1
 	}

@@ -13,7 +13,7 @@
 //     recovering drive re-earns trust gradually (hysteresis);
 //   - a published per-drive hedge deadline, recalibrated on a
 //     fixed-observation-count cadence: srtt + 4·rttvar clamped into
-//     [HedgeFloor, HedgeCap], scaled toward the floor as suspicion
+//     [hedgeFloor, hedgeCap], scaled toward the floor as suspicion
 //     rises so the RAID layer hedges a sick drive sooner.
 //
 // The tracker is sim-core: no wall clock, no randomness, no maps, no
@@ -28,84 +28,42 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes the tracker. The zero value of any field selects the
-// default; see DefaultConfig.
-type Config struct {
-	// HedgeFloor is the lowest deadline the tracker will ever publish: a
+// The tracker's calibration. The floor sits at half the static hedge
+// floor (raid.DefaultTolerance's 300 µs): a drive we positively distrust
+// is worth hedging earlier than a cold one.
+const (
+	// hedgeFloor is the lowest deadline the tracker will ever publish: a
 	// fully-suspect drive is hedged this quickly. It also floors the
 	// healthy deadline so a very fast drive cannot drag hedges into the
 	// noise.
-	HedgeFloor sim.Duration
-	// HedgeCap bounds the published deadline from above, so a drive with
+	hedgeFloor = 150 * sim.Microsecond
+	// hedgeCap bounds the published deadline from above, so a drive with
 	// a huge latency baseline (a slow bin mid-storm) still gets hedged
 	// well before the kernel timeout ladder.
-	HedgeCap sim.Duration
-	// MinSamples is how many latency samples a drive needs before its
+	hedgeCap = 4 * sim.Millisecond
+	// minSamples is how many latency samples a drive needs before its
 	// deadline is published; until then HedgeDeadline returns 0 and
 	// callers fall back to their static setting.
-	MinSamples int64
-	// SpikeFactor classifies a sample as a spike when it exceeds
-	// SpikeFactor × srtt. Spike samples are counted but excluded from
+	minSamples = 64
+	// spikeFactor classifies a sample as a spike when it exceeds
+	// spikeFactor × srtt. Spike samples are counted but excluded from
 	// the EWMA, so a GC storm cannot inflate the baseline it is judged
 	// against (a storm that fed the estimator would stop registering as
 	// one within a handful of samples).
-	SpikeFactor int64
-	// Window is the calibration cadence in observations: every Window
+	spikeFactor = 4
+	// window is the calibration cadence in observations: every window
 	// observations the deadline is republished, storm/stall flags are
 	// re-evaluated, and a clean window decays suspicion by a quarter.
-	Window int64
-	// StormSpikes within one window flags a GC storm.
-	StormSpikes int64
-	// StallTimeouts within one window flags a firmware stall.
-	StallTimeouts int64
-}
-
-// DefaultConfig returns the calibrated tracker knobs. The floor sits at
-// half the static hedge floor (raid.DefaultTolerance's 300 µs): a drive
-// we positively distrust is worth hedging earlier than a cold one.
-func DefaultConfig() Config {
-	return Config{
-		HedgeFloor:    150 * sim.Microsecond,
-		HedgeCap:      4 * sim.Millisecond,
-		MinSamples:    64,
-		SpikeFactor:   4,
-		Window:        128,
-		StormSpikes:   8,
-		StallTimeouts: 2,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.HedgeFloor == 0 {
-		c.HedgeFloor = d.HedgeFloor
-	}
-	if c.HedgeCap == 0 {
-		c.HedgeCap = d.HedgeCap
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = d.MinSamples
-	}
-	if c.SpikeFactor == 0 {
-		c.SpikeFactor = d.SpikeFactor
-	}
-	if c.Window == 0 {
-		c.Window = d.Window
-	}
-	if c.StormSpikes == 0 {
-		c.StormSpikes = d.StormSpikes
-	}
-	if c.StallTimeouts == 0 {
-		c.StallTimeouts = d.StallTimeouts
-	}
-	return c
-}
+	window = 128
+	// stormSpikes within one window flags a GC storm.
+	stormSpikes = 8
+	// stallTimeouts within one window flags a firmware stall.
+	stallTimeouts = 2
+)
 
 // Suspicion is expressed in permille of certain-sick.
 const (
 	maxSuspicion = 1000
-	// suspectAt is the Suspect() threshold.
-	suspectAt = 500
 	// Immediate suspicion bumps per bad event. A timeout is near-certain
 	// evidence; an error or spike is weaker.
 	timeoutSuspicion = 400
@@ -145,17 +103,13 @@ type drive struct {
 
 // Tracker tracks the health of a fleet of drives.
 type Tracker struct {
-	cfg    Config
 	drives []drive
 }
 
 // NewTracker returns a tracker for n drives.
-func NewTracker(cfg Config, n int) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), drives: make([]drive, n)}
+func NewTracker(n int) *Tracker {
+	return &Tracker{drives: make([]drive, n)}
 }
-
-// Config reports the active (default-filled) configuration.
-func (t *Tracker) Config() Config { return t.cfg }
 
 // Observe feeds one completed command's end-to-end attempt latency and
 // final status. Called from the kernel's completion path for every
@@ -180,7 +134,7 @@ func (t *Tracker) Observe(ssd int, lat sim.Duration, status nvme.Status) {
 		t.observeError(d)
 	}
 	d.wObs++
-	if d.wObs >= t.cfg.Window {
+	if d.wObs >= window {
 		t.calibrate(d)
 	}
 }
@@ -191,12 +145,12 @@ func (t *Tracker) ObserveTimeout(ssd int) {
 	d := &t.drives[ssd]
 	d.timeouts++
 	d.wTimeouts++
-	if d.wTimeouts >= t.cfg.StallTimeouts {
+	if d.wTimeouts >= stallTimeouts {
 		d.stalled = true
 	}
 	t.raiseSuspicion(d, timeoutSuspicion)
 	d.wObs++
-	if d.wObs >= t.cfg.Window {
+	if d.wObs >= window {
 		t.calibrate(d)
 	}
 }
@@ -221,10 +175,10 @@ func (t *Tracker) observeLatency(d *drive, l int64) {
 	}
 	// Spike detection needs a settled baseline; the first few samples
 	// just feed the estimator.
-	if d.samples >= 8 && l > t.cfg.SpikeFactor*d.srtt {
+	if d.samples >= 8 && l > spikeFactor*d.srtt {
 		d.spikes++
 		d.wSpikes++
-		if d.wSpikes >= t.cfg.StormSpikes {
+		if d.wSpikes >= stormSpikes {
 			d.storming = true
 		}
 		t.raiseSuspicion(d, spikeSuspicion)
@@ -285,18 +239,18 @@ func (t *Tracker) calibrate(d *drive) {
 }
 
 // publish recomputes the drive's hedge deadline: the RTO-style bound
-// srtt + 4·rttvar clamped into [HedgeFloor, HedgeCap], then pulled
+// srtt + 4·rttvar clamped into [hedgeFloor, hedgeCap], then pulled
 // linearly toward the floor as suspicion rises.
 func (t *Tracker) publish(d *drive) {
-	if d.samples < t.cfg.MinSamples {
+	if d.samples < minSamples {
 		return
 	}
 	base := d.srtt + 4*d.rttvar
-	floor := int64(t.cfg.HedgeFloor)
+	floor := int64(hedgeFloor)
 	if base < floor {
 		base = floor
 	}
-	if cap := int64(t.cfg.HedgeCap); base > cap {
+	if cap := int64(hedgeCap); base > cap {
 		base = cap
 	}
 	eff := floor + (base-floor)*(maxSuspicion-d.suspicion)/maxSuspicion
@@ -304,7 +258,7 @@ func (t *Tracker) publish(d *drive) {
 }
 
 // HedgeDeadline reports the drive's published hedge deadline, or 0
-// while the drive is still warming up (fewer than MinSamples latency
+// while the drive is still warming up (fewer than minSamples latency
 // samples) — callers fall back to their static delay.
 func (t *Tracker) HedgeDeadline(ssd int) sim.Duration {
 	return t.drives[ssd].deadline
@@ -312,9 +266,6 @@ func (t *Tracker) HedgeDeadline(ssd int) sim.Duration {
 
 // Suspicion reports the drive's suspicion score in permille.
 func (t *Tracker) Suspicion(ssd int) int64 { return t.drives[ssd].suspicion }
-
-// Suspect reports whether the drive is past the suspicion threshold.
-func (t *Tracker) Suspect(ssd int) bool { return t.drives[ssd].suspicion >= suspectAt }
 
 // NumDrives reports the fleet size the tracker was built for.
 func (t *Tracker) NumDrives() int { return len(t.drives) }

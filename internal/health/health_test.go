@@ -7,6 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
+// suspectAt is the suspicion, in permille, at which the tests count a
+// drive as distrusted.
+const suspectAt = 500
+
 func feedClean(t *Tracker, ssd int, n int, lat sim.Duration) {
 	for i := 0; i < n; i++ {
 		t.Observe(ssd, lat, nvme.StatusSuccess)
@@ -14,13 +18,12 @@ func feedClean(t *Tracker, ssd int, n int, lat sim.Duration) {
 }
 
 func TestWarmupGatesDeadline(t *testing.T) {
-	tr := NewTracker(Config{}, 2)
-	cfg := tr.Config()
-	feedClean(tr, 0, int(cfg.MinSamples)-1, 100*sim.Microsecond)
+	tr := NewTracker(2)
+	feedClean(tr, 0, minSamples-1, 100*sim.Microsecond)
 	if d := tr.HedgeDeadline(0); d != 0 {
-		t.Fatalf("deadline published before MinSamples: %v", d)
+		t.Fatalf("deadline published before minSamples: %v", d)
 	}
-	feedClean(tr, 0, int(cfg.Window), 100*sim.Microsecond)
+	feedClean(tr, 0, window, 100*sim.Microsecond)
 	if d := tr.HedgeDeadline(0); d == 0 {
 		t.Fatal("deadline still unpublished after warmup + a full window")
 	}
@@ -31,8 +34,8 @@ func TestWarmupGatesDeadline(t *testing.T) {
 }
 
 func TestPerDriveDeadlinesTrackOwnLatency(t *testing.T) {
-	tr := NewTracker(Config{}, 2)
-	n := int(tr.Config().MinSamples + tr.Config().Window)
+	tr := NewTracker(2)
+	n := minSamples + window
 	feedClean(tr, 0, n, 50*sim.Microsecond)
 	feedClean(tr, 1, n, 800*sim.Microsecond)
 	fast, slow := tr.HedgeDeadline(0), tr.HedgeDeadline(1)
@@ -42,34 +45,33 @@ func TestPerDriveDeadlinesTrackOwnLatency(t *testing.T) {
 	if fast >= slow {
 		t.Fatalf("fast drive's deadline %v not below slow drive's %v", fast, slow)
 	}
-	if fast < tr.Config().HedgeFloor {
-		t.Fatalf("deadline %v below floor %v", fast, tr.Config().HedgeFloor)
+	if fast < hedgeFloor {
+		t.Fatalf("deadline %v below floor %v", fast, hedgeFloor)
 	}
 	// A steady 800 µs drive should be hedged near its own baseline, far
 	// above the floor a one-size-fits-all delay would impose.
 	if slow < 800*sim.Microsecond {
 		t.Fatalf("slow drive's deadline %v below its own baseline", slow)
 	}
-	if slow > tr.Config().HedgeCap {
-		t.Fatalf("deadline %v above cap %v", slow, tr.Config().HedgeCap)
+	if slow > hedgeCap {
+		t.Fatalf("deadline %v above cap %v", slow, hedgeCap)
 	}
 }
 
 func TestSpikesFlagStormWithoutPoisoningBaseline(t *testing.T) {
-	tr := NewTracker(Config{}, 1)
-	cfg := tr.Config()
-	feedClean(tr, 0, int(cfg.MinSamples+cfg.Window), 100*sim.Microsecond)
+	tr := NewTracker(1)
+	feedClean(tr, 0, minSamples+window, 100*sim.Microsecond)
 	base := tr.Snapshot(0).SRTT
 	// A GC storm: a burst of 20× samples.
-	for i := int64(0); i < cfg.StormSpikes; i++ {
+	for i := int64(0); i < stormSpikes; i++ {
 		tr.Observe(0, 2*sim.Millisecond, nvme.StatusSuccess)
 	}
 	s := tr.Snapshot(0)
 	if !s.Storming {
-		t.Fatalf("storm not flagged after %d spikes", cfg.StormSpikes)
+		t.Fatalf("storm not flagged after %d spikes", stormSpikes)
 	}
-	if s.Spikes != cfg.StormSpikes {
-		t.Fatalf("spikes = %d, want %d", s.Spikes, cfg.StormSpikes)
+	if s.Spikes != stormSpikes {
+		t.Fatalf("spikes = %d, want %d", s.Spikes, stormSpikes)
 	}
 	// Clamped updates: the baseline may drift up but not anywhere near
 	// the raw spike magnitude.
@@ -82,18 +84,17 @@ func TestSpikesFlagStormWithoutPoisoningBaseline(t *testing.T) {
 }
 
 func TestTimeoutsFlagStallAndPullDeadlineToFloor(t *testing.T) {
-	tr := NewTracker(Config{}, 1)
-	cfg := tr.Config()
-	feedClean(tr, 0, int(cfg.MinSamples+cfg.Window), 400*sim.Microsecond)
+	tr := NewTracker(1)
+	feedClean(tr, 0, minSamples+window, 400*sim.Microsecond)
 	healthy := tr.HedgeDeadline(0)
-	for i := int64(0); i < cfg.StallTimeouts; i++ {
+	for i := int64(0); i < stallTimeouts; i++ {
 		tr.ObserveTimeout(0)
 	}
 	s := tr.Snapshot(0)
 	if !s.Stalled {
-		t.Fatalf("stall not flagged after %d timeouts", cfg.StallTimeouts)
+		t.Fatalf("stall not flagged after %d timeouts", stallTimeouts)
 	}
-	if !tr.Suspect(0) {
+	if tr.Suspicion(0) < suspectAt {
 		t.Fatalf("suspicion %d below the suspect threshold after timeouts", s.Suspicion)
 	}
 	if d := tr.HedgeDeadline(0); d >= healthy {
@@ -103,15 +104,14 @@ func TestTimeoutsFlagStallAndPullDeadlineToFloor(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.ObserveTimeout(0)
 	}
-	if d := tr.HedgeDeadline(0); d != cfg.HedgeFloor {
-		t.Fatalf("fully-suspect deadline = %v, want floor %v", d, cfg.HedgeFloor)
+	if d := tr.HedgeDeadline(0); d != hedgeFloor {
+		t.Fatalf("fully-suspect deadline = %v, want floor %v", d, hedgeFloor)
 	}
 }
 
 func TestSuspicionDecaysGraduallyAcrossCleanWindows(t *testing.T) {
-	tr := NewTracker(Config{}, 1)
-	cfg := tr.Config()
-	feedClean(tr, 0, int(cfg.MinSamples+cfg.Window), 200*sim.Microsecond)
+	tr := NewTracker(1)
+	feedClean(tr, 0, minSamples+window, 200*sim.Microsecond)
 	for i := 0; i < 5; i++ {
 		tr.ObserveTimeout(0)
 	}
@@ -121,18 +121,18 @@ func TestSuspicionDecaysGraduallyAcrossCleanWindows(t *testing.T) {
 	// Clean service must not restore trust at once. Two windows' worth
 	// guarantees at least one fully-clean window closes (the first close
 	// after the timeouts still has them in its counters)...
-	feedClean(tr, 0, 2*int(cfg.Window), 200*sim.Microsecond)
+	feedClean(tr, 0, 2*window, 200*sim.Microsecond)
 	after1 := tr.Suspicion(0)
 	if after1 == 0 || after1 >= 1000 {
 		t.Fatalf("clean windows left suspicion at %d, want partial decay", after1)
 	}
-	if !tr.Suspect(0) {
+	if tr.Suspicion(0) < suspectAt {
 		t.Fatal("drive fully trusted after only two clean windows")
 	}
 	// ...but sustained clean service re-earns it, monotonically.
 	prev := after1
 	for w := 0; w < 25; w++ {
-		feedClean(tr, 0, int(cfg.Window), 200*sim.Microsecond)
+		feedClean(tr, 0, window, 200*sim.Microsecond)
 		cur := tr.Suspicion(0)
 		if cur > prev {
 			t.Fatalf("suspicion rose (%d -> %d) across a clean window", prev, cur)
@@ -142,15 +142,14 @@ func TestSuspicionDecaysGraduallyAcrossCleanWindows(t *testing.T) {
 	if prev != 0 {
 		t.Fatalf("suspicion = %d after sustained clean service, want 0", prev)
 	}
-	if tr.Suspect(0) {
+	if tr.Suspicion(0) >= suspectAt {
 		t.Fatal("drive still suspect after sustained clean service")
 	}
 }
 
 func TestErrorsRaiseSuspicion(t *testing.T) {
-	tr := NewTracker(Config{}, 1)
-	cfg := tr.Config()
-	feedClean(tr, 0, int(cfg.MinSamples+cfg.Window), 100*sim.Microsecond)
+	tr := NewTracker(1)
+	feedClean(tr, 0, minSamples+window, 100*sim.Microsecond)
 	tr.Observe(0, 100*sim.Microsecond, nvme.StatusTransient)
 	tr.Observe(0, 100*sim.Microsecond, nvme.StatusMediaError)
 	s := tr.Snapshot(0)
@@ -163,7 +162,7 @@ func TestErrorsRaiseSuspicion(t *testing.T) {
 }
 
 func TestRetryAccounting(t *testing.T) {
-	tr := NewTracker(Config{}, 1)
+	tr := NewTracker(1)
 	tr.ObserveRetry(0)
 	tr.ObserveRetry(0)
 	if got := tr.Snapshot(0).Retries; got != 2 {
@@ -176,7 +175,7 @@ func TestRetryAccounting(t *testing.T) {
 // needs from this package.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []DriveHealth {
-		tr := NewTracker(Config{}, 3)
+		tr := NewTracker(3)
 		lat := []sim.Duration{80 * sim.Microsecond, 120 * sim.Microsecond, 3 * sim.Millisecond}
 		for i := 0; i < 1000; i++ {
 			ssd := i % 3
@@ -201,20 +200,5 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("drive %d state diverged across identical replays:\n%+v\n%+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	got := Config{}.withDefaults()
-	if got != DefaultConfig() {
-		t.Fatalf("zero config did not fill defaults: %+v", got)
-	}
-	// Partial overrides survive.
-	custom := Config{HedgeFloor: 1 * sim.Microsecond, Window: 7}.withDefaults()
-	if custom.HedgeFloor != 1*sim.Microsecond || custom.Window != 7 {
-		t.Fatalf("overrides lost: %+v", custom)
-	}
-	if custom.HedgeCap != DefaultConfig().HedgeCap {
-		t.Fatalf("unset field not defaulted: %+v", custom)
 	}
 }

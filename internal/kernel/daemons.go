@@ -8,8 +8,9 @@ import (
 
 // DaemonSpec describes one background process's behaviour: it sleeps for
 // an exponentially distributed interval, wakes, and executes a session of
-// CPU bursts. Daemons are never pinned: the scheduler may place them on
-// any CPU the boot options leave open, which is the problematic case.
+// CPU bursts. Daemons run in CFS at nice 0 and are never pinned: the
+// scheduler may place them on any CPU the boot options leave open, which
+// is the problematic case.
 type DaemonSpec struct {
 	Name string
 	// SleepMean is the mean time between activity sessions.
@@ -19,8 +20,6 @@ type DaemonSpec struct {
 	BurstSigma float64
 	// BurstsPerSession is how many bursts one wake executes.
 	BurstsPerSession int
-	// Nice is the CFS nice value.
-	Nice int
 	// NoScale excludes the daemon from ScaleDaemonPeriods: its activity is
 	// frequent (frame-rate, not rare), so time compression of short runs
 	// must not distort it.
@@ -41,21 +40,21 @@ func DefaultDaemons() []DaemonSpec {
 		// looks idle — under the default configuration that is usually a
 		// CPU hosting a (mostly sleeping) FIO thread.
 		{Name: "llvmpipe", SleepMean: 16 * sim.Millisecond, BurstMean: 3 * sim.Millisecond,
-			BurstSigma: 0.5, BurstsPerSession: 1, Nice: 0, NoScale: true},
+			BurstSigma: 0.5, BurstsPerSession: 1, NoScale: true},
 		{Name: "lttng-consumerd", SleepMean: 800 * sim.Millisecond, BurstMean: 400 * sim.Microsecond,
-			BurstSigma: 0.6, BurstsPerSession: 2, Nice: 0},
+			BurstSigma: 0.6, BurstsPerSession: 2},
 		{Name: "sshd", SleepMean: 1500 * sim.Millisecond, BurstMean: 80 * sim.Microsecond,
-			BurstSigma: 0.5, BurstsPerSession: 1, Nice: 0},
+			BurstSigma: 0.5, BurstsPerSession: 1},
 		{Name: "systemd-journald", SleepMean: 900 * sim.Millisecond, BurstMean: 150 * sim.Microsecond,
-			BurstSigma: 0.6, BurstsPerSession: 1, Nice: 0},
+			BurstSigma: 0.6, BurstsPerSession: 1},
 		{Name: "kworker/u80:1", SleepMean: 250 * sim.Millisecond, BurstMean: 180 * sim.Microsecond,
-			BurstSigma: 0.7, BurstsPerSession: 1, Nice: 0},
+			BurstSigma: 0.7, BurstsPerSession: 1},
 		{Name: "kworker/u80:2", SleepMean: 400 * sim.Millisecond, BurstMean: 220 * sim.Microsecond,
-			BurstSigma: 0.7, BurstsPerSession: 1, Nice: 0},
+			BurstSigma: 0.7, BurstsPerSession: 1},
 		{Name: "gnome-shell", SleepMean: 3 * sim.Second, BurstMean: 2 * sim.Millisecond,
-			BurstSigma: 0.6, BurstsPerSession: 2, Nice: 0},
+			BurstSigma: 0.6, BurstsPerSession: 2},
 		{Name: "tuned", SleepMean: 5 * sim.Second, BurstMean: 500 * sim.Microsecond,
-			BurstSigma: 0.5, BurstsPerSession: 1, Nice: 0},
+			BurstSigma: 0.5, BurstsPerSession: 1},
 	}
 }
 
@@ -103,7 +102,7 @@ func (k *Kernel) StartDaemons(specs []DaemonSpec) {
 			k:    k,
 			rnd:  k.rnd.Derive("daemon-" + spec.Name),
 		}
-		d.task = k.Sched.NewTask(spec.Name, sched.ClassCFS, spec.Nice, nil)
+		d.task = k.Sched.NewTask(spec.Name, sched.ClassCFS, 0, nil)
 		d.wakeFn = d.wake
 		d.burstDoneFn = d.burstDone
 		k.daemons = append(k.daemons, d)

@@ -130,11 +130,10 @@ type Config struct {
 	// (see TimeoutPolicy); the zero value preserves the wait-forever
 	// behaviour.
 	Timeout TimeoutPolicy
-	// Health, when non-nil, attaches a per-drive health tracker fed by
-	// every managed-command outcome (zero-valued fields take the
-	// health.DefaultConfig defaults). The RAID layer consumes it for
-	// per-drive adaptive hedge deadlines.
-	Health *health.Config
+	// Health attaches a per-drive health tracker fed by every
+	// managed-command outcome. The RAID layer consumes it for per-drive
+	// adaptive hedge deadlines.
+	Health bool
 	Seed   uint64
 }
 
@@ -163,8 +162,8 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 	// coalescing is on: the per-CQE lookup on the hot path is a slice
 	// index, and every flush callback is bound once, here.
 	k.SetCoalescing(cfg.Coalesce)
-	if cfg.Health != nil {
-		k.health = health.NewTracker(*cfg.Health, len(cfg.SSDs))
+	if cfg.Health {
+		k.health = health.NewTracker(len(cfg.SSDs))
 	}
 	if cfg.Timeout.Budget > 0 {
 		k.retryBuckets = make([]retryBucket, len(cfg.SSDs))

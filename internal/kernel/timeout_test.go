@@ -448,7 +448,7 @@ func TestHealthTrackerFedByManagedPath(t *testing.T) {
 		Backoff: 50 * sim.Microsecond, AbortCost: 10 * sim.Microsecond,
 	}
 	r := newTimeoutRig(t, pol)
-	r.k.health = health.NewTracker(health.Config{}, len(r.k.SSDs))
+	r.k.health = health.NewTracker(len(r.k.SSDs))
 
 	done := 0
 	for i := 0; i < 20; i++ {

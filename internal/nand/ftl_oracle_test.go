@@ -89,7 +89,7 @@ func (d *refDevice) readDuration() sim.Duration {
 	if s := d.timing.ReadJitterSigma; s > 0 {
 		tr = sim.Duration(d.rnd.LogNormalMean(float64(tr), s))
 	}
-	return tr + sim.Duration(int64(d.timing.XferPerKiB)*int64(d.geom.SliceSize)/1024)
+	return tr + sim.Duration(int64(d.timing.XferPerKiB)*SliceBytes/1024)
 }
 
 func (d *refDevice) Read(lba int64) sim.Duration {
@@ -128,8 +128,8 @@ func (d *refDevice) WriteWithGC(lba int64) (total, gc sim.Duration) {
 		blk.lbas[e.slice] = -1
 	}
 	blkIdx, slice := d.allocSlice(lba)
-	prog := d.timing.ProgramPage / sim.Duration(d.geom.SlicesPerPage())
-	xfer := sim.Duration(int64(d.timing.XferPerKiB) * int64(d.geom.SliceSize) / 1024)
+	prog := d.timing.ProgramPage / slicesPerPage
+	xfer := sim.Duration(int64(d.timing.XferPerKiB) * SliceBytes / 1024)
 	done := d.occupyDie(d.blocks[blkIdx].die, gcDelay+prog+xfer)
 	d.mapping[lba] = mapEntry{block: blkIdx, slice: slice}
 	return done.Sub(start), gcDelay
@@ -204,7 +204,7 @@ func (d *refDevice) collect() int64 {
 		cost += d.readDuration()
 		nb, ns := d.allocSlice(lba)
 		d.mapping[lba] = mapEntry{block: nb, slice: ns}
-		cost += d.timing.ProgramPage / sim.Duration(d.geom.SlicesPerPage())
+		cost += d.timing.ProgramPage / slicesPerPage
 		d.stats.GCPageMoves++
 	}
 	cost += d.timing.EraseBlock
@@ -289,11 +289,11 @@ func compareFTL(t *testing.T, step int, dev *Device, ref *refDevice) {
 func TestFTLMatchesReference(t *testing.T) {
 	// Two planes per die, and blocks big enough to start in stage chunks.
 	twoPlane := Geometry{Channels: 2, DiesPerChan: 2, PlanesPerDie: 2, BlocksPerPlan: 12,
-		PagesPerBlock: 32, PageSize: 16 << 10, SliceSize: 4 << 10}
+		PagesPerBlock: 32}
 	// 512-slice blocks: a block that fills passes every reverse-map size,
 	// the stage chunk, 256 slices, then the full map.
 	growth := Geometry{Channels: 2, DiesPerChan: 1, PlanesPerDie: 1, BlocksPerPlan: 24,
-		PagesPerBlock: 128, PageSize: 16 << 10, SliceSize: 4 << 10}
+		PagesPerBlock: 128}
 	for _, tc := range []struct {
 		name string
 		geom Geometry

@@ -19,6 +19,16 @@ import (
 	"repro/internal/sim"
 )
 
+const (
+	// SliceBytes is the host mapping granularity: one logical block, the
+	// unit of every layer's LBA arithmetic.
+	SliceBytes = 4 << 10
+	// pageBytes is the flash page size.
+	pageBytes = 16 << 10
+	// slicesPerPage is how many host slices fit one flash page.
+	slicesPerPage = pageBytes / SliceBytes
+)
+
 // Geometry describes the flash array inside one SSD.
 type Geometry struct {
 	Channels      int
@@ -26,8 +36,6 @@ type Geometry struct {
 	PlanesPerDie  int
 	BlocksPerPlan int
 	PagesPerBlock int
-	PageSize      int // bytes
-	SliceSize     int // host mapping granularity, bytes (4 KiB)
 }
 
 // TableIGeometry approximates the paper's 960 GB 3D MLC device: the exact
@@ -40,8 +48,6 @@ func TableIGeometry() Geometry {
 		PlanesPerDie:  2,
 		BlocksPerPlan: 3838, // 64 planes × 3838 × 256 × 16 KiB ≈ 1.03 TB raw (7% OP over 960 GB)
 		PagesPerBlock: 256,
-		PageSize:      16 << 10,
-		SliceSize:     4 << 10,
 	}
 }
 
@@ -55,8 +61,6 @@ func TinyGeometry() Geometry {
 		PlanesPerDie:  1,
 		BlocksPerPlan: 32,
 		PagesPerBlock: 16,
-		PageSize:      16 << 10,
-		SliceSize:     4 << 10,
 	}
 }
 
@@ -66,14 +70,10 @@ func (g Geometry) Validate() error {
 		g.BlocksPerPlan <= 0 || g.PagesPerBlock <= 0 {
 		return fmt.Errorf("nand: non-positive geometry field: %+v", g)
 	}
-	if g.PageSize <= 0 || g.SliceSize <= 0 || g.PageSize%g.SliceSize != 0 {
-		return fmt.Errorf("nand: PageSize %d must be a positive multiple of SliceSize %d",
-			g.PageSize, g.SliceSize)
-	}
 	// The FTL numbers host and physical slices in int32.
 	slices := int64(1)
 	for _, f := range [...]int{g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlan,
-		g.PagesPerBlock, g.SlicesPerPage()} {
+		g.PagesPerBlock, slicesPerPage} {
 		if int64(f) > math.MaxInt32/slices {
 			return fmt.Errorf("nand: geometry %+v has over %d raw slices, the FTL's int32 limit",
 				g, math.MaxInt32)
@@ -89,11 +89,8 @@ func (g Geometry) Dies() int { return g.Channels * g.DiesPerChan }
 // Blocks reports the total block count.
 func (g Geometry) Blocks() int { return g.Dies() * g.PlanesPerDie * g.BlocksPerPlan }
 
-// SlicesPerPage reports how many host slices fit one flash page.
-func (g Geometry) SlicesPerPage() int { return g.PageSize / g.SliceSize }
-
 // SlicesPerBlock reports how many host slices fit one block.
-func (g Geometry) SlicesPerBlock() int { return g.SlicesPerPage() * g.PagesPerBlock }
+func (g Geometry) SlicesPerBlock() int { return slicesPerPage * g.PagesPerBlock }
 
 // Timing holds raw NAND and channel timings. The defaults are calibrated so
 // a 4 KiB random read costs ~20 µs inside the device; the NVMe controller
@@ -386,7 +383,7 @@ func (d *Device) readDuration() sim.Duration {
 		tr = d.jitterTR[jitterBatch-d.jitterLeft]
 		d.jitterLeft--
 	}
-	xfer := sim.Duration(int64(d.Timing.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
+	xfer := sim.Duration(int64(d.Timing.XferPerKiB) * SliceBytes / 1024)
 	return tr + xfer
 }
 
@@ -478,8 +475,8 @@ func (d *Device) WriteWithGC(lba int64) (total, gc sim.Duration) {
 	} else {
 		d.stats.UnmappedWrite++
 	}
-	prog := d.Timing.ProgramPage / sim.Duration(d.Geom.SlicesPerPage())
-	xfer := sim.Duration(int64(d.Timing.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
+	prog := d.Timing.ProgramPage / slicesPerPage
+	xfer := sim.Duration(int64(d.Timing.XferPerKiB) * SliceBytes / 1024)
 	done := d.occupyDie(die, gcDelay+prog+xfer)
 	return done.Sub(start), gcDelay
 }
@@ -631,7 +628,7 @@ func (d *Device) collect() int64 {
 		cost += d.readDuration()
 		nb, ns := d.allocSlice(int64(lba))
 		d.mapping[lba] = int32(nb*spb + ns) //afalint:allow hotmap -- sparse FTL map; an open-addressed table lost (DESIGN.md §8)
-		cost += d.Timing.ProgramPage / sim.Duration(d.Geom.SlicesPerPage())
+		cost += d.Timing.ProgramPage / slicesPerPage
 		d.stats.GCPageMoves++
 	}
 	// Erase the victim; it keeps its map buffer for its next opening.

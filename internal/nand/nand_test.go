@@ -25,27 +25,22 @@ func TestGeometryValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := TinyGeometry()
-	bad.PageSize = 3000 // not a multiple of slice
+	bad.Channels = 0
 	if bad.Validate() == nil {
-		t.Fatal("invalid geometry accepted")
-	}
-	bad2 := TinyGeometry()
-	bad2.Channels = 0
-	if bad2.Validate() == nil {
 		t.Fatal("zero channels accepted")
 	}
 }
 
 func TestTableIGeometryCapacity(t *testing.T) {
 	g := TableIGeometry()
-	raw := int64(g.Blocks()) * int64(g.PagesPerBlock) * int64(g.PageSize)
+	raw := int64(g.Blocks()) * int64(g.PagesPerBlock) * pageBytes
 	// Must be near 1.03 TB raw for a 960 GB drive with ~7% OP.
 	if raw < 1000e9 || raw > 1100e9 {
 		t.Fatalf("raw capacity = %.1f GB, want ≈1030", float64(raw)/1e9)
 	}
 	eng := sim.NewEngine()
 	d := NewDevice(eng, g, MLC3DTiming(), 1)
-	logical := d.LogicalSlices() * int64(g.SliceSize)
+	logical := d.LogicalSlices() * SliceBytes
 	if logical < 930e9 || logical > 990e9 {
 		t.Fatalf("logical capacity = %.1f GB, want ≈960", float64(logical)/1e9)
 	}
@@ -502,7 +497,7 @@ func TestFirstWritesAllocateOnlyOpenedBlocks(t *testing.T) {
 // on the moved table, not on a stale copy.
 func TestCollectSurvivesBlockTableGrowth(t *testing.T) {
 	g := Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1, BlocksPerPlan: 16,
-		PagesPerBlock: 4, PageSize: 16 << 10, SliceSize: 4 << 10}
+		PagesPerBlock: 4}
 	eng := sim.NewEngine()
 	d := NewDevice(eng, g, MLC3DTiming(), 1)
 	spb := int64(g.SlicesPerBlock())
@@ -551,12 +546,12 @@ func TestValidateRejectsOverInt32Slices(t *testing.T) {
 		tc.edit(&g)
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: geometry with %d×%d×%d×%d×%d×%d slices accepted", tc.name,
-				g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlan, g.PagesPerBlock, g.SlicesPerPage())
+				g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlan, g.PagesPerBlock, slicesPerPage)
 		}
 	}
 	// The largest geometry that fits is accepted.
 	edge := Geometry{Channels: 1, DiesPerChan: 1, PlanesPerDie: 1, BlocksPerPlan: math.MaxInt32 / 4,
-		PagesPerBlock: 1, PageSize: 16 << 10, SliceSize: 4 << 10}
+		PagesPerBlock: 1}
 	if err := edge.Validate(); err != nil {
 		t.Fatalf("%d raw slices rejected: %v", int64(edge.Blocks())*int64(edge.SlicesPerBlock()), err)
 	}
@@ -621,7 +616,7 @@ func requireJitterTwin(t *testing.T, seed uint64, steps []jitterStep) int {
 	tm := MLC3DTiming()
 	d := NewDevice(sim.NewEngine(), TinyGeometry(), tm, seed)
 	twin := NewDevice(sim.NewEngine(), TinyGeometry(), tm, seed)
-	xfer := sim.Duration(int64(tm.XferPerKiB) * int64(d.Geom.SliceSize) / 1024)
+	xfer := sim.Duration(int64(tm.XferPerKiB) * SliceBytes / 1024)
 	n := 0
 	for i, st := range steps {
 		d.Timing.ReadPage, d.Timing.ReadJitterSigma = st.readPage, st.sigma

@@ -579,7 +579,7 @@ func (c *Controller) Submit(cmd Command, done func(Result)) {
 func (c *Controller) SubmitTo(cmd Command, to Receiver) {
 	now := c.eng.Now()
 	if cmd.Bytes == 0 {
-		cmd.Bytes = 4096
+		cmd.Bytes = nand.SliceBytes
 	}
 	r := c.getReq(cmd, to)
 	if c.offline {
@@ -657,7 +657,7 @@ func (r *ioReq) mediaStart() {
 	r.res.MediaStartAt = c.eng.Now()
 	// Large commands stripe across consecutive slices; dies proceed in
 	// parallel, so the slowest slice governs.
-	slices := (r.res.Cmd.Bytes + 4095) / 4096
+	slices := (r.res.Cmd.Bytes + nand.SliceBytes - 1) / nand.SliceBytes
 	if slices < 1 {
 		slices = 1
 	}

@@ -4,8 +4,7 @@
 // I/O latency): the purge → precondition → measure-until-steady-state
 // protocol and the spec's steady-state detection criteria.
 //
-// Steady state per PTS-E: over a measurement window of (by default) five
-// rounds, the tracked variable must satisfy both
+// Steady state per PTS-E: over a measurement window of five rounds, the tracked variable must satisfy both
 //
 //   - excursion: max(y) - min(y) ≤ 20% of avg(y), and
 //   - slope: the best-fit line's rise over the window ≤ 10% of avg(y).
@@ -19,31 +18,23 @@ import (
 	"math"
 )
 
-// Criteria are the steady-state detection parameters (PTS-E defaults).
-type Criteria struct {
-	// Window is the number of consecutive rounds examined.
-	Window int
-	// MaxExcursion is the allowed (max-min)/avg of the window.
-	MaxExcursion float64
-	// MaxSlope is the allowed |slope|·(Window-1)/avg of the window.
-	MaxSlope float64
-}
+// The PTS-E steady-state criteria.
+const (
+	// window is the number of consecutive rounds examined.
+	window = 5
+	// maxExcursion is the allowed (max-min)/avg of the window.
+	maxExcursion = 0.20
+	// maxSlope is the allowed |slope|·(window-1)/avg of the window.
+	maxSlope = 0.10
+)
 
-// DefaultCriteria returns the PTS-E values: 5 rounds, 20%, 10%.
-func DefaultCriteria() Criteria {
-	return Criteria{Window: 5, MaxExcursion: 0.20, MaxSlope: 0.10}
-}
-
-// Check reports whether the last Window entries of rounds meet the
+// Check reports whether the last window entries of rounds meet the
 // criteria, along with the computed excursion and normalized slope.
-func (c Criteria) Check(rounds []float64) (steady bool, excursion, slope float64) {
-	if c.Window < 2 {
-		panic("pts: window must be ≥ 2")
-	}
-	if len(rounds) < c.Window {
+func Check(rounds []float64) (steady bool, excursion, slope float64) {
+	if len(rounds) < window {
 		return false, math.NaN(), math.NaN()
 	}
-	w := rounds[len(rounds)-c.Window:]
+	w := rounds[len(rounds)-window:]
 	min, max, sum := w[0], w[0], 0.0
 	for _, y := range w {
 		if y < min {
@@ -74,7 +65,7 @@ func (c Criteria) Check(rounds []float64) (steady bool, excursion, slope float64
 	b := (float64(n*sxy) - float64(sx*sy)) / (float64(n*sxx) - float64(sx*sx))
 	slope = math.Abs(b) * (n - 1) / avg
 
-	steady = excursion <= c.MaxExcursion && slope <= c.MaxSlope
+	steady = excursion <= maxExcursion && slope <= maxSlope
 	return steady, excursion, slope
 }
 
@@ -94,16 +85,16 @@ type Result struct {
 
 // Run executes the measurement loop: measure(round) produces one round's
 // tracked value; rounds continue until the criteria hold or maxRounds is
-// hit. PTS-E requires at least Window rounds and allows up to 25 before
+// hit. PTS-E requires at least window rounds and allows up to 25 before
 // declaring "steady state not reached".
-func Run(crit Criteria, maxRounds int, measure func(round int) float64) Result {
-	if maxRounds < crit.Window {
-		panic(fmt.Sprintf("pts: maxRounds %d < window %d", maxRounds, crit.Window))
+func Run(maxRounds int, measure func(round int) float64) Result {
+	if maxRounds < window {
+		panic(fmt.Sprintf("pts: maxRounds %d < window %d", maxRounds, window))
 	}
 	var res Result
 	for round := 1; round <= maxRounds; round++ {
 		res.Rounds = append(res.Rounds, measure(round))
-		steady, exc, slope := crit.Check(res.Rounds)
+		steady, exc, slope := Check(res.Rounds)
 		res.Excursion, res.Slope = exc, slope
 		if steady {
 			res.Steady = true

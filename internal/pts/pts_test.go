@@ -6,16 +6,8 @@ import (
 	"testing/quick"
 )
 
-func TestDefaultCriteria(t *testing.T) {
-	c := DefaultCriteria()
-	if c.Window != 5 || c.MaxExcursion != 0.20 || c.MaxSlope != 0.10 {
-		t.Fatalf("criteria = %+v", c)
-	}
-}
-
 func TestCheckFlatSeriesIsSteady(t *testing.T) {
-	c := DefaultCriteria()
-	steady, exc, slope := c.Check([]float64{100, 100, 100, 100, 100})
+	steady, exc, slope := Check([]float64{100, 100, 100, 100, 100})
 	if !steady {
 		t.Fatalf("flat series not steady (exc=%v slope=%v)", exc, slope)
 	}
@@ -25,17 +17,15 @@ func TestCheckFlatSeriesIsSteady(t *testing.T) {
 }
 
 func TestCheckTooFewRounds(t *testing.T) {
-	c := DefaultCriteria()
-	steady, exc, _ := c.Check([]float64{1, 2, 3})
+	steady, exc, _ := Check([]float64{1, 2, 3})
 	if steady || !math.IsNaN(exc) {
 		t.Fatal("short series must not qualify")
 	}
 }
 
 func TestCheckExcursionViolation(t *testing.T) {
-	c := DefaultCriteria()
 	// 25% excursion around avg≈100.
-	steady, exc, _ := c.Check([]float64{90, 100, 100, 100, 115})
+	steady, exc, _ := Check([]float64{90, 100, 100, 100, 115})
 	if steady {
 		t.Fatalf("25%% excursion passed (exc=%v)", exc)
 	}
@@ -45,9 +35,8 @@ func TestCheckExcursionViolation(t *testing.T) {
 }
 
 func TestCheckSlopeViolation(t *testing.T) {
-	c := DefaultCriteria()
 	// Monotone drift: excursion 16% (passes) but slope rise 16% (fails).
-	steady, exc, slope := c.Check([]float64{92, 96, 100, 104, 108})
+	steady, exc, slope := Check([]float64{92, 96, 100, 104, 108})
 	if exc > 0.20 {
 		t.Fatalf("test series wrong: excursion %v", exc)
 	}
@@ -60,9 +49,8 @@ func TestCheckSlopeViolation(t *testing.T) {
 }
 
 func TestCheckUsesOnlyLastWindow(t *testing.T) {
-	c := DefaultCriteria()
 	rounds := []float64{1000, 10, 3000, 100, 100, 100, 100, 100}
-	steady, _, _ := c.Check(rounds)
+	steady, _, _ := Check(rounds)
 	if !steady {
 		t.Fatal("early chaos must not matter once the window is flat")
 	}
@@ -71,7 +59,7 @@ func TestCheckUsesOnlyLastWindow(t *testing.T) {
 func TestRunStopsAtSteadyState(t *testing.T) {
 	// A decaying series that flattens: 200, 150, 120, 104, 100, 100, ...
 	series := []float64{200, 150, 120, 104, 100, 100, 100, 100, 100, 100}
-	res := Run(DefaultCriteria(), 25, func(round int) float64 {
+	res := Run(25, func(round int) float64 {
 		return series[round-1]
 	})
 	if !res.Steady {
@@ -84,7 +72,7 @@ func TestRunStopsAtSteadyState(t *testing.T) {
 
 func TestRunGivesUpAtMaxRounds(t *testing.T) {
 	n := 0
-	res := Run(DefaultCriteria(), 8, func(round int) float64 {
+	res := Run(8, func(round int) float64 {
 		n++
 		return float64(round * round) // ever-growing
 	})
@@ -102,22 +90,12 @@ func TestRunPanicsOnBadParams(t *testing.T) {
 			t.Fatal("maxRounds < window accepted")
 		}
 	}()
-	Run(DefaultCriteria(), 3, func(int) float64 { return 1 })
-}
-
-func TestCheckPanicsOnTinyWindow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("window 1 accepted")
-		}
-	}()
-	Criteria{Window: 1}.Check([]float64{1, 2})
+	Run(3, func(int) float64 { return 1 })
 }
 
 // Property: scaling a series by a positive constant never changes the
 // steady-state verdict (both criteria are relative).
 func TestPropertyScaleInvariance(t *testing.T) {
-	c := DefaultCriteria()
 	f := func(raw [5]uint8, scale uint8) bool {
 		ys := make([]float64, 5)
 		for i, v := range raw {
@@ -128,8 +106,8 @@ func TestPropertyScaleInvariance(t *testing.T) {
 		for i, y := range ys {
 			scaled[i] = y * k
 		}
-		a, _, _ := c.Check(ys)
-		b, _, _ := c.Check(scaled)
+		a, _, _ := Check(ys)
+		b, _, _ := Check(scaled)
 		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {

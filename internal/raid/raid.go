@@ -25,6 +25,7 @@ import (
 	"math/bits"
 
 	"repro/internal/kernel"
+	"repro/internal/nand"
 	"repro/internal/nvme"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -421,11 +422,7 @@ func New(eng *sim.Engine, k *kernel.Kernel, spec ClientSpec) *Client {
 		c.res.Log = stats.NewLatLog()
 	}
 	c.maxLBA = k.SSDs[spec.Stripe[0]].Flash.LogicalSlices()
-	prio := spec.RTPrio
-	if spec.Class == sched.ClassCFS {
-		prio = 0
-	}
-	c.task = k.Sched.NewTask("raid/"+spec.Name, spec.Class, prio, []int{spec.CPU})
+	c.task = k.Sched.NewTask("raid/"+spec.Name, spec.Class, spec.RTPrio, []int{spec.CPU})
 	return c
 }
 
@@ -502,7 +499,7 @@ func (c *Client) issueRead() {
 		if i < 64 {
 			req.pendingMask |= 1 << uint(i)
 		}
-		cmd := nvme.Command{Op: nvme.OpRead, LBA: lba, Bytes: 4096}
+		cmd := nvme.Command{Op: nvme.OpRead, LBA: lba, Bytes: nand.SliceBytes}
 		c.k.SubmitIOTo(c.task.CPU(), ssd, cmd, req.subFns[i])
 	}
 }
@@ -584,7 +581,7 @@ func (r *request) useParity(hedge bool) {
 	} else {
 		c.res.DegradedReads++
 	}
-	cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: 4096}
+	cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: nand.SliceBytes}
 	done := r.degradedFn
 	if hedge {
 		done = r.hedgeParityFn

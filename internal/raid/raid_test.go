@@ -3,7 +3,6 @@ package raid
 import (
 	"testing"
 
-	"repro/internal/health"
 	"repro/internal/irq"
 	"repro/internal/kernel"
 	"repro/internal/nand"
@@ -259,9 +258,8 @@ func newAdaptiveRig(t *testing.T, ncpu, nssd int, pol kernel.TimeoutPolicy) (*si
 			ID: i, Fabric: fab, FW: fw, Seed: 9, Geom: nand.TinyGeometry()}))
 	}
 	ic := irq.New(eng, sch, irq.Config{NumSSDs: nssd, NumCPUs: ncpu, Seed: 9})
-	hc := health.DefaultConfig()
 	return eng, kernel.New(eng, kernel.Config{Sched: sch, IRQ: ic, SSDs: ssds,
-		Timeout: pol, Health: &hc, Seed: 9})
+		Timeout: pol, Health: true, Seed: 9})
 }
 
 func TestAdaptiveHedgeLearnsSlowMemberBaseline(t *testing.T) {

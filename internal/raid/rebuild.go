@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
+	"repro/internal/nand"
 	"repro/internal/nvme"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -156,7 +157,7 @@ func (rb *Rebuilder) issueStripe() {
 	lba := rb.stripe
 	for _, ssd := range rb.readTargets {
 		rb.res.Reads++
-		cmd := nvme.Command{Op: nvme.OpRead, LBA: lba, Bytes: 4096}
+		cmd := nvme.Command{Op: nvme.OpRead, LBA: lba, Bytes: nand.SliceBytes}
 		rb.k.SubmitIOTo(rb.task.CPU(), ssd, cmd, rb.readDoneFn)
 	}
 }
@@ -188,7 +189,7 @@ func (rb *Rebuilder) readDone(comp *kernel.Completion) {
 // to the target (the XOR is sub-microsecond, folded into the burst).
 func (rb *Rebuilder) issueWrite() {
 	rb.res.Writes++
-	cmd := nvme.Command{Op: nvme.OpWrite, LBA: rb.stripe, Bytes: 4096}
+	cmd := nvme.Command{Op: nvme.OpWrite, LBA: rb.stripe, Bytes: nand.SliceBytes}
 	rb.k.SubmitIOTo(rb.task.CPU(), rb.spec.Target, cmd, rb.writeDoneFn)
 }
 

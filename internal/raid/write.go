@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
+	"repro/internal/nand"
 	"repro/internal/nvme"
 	"repro/internal/sim"
 )
@@ -163,7 +164,7 @@ func (c *Client) issueWrite() {
 func (r *writeReq) submitRead(ssd int, done kernel.ReceiverFunc) {
 	c := r.c
 	c.res.RMWReads++
-	cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: 4096}
+	cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: nand.SliceBytes}
 	c.k.SubmitIOTo(c.task.CPU(), ssd, cmd, done)
 }
 
@@ -267,7 +268,7 @@ func (r *writeReq) issuePeerReads() {
 		ssd := ssd
 		n++
 		c.res.RMWReads++
-		cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: 4096}
+		cmd := nvme.Command{Op: nvme.OpRead, LBA: r.lba, Bytes: nand.SliceBytes}
 		c.k.SubmitIOTo(c.task.CPU(), ssd, cmd, kernel.ReceiverFunc(func(comp *kernel.Completion) {
 			r.peerRead(ssd, comp)
 		}))
@@ -324,7 +325,7 @@ func (r *writeReq) peerRead(ssd int, comp *kernel.Completion) {
 }
 
 func (r *writeReq) writeCmd() nvme.Command {
-	return nvme.Command{Op: nvme.OpWrite, LBA: r.lba, Bytes: 4096}
+	return nvme.Command{Op: nvme.OpWrite, LBA: r.lba, Bytes: nand.SliceBytes}
 }
 
 // startWrites begins phase 2. Pending phase-1 reads, if any, are

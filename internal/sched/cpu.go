@@ -289,11 +289,13 @@ func (c *CPU) chargePartial() {
 	}
 }
 
-// charge adds CPU time to a task's accounting (vruntime for CFS).
+// charge adds CPU time to a task's accounting (vruntime for CFS). Every
+// CFS task runs at nice 0, whose weight is the reference 1024, so vruntime
+// advances by exactly the time run.
 func (c *CPU) charge(t *Task, d sim.Duration) {
 	t.runTime += d
 	if t.class == ClassCFS {
-		t.vruntime += sim.Duration(float64(d) * 1024 / t.weight)
+		t.vruntime += d
 		c.updateMinVruntime()
 	}
 }
@@ -369,7 +371,7 @@ func (c *CPU) shouldPreempt(w *Task) bool {
 		return false
 	}
 	// CFS wakeup preemption: the waker needs a vruntime advantage larger
-	// than wakeup_granularity (scaled by weight, ignored here).
+	// than wakeup_granularity (all tasks share nice 0's weight, so unscaled).
 	return cur.vruntime-w.vruntime > wakeupGranularity
 }
 

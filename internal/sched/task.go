@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sim"
 )
@@ -58,8 +57,6 @@ type Task struct {
 
 	class  Class
 	rtprio int // FIFO priority 1..99
-	nice   int
-	weight float64
 
 	// Affinity restricts placement (FIO's cpus_allowed, IRQ pinning).
 	// Empty = any CPU.
@@ -89,6 +86,8 @@ type Task struct {
 }
 
 // NewTask registers a task with the scheduler. It starts sleeping.
+// prio is the SCHED_FIFO priority (chrt -f); CFS tasks ignore it and run
+// at nice 0, the only nice value the model uses.
 func (s *Scheduler) NewTask(name string, class Class, prio int, affinity []int) *Task {
 	t := &Task{
 		ID:       len(s.tasks),
@@ -104,13 +103,7 @@ func (s *Scheduler) NewTask(name string, class Class, prio int, affinity []int) 
 			panic(fmt.Sprintf("sched: FIFO priority %d out of 1..99", prio))
 		}
 		t.rtprio = prio
-	} else {
-		if prio < -20 || prio > 19 {
-			panic(fmt.Sprintf("sched: nice %d out of -20..19", prio))
-		}
-		t.nice = prio
 	}
-	t.weight = 1024 / math.Pow(1.25, float64(t.nice))
 	s.tasks = append(s.tasks, t)
 	if len(t.affinity) == 1 {
 		// Exclusively pinned: register as a home task so the
@@ -119,21 +112,6 @@ func (s *Scheduler) NewTask(name string, class Class, prio int, affinity []int) 
 		home.homeTasks = append(home.homeTasks, t)
 	}
 	return t
-}
-
-// SetClass changes the scheduling class/priority (chrt). Allowed only while
-// the task sleeps.
-func (t *Task) SetClass(class Class, prio int) {
-	if t.state != StateSleeping {
-		panic("sched: SetClass on non-sleeping task")
-	}
-	t.class = class
-	if class == ClassFIFO {
-		t.rtprio = prio
-	} else {
-		t.nice = prio
-		t.weight = 1024 / math.Pow(1.25, float64(t.nice))
-	}
 }
 
 // Class reports the scheduling class.

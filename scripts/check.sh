@@ -8,6 +8,13 @@
 #                  internal/lint/testdata, whose positional `want:`
 #                  comments pin column layouts;
 #   vet          — stdlib static checks;
+#   arm64 fusion — the simulator packages compiled for arm64 with their
+#                  assembly listed (-S) hold no fused multiply-add
+#                  (FMADD/FMSUB/FNMADD/FNMSUB): arm64 may fuse x*y+z
+#                  into one rounding, which would make float results,
+#                  and so the reports, differ from amd64's. The build
+#                  output is captured first, so a build error fails
+#                  the step too;
 #   bench build  — the benchmark module (bench/, a separate Go module
 #                  that ./... skips) compiles and vets against this
 #                  tree, so a change to internal/core that breaks it
@@ -57,6 +64,18 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
+if ! asm=$(GOARCH=arm64 go build -a -gcflags='repro/internal/...=-S' ./internal/... 2>&1); then
+	echo "arm64: build failed:" >&2
+	GOARCH=arm64 go build ./internal/... || true # the errors, without the listing
+	exit 1
+fi
+fused=$(grep -E 'F(N)?M(ADD|SUB)[DS]' <<<"$asm" || true)
+if [ -n "$fused" ]; then
+	echo "arm64: fused multiply-add instructions in the simulator:" >&2
+	echo "$fused" >&2
+	exit 1
+fi
+echo "arm64: 0 fused multiply-add instructions"
 (cd bench && go build ./... && go vet ./...)
 go run ./cmd/afalint -baseline lint.baseline ./...
 go test -race -shuffle=on ./...
