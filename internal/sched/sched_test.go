@@ -160,29 +160,19 @@ func TestWakeRunnableIsNoop(t *testing.T) {
 }
 
 func TestFIFOPreemptsCFSImmediately(t *testing.T) {
-	// The chrt -f 99 I/O thread exists either before the hog first runs
-	// (fio started under chrt) or only once the hog is mid-burst.
-	for _, before := range []bool{true, false} {
-		eng, s := newSched(t, 1, BootOptions{})
-		var io *ioThread
-		if before {
-			io = newIOThread(s, eng, "rtio", ClassFIFO, 99, []int{0})
-		}
-		h := newHog(s, "hog", []int{0})
-		h.wake()
-		eng.RunUntil(sim.Time(2 * sim.Millisecond)) // hog mid-burst
+	eng, s := newSched(t, 1, BootOptions{})
+	h := newHog(s, "hog", []int{0})
+	h.wake()
+	eng.RunUntil(sim.Time(2 * sim.Millisecond)) // hog mid-burst
 
-		if !before {
-			io = newIOThread(s, eng, "rtio", ClassFIFO, 99, []int{0})
-		}
-		io.kick()
-		eng.RunUntil(sim.Time(3 * sim.Millisecond))
-		if len(io.latencies) != 1 {
-			t.Fatalf("created before hog=%v: RT burst did not run", before)
-		}
-		if io.latencies[0] > 15*sim.Microsecond {
-			t.Fatalf("created before hog=%v: RT wake-to-done = %v, want µs-scale preemption", before, io.latencies[0])
-		}
+	io := newIOThread(s, eng, "rtio", ClassFIFO, 99, []int{0})
+	io.kick()
+	eng.RunUntil(sim.Time(3 * sim.Millisecond))
+	if len(io.latencies) != 1 {
+		t.Fatal("RT burst did not run")
+	}
+	if io.latencies[0] > 15*sim.Microsecond {
+		t.Fatalf("RT wake-to-done = %v, want µs-scale preemption", io.latencies[0])
 	}
 }
 
@@ -563,6 +553,27 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if h.task.CtxSwitches() == 0 {
 		t.Fatal("task ctx switches not counted")
+	}
+}
+
+func TestSetClassChrt(t *testing.T) {
+	// fio started under chrt -f 99: its I/O thread is a FIFO task before
+	// the hog first runs, and still preempts the hog mid-burst at once.
+	eng, s := newSched(t, 1, BootOptions{})
+	io := newIOThread(s, eng, "fio", ClassFIFO, 99, []int{0})
+	if io.task.Class() != ClassFIFO {
+		t.Fatal("chrt class did not apply")
+	}
+	h := newHog(s, "hog", []int{0})
+	h.wake()
+	eng.RunUntil(sim.Time(2 * sim.Millisecond))
+	io.kick()
+	eng.RunUntil(sim.Time(3 * sim.Millisecond))
+	if len(io.latencies) != 1 {
+		t.Fatal("RT burst did not run")
+	}
+	if io.latencies[0] > 15*sim.Microsecond {
+		t.Fatalf("chrt'd task latency %v under hog", io.latencies[0])
 	}
 }
 
