@@ -14,10 +14,12 @@ import (
 type RunSpec struct {
 	// Geometry maps SSDs to CPUs; defaults to the Fig 5 layout.
 	Geometry *topology.Geometry
-	// Runtime per FIO instance (the paper uses 120 s; the default here is
-	// 2 s, which at ~28 kIOPS/SSD still gives ~56 k samples per device).
+	// Runtime per FIO instance (the paper uses 120 s). Zero takes fio's
+	// default, 2 s, which at ~28 kIOPS/SSD still gives ~56 k samples per
+	// device.
 	Runtime sim.Duration
-	// Workload defaults to 4 KiB randread QD1.
+	// Workload defaults to randread here; fio fills the 4 KiB block and
+	// QD1 defaults.
 	RW      fio.RW
 	BS      int
 	IODepth int
@@ -36,14 +38,8 @@ func (r RunSpec) withDefaults(s *System) RunSpec {
 	if r.Geometry == nil {
 		r.Geometry = topology.DefaultGeometry(s.Host, len(s.SSDs))
 	}
-	if r.Runtime == 0 {
-		r.Runtime = 2 * sim.Second
-	}
 	if r.RW == "" {
 		r.RW = fio.RandRead
-	}
-	if r.IODepth == 0 {
-		r.IODepth = 1
 	}
 	if r.Warmup == 0 {
 		r.Warmup = 50 * sim.Millisecond

@@ -265,8 +265,8 @@ func compareFTL(t *testing.T, step int, dev *Device, ref *refDevice) {
 			t.Fatalf("step %d: die %d writes to block %d, reference %d", step, die, dev.dies[die].open, ref.openBlock[die])
 		}
 	}
-	if len(dev.mapping) != len(ref.mapping) {
-		t.Fatalf("step %d: %d mapped LBAs, reference %d", step, len(dev.mapping), len(ref.mapping))
+	if dev.mapping.Len() != len(ref.mapping) {
+		t.Fatalf("step %d: %d mapped LBAs, reference %d", step, dev.mapping.Len(), len(ref.mapping))
 	}
 	for lba := int64(0); lba < dev.LogicalSlices(); lba++ {
 		got, gok := dev.entry(lba)

@@ -223,8 +223,9 @@ type Device struct {
 
 	// The FTL write path is built lazily on first write, so a FOB device
 	// running the paper's read-only methodology allocates none of it.
-	// Once built it costs O(dies) plus the blocks actually opened.
-	mapping map[int32]int32 // host slice → block*SlicesPerBlock + slice; nil until built
+	// Once built it costs O(dies) plus the blocks actually opened and the
+	// forward table's pages.
+	mapping ftlMap // host slice → block*SlicesPerBlock + slice; empty until the first write
 	// written has one bit per 1<<regionShift host slices, set by the
 	// region's first write. A clear bit means no slice there is mapped,
 	// so reads and first writes in it skip the map.
@@ -277,7 +278,7 @@ func NewDevice(eng *sim.Engine, g Geometry, tm Timing, seed uint64) *Device {
 func (d *Device) freeBlockLow() int { return 2 * d.Geom.Dies() }
 
 func (d *Device) reset() {
-	d.mapping = nil
+	d.mapping = ftlMap{}
 	d.written = nil
 	d.dies = nil
 	d.recycled = nil
@@ -292,7 +293,6 @@ func (d *Device) ensureInit() {
 	}
 	g := d.Geom
 	n := g.Dies()
-	d.mapping = make(map[int32]int32)
 	regions := (g.Blocks()*g.SlicesPerBlock() + 1<<regionShift - 1) >> regionShift
 	d.written = make([]uint64, (regions+63)/64)
 	d.dies = make([]dieFTL, n)
@@ -326,7 +326,7 @@ func (d *Device) block(bi int) *blockMeta {
 func (d *Device) Format() { d.reset() }
 
 // FOB reports whether any host data is mapped.
-func (d *Device) FOB() bool { return len(d.mapping) == 0 }
+func (d *Device) FOB() bool { return d.mapping.Len() == 0 }
 
 // Stats returns a copy of the FTL counters.
 func (d *Device) Stats() Stats { return d.stats }
@@ -427,8 +427,7 @@ func (d *Device) lookup(lba int64) (phys int32, ok bool) {
 	if r/64 >= uint64(len(d.written)) || d.written[r/64]&(1<<(r%64)) == 0 {
 		return 0, false
 	}
-	phys, ok = d.mapping[int32(lba)] //afalint:allow hotmap -- sparse FTL map; an open-addressed table lost (DESIGN.md §8)
-	return phys, ok
+	return d.mapping.get(int32(lba))
 }
 
 // Write services a 4 KiB host write and returns the delay until the
@@ -489,13 +488,13 @@ func (d *Device) place(lba int64) int {
 	r := lba >> regionShift
 	if w := &d.written[r/64]; *w&(1<<(r%64)) == 0 {
 		*w |= 1 << (r % 64) // the region's first write: no old copy
-	} else if p, ok := d.mapping[int32(lba)]; ok { //afalint:allow hotmap -- sparse FTL map; an open-addressed table lost (DESIGN.md §8)
+	} else if p, ok := d.mapping.get(int32(lba)); ok {
 		blk := d.block(int(p) / spb)
 		blk.valid--
 		blk.lbas[int(p)%spb] = -1
 	}
 	bi, s := d.allocSlice(lba)
-	d.mapping[int32(lba)] = int32(bi*spb + s) //afalint:allow hotmap -- sparse FTL map; an open-addressed table lost (DESIGN.md §8)
+	d.mapping.set(int32(lba), int32(bi*spb+s))
 	return bi
 }
 
@@ -627,7 +626,7 @@ func (d *Device) collect() int64 {
 		// Relocate: read + program elsewhere.
 		cost += d.readDuration()
 		nb, ns := d.allocSlice(int64(lba))
-		d.mapping[lba] = int32(nb*spb + ns) //afalint:allow hotmap -- sparse FTL map; an open-addressed table lost (DESIGN.md §8)
+		d.mapping.set(lba, int32(nb*spb+ns))
 		cost += d.Timing.ProgramPage / slicesPerPage
 		d.stats.GCPageMoves++
 	}

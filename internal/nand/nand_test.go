@@ -235,7 +235,7 @@ func TestPreconditionLeavesNonFOB(t *testing.T) {
 	if d.FOB() {
 		t.Fatal("preconditioned device still FOB")
 	}
-	if got := int64(len(d.mapping)); got != d.LogicalSlices()/2 {
+	if got := int64(d.mapping.Len()); got != d.LogicalSlices()/2 {
 		t.Fatalf("mapped slices = %d, want %d", got, d.LogicalSlices()/2)
 	}
 	if eng.Now() != 0 {
@@ -356,9 +356,9 @@ func TestFormatFieldPolicy(t *testing.T) {
 	d.Format()
 
 	// Restored fields: byte-for-byte the FOB state.
-	if d.mapping != nil || d.written != nil || d.dies != nil || d.recycled != nil || d.free != 0 {
+	if !reflect.ValueOf(d.mapping).IsZero() || d.written != nil || d.dies != nil || d.recycled != nil || d.free != 0 {
 		t.Errorf("Format left FTL state behind: mapping=%d written=%d dies=%d recycled=%d free=%d",
-			len(d.mapping), len(d.written), len(d.dies), len(d.recycled), d.free)
+			d.mapping.Len(), len(d.written), len(d.dies), len(d.recycled), d.free)
 	}
 	// Preserved fields: untouched.
 	if d.stats != preStats {
@@ -390,7 +390,7 @@ type mapEntry struct {
 // entry returns lba's forward-map entry, unpacked, straight from the map:
 // unlike lookup it does not consult the written-region filter.
 func (d *Device) entry(lba int64) (mapEntry, bool) {
-	p, ok := d.mapping[int32(lba)]
+	p, ok := d.mapping.get(int32(lba))
 	if !ok {
 		return mapEntry{}, false
 	}
@@ -409,7 +409,7 @@ func (d *Device) regionWritten(lba int64) bool {
 // every live slice is mapped there, and each opened block's valid count
 // is its live-slice count.
 func checkFTL(d *Device) error {
-	for lba := range d.mapping {
+	for _, lba := range d.mapping.keys() {
 		e, _ := d.entry(int64(lba))
 		if lbas := d.block(e.block).lbas; e.slice >= len(lbas) || lbas[e.slice] != lba {
 			return fmt.Errorf("lba %d maps to block %d slice %d, which does not hold it", lba, e.block, e.slice)
@@ -574,8 +574,8 @@ func TestWritePastLogicalSpaceMapsNothing(t *testing.T) {
 	if st := d.Stats(); st.HostWrites != 6 || st.UnmappedWrite != 5 {
 		t.Fatalf("stats = %+v, want 6 host writes, 5 unmapped", st)
 	}
-	if len(d.mapping) != 1 {
-		t.Fatalf("%d slices mapped, want 1", len(d.mapping))
+	if d.mapping.Len() != 1 {
+		t.Fatalf("%d slices mapped, want 1", d.mapping.Len())
 	}
 	if after, ok := d.entry(5); !ok || after != before {
 		t.Fatalf("slice 5 moved from %+v to %+v (%v)", before, after, ok)
@@ -710,10 +710,11 @@ func FuzzReadJitter(f *testing.F) {
 // TestFTLFootprint bounds the FTL's heap after 5,000 uniformly random
 // writes to a Table I device — about what each device of the open-loop
 // 10k-tenant run takes. The block-table and map layout set the figure:
-// int32 maps, reverse maps grown from 64 to 256 slices rather than to a
-// full block, and a 7.5 KiB written-region filter keep it near 110 KB,
-// where 24-byte map slots and full 8 KiB reverse maps took ~480 KB. Not
-// parallel: it reads the process heap.
+// 8-byte forward-table slots in 4 KiB pages, reverse maps grown from 64
+// to 256 slices rather than to a full block, and a 7.5 KiB
+// written-region filter keep it near 110 KB, where 24-byte map slots
+// and full 8 KiB reverse maps took ~480 KB. Not parallel: it reads the
+// process heap.
 func TestFTLFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -735,7 +736,7 @@ func TestFTLFootprint(t *testing.T) {
 	}
 
 	lbas := make([]int64, 0, 64)
-	for lba := range d.mapping {
+	for _, lba := range d.mapping.keys() {
 		lbas = append(lbas, int64(lba))
 		if len(lbas) == cap(lbas) {
 			break

@@ -159,10 +159,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q >= 1 {
 		return h.max
 	}
-	rank := int64(math.Ceil(q * float64(h.total)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := h.rank(q)
 	var seen int64
 	for ci, c := range &h.chunks {
 		if c == nil {
@@ -176,6 +173,12 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
+}
+
+// rank is the 1-based rank of quantile q in (0, 1): the smallest count
+// of observations that covers a q share of them.
+func (h *Histogram) rank(q float64) int64 {
+	return max(int64(math.Ceil(q*float64(h.total))), 1)
 }
 
 // bucketValue reports a quantile that falls in bucket i. The bucket's
@@ -194,8 +197,9 @@ func (h *Histogram) bucketValue(i int) int64 {
 }
 
 // Quantiles fills out[i] with Quantile(qs[i]) for ascending qs in one scan
-// over the buckets. LadderOf calls it with five nines-quantiles, so the
-// per-SSD summary costs one bucket walk instead of five.
+// over the buckets, computing each target rank once. LadderOf calls it
+// with five nines-quantiles, so the per-SSD summary costs one bucket walk
+// instead of five.
 func (h *Histogram) Quantiles(qs []float64, out []int64) {
 	if len(qs) != len(out) {
 		panic("stats: Quantiles length mismatch")
@@ -212,30 +216,26 @@ func (h *Histogram) Quantiles(qs []float64, out []int64) {
 		}
 		return
 	}
-	var seen int64
-scan:
-	for ci, c := range &h.chunks {
-		if c == nil {
-			continue
-		}
-		for j, n := range c {
-			if next == len(qs) || qs[next] >= 1 {
-				break scan
-			}
-			if n == 0 {
+	if next < len(qs) && qs[next] < 1 {
+		rank := h.rank(qs[next])
+		var seen int64
+	scan:
+		for ci, c := range &h.chunks {
+			if c == nil {
 				continue
 			}
-			seen += n
-			for next < len(qs) && qs[next] < 1 {
-				rank := int64(math.Ceil(qs[next] * float64(h.total)))
-				if rank < 1 {
-					rank = 1
+			for j, n := range c {
+				if n == 0 {
+					continue
 				}
-				if seen < rank {
-					break
+				seen += n
+				for seen >= rank {
+					out[next] = h.bucketValue(ci<<chunkBits | j)
+					if next++; next == len(qs) || qs[next] >= 1 {
+						break scan
+					}
+					rank = h.rank(qs[next])
 				}
-				out[next] = h.bucketValue(ci<<chunkBits | j)
-				next++
 			}
 		}
 	}

@@ -112,6 +112,42 @@ func TestQuantileRelativeError(t *testing.T) {
 	}
 }
 
+// Quantiles' one scan answers every q as its own Quantile call does, on
+// empty, one-value and spread histograms: edge quantiles, repeated ones,
+// several landing in one bucket, and ranks at both ends.
+func TestQuantilesMatchQuantile(t *testing.T) {
+	spread := NewHistogram()
+	r := rng.New(7)
+	for i := 0; i < 20000; i++ {
+		spread.Record(int64(r.Exp(30000)) + 25000)
+	}
+	one := NewHistogram()
+	one.Record(4242)
+	runs := []struct {
+		name string
+		h    *Histogram
+	}{{"empty", NewHistogram()}, {"one value", one}, {"spread", spread}}
+	qsets := [][]float64{
+		LadderNines[:],
+		{-1, 0, 0.25, 0.5, 0.5, 0.75, 1, 2},
+		{1e-9, 0.001, 0.5, 0.9, 0.99, 0.999, 0.99999, 0.9999999999},
+		{0.3},
+		{0, 1},
+		{},
+	}
+	for _, run := range runs {
+		for _, qs := range qsets {
+			got := make([]int64, len(qs))
+			run.h.Quantiles(qs, got)
+			for i, q := range qs {
+				if want := run.h.Quantile(q); got[i] != want {
+					t.Errorf("%s: Quantiles(%v)[%d] = %d, Quantile(%v) = %d", run.name, qs, i, got[i], q, want)
+				}
+			}
+		}
+	}
+}
+
 func TestQuantileOneIsExactMax(t *testing.T) {
 	h := NewHistogram()
 	h.Record(123456789)

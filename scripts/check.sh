@@ -8,6 +8,11 @@
 #                  internal/lint/testdata, whose positional `want:`
 #                  comments pin column layouts;
 #   vet          — stdlib static checks;
+#   bench vet    — the benchmark module (bench/, a separate Go module
+#                  that ./... skips) compiles and vets against this
+#                  tree, right beside the root vet, so a change to
+#                  internal/core that breaks it fails here, not only
+#                  in a benchmark run or the bench tests at the end;
 #   arm64 fusion — the simulator packages compiled for arm64 with their
 #                  assembly listed (-S) hold no fused multiply-add
 #                  (FMADD/FMSUB/FNMADD/FNMSUB): arm64 may fuse x*y+z
@@ -15,10 +20,6 @@
 #                  and so the reports, differ from amd64's. The build
 #                  output is captured first, so a build error fails
 #                  the step too;
-#   bench build  — the benchmark module (bench/, a separate Go module
-#                  that ./... skips) compiles and vets against this
-#                  tree, so a change to internal/core that breaks it
-#                  fails here, not only in a benchmark run;
 #   afalint      — one pass of all nineteen rules against the one debt
 #                  ledger, lint.baseline: the determinism contract
 #                  (DESIGN.md §5: no wall clock, no global rand, no
@@ -64,6 +65,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
+(cd bench && go build ./... && go vet ./...)
 if ! asm=$(GOARCH=arm64 go build -a -gcflags='repro/internal/...=-S' ./internal/... 2>&1); then
 	echo "arm64: build failed:" >&2
 	GOARCH=arm64 go build ./internal/... || true # the errors, without the listing
@@ -76,7 +78,6 @@ if [ -n "$fused" ]; then
 	exit 1
 fi
 echo "arm64: 0 fused multiply-add instructions"
-(cd bench && go build ./... && go vet ./...)
 go run ./cmd/afalint -baseline lint.baseline ./...
 go test -race -shuffle=on ./...
 (cd bench && go test ./...)
