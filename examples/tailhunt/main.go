@@ -25,6 +25,13 @@ func measure(cfg core.Config, traced bool) (*core.System, core.Distribution) {
 	return sys, core.NewDistribution(cfg.Name, res)
 }
 
+// remoteFraction is the share of interrupt deliveries since boot that
+// executed off their vector's queue CPU.
+func remoteFraction(sys *core.System) float64 {
+	local, remote, _ := sys.IRQ.Stats()
+	return float64(remote) / float64(local+remote)
+}
+
 func main() {
 	fmt.Println("== Step 1: measure under the default configuration (traced) ==")
 	sys, def := measure(core.Default(), true)
@@ -41,7 +48,7 @@ func main() {
 	}
 
 	fmt.Println("\n== Step 3: where did interrupts execute? (irq analysis, Section IV-D) ==")
-	fmt.Printf("  %.1f%% of deliveries executed on a remote CPU\n", 100*sys.Tracer.RemoteFraction())
+	fmt.Printf("  %.1f%% of deliveries executed on a remote CPU\n", 100*remoteFraction(sys))
 	for i, m := range sys.Tracer.MisroutedVectors() {
 		if i >= 5 {
 			break
@@ -52,7 +59,7 @@ func main() {
 	fmt.Println("\n== Step 4: apply chrt + isolcpus + IRQ pinning and re-measure ==")
 	tunedSys, tuned := measure(core.IRQAffinity(), true)
 	core.WriteDistributionTable(os.Stdout, tuned)
-	fmt.Printf("\nremote deliveries after pinning: %.1f%%\n", 100*tunedSys.Tracer.RemoteFraction())
+	fmt.Printf("\nremote deliveries after pinning: %.1f%%\n", 100*remoteFraction(tunedSys))
 
 	maxRung := 6
 	fmt.Printf("\nmean worst-case latency: %.0fµs → %.0fµs (×%.1f better)\n",

@@ -52,9 +52,9 @@ type Config struct {
 	// BalancerPolicy selects the IRQ balancer algorithm; BalanceAffine is
 	// the Section VI future-work "better IRQ allocation algorithm".
 	BalancerPolicy irq.Policy
-	// Coalesce enables NVMe interrupt coalescing (extension; see
-	// kernel.Coalescing).
-	Coalesce kernel.Coalescing
+	// Coalesce, when positive, turns on NVMe interrupt coalescing with
+	// this withhold timeout (extension; see kernel.Config.Coalesce).
+	Coalesce sim.Duration
 	// Timeout arms the host's per-command timeout/retry/abort machinery
 	// (extension; see kernel.TimeoutPolicy). Zero means commands wait
 	// forever, as on an untuned host.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/nvme"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // Test runs use 16 SSDs and short runtimes to stay fast; the assertions
@@ -92,7 +93,7 @@ func TestDefaultSystemHasBalancerAndNoIsolation(t *testing.T) {
 
 func TestFormatAll(t *testing.T) {
 	sys := NewSystem(Options{NumSSDs: 4, Seed: 1})
-	sys.SSDs[2].Flash.Write(1)
+	sys.SSDs[2].Flash.WriteWithGC(1)
 	sys.FormatAll()
 	for i, d := range sys.SSDs {
 		if !d.Flash.FOB() {
@@ -234,6 +235,59 @@ func TestTableIIMatchesPaper(t *testing.T) {
 	}
 	if rows[3].FIOThreadsInSystem != 1 || rows[3].Runs != 64 {
 		t.Fatalf("row d = %+v", rows[3])
+	}
+}
+
+// TestTableIIGeometries derives each Table II row from the CPU↔SSD
+// assignments RunFig13 boots at the paper's 64 SSDs: FIO threads per
+// logical CPU, SSDs per physical core (the threads on a CPU and on its
+// hyper-thread sibling), FIO threads in the system, and runs that cover
+// every SSD once.
+func TestTableIIGeometries(t *testing.T) {
+	host := topology.XeonE52690v2()
+	o := ExpOptions{}.withDefaults()
+	for _, row := range TableII() {
+		// Row (d)'s 0 reads "1 FIO thread on the entire system".
+		perCore := max(row.SSDsPerPhysCore, 1)
+		gs := fig13Geometries(host, o, row)
+		if len(gs) != row.Runs {
+			t.Fatalf("%s: %d runs, want %d", row.Fig, len(gs), row.Runs)
+		}
+		covered := make([]bool, o.NumSSDs)
+		for run, g := range gs {
+			perCPU := make([]int, host.NumLogical())
+			threads := 0
+			for ssd, cpu := range g.ThreadCPU {
+				if cpu < 0 {
+					continue
+				}
+				if covered[ssd] {
+					t.Fatalf("%s: nvme(%d) runs twice", row.Fig, ssd)
+				}
+				covered[ssd] = true
+				perCPU[cpu]++
+				threads++
+			}
+			if threads != row.FIOThreadsInSystem {
+				t.Fatalf("%s run %d: %d FIO threads, want %d", row.Fig, run, threads, row.FIOThreadsInSystem)
+			}
+			for cpu, n := range perCPU {
+				if n == 0 {
+					continue
+				}
+				if n != row.FIOPerLogicalCore {
+					t.Fatalf("%s run %d: cpu(%d) runs %d FIO threads, want %d", row.Fig, run, cpu, n, row.FIOPerLogicalCore)
+				}
+				if got := n + perCPU[host.CPU(cpu).Sibling]; got != perCore {
+					t.Fatalf("%s run %d: cpu(%d)'s physical core serves %d SSDs, want %d", row.Fig, run, cpu, got, perCore)
+				}
+			}
+		}
+		for ssd, ok := range covered {
+			if !ok {
+				t.Fatalf("%s: no run exercises nvme(%d)", row.Fig, ssd)
+			}
+		}
 	}
 }
 
@@ -421,12 +475,16 @@ func TestTracerAttachment(t *testing.T) {
 		t.Fatal("tracer not attached")
 	}
 	sys.RunFIO(RunSpec{Runtime: 100 * sim.Millisecond})
-	if sys.Tracer.Deliveries() == 0 {
-		t.Fatal("tracer saw no IRQ deliveries")
+	var misrouted int64
+	for _, m := range sys.Tracer.MisroutedVectors() {
+		misrouted += m.Occurrences
 	}
-	if sys.Tracer.RemoteFraction() < 0.5 {
-		t.Fatalf("default config remote fraction = %v, want most deliveries remote",
-			sys.Tracer.RemoteFraction())
+	local, remote, _ := sys.IRQ.Stats()
+	if misrouted != remote {
+		t.Fatalf("tracer saw %d misrouted deliveries, the controller counted %d remote", misrouted, remote)
+	}
+	if remote <= local {
+		t.Fatalf("default config: %d remote deliveries of %d, want most remote", remote, local+remote)
 	}
 	foreign := sys.Tracer.ForeignTasksOn(sys.Host.WorkloadCPUs(), "fio/")
 	if len(foreign) == 0 {

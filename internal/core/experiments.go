@@ -197,34 +197,6 @@ func RunFig13(o ExpOptions) []Distribution {
 	host := topology.XeonE52690v2()
 	cfg := IRQAffinity() // Fig 13(a) is identical to Fig 9
 
-	geoms := func(row TableIIRow) []*topology.Geometry {
-		switch row.SSDsPerPhysCore {
-		case 4:
-			return []*topology.Geometry{topology.DefaultGeometry(host, o.NumSSDs)}
-		case 2:
-			return []*topology.Geometry{
-				topology.HalfGeometry(host, o.NumSSDs, 0),
-				topology.HalfGeometry(host, o.NumSSDs, 1),
-			}
-		case 1:
-			var gs []*topology.Geometry
-			for run := 0; run < 4; run++ {
-				gs = append(gs, topology.QuarterGeometry(host, o.NumSSDs, run))
-			}
-			return gs
-		default:
-			var gs []*topology.Geometry
-			n := row.Runs
-			if o.SoloRuns < n {
-				n = o.SoloRuns
-			}
-			for run := 0; run < n; run++ {
-				gs = append(gs, topology.SoloGeometry(host, o.NumSSDs, run))
-			}
-			return gs
-		}
-	}
-
 	// Every (row, geometry) pair is a fresh boot (the paper reran fio on
 	// disjoint SSD sets), so the whole Table II matrix — including the 64
 	// solo runs of the 13(d) row — is one flat batch of independent arms,
@@ -232,11 +204,41 @@ func RunFig13(o ExpOptions) []Distribution {
 	// distribution.
 	var arms []arm
 	for _, row := range TableII() {
-		for _, g := range geoms(row) {
+		for _, g := range fig13Geometries(host, o, row) {
 			arms = append(arms, arm{name: "fig" + row.Fig, cfg: cfg, load: fleet{spec: RunSpec{Geometry: g}}})
 		}
 	}
 	return pooled(o, arms)
+}
+
+// fig13Geometries lists the CPU↔SSD assignment of each run of a Table II
+// row, at o's SSD count (o has its defaults; SoloRuns caps row (d)).
+func fig13Geometries(host *topology.Host, o ExpOptions, row TableIIRow) []*topology.Geometry {
+	switch row.SSDsPerPhysCore {
+	case 4:
+		return []*topology.Geometry{topology.DefaultGeometry(host, o.NumSSDs)}
+	case 2:
+		return []*topology.Geometry{
+			topology.HalfGeometry(host, o.NumSSDs, 0),
+			topology.HalfGeometry(host, o.NumSSDs, 1),
+		}
+	case 1:
+		var gs []*topology.Geometry
+		for run := 0; run < 4; run++ {
+			gs = append(gs, topology.QuarterGeometry(host, o.NumSSDs, run))
+		}
+		return gs
+	default:
+		var gs []*topology.Geometry
+		n := row.Runs
+		if o.SoloRuns < n {
+			n = o.SoloRuns
+		}
+		for run := 0; run < n; run++ {
+			gs = append(gs, topology.SoloGeometry(host, o.NumSSDs, run))
+		}
+		return gs
+	}
 }
 
 // Headline quantifies the abstract's claim: mean and standard deviation of
@@ -372,7 +374,7 @@ func RunCoalescingAblation(o ExpOptions) []FIORun {
 
 	co := ExpFirmware()
 	co.Name = "coalesce-4"
-	co.Coalesce = kernel.Coalescing{Threshold: 4, Timeout: 100 * sim.Microsecond}
+	co.Coalesce = 100 * sim.Microsecond
 
 	qd8 := fleet{spec: RunSpec{IODepth: 8}}
 	runs := runArms(o, []arm{{name: base.Name, cfg: base, load: qd8}, {name: co.Name, cfg: co, load: qd8}})

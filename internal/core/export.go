@@ -13,14 +13,13 @@ import (
 // exportedDistribution is the JSON shape of a Distribution: self-describing
 // and stable, for plotting pipelines.
 type exportedDistribution struct {
-	Config string            `json:"config"`
-	Rungs  []string          `json:"rungs"`
-	SSDs   [][]float64       `json:"ssds_ns"`
-	Mean   []float64         `json:"mean_ns"`
-	Std    []float64         `json:"std_ns"`
-	Min    []float64         `json:"min_ns"`
-	Max    []float64         `json:"max_ns"`
-	Extra  map[string]string `json:"extra,omitempty"`
+	Config string      `json:"config"`
+	Rungs  []string    `json:"rungs"`
+	SSDs   [][]float64 `json:"ssds_ns"`
+	Mean   []float64   `json:"mean_ns"`
+	Std    []float64   `json:"std_ns"`
+	Min    []float64   `json:"min_ns"`
+	Max    []float64   `json:"max_ns"`
 }
 
 func exportOf(d Distribution) exportedDistribution {

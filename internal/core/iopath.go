@@ -62,7 +62,7 @@ func iopathConfig(arm string, dev nvme.DeviceClass) Config {
 	case "irq":
 		// Stock interrupt delivery as-is.
 	case "coalesced":
-		cfg.Coalesce = kernel.Coalescing{Threshold: 4, Timeout: 20 * sim.Microsecond}
+		cfg.Coalesce = 20 * sim.Microsecond
 	case "polling":
 		cfg.Mode = kernel.CompletePolling
 	case "passthrough":

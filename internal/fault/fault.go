@@ -91,7 +91,6 @@ func (e Event) String() string {
 type Injector struct {
 	eng    *sim.Engine
 	ssds   []*nvme.Controller
-	plan   Plan
 	events []Event
 }
 
@@ -99,7 +98,7 @@ type Injector struct {
 // It panics on an out-of-range SSD or an inconsistent window — a bad plan
 // is an experiment bug, not a runtime condition.
 func NewInjector(eng *sim.Engine, ssds []*nvme.Controller, plan Plan) *Injector {
-	in := &Injector{eng: eng, ssds: ssds, plan: plan}
+	in := &Injector{eng: eng, ssds: ssds}
 	for _, p := range plan.Profiles {
 		if p.SSD < 0 || p.SSD >= len(ssds) {
 			panic(fmt.Sprintf("fault: profile SSD %d out of range [0,%d)", p.SSD, len(ssds)))

@@ -269,9 +269,9 @@ func (j *Job) Start(onDone func(*Result)) {
 func (j *Job) submitCost(n int) sim.Duration {
 	if j.spec.Passthrough {
 		// Userspace doorbell write: no syscall, no blk-mq.
-		return sim.Duration(n) * j.k.Costs().UserSubmit
+		return sim.Duration(n) * kernel.UserSubmitCost
 	}
-	return sim.Duration(n) * j.k.Costs().Submit
+	return sim.Duration(n) * kernel.SubmitCost
 }
 
 // nextLBA picks the next target block.
@@ -304,7 +304,7 @@ func (j *Job) submitWindow() {
 		if j.spin && j.inflight > 0 {
 			// A spinning job has no interrupt wake coming: keep polling
 			// until the in-flight tail drains.
-			j.task.Exec(j.k.Costs().PollCheck, j.pollSpinFn)
+			j.task.Exec(kernel.PollCheckCost, j.pollSpinFn)
 			return
 		}
 		j.finishIfDrained()
@@ -324,7 +324,7 @@ func (j *Job) submitWindow() {
 	if j.spin {
 		// Spin on the CQ instead of sleeping: the latency win and the CPU
 		// burn of polling both fall out of this loop.
-		j.task.Exec(j.k.Costs().PollCheck, j.pollSpinFn)
+		j.task.Exec(kernel.PollCheckCost, j.pollSpinFn)
 		return
 	}
 	// Completions may have raced in while this thread was submitting
@@ -338,9 +338,9 @@ func (j *Job) submitWindow() {
 // reapCost is the thread-side cost of reaping n completions and submitting
 // their replacements.
 func (j *Job) reapCost(n int) sim.Duration {
-	cost := sim.Duration(n) * (j.k.Costs().Complete + j.k.Costs().Submit)
+	cost := sim.Duration(n) * (kernel.CompleteCost + kernel.SubmitCost)
 	if j.spec.LatLog {
-		cost += sim.Duration(n) * j.k.Costs().LatLogRecord
+		cost += sim.Duration(n) * kernel.LatLogRecordCost
 	}
 	return cost
 }
@@ -350,14 +350,14 @@ func (j *Job) reapCost(n int) sim.Duration {
 func (j *Job) pollSpin() {
 	j.res.PollSpins++
 	if len(j.pending) > 0 {
-		per := j.k.Costs().Complete
+		per := kernel.CompleteCost
 		if j.spec.Passthrough {
-			per = j.k.Costs().UserComplete
+			per = kernel.UserCompleteCost
 		}
 		j.task.Exec(sim.Duration(len(j.pending))*per, j.reapFn)
 		return
 	}
-	j.task.Exec(j.k.Costs().PollCheck, j.pollSpinFn)
+	j.task.Exec(kernel.PollCheckCost, j.pollSpinFn)
 }
 
 // onQPResult is a passthrough CQE landing in the tenant-owned CQ: no
@@ -429,7 +429,7 @@ func (j *Job) reap() {
 	if now >= j.deadline {
 		if j.spin && j.inflight > 0 {
 			// Keep spinning for the in-flight tail; no wake is coming.
-			j.task.Exec(j.k.Costs().PollCheck, j.pollSpinFn)
+			j.task.Exec(kernel.PollCheckCost, j.pollSpinFn)
 			return
 		}
 		j.finishIfDrained()
@@ -467,14 +467,6 @@ func RunGroup(eng *sim.Engine, k *kernel.Kernel, specs []JobSpec) []*Result {
 			remaining--
 		})
 	}
-	// Run until every job drained (a grace period covers the tail I/O).
-	grace := sim.Duration(0)
-	for remaining > 0 {
-		grace += 100 * sim.Millisecond
-		eng.RunUntil(maxDeadline.Add(grace))
-		if grace > 100*sim.Second {
-			panic("fio: jobs failed to drain")
-		}
-	}
+	eng.Drain(maxDeadline, func() bool { return remaining == 0 }, "fio: jobs failed to drain")
 	return results
 }

@@ -467,19 +467,9 @@ func (m *Multiplexer) Start(onDone func(*MuxResult)) {
 func (m *Multiplexer) Run() *MuxResult {
 	done := false
 	m.Start(func(*MuxResult) { done = true })
-	grace := sim.Duration(0)
-	for !done {
-		grace += 100 * sim.Millisecond
-		m.eng.RunUntil(m.deadline.Add(grace))
-		if grace > 100*sim.Second {
-			panic("fio: multiplexer failed to drain")
-		}
-	}
+	m.eng.Drain(m.deadline, func() bool { return done }, "fio: multiplexer failed to drain")
 	return &m.res
 }
-
-// Result returns the aggregate result after the run has finished.
-func (m *Multiplexer) Result() *MuxResult { return &m.res }
 
 func (m *Multiplexer) slotEnd() sim.Time { return m.cursorT.Add(slotWidth) }
 

@@ -60,7 +60,6 @@ type Delivery struct {
 
 // Controller owns the vector table and the balancer.
 type Controller struct {
-	eng *sim.Engine
 	sch *sched.Scheduler
 	rnd *rng.Stream
 
@@ -166,7 +165,6 @@ func New(eng *sim.Engine, sch *sched.Scheduler, cfg Config) *Controller {
 		panic("irq: NumSSDs and NumCPUs must be positive")
 	}
 	c := &Controller{
-		eng:      eng,
 		sch:      sch,
 		rnd:      rng.NewLabeled(cfg.Seed, "irqbalance"),
 		policy:   cfg.Policy,
@@ -190,9 +188,6 @@ func New(eng *sim.Engine, sch *sched.Scheduler, cfg Config) *Controller {
 	}
 	return c
 }
-
-// NumVectors reports the vector population (the paper's 2,560).
-func (c *Controller) NumVectors() int { return len(c.eff) * len(c.eff[0]) }
 
 // EffectiveCPU reports where vector irq(ssd,queue) currently executes.
 func (c *Controller) EffectiveCPU(ssd, queue int) int { return c.eff[ssd][queue] }

@@ -17,8 +17,8 @@ func newIRQ(t *testing.T, ssds, cpus int, startBalanced bool) (*sim.Engine, *sch
 
 func TestVectorCountMatchesPaper(t *testing.T) {
 	_, _, c := newIRQ(t, 64, 40, false)
-	if c.NumVectors() != 2560 {
-		t.Fatalf("vectors = %d, want 2560 (64 SSDs × 40 CPUs)", c.NumVectors())
+	if n := len(c.eff) * len(c.eff[0]); n != 2560 {
+		t.Fatalf("vectors = %d, want 2560 (64 SSDs × 40 CPUs)", n)
 	}
 }
 

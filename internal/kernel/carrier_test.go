@@ -54,9 +54,10 @@ func TestCompletionPathsAllocateNothing(t *testing.T) {
 		name     string
 		setup    func(t *testing.T, r *rig) int // returns the submitting CPU
 		pol      TimeoutPolicy
-		batch    int  // commands per I/O round
-		remote   bool // expected delivery
-		timedOut bool // expected outcome: a synthesized abort
+		coalesce sim.Duration // interrupt withhold timeout at boot
+		batch    int          // commands per I/O round
+		remote   bool         // expected delivery
+		timedOut bool         // expected outcome: a synthesized abort
 	}{
 		{name: "interrupt-local", batch: 1, setup: func(*testing.T, *rig) int { return 1 }},
 		{name: "interrupt-remote", batch: 1, remote: true, setup: func(t *testing.T, r *rig) int {
@@ -80,15 +81,13 @@ func TestCompletionPathsAllocateNothing(t *testing.T) {
 			r.k.mode = CompletePolling
 			return 1
 		}},
-		{name: "coalesced", batch: 4, setup: func(_ *testing.T, r *rig) int {
-			r.k.SetCoalescing(Coalescing{Threshold: 4, Timeout: 20 * sim.Microsecond})
-			return 1
-		}},
+		{name: "coalesced", batch: coalesceBatch, coalesce: 20 * sim.Microsecond,
+			setup: func(*testing.T, *rig) int { return 1 }},
 		{name: "timeout-abort", batch: 1, pol: stall, timedOut: true, setup: func(*testing.T, *rig) int { return 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newTimeoutRig(t, tc.pol)
+			r := newCoalescedTimeoutRig(t, tc.pol, tc.coalesce)
 			cpu := tc.setup(t, r)
 			ssd := r.k.SSDs[0]
 			cmd := nvme.Command{Op: nvme.OpRead, LBA: 1}
@@ -261,19 +260,17 @@ func TestManagedOutcomesReachCaller(t *testing.T) {
 	paths := []struct {
 		name     string
 		mode     CompletionMode
-		coalesce Coalescing
+		coalesce sim.Duration
 	}{
 		{name: "interrupt", mode: CompleteInterrupt},
-		{name: "coalesced", mode: CompleteInterrupt,
-			coalesce: Coalescing{Threshold: 4, Timeout: 20 * sim.Microsecond}},
+		{name: "coalesced", mode: CompleteInterrupt, coalesce: 20 * sim.Microsecond},
 		{name: "polling", mode: CompletePolling},
 	}
 	for _, p := range paths {
 		for _, tc := range cases {
 			t.Run(p.name+"/"+tc.name, func(t *testing.T) {
-				r := newTimeoutRig(t, tc.pol)
+				r := newCoalescedTimeoutRig(t, tc.pol, p.coalesce)
 				r.k.mode = p.mode
-				r.k.SetCoalescing(p.coalesce)
 				var got []Completion
 				var deliveredAt sim.Time
 				r.eng.ScheduleAt(submitAt, func() {
@@ -543,11 +540,12 @@ func FuzzCarrierLifetime(f *testing.F) {
 				pol.OverloadWatermark = 4
 			}
 		}
-		r := newTimeoutRig(t, pol)
-		switch plan & 3 {
-		case 1:
-			r.k.SetCoalescing(Coalescing{Threshold: 4, Timeout: 20 * sim.Microsecond})
-		case 2:
+		var coalesce sim.Duration
+		if plan&3 == 1 {
+			coalesce = 20 * sim.Microsecond
+		}
+		r := newCoalescedTimeoutRig(t, pol, coalesce)
+		if plan&3 == 2 {
 			r.k.mode = CompletePolling
 		}
 		ssd := r.k.SSDs[0]

@@ -6,32 +6,20 @@ import (
 	"repro/internal/sim"
 )
 
-// Coalescing configures NVMe interrupt coalescing (the Set Features
-// "Interrupt Coalescing" feature): the controller withholds the MSI-X
-// interrupt until Threshold CQEs have accumulated on a queue or Timeout
-// has elapsed since the first withheld CQE. The paper worries about the
-// "interrupt storm coming from hundreds of SSDs" (Section I); coalescing
-// trades completion latency for interrupt rate, and the ablation bench
-// quantifies the trade.
-type Coalescing struct {
-	// Threshold is the batch size that forces an interrupt (0 disables
-	// coalescing entirely).
-	Threshold int
-	// Timeout bounds how long a lone CQE waits (NVMe expresses it in
-	// 100 µs increments; any positive duration is accepted here).
-	Timeout sim.Duration
-}
+// coalesceBatch is the NVMe interrupt coalescing batch size (the Set
+// Features "Interrupt Coalescing" aggregation threshold): a queue's
+// MSI-X interrupt is withheld until this many CQEs have accumulated or
+// Config.Coalesce has elapsed since the first withheld CQE. The paper
+// worries about the "interrupt storm coming from hundreds of SSDs"
+// (Section I); coalescing trades completion latency for interrupt rate,
+// and the ablation bench quantifies the trade.
+const coalesceBatch = 4
 
-// Enabled reports whether coalescing is active.
-func (c Coalescing) Enabled() bool { return c.Threshold > 1 && c.Timeout > 0 }
-
-// SetCoalescing reconfigures interrupt coalescing (the Set Features
-// admin command), (re)building the dense coalescer table when enabling.
-// Must not be called with coalesced CQEs pending.
-func (k *Kernel) SetCoalescing(c Coalescing) {
-	k.coalesce = c
-	k.coalescers = nil
-	if !c.Enabled() {
+// bootCoalescers builds the dense (ssd, queue) → coalescer table when
+// coalescing is on: the per-CQE lookup on the hot path is a slice index,
+// and every flush callback is bound once, here.
+func (k *Kernel) bootCoalescers() {
+	if k.coalesce <= 0 {
 		return
 	}
 	ncpu := k.Sched.NumCPUs()
@@ -60,12 +48,12 @@ type pendingCQE struct {
 
 func (c *coalescer) add(res *nvme.Result, to sink) {
 	c.pending = append(c.pending, pendingCQE{res: *res, to: to})
-	if len(c.pending) >= c.k.coalesce.Threshold {
+	if len(c.pending) >= coalesceBatch {
 		c.flush()
 		return
 	}
 	if !c.timer.Armed() {
-		c.timer.Arm(c.k.coalesce.Timeout, c.flushFn)
+		c.timer.Arm(c.k.coalesce, c.flushFn)
 	}
 }
 

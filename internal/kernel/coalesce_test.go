@@ -10,43 +10,34 @@ import (
 
 func TestCoalescingDisabledByDefault(t *testing.T) {
 	r := newRig(t, 2, 1, sched.BootOptions{}, CompleteInterrupt)
-	if r.k.coalesce.Enabled() {
+	if r.k.coalesce != 0 || r.k.coalescers != nil {
 		t.Fatal("coalescing on without configuration")
-	}
-	var c Coalescing
-	if c.Enabled() {
-		t.Fatal("zero Coalescing enabled")
-	}
-	if (Coalescing{Threshold: 1, Timeout: sim.Millisecond}).Enabled() {
-		t.Fatal("threshold 1 should mean no coalescing")
 	}
 }
 
-func newCoalescingRig(t *testing.T, threshold int, timeout sim.Duration) *rig {
+func newCoalescingRig(t *testing.T, timeout sim.Duration) *rig {
 	t.Helper()
-	r := newRig(t, 2, 1, sched.BootOptions{}, CompleteInterrupt)
-	r.k.SetCoalescing(Coalescing{Threshold: threshold, Timeout: timeout})
-	return r
+	return bootRig(t, 2, 1, sched.BootOptions{}, Config{Coalesce: timeout})
 }
 
 func TestCoalescingBatchesOnThreshold(t *testing.T) {
-	r := newCoalescingRig(t, 4, 10*sim.Millisecond)
+	r := newCoalescingRig(t, 10*sim.Millisecond)
 	got := 0
-	for i := 0; i < 4; i++ {
+	for i := 0; i < coalesceBatch; i++ {
 		r.k.SubmitIO(1, 0, nvme.Command{Op: nvme.OpRead, LBA: int64(i)}, func(Completion) { got++ })
 	}
 	r.eng.RunUntil(sim.Time(5 * sim.Millisecond))
-	if got != 4 {
+	if got != coalesceBatch {
 		t.Fatalf("completions = %d", got)
 	}
 	local, remote, _ := r.k.IRQ.Stats()
 	if local+remote != 1 {
-		t.Fatalf("interrupts = %d for a threshold-4 batch of 4", local+remote)
+		t.Fatalf("interrupts = %d for a full batch of %d", local+remote, coalesceBatch)
 	}
 }
 
 func TestCoalescingTimeoutFlushesLoners(t *testing.T) {
-	r := newCoalescingRig(t, 8, 200*sim.Microsecond)
+	r := newCoalescingRig(t, 200*sim.Microsecond)
 	var comp Completion
 	got := false
 	r.k.SubmitIO(1, 0, nvme.Command{Op: nvme.OpRead, LBA: 1}, func(c Completion) {
@@ -68,7 +59,7 @@ func TestCoalescingTimeoutFlushesLoners(t *testing.T) {
 }
 
 func TestCoalescingSeparateQueues(t *testing.T) {
-	r := newCoalescingRig(t, 4, 10*sim.Millisecond)
+	r := newCoalescingRig(t, 10*sim.Millisecond)
 	// Two different submitting CPUs → two coalescers; neither reaches the
 	// threshold, so both flush by timeout → 2 interrupts.
 	done := 0
@@ -84,19 +75,19 @@ func TestCoalescingSeparateQueues(t *testing.T) {
 }
 
 func TestCoalescingWakePenaltyChargedOncePerBatch(t *testing.T) {
-	r := newCoalescingRig(t, 2, 10*sim.Millisecond)
+	r := newCoalescingRig(t, 10*sim.Millisecond)
 	// Force remote delivery so a penalty exists.
 	r.k.IRQ.Pin(0, 1)
 	var comps []Completion
 	// Use a scattered controller instead: simplest is to verify the
 	// fan-out invariant — at most one non-zero penalty per batch.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < coalesceBatch; i++ {
 		r.k.SubmitIO(1, 0, nvme.Command{Op: nvme.OpRead, LBA: int64(i)}, func(c Completion) {
 			comps = append(comps, c)
 		})
 	}
 	r.eng.RunUntil(sim.Time(5 * sim.Millisecond))
-	if len(comps) != 2 {
+	if len(comps) != coalesceBatch {
 		t.Fatalf("completions = %d", len(comps))
 	}
 	nonZero := 0

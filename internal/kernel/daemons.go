@@ -116,9 +116,6 @@ func (k *Kernel) Daemons() []*Daemon { return k.daemons }
 // Sessions reports how many activity sessions the daemon has run.
 func (d *Daemon) Sessions() int64 { return d.sessions }
 
-// Task exposes the underlying scheduler task (for tests and tracing).
-func (d *Daemon) Task() *sched.Task { return d.task }
-
 // Stop prevents future sessions (current one finishes).
 func (d *Daemon) Stop() { d.stopped = true }
 

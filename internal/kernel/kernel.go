@@ -30,39 +30,28 @@ const (
 	CompletePolling
 )
 
-// Costs are host software path constants.
-type Costs struct {
-	// Submit is the CPU cost of io_submit for one 4 KiB request
+// Host software path costs, charged to the thread that runs each step.
+const (
+	// SubmitCost is the CPU cost of io_submit for one 4 KiB request
 	// (syscall + blk-mq + doorbell write).
-	Submit sim.Duration
-	// Complete is the CPU cost of reaping one completion in the thread
-	// (io_getevents + fio bookkeeping).
-	Complete sim.Duration
-	// PollCheck is one CQ poll iteration's cost in polling mode.
-	PollCheck sim.Duration
-	// LatLogRecord is the extra per-I/O cost of fio latency logging
+	SubmitCost = 1800 * sim.Nanosecond
+	// CompleteCost is the CPU cost of reaping one completion in the
+	// thread (io_getevents + fio bookkeeping).
+	CompleteCost = 1200 * sim.Nanosecond
+	// PollCheckCost is one CQ poll iteration's cost in polling mode.
+	PollCheckCost = 300 * sim.Nanosecond
+	// LatLogRecordCost is the extra per-I/O cost of fio latency logging
 	// (footnote 1: logging on all 64 SSDs perturbed the measurement).
-	LatLogRecord sim.Duration
-	// UserSubmit is the CPU cost of ringing a passthrough queue pair's
-	// doorbell from userspace: build the SQE, MMIO write. No syscall, no
-	// blk-mq — this is the whole host submit path in passthrough mode.
-	UserSubmit sim.Duration
-	// UserComplete is the CPU cost of reaping one CQE from a tenant-owned
-	// CQ in userspace (phase check + bookkeeping).
-	UserComplete sim.Duration
-}
-
-// DefaultCosts returns calibrated host path costs.
-func DefaultCosts() Costs {
-	return Costs{
-		Submit:       1800 * sim.Nanosecond,
-		Complete:     1200 * sim.Nanosecond,
-		PollCheck:    300 * sim.Nanosecond,
-		LatLogRecord: 900 * sim.Nanosecond,
-		UserSubmit:   250 * sim.Nanosecond,
-		UserComplete: 150 * sim.Nanosecond,
-	}
-}
+	LatLogRecordCost = 900 * sim.Nanosecond
+	// UserSubmitCost is the CPU cost of ringing a passthrough queue
+	// pair's doorbell from userspace: build the SQE, MMIO write. No
+	// syscall, no blk-mq — this is the whole host submit path in
+	// passthrough mode.
+	UserSubmitCost = 250 * sim.Nanosecond
+	// UserCompleteCost is the CPU cost of reaping one CQE from a
+	// tenant-owned CQ in userspace (phase check + bookkeeping).
+	UserCompleteCost = 150 * sim.Nanosecond
+)
 
 // Kernel wires scheduler, IRQ controller, and SSDs together.
 type Kernel struct {
@@ -70,15 +59,16 @@ type Kernel struct {
 	Sched *sched.Scheduler
 	IRQ   *irq.Controller
 	SSDs  []*nvme.Controller
-	costs Costs
 	mode  CompletionMode
 	rnd   *rng.Stream
 
 	daemons []*Daemon
 
-	coalesce Coalescing
+	// coalesce is Config.Coalesce, the interrupt withhold timeout (0:
+	// coalescing off).
+	coalesce sim.Duration
 	// coalescers is the dense (ssd, queue) → coalescer table, built at
-	// boot when coalescing is enabled (index ssd·NumCPUs + queue).
+	// boot when coalescing is on (index ssd·NumCPUs + queue).
 	coalescers []*coalescer
 	// freeCoalDeliv recycles coalesced-delivery batch carriers.
 	freeCoalDeliv []*coalDelivery
@@ -124,8 +114,10 @@ type Config struct {
 	IRQ   *irq.Controller
 	SSDs  []*nvme.Controller
 	Mode  CompletionMode
-	// Coalesce enables NVMe interrupt coalescing (see Coalescing).
-	Coalesce Coalescing
+	// Coalesce, when positive, turns on NVMe interrupt coalescing: a
+	// queue's interrupt waits for a batch of CQEs (coalesceBatch) or
+	// until Coalesce has passed since the first withheld CQE.
+	Coalesce sim.Duration
 	// Timeout arms the host's per-command timeout/retry/abort machinery
 	// (see TimeoutPolicy); the zero value preserves the wait-forever
 	// behaviour.
@@ -151,17 +143,13 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		Sched:    cfg.Sched,
 		IRQ:      cfg.IRQ,
 		SSDs:     cfg.SSDs,
-		costs:    DefaultCosts(),
 		mode:     cfg.Mode,
 		coalesce: cfg.Coalesce,
 		timeout:  cfg.Timeout,
 		rnd:      rng.NewLabeled(cfg.Seed, "kernel"),
 		tickRnd:  rng.NewLabeled(cfg.Seed, "tickwork"),
 	}
-	// Dense (ssd, queue) → coalescer table, fully built at boot when
-	// coalescing is on: the per-CQE lookup on the hot path is a slice
-	// index, and every flush callback is bound once, here.
-	k.SetCoalescing(cfg.Coalesce)
+	k.bootCoalescers()
 	if cfg.Health {
 		k.health = health.NewTracker(len(cfg.SSDs))
 	}
@@ -182,9 +170,6 @@ func (k *Kernel) Health() *health.Tracker { return k.health }
 // the policy's watermark. The RAID layer sheds speculative hedges while
 // this holds — hedges are the first load to drop under pressure.
 func (k *Kernel) Overloaded() bool { return k.overloaded }
-
-// Costs reports the host path constants.
-func (k *Kernel) Costs() Costs { return k.costs }
 
 // Mode reports the completion mode.
 func (k *Kernel) Mode() CompletionMode { return k.mode }
@@ -259,7 +244,7 @@ func (k *Kernel) SubmitIO(submitCPU, ssd int, cmd nvme.Command, done func(Comple
 
 // SubmitIOTo sends a command to an SSD on behalf of a thread currently
 // on CPU submitCPU, and passes the completion to to in interrupt
-// (softirq) context. The caller charges Costs().Submit to the submitting
+// (softirq) context. The caller charges SubmitCost to the submitting
 // thread's burst; to typically Execs the thread's completion burst and
 // wakes it.
 // When the kernel was built with a TimeoutPolicy, the command runs under
@@ -402,7 +387,7 @@ func (r *kioReq) OnResult(res *nvme.Result) {
 		k.putReq(r)
 		k.handOff(to, c)
 	default:
-		if k.coalesce.Enabled() {
+		if k.coalesce > 0 {
 			ssd := r.ssd
 			k.putReq(r)
 			k.coalescerFor(ssd, cpu).add(res, to)

@@ -19,6 +19,13 @@ type rig struct {
 
 func newRig(t *testing.T, ncpu, nssd int, boot sched.BootOptions, mode CompletionMode) *rig {
 	t.Helper()
+	return bootRig(t, ncpu, nssd, boot, Config{Mode: mode})
+}
+
+// bootRig boots a kernel over ncpu CPUs and nssd tiny drives; cfg
+// supplies the completion mode and coalescing, the rig the rest.
+func bootRig(t *testing.T, ncpu, nssd int, boot sched.BootOptions, cfg Config) *rig {
+	t.Helper()
 	eng := sim.NewEngine()
 	sch := sched.New(eng, sched.Config{NumCPUs: ncpu, Boot: boot, Seed: 3})
 	fab := pcie.NewFabric(eng, pcie.Options{NumSSDs: nssd})
@@ -30,7 +37,8 @@ func newRig(t *testing.T, ncpu, nssd int, boot sched.BootOptions, mode Completio
 			ID: i, Fabric: fab, FW: fw, Seed: 3, Geom: nand.TinyGeometry()}))
 	}
 	ic := irq.New(eng, sch, irq.Config{NumSSDs: nssd, NumCPUs: ncpu, Seed: 3})
-	k := New(eng, Config{Sched: sch, IRQ: ic, SSDs: ssds, Mode: mode, Seed: 3})
+	cfg.Sched, cfg.IRQ, cfg.SSDs, cfg.Seed = sch, ic, ssds, 3
+	k := New(eng, cfg)
 	return &rig{eng: eng, sch: sch, k: k}
 }
 

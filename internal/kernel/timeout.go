@@ -166,9 +166,6 @@ type IOStats struct {
 // IOStats returns a copy of the tolerance counters.
 func (k *Kernel) IOStats() IOStats { return k.iostats }
 
-// Timeout reports the active policy.
-func (k *Kernel) Timeout() TimeoutPolicy { return k.timeout }
-
 // submitManaged runs one command under the timeout policy: each attempt
 // races a deadline timer against the completion; timeouts abort and
 // retry with bounded exponential backoff; retryable error statuses retry

@@ -117,7 +117,14 @@ func TestZeroPolicyDisabled(t *testing.T) {
 
 func newTimeoutRig(t *testing.T, policy TimeoutPolicy) *rig {
 	t.Helper()
-	r := newRig(t, 2, 1, sched.BootOptions{}, CompleteInterrupt)
+	return newCoalescedTimeoutRig(t, policy, 0)
+}
+
+// newCoalescedTimeoutRig is newTimeoutRig on a kernel booted with
+// interrupt coalescing at the given withhold timeout (0: off).
+func newCoalescedTimeoutRig(t *testing.T, policy TimeoutPolicy, coalesce sim.Duration) *rig {
+	t.Helper()
+	r := bootRig(t, 2, 1, sched.BootOptions{}, Config{Coalesce: coalesce})
 	r.k.timeout = policy
 	// Mirror New's budget arming (the rig swaps the policy in after
 	// construction).

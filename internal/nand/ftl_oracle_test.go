@@ -361,8 +361,8 @@ func TestFTLMatchesReference(t *testing.T) {
 				}
 				switch op := r.Intn(1000); {
 				case op < 450:
-					if got, want := dev.Write(lba), totalOf(ref.WriteWithGC(lba)); got != want {
-						t.Fatalf("step %d: Write(%d) = %v, reference %v", step, lba, got, want)
+					if got, want := totalOf(dev.WriteWithGC(lba)), totalOf(ref.WriteWithGC(lba)); got != want {
+						t.Fatalf("step %d: WriteWithGC(%d) = %v, reference %v", step, lba, got, want)
 					}
 				case op < 900:
 					write(step, lba)

@@ -191,7 +191,7 @@ func TestFTLAllocationsRepeat(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 200_000; i++ {
-			d.Write(r.Int63n(logical))
+			d.WriteWithGC(r.Int63n(logical))
 		}
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(d)

@@ -430,16 +430,11 @@ func (d *Device) lookup(lba int64) (phys int32, ok bool) {
 	return d.mapping.get(int32(lba))
 }
 
-// Write services a 4 KiB host write and returns the delay until the
-// program completes, including any foreground GC it triggered.
-func (d *Device) Write(lba int64) sim.Duration {
-	total, _ := d.WriteWithGC(lba)
-	return total
-}
-
-// WriteWithGC is Write, also reporting the foreground-GC portion of the
-// delay separately (the NVMe cache model applies backpressure only for
-// that part — transient die-queue waits are absorbed by the cache).
+// WriteWithGC services a 4 KiB host write and returns the delay until
+// the program completes, including any foreground GC it triggered, and
+// the foreground-GC portion of that delay separately (the NVMe cache
+// model applies backpressure only for that part — transient die-queue
+// waits are absorbed by the cache).
 // A write at or past LogicalSlices has no slot in the FTL: it is timed
 // on its striped die and counted as an UnmappedWrite, but maps nothing.
 // A negative slice panics.

@@ -117,7 +117,7 @@ func TestDifferentDiesProceedInParallel(t *testing.T) {
 
 func TestWriteMapsAndReadFollows(t *testing.T) {
 	eng, d := newTiny(t)
-	d.Write(42)
+	d.WriteWithGC(42)
 	if d.FOB() {
 		t.Fatal("device still FOB after write")
 	}
@@ -143,7 +143,7 @@ func TestUnmappedReadCounted(t *testing.T) {
 func TestFormatRestoresFOB(t *testing.T) {
 	eng, d := newTiny(t)
 	for i := int64(0); i < 100; i++ {
-		d.Write(i)
+		d.WriteWithGC(i)
 		eng.RunUntil(eng.Now().Add(sim.Millisecond))
 	}
 	d.Format()
@@ -151,7 +151,7 @@ func TestFormatRestoresFOB(t *testing.T) {
 		t.Fatal("Format did not restore FOB")
 	}
 	// The device must be fully writable again: all blocks free.
-	d.Write(1)
+	d.WriteWithGC(1)
 	if d.free != d.Geom.Blocks()-1 {
 		t.Fatalf("free blocks after format+1 write = %d, want %d", d.free, d.Geom.Blocks()-1)
 	}
@@ -174,10 +174,10 @@ func TestFOBReadAllocatesNoFTL(t *testing.T) {
 
 func TestOverwriteInvalidatesOldCopy(t *testing.T) {
 	eng, d := newTiny(t)
-	d.Write(7)
+	d.WriteWithGC(7)
 	eng.RunUntil(eng.Now().Add(sim.Millisecond))
 	e1, _ := d.entry(7)
-	d.Write(7)
+	d.WriteWithGC(7)
 	e2, _ := d.entry(7)
 	if e1 == e2 {
 		t.Fatal("overwrite did not relocate")
@@ -196,7 +196,7 @@ func TestGCReclaimsSpace(t *testing.T) {
 	working := slices / 4
 	writes := slices * 3
 	for i := int64(0); i < writes; i++ {
-		d.Write(i % working)
+		d.WriteWithGC(i % working)
 		eng.RunUntil(eng.Now().Add(10 * sim.Microsecond))
 	}
 	st := d.Stats()
@@ -214,7 +214,7 @@ func TestGCCausesWriteLatencySpikes(t *testing.T) {
 	slices := int64(d.Geom.Blocks() * d.Geom.SlicesPerBlock())
 	var worst, base sim.Duration
 	for i := int64(0); i < slices*3; i++ {
-		w := d.Write(i % (slices / 4))
+		w, _ := d.WriteWithGC(i % (slices / 4))
 		if w > worst {
 			worst = w
 		}
@@ -253,7 +253,7 @@ func TestGCFullSpanRandomWritesTerminate(t *testing.T) {
 	r := rngStream(9)
 	max := d.LogicalSlices()
 	for i := 0; i < 20000; i++ {
-		d.Write(r.Int63n(max))
+		d.WriteWithGC(r.Int63n(max))
 		eng.RunUntil(eng.Now().Add(10 * sim.Microsecond))
 	}
 	if d.Stats().GCRuns == 0 {
@@ -281,7 +281,7 @@ func TestPropertyMappingConsistent(t *testing.T) {
 		eng := sim.NewEngine()
 		d := NewDevice(eng, TinyGeometry(), MLC3DTiming(), 2)
 		for _, op := range ops {
-			d.Write(int64(op % 64))
+			d.WriteWithGC(int64(op % 64))
 			eng.RunUntil(eng.Now().Add(10 * sim.Microsecond))
 		}
 		return checkFTL(d) == nil
@@ -339,7 +339,7 @@ func TestFormatFieldPolicy(t *testing.T) {
 
 	eng, d := newTiny(t)
 	for i := int64(0); i < 50; i++ {
-		d.Write(i)
+		d.WriteWithGC(i)
 		eng.RunUntil(eng.Now().Add(sim.Millisecond))
 	}
 	d.Read(999) // bump UnmappedRead too
@@ -478,7 +478,7 @@ func TestFirstWritesAllocateOnlyOpenedBlocks(t *testing.T) {
 	d := NewDevice(eng, TableIGeometry(), MLC3DTiming(), 1)
 	d.Precondition(0)
 	for die := 0; die < d.Geom.Dies(); die++ {
-		d.Write(int64(die))
+		d.WriteWithGC(int64(die))
 	}
 	runtime.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
@@ -502,10 +502,10 @@ func TestCollectSurvivesBlockTableGrowth(t *testing.T) {
 	d := NewDevice(eng, g, MLC3DTiming(), 1)
 	spb := int64(g.SlicesPerBlock())
 	for lba := int64(0); lba < spb; lba++ { // block 0 full
-		d.Write(lba)
+		d.WriteWithGC(lba)
 	}
 	for lba := int64(0); lba < spb; lba++ { // block 1 full: half of 0 rewritten
-		d.Write(lba % (spb / 2) * 2)
+		d.WriteWithGC(lba % (spb / 2) * 2)
 	}
 	blocks := &d.dies[0].blocks
 	if len(*blocks) != 2 || d.dies[0].open != 1 {
@@ -562,12 +562,12 @@ func TestValidateRejectsOverInt32Slices(t *testing.T) {
 func TestWritePastLogicalSpaceMapsNothing(t *testing.T) {
 	eng, d := newTiny(t)
 	logical := d.LogicalSlices()
-	d.Write(5)
+	d.WriteWithGC(5)
 	eng.RunUntil(eng.Now().Add(sim.Millisecond))
 	before, _ := d.entry(5)
 	for _, lba := range []int64{logical, logical + 5, 1 << 32, 1<<32 + 5, math.MaxInt64} {
-		if got := d.Write(lba); got <= 0 {
-			t.Fatalf("Write(%d) took %v", lba, got)
+		if got, _ := d.WriteWithGC(lba); got <= 0 {
+			t.Fatalf("WriteWithGC(%d) took %v", lba, got)
 		}
 		eng.RunUntil(eng.Now().Add(sim.Millisecond))
 	}
@@ -592,10 +592,10 @@ func TestWritePastLogicalSpaceMapsNothing(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Write(-1) did not panic")
+				t.Fatal("WriteWithGC(-1) did not panic")
 			}
 		}()
-		d.Write(-1)
+		d.WriteWithGC(-1)
 	}()
 }
 
@@ -724,7 +724,7 @@ func TestFTLFootprint(t *testing.T) {
 	r := rng.New(5)
 	logical := d.LogicalSlices()
 	for i := 0; i < 5000; i++ {
-		d.Write(r.Int63n(logical))
+		d.WriteWithGC(r.Int63n(logical))
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

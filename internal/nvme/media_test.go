@@ -56,7 +56,7 @@ func TestReadSteps(t *testing.T) {
 			}
 			wantStart, blocked := res.FetchedAt, tc.stall > 0
 			if blocked {
-				wantStart = c.MediaBlockedUntil()
+				wantStart = c.blockedUntil
 			}
 			if res.CompletedAt == 0 || res.BlockedBySMART != blocked || res.MediaStartAt != wantStart {
 				t.Fatalf("blocked=%v, media started at %v (completed at %v); want blocked=%v, starting at %v",

@@ -400,9 +400,6 @@ func (c *Controller) SetFirmware(fw Firmware) {
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// MediaBlockedUntil exposes the housekeeping stall deadline (for tests).
-func (c *Controller) MediaBlockedUntil() sim.Time { return c.blockedUntil }
-
 // --- fault-injection knobs (package fault is the intended driver) ---
 
 // SetReadSlowdown scales NAND read service time by factor (a slow-bin

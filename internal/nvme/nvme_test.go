@@ -75,10 +75,10 @@ func TestSMARTWindowBlocksReads(t *testing.T) {
 	eng, c := newSSD(t, DefaultFirmware())
 	// Step in 100 µs increments until we are *inside* a SMART window, then
 	// issue a read.
-	for eng.Now() < sim.Time(60*sim.Second) && c.MediaBlockedUntil() <= eng.Now() {
+	for eng.Now() < sim.Time(60*sim.Second) && c.blockedUntil <= eng.Now() {
 		eng.RunUntil(eng.Now().Add(100 * sim.Microsecond))
 	}
-	if c.MediaBlockedUntil() <= eng.Now() {
+	if c.blockedUntil <= eng.Now() {
 		t.Fatal("never caught a SMART window within 60s")
 	}
 	var res Result

@@ -141,9 +141,6 @@ func NewFabric(eng *sim.Engine, opt Options) *Fabric {
 	return f
 }
 
-// NumSSDs reports the SSD population behind this host's uplink.
-func (f *Fabric) NumSSDs() int { return len(f.DevLinks) }
-
 // Downstream models a host→SSD transfer of n bytes (command fetch or write
 // payload) and returns the total delay including switch hops, wire times,
 // and link contention: uplink, then the inter-switch link, then the device

@@ -447,7 +447,7 @@ func (c *Client) issueCost() sim.Duration {
 	if c.spec.Workload == WorkloadWrite {
 		n = 2
 	}
-	return sim.Duration(n) * c.k.Costs().Submit
+	return sim.Duration(n) * kernel.SubmitCost
 }
 
 func (c *Client) issueWindow() {
@@ -478,7 +478,7 @@ func (c *Client) reapCost(n int) sim.Duration {
 		// Up to four sub-I/O CQEs per RMW request.
 		per = 4
 	}
-	return sim.Duration(n*per) * c.k.Costs().Complete
+	return sim.Duration(n*per) * kernel.CompleteCost
 }
 
 func (c *Client) issueOne() {
@@ -762,13 +762,6 @@ func Run(eng *sim.Engine, k *kernel.Kernel, specs []ClientSpec) []*Result {
 			remaining--
 		})
 	}
-	grace := sim.Duration(0)
-	for remaining > 0 {
-		grace += 100 * sim.Millisecond
-		eng.RunUntil(maxDeadline.Add(grace))
-		if grace > 100*sim.Second {
-			panic("raid: clients failed to drain")
-		}
-	}
+	eng.Drain(maxDeadline, func() bool { return remaining == 0 }, "raid: clients failed to drain")
 	return results
 }

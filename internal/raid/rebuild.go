@@ -142,7 +142,7 @@ func (rb *Rebuilder) wakeTask(cost sim.Duration, fn func()) {
 }
 
 func (rb *Rebuilder) readBurst() sim.Duration {
-	return sim.Duration(len(rb.spec.Survivors)+1) * rb.k.Costs().Submit
+	return sim.Duration(len(rb.spec.Survivors)+1) * kernel.SubmitCost
 }
 
 // issueStripe runs on the rebuild thread: fan reconstruction reads out
@@ -182,7 +182,7 @@ func (rb *Rebuilder) readDone(comp *kernel.Completion) {
 		rb.advance()
 		return
 	}
-	rb.wakeTask(rb.k.Costs().Submit, rb.issueWriteFn)
+	rb.wakeTask(kernel.SubmitCost, rb.issueWriteFn)
 }
 
 // issueWrite runs on the rebuild thread: write the reconstructed slice

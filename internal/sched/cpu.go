@@ -19,13 +19,12 @@ type CPU struct {
 	// resolved once by New.
 	isolated, noHz, rcuNocb bool
 
-	curr         *Task
-	burstStart   sim.Time
-	burstPlanned sim.Duration
-	burstTimer   *sim.Timer // reused for every dispatch's completion
-	burstArmed   bool
-	overhead     sim.Duration // ctx + penalties + idle exit folded into current dispatch
-	htMult       int          // per-mille multiplier applied to task time this dispatch
+	curr       *Task
+	burstStart sim.Time
+	burstTimer *sim.Timer // reused for every dispatch's completion
+	burstArmed bool
+	overhead   sim.Duration // ctx + penalties + idle exit folded into current dispatch
+	htMult     int          // per-mille multiplier applied to task time this dispatch
 
 	cfs []*Task // runnable CFS tasks (excluding curr), unordered
 	rt  []*Task // runnable FIFO tasks (excluding curr), FIFO order
@@ -76,9 +75,6 @@ func (c *CPU) HostsIOBound() bool {
 	return false
 }
 
-// ID reports the CPU number.
-func (c *CPU) ID() int { return c.id }
-
 // NrRunnable counts runnable tasks including the running one.
 func (c *CPU) NrRunnable() int {
 	n := len(c.cfs) + len(c.rt)
@@ -104,29 +100,12 @@ func (c *CPU) Idle() bool { return c.curr == nil && c.NrRunnable() == 0 && !c.st
 
 func (c *CPU) enqueue(t *Task) {
 	t.state = StateRunnable
-	t.wokenAt = c.s.eng.Now()
 	if t.class == ClassFIFO {
 		c.rt = append(c.rt, t)
 	} else {
 		c.cfs = append(c.cfs, t)
 	}
 	c.retuneTick()
-}
-
-// removeQueued removes t from the queues if present.
-func (c *CPU) removeQueued(t *Task) bool {
-	q := &c.cfs
-	if t.class == ClassFIFO {
-		q = &c.rt
-	}
-	for i, x := range *q {
-		if x == t {
-			*q = append((*q)[:i], (*q)[i+1:]...)
-			c.retuneTick()
-			return true
-		}
-	}
-	return false
 }
 
 // pickNext chooses the next task to run: highest-priority FIFO first (FIFO
@@ -241,7 +220,6 @@ func (c *CPU) dispatch(t *Task) {
 	wall := overhead + t.remaining*sim.Duration(c.htMult)/1000
 	c.overhead = overhead
 	c.burstStart = now
-	c.burstPlanned = wall
 	c.burstTimer.Arm(wall, c.burstDoneFn)
 	c.burstArmed = true
 }
@@ -319,16 +297,12 @@ func (c *CPU) burstDone() {
 	if fn != nil {
 		fn()
 	}
-	switch {
-	case t.state == StateSleeping:
-		// Callback slept the task.
-	case t.remaining > 0:
+	if t.remaining > 0 {
 		// Callback queued another burst: task stays runnable here.
 		c.enqueue(t)
-	default:
+	} else {
 		// No further work: implicit sleep.
 		t.state = StateSleeping
-		t.lastSleep = c.s.eng.Now()
 	}
 	c.schedule()
 }
@@ -509,7 +483,6 @@ func (c *CPU) dispatchResume(t *Task) {
 	c.curr = t
 	wall := c.overhead + t.remaining*sim.Duration(c.htMult)/1000
 	c.burstStart = now
-	c.burstPlanned = wall
 	c.burstTimer.Arm(wall, c.burstDoneFn)
 	c.burstArmed = true
 }

@@ -599,24 +599,6 @@ func TestFIFOPriorityOrdering(t *testing.T) {
 	}
 }
 
-func TestSleepRemovesFromQueue(t *testing.T) {
-	eng, s := newSched(t, 1, BootOptions{})
-	h := newHog(s, "hog", []int{0})
-	h.wake()
-	eng.RunUntil(sim.Time(sim.Millisecond))
-	waiter := s.NewTask("w", ClassCFS, 0, []int{0})
-	waiter.Exec(sim.Microsecond, func() { t.Fatal("canceled task ran") })
-	s.Wake(waiter)
-	if waiter.State() != StateRunnable {
-		t.Fatalf("state = %v", waiter.State())
-	}
-	waiter.Sleep()
-	if waiter.State() != StateSleeping {
-		t.Fatalf("state = %v after Sleep", waiter.State())
-	}
-	eng.RunUntil(sim.Time(20 * sim.Millisecond))
-}
-
 func TestInvalidTaskParamsPanic(t *testing.T) {
 	_, s := newSched(t, 1, BootOptions{})
 	for _, f := range []func(){

@@ -173,20 +173,6 @@ func (s *Scheduler) Wake(t *Task) {
 	}
 }
 
-// dequeue removes a runnable task from its runqueue (used by Task.Sleep).
-func (s *Scheduler) dequeue(t *Task) {
-	if t.cpu >= 0 {
-		if s.cpus[t.cpu].removeQueued(t) {
-			return
-		}
-	}
-	for _, c := range s.cpus {
-		if c.removeQueued(t) {
-			return
-		}
-	}
-}
-
 // selectRQ picks the CPU a waking task runs on (select_task_rq).
 func (s *Scheduler) selectRQ(t *Task) *CPU {
 	if len(t.affinity) > 0 {

@@ -62,7 +62,6 @@ type Task struct {
 	// Empty = any CPU.
 	affinity []int
 
-	sched *Scheduler
 	state State
 	cpu   int // current or last CPU
 
@@ -74,9 +73,7 @@ type Task struct {
 	extraNext   sim.Duration // one-shot penalty added to next dispatch (cold cache, IPI)
 	everRan     bool
 	firstRunAt  sim.Time
-	lastSleep   sim.Time
 	lastOffCPU  sim.Time
-	wokenAt     sim.Time
 	wakes       int64
 	ctxSwitches int64
 	runTime     sim.Duration
@@ -93,7 +90,6 @@ func (s *Scheduler) NewTask(name string, class Class, prio int, affinity []int) 
 		ID:       len(s.tasks),
 		Name:     name,
 		class:    class,
-		sched:    s,
 		state:    StateSleeping,
 		cpu:      -1,
 		affinity: append([]int(nil), affinity...),
@@ -166,20 +162,4 @@ func (t *Task) AddPenalty(d sim.Duration) {
 	if d > 0 {
 		t.extraNext += d
 	}
-}
-
-// Sleep blocks the task (must be called from its burst callback, or while
-// the task is runnable but not running).
-func (t *Task) Sleep() {
-	switch t.state {
-	case StateSleeping:
-		return
-	case StateRunnable:
-		t.sched.dequeue(t)
-	case StateRunning:
-		// The scheduler handles the transition after the burst callback.
-		panic("sched: Sleep on running task outside burst completion")
-	}
-	t.state = StateSleeping
-	t.lastSleep = t.sched.eng.Now()
 }

@@ -479,6 +479,20 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
+// Drain runs a workload past its deadline until done reports true: it
+// runs the engine to deadline+grace, growing grace by 100 ms a step, so
+// I/O still in flight at the deadline completes. A workload that has not
+// drained 100 s past its deadline is stuck, and Drain panics with msg.
+func (e *Engine) Drain(deadline Time, done func() bool, msg string) {
+	for grace := Duration(0); !done(); {
+		grace += 100 * Millisecond
+		e.RunUntil(deadline.Add(grace))
+		if grace > 100*Second {
+			panic(msg)
+		}
+	}
+}
+
 // Timer is a reusable cancelable event for callers that keep at most one
 // deadline outstanding at a time (a CPU's burst completion, a ticker's
 // next fire, a coalescer's flush). The timer owns at most one queue entry

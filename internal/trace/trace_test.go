@@ -68,8 +68,13 @@ func TestMisroutedVectorAnalysis(t *testing.T) {
 		ic.Deliver(0, 1, func(irq.Delivery) {})
 		eng.RunUntil(eng.Now().Add(sim.Millisecond))
 	}
-	if tr.Deliveries() != 20 {
-		t.Fatalf("deliveries = %d", tr.Deliveries())
+	var seen int64
+	for _, m := range tr.MisroutedVectors() {
+		seen += m.Occurrences
+	}
+	local, remote, _ := ic.Stats()
+	if local+remote != 20 || seen != remote {
+		t.Fatalf("deliveries = %d, %d remote, tracer saw %d misrouted", local+remote, remote, seen)
 	}
 	mis := tr.MisroutedVectors()
 	if ic.EffectiveCPU(0, 1) != 1 {
@@ -82,8 +87,8 @@ func TestMisroutedVectorAnalysis(t *testing.T) {
 		if !strings.Contains(mis[0].String(), "irq(0,1) executed on cpu(") {
 			t.Fatalf("String() = %q", mis[0].String())
 		}
-		if tr.RemoteFraction() != 1 {
-			t.Fatalf("remote fraction = %v", tr.RemoteFraction())
+		if remote != 20 {
+			t.Fatalf("remote deliveries = %d of 20", remote)
 		}
 	}
 }
@@ -102,7 +107,7 @@ func TestPinnedVectorsShowNoMisrouting(t *testing.T) {
 	if len(tr.MisroutedVectors()) != 0 {
 		t.Fatal("pinned vectors reported as misrouted")
 	}
-	if tr.RemoteFraction() != 0 {
-		t.Fatalf("remote fraction = %v", tr.RemoteFraction())
+	if _, remote, _ := ic.Stats(); remote != 0 {
+		t.Fatalf("remote deliveries = %d", remote)
 	}
 }

@@ -20,8 +20,18 @@
 #                  and so the reports, differ from amd64's. The build
 #                  output is captured first, so a build error fails
 #                  the step too;
-#   afalint      — one pass of all nineteen rules against the one debt
-#                  ledger, lint.baseline: the determinism contract
+#   race+shuffle — the full suite once, under the race detector with
+#                  test order shuffled: the sim core is single-threaded
+#                  by contract and the runner tier merges in submission
+#                  order, so the detector must be silent, and no test
+#                  may depend on state another test left behind.
+#                  -shuffle=on implies -count=1, so nothing is served
+#                  from the test cache. The suite holds the afalint
+#                  gate: internal/lint's TestRepoPassesAfalint runs one
+#                  pass of all nineteen rules against the one debt
+#                  ledger, lint.baseline, and fails on a finding the
+#                  ledger does not cover or a ledger line no finding
+#                  uses. The rules are the determinism contract
 #                  (DESIGN.md §5: no wall clock, no global rand, no
 #                  map-order dependence, no concurrency or float
 #                  equality in the sim core, no sim-core import of the
@@ -31,17 +41,9 @@
 #                  the state-integrity contract (§10: pooled types,
 #                  Reset() and Snapshot()/Clone() methods cover every
 #                  mutable field, no package-level vars in sim-core, no
-#                  use-after-release of pooled pointers). The same
-#                  pass runs again inside the suite below as
-#                  internal/lint's self-check, beside cmd/afalint's
-#                  test that README's rule table matches `afalint -doc`;
-#   race+shuffle — the full suite once, under the race detector with
-#                  test order shuffled: the sim core is single-threaded
-#                  by contract and the runner tier merges in submission
-#                  order, so the detector must be silent, and no test
-#                  may depend on state another test left behind.
-#                  -shuffle=on implies -count=1, so nothing is served
-#                  from the test cache. The suite holds the determinism
+#                  use-after-release of pooled pointers); cmd/afalint's
+#                  test checks README's rule table against
+#                  `afalint -doc`. The suite also holds the determinism
 #                  and report gates: internal/core's
 #                  TestParallelDeterminism (exported reports of every
 #                  fan-out byte-identical at -parallel 1 and 8),
@@ -78,6 +80,5 @@ if [ -n "$fused" ]; then
 	exit 1
 fi
 echo "arm64: 0 fused multiply-add instructions"
-go run ./cmd/afalint -baseline lint.baseline ./...
 go test -race -shuffle=on ./...
 (cd bench && go test ./...)
